@@ -19,7 +19,12 @@ symbol in parentheses:
   batch_size    users per optimizer step
   optimizer     adam | sgd
   rank          PureSVD rank (PureSVD presets only)
-  algorithm     ama | pop | puresvd (presets only)
+  algorithm     scorer: ama | pop | puresvd; train and explain need ama
+
+Unset keys take the library defaults. h, gamma, oversample, scale and seed
+make the embedding recipe, which train records next to the model: with
+--model, the embeddings come from that record, and a configured recipe key
+must equal it. Without --model or --baseline, evaluate scores `algorithm`.
 
 The default data directory comes from $AMAREC_DATA_DIR when --data is
 omitted.
@@ -34,7 +39,7 @@ import sys
 
 
 from amarec import baselines, dataset, evaluation, explain as explain_mod, linalg, training
-from amarec.model import AmaConfig, load_model, save_model
+from amarec.model import AmaConfig, load_model, read_sidecar, save_model
 from amarec.training import TrainConfig
 
 
@@ -46,6 +51,12 @@ _FLOAT_KEYS = {"alpha", "lambda", "rho", "learning_rate"}
 _INT_KEYS = {"h", "d", "kappa", "epochs", "gamma", "oversample", "seed",
              "batch_size", "rank"}
 _STR_KEYS = {"scale", "optimizer", "algorithm"}
+
+# config key -> keyword argument, for each consumer of the configuration
+_RECIPE_KEYS = {k: k for k in linalg.RECIPE_DEFAULTS}
+_MODEL_KEYS = {**{k: k for k in ("d", "kappa", "alpha", "rho", "epochs")}, "lambda": "lam"}
+_TRAIN_KEYS = {k: k for k in ("learning_rate", "batch_size", "optimizer")}
+_PURESVD_KEYS = {"rank": "rank", "gamma": "iters", "seed": "seed"}
 
 
 def parse_config_text(text, source="<config>"):
@@ -101,13 +112,25 @@ def _gather_config(args):
     return cfg
 
 
-def _ama_config(cfg):
-    return AmaConfig(
-        h=cfg.get("h", 40), d=cfg.get("d", 3), kappa=cfg.get("kappa", 3),
-        alpha=cfg.get("alpha", 1.0), lam=cfg.get("lambda", 1e-5),
-        rho=cfg.get("rho", 0.3), epochs=cfg.get("epochs", 300),
-        seed=cfg.get("seed", 0),
-    )
+def _pick(cfg, keys):
+    """The keys of ``cfg`` that were given, renamed to keyword arguments."""
+    return {arg: cfg[key] for key, arg in keys.items() if key in cfg}
+
+
+def _recipe(cfg):
+    return {**linalg.RECIPE_DEFAULTS, **_pick(cfg, _RECIPE_KEYS)}
+
+
+def _require_ama(cfg, command):
+    if cfg.get("algorithm") not in (None, "ama"):
+        raise CliError(f"{command} needs algorithm=ama, got algorithm={cfg['algorithm']}")
+
+
+def _train_configs(cfg):
+    """The embedding recipe and the TrainConfig that ``train`` uses."""
+    recipe = _recipe(cfg)
+    model = AmaConfig(h=recipe["h"], seed=recipe["seed"], **_pick(cfg, _MODEL_KEYS))
+    return recipe, TrainConfig(model=model, **_pick(cfg, _TRAIN_KEYS))
 
 
 def _data_dir(args):
@@ -133,61 +156,70 @@ def cmd_prep(args):
           f"{data.train.nnz}/{data.validation.nnz}/{data.test.nnz} interactions")
 
 
-def _build_embeddings(data, cfg):
-    svd = linalg.randomized_svd(
-        data.train, rank=cfg.get("h", 40), power_iters=cfg.get("gamma", 10),
-        oversample=cfg.get("oversample", 10), seed=cfg.get("seed", 0),
-    )
-    return linalg.item_embeddings(svd, scale=cfg.get("scale", "none")), svd
-
-
 def cmd_embed(args):
     data = dataset.load_split(_data_dir(args))
-    cfg = _gather_config(args)
-    V, svd = _build_embeddings(data, cfg)
+    recipe = _recipe(_gather_config(args))
+    V = linalg.embed_items(data.train, **recipe)
     linalg.save_embeddings(V, args.out, meta={
-        "h": cfg.get("h", 40), "gamma": cfg.get("gamma", 10),
-        "seed": cfg.get("seed", 0), "scale": cfg.get("scale", "none"),
-        "source_hash": linalg.matrix_hash(data.train),
-    })
+        **recipe, "source_hash": linalg.matrix_hash(data.train)})
     print(f"wrote {V.shape[0]}x{V.shape[1]} item embeddings to {args.out}")
 
 
 def cmd_train(args):
     data = dataset.load_split(_data_dir(args))
     cfg = _gather_config(args)
-    mcfg = _ama_config(cfg)
-    V, _ = _build_embeddings(data, {**cfg, "h": mcfg.h})
-    tcfg = TrainConfig(
-        model=mcfg,
-        learning_rate=cfg.get("learning_rate", 1e-3),
-        batch_size=cfg.get("batch_size", 512),
-        optimizer=cfg.get("optimizer", "adam"),
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_path=args.out,
-    )
-    params, log = training.train(data, V, tcfg)
-    save_model(params, mcfg, args.out, item_index_hash=linalg.matrix_hash(data.train))
+    _require_ama(cfg, "train")
+    recipe, tcfg = _train_configs(cfg)
+    V = linalg.embed_items(data.train, **recipe)
+    provenance = {"item_index_hash": linalg.matrix_hash(data.train), "embedding": recipe}
+
+    def checkpoint(epoch, params):
+        if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
+            save_model(params, tcfg.model, args.out, **provenance)
+
+    params, log = training.train(data, V, tcfg, callback=checkpoint)
+    save_model(params, tcfg.model, args.out, **provenance)
     if args.log_prefix:
         log.save_csv(args.log_prefix + ".csv")
         log.save_json(args.log_prefix + ".json")
     last = log.records[-1][1] if log.records else float("nan")
-    print(f"trained {mcfg.epochs} epochs; final mean objective {last:.6g}; "
+    print(f"trained {tcfg.model.epochs} epochs; final mean objective {last:.6g}; "
           f"model written to {args.out}")
 
 
+def _load_ama(path, data, cfg):
+    """(params, V, AmaConfig) of a model file, with V rebuilt from the recipe
+    in its sidecar. Rejects configured recipe keys that disagree with it and a
+    split other than the one the model was trained on."""
+    params, mcfg = load_model(path)
+    sidecar = read_sidecar(path)
+    # a sidecar without a recipe comes from a model trained with the default one
+    recipe = _recipe(sidecar.get("embedding", {"h": mcfg.h, "seed": mcfg.seed}))
+    for key, given in _pick(cfg, _RECIPE_KEYS).items():
+        if given != recipe[key]:
+            raise CliError(f"{path} was trained with {key}={recipe[key]}, "
+                           f"but the configuration gives {key}={given}")
+    if data.shape[1] != params.S.shape[0]:
+        raise CliError(f"{path} scores {params.S.shape[0]} items, "
+                       f"but the split has {data.shape[1]}")
+    trained_on = sidecar["item_index_hash"]
+    if trained_on and trained_on != linalg.matrix_hash(data.train):
+        raise CliError(f"{path} was trained on a different train matrix")
+    return params, linalg.embed_items(data.train, **recipe), mcfg
+
+
 def _scorer_for(args, data, cfg):
-    if args.model:
-        params, mcfg = load_model(args.model)
-        V, _ = _build_embeddings(data, {**cfg, "h": mcfg.h, "seed": mcfg.seed})
-        return baselines.ama_scorer(params, V, mcfg)
-    if args.baseline == "pop":
+    chosen = "ama" if args.model else args.baseline
+    algorithm = cfg.get("algorithm", chosen)
+    if chosen and algorithm != chosen:
+        raise CliError(f"the configuration selects algorithm={algorithm}, "
+                       f"but the command line selects {chosen}")
+    if algorithm == "ama" and args.model:
+        return baselines.ama_scorer(*_load_ama(args.model, data, cfg))
+    if algorithm == "pop":
         return baselines.pop_scorer(data.train)
-    if args.baseline == "puresvd":
-        return baselines.puresvd_scorer(
-            data.train, rank=cfg.get("rank", 50), iters=cfg.get("gamma", 10),
-            seed=cfg.get("seed", 0),
-        )
+    if algorithm == "puresvd":
+        return baselines.puresvd_scorer(data.train, **_pick(cfg, _PURESVD_KEYS))
     raise CliError("pass --model or --baseline {pop,puresvd}")
 
 
@@ -207,11 +239,12 @@ def cmd_evaluate(args):
 
 def cmd_explain(args):
     data = dataset.load_split(_data_dir(args))
-    params, mcfg = load_model(args.model)
     cfg = _gather_config(args)
-    V, _ = _build_embeddings(data, {**cfg, "h": mcfg.h, "seed": mcfg.seed})
+    _require_ama(cfg, "explain")
+    if args.user is None and not args.histogram and not args.modes:
+        raise CliError("pass one of --user, --histogram, --modes")
+    params, V, mcfg = _load_ama(args.model, data, cfg)
     item_ids = list(data.item_ids)
-    did_something = False
     if args.user is not None:
         u = data.user_index.get(args.user)
         if u is None:
@@ -228,21 +261,16 @@ def cmd_explain(args):
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(explain_mod.user_explanation_dot(exp, item_ids=item_ids))
         print(f"user explanation written to {out}")
-        did_something = True
     if args.histogram:
         hist = explain_mod.mode_usage(params, V, mcfg, data, k=args.k)
         out = args.out or "mode_usage.csv"
         explain_mod.save_histogram_csv(hist, out)
         print(f"mode-usage histogram written to {out}")
-        did_something = True
     if args.modes:
         top = explain_mod.mode_top_items(params, V, mcfg, data, n_top=args.n)
         out = args.out or "mode_top_items.csv"
         explain_mod.save_mode_top_items_csv(top, out, item_ids=item_ids)
         print(f"per-mode top items written to {out}")
-        did_something = True
-    if not did_something:
-        raise CliError("pass one of --user, --histogram, --modes")
 
 
 def build_parser():
@@ -259,8 +287,6 @@ def build_parser():
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a single config key")
         sp.add_argument("--data", help="split directory (default $AMAREC_DATA_DIR)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker cap; results are thread-count invariant")
 
     sp = sub.add_parser("prep", help="parse, binarize and split a rating file")
     sp.add_argument("--input", required=True)
@@ -282,6 +308,8 @@ def build_parser():
     sp.add_argument("--out", required=True, help="model output path")
     sp.add_argument("--log-prefix", help="write the train log as PREFIX.csv/.json")
     sp.add_argument("--checkpoint-every", type=int, default=0)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="ignored: training is single-threaded; results never depend on it")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("evaluate", help="rank and score a model or baseline")
@@ -290,6 +318,8 @@ def build_parser():
     sp.add_argument("--baseline", choices=["pop", "puresvd"])
     sp.add_argument("--split", default="test", choices=["validation", "test"])
     sp.add_argument("--ks", default="5,10,20")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker cap; results are thread-count invariant")
     sp.add_argument("--out", help="JSON report path")
     sp.set_defaults(func=cmd_evaluate)
 

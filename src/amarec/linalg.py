@@ -9,12 +9,12 @@ and a deterministic sign convention so embeddings reproduce across runs.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,13 @@ def randomized_svd(R, rank, power_iters=10, oversample=10, seed=0):
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, k))
 
-    Y = _matmul(R, omega)
-    Q, _ = np.linalg.qr(Y)
+    # np.asarray turns a sparse product's np.matrix into an ndarray
+    Q, _ = np.linalg.qr(np.asarray(R @ omega))
     for _ in range(power_iters):
-        Z, _ = np.linalg.qr(_rmatmul(R, Q))
-        Q, _ = np.linalg.qr(_matmul(R, Z))
+        Z, _ = np.linalg.qr(np.asarray(R.T @ Q))
+        Q, _ = np.linalg.qr(np.asarray(R @ Z))
 
-    B = _rmatmul(R, Q).T          # k x n
+    B = np.asarray(R.T @ Q).T     # k x n
     Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
     U = Q @ Ub
 
@@ -64,18 +64,6 @@ def randomized_svd(R, rank, power_iters=10, oversample=10, seed=0):
                      right=np.ascontiguousarray(V))
 
 
-def _matmul(R, X):
-    out = R @ X
-    return np.asarray(out)
-
-
-def _rmatmul(R, X):
-    # R^T @ X without materializing the transpose of a sparse matrix twice
-    if sp.issparse(R):
-        return np.asarray(R.T @ X)
-    return R.T @ X
-
-
 def item_embeddings(svd, scale="none"):
     """Item embedding matrix from an SvdResult.
 
@@ -87,6 +75,20 @@ def item_embeddings(svd, scale="none"):
     if scale == "sqrt-sigma":
         return svd.right * np.sqrt(svd.singular_values)[None, :]
     raise ValueError(f"unknown scale {scale!r}")
+
+
+def embed_items(train, *, h=40, gamma=10, oversample=10, scale="none", seed=0):
+    """Fixed n x h item embeddings of a train matrix. The keyword arguments are
+    the embedding recipe; a model is correct only with the V it was trained
+    on, so every caller builds V here and these are the recipe's only defaults."""
+    svd = randomized_svd(train, rank=h, power_iters=gamma, oversample=oversample,
+                         seed=seed)
+    return item_embeddings(svd, scale=scale)
+
+
+RECIPE_DEFAULTS = {name: p.default
+                   for name, p in inspect.signature(embed_items).parameters.items()
+                   if p.kind is p.KEYWORD_ONLY}
 
 
 _EMB_MAGIC = b"AMAEMB01"
@@ -110,12 +112,14 @@ def save_embeddings(V, path, meta=None):
 
 def load_embeddings(path):
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _EMB_MAGIC:
-            raise ValueError(f"bad magic bytes in {path}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype=np.float64)
-    return data.reshape(rows, cols).copy()
+        raw = fh.read()
+    if raw[:8] != _EMB_MAGIC:
+        raise ValueError(f"bad magic bytes in {path}")
+    rows, cols = struct.unpack_from("<QQ", raw, 8) if len(raw) >= 24 else (0, 0)
+    if len(raw) != 24 + rows * cols * 8:
+        raise ValueError(f"damaged embedding file {path}: {len(raw)} bytes, "
+                         f"expected {24 + rows * cols * 8} for {rows}x{cols}")
+    return np.frombuffer(raw, dtype=np.float64, offset=24).reshape(rows, cols).copy()
 
 
 def matrix_hash(mat):

@@ -57,9 +57,6 @@ class AmaParameters:
     def copy(self):
         return AmaParameters(*(getattr(self, k).copy() for k in PARAM_NAMES))
 
-    def as_dict(self):
-        return {k: getattr(self, k) for k in PARAM_NAMES}
-
 
 PARAM_NAMES = ("W_k", "W_v", "Q", "B", "S")
 
@@ -219,9 +216,10 @@ def gradients(r, mask_obs, params, V, cfg, include_regularizer=True):
 _MDL_MAGIC = b"AMAMDL01"
 
 
-def save_model(params, cfg, path, item_index_hash=""):
+def save_model(params, cfg, path, item_index_hash="", embedding=None):
     """Binary container: magic, version, dims (n,h,d,kappa), then the five
-    parameter matrices row-major float64. A JSON sidecar carries the config."""
+    parameter matrices row-major float64. A JSON sidecar carries the config,
+    the train matrix hash and the embedding recipe, when given."""
     n, h = params.S.shape
     d, kappa = params.Q.shape
     with open(path, "wb") as fh:
@@ -231,26 +229,49 @@ def save_model(params, cfg, path, item_index_hash=""):
             fh.write(np.ascontiguousarray(getattr(params, name), dtype=np.float64).tobytes())
     sidecar = {"config": asdict(cfg), "item_index_hash": item_index_hash,
                "n": n, "h": h, "d": d, "kappa": kappa}
+    if embedding is not None:
+        sidecar["embedding"] = embedding
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_model(path):
-    """Returns (AmaParameters, AmaConfig). The sidecar JSON must be present."""
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MDL_MAGIC:
-            raise ValueError(f"bad magic bytes in {path}")
-        version, n, h, d, kappa = struct.unpack("<IQQQQ", fh.read(36))
-        if version != 1:
-            raise ValueError(f"unsupported model version {version}")
-        shapes = {"W_k": (h, kappa), "W_v": (h, h), "Q": (d, kappa),
-                  "B": (d, h), "S": (n, h)}
-        arrays = {}
-        for name in PARAM_NAMES:
-            r, c = shapes[name]
-            arrays[name] = np.frombuffer(fh.read(r * c * 8), dtype=np.float64).reshape(r, c).copy()
+def read_sidecar(path):
+    """The JSON sidecar written next to a model file."""
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+        return json.load(fh)
+
+
+def load_model(path):
+    """Returns (AmaParameters, AmaConfig). The sidecar JSON must be present.
+
+    Rejects a file whose length differs from what its header's dims imply and
+    a sidecar whose dims disagree with the header.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:8] != _MDL_MAGIC:
+        raise ValueError(f"bad magic bytes in {path}")
+    if len(raw) < 44:
+        raise ValueError(f"damaged model file {path}: header truncated at {len(raw)} bytes")
+    version, n, h, d, kappa = struct.unpack_from("<IQQQQ", raw, 8)
+    if version != 1:
+        raise ValueError(f"unsupported model version {version}")
+    shapes = {"W_k": (h, kappa), "W_v": (h, h), "Q": (d, kappa),
+              "B": (d, h), "S": (n, h)}
+    expected = 44 + 8 * sum(r * c for r, c in shapes.values())
+    if len(raw) != expected:
+        raise ValueError(f"damaged model file {path}: {len(raw)} bytes, expected "
+                         f"{expected} for n={n} h={h} d={d} kappa={kappa}")
+    arrays, offset = {}, 44
+    for name in PARAM_NAMES:
+        r, c = shapes[name]
+        arrays[name] = np.frombuffer(raw, np.float64, r * c, offset).reshape(r, c).copy()
+        offset += r * c * 8
+    sidecar = read_sidecar(path)
+    for key, value in (("n", n), ("h", h), ("d", d), ("kappa", kappa)):
+        if sidecar.get(key) != value:
+            raise ValueError(f"model sidecar of {path} gives {key}={sidecar.get(key)}, "
+                             f"but the model file has {key}={value}")
     cfg = AmaConfig(**sidecar["config"])
     return AmaParameters(**arrays), cfg

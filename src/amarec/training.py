@@ -21,7 +21,6 @@ from amarec.model import (
     corrupt,
     gradients,
     init_params,
-    save_model,
 )
 
 
@@ -31,9 +30,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 512
     optimizer: str = "adam"
-    checkpoint_every: int = 0   # 0 disables periodic checkpoints
-    eval_every: int = 0         # 0 disables validation logging
-    checkpoint_path: str = ""
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -108,7 +104,7 @@ def train(data, V, cfg, params=None, callback=None):
 
     Returns (AmaParameters, TrainLog). Users whose corrupted row is empty
     are skipped for that epoch. ``callback(epoch, params)`` runs after each
-    epoch when given (used for validation-based checkpoint selection).
+    epoch when given (used for checkpoints and validation-based selection).
     """
     mcfg = cfg.model
     train_mat = data.train
@@ -130,7 +126,7 @@ def train(data, V, cfg, params=None, callback=None):
         rng = np.random.default_rng([mcfg.seed, epoch])
         order = rng.permutation(m)
         total, counted = 0.0, 0
-        for start in range(0, m, cfg.batch_size):
+        for b, start in enumerate(range(0, m, cfg.batch_size)):
             batch = np.sort(order[start:start + cfg.batch_size])
             acc = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
             used = 0
@@ -151,37 +147,16 @@ def train(data, V, cfg, params=None, callback=None):
                 used += 1
             if used == 0:
                 continue
+            if not np.isfinite(total):   # earlier batches were finite: this one is not
+                raise NonFiniteObjective(epoch, b, total)
             acc["S"] += 2.0 * mcfg.lam * params.S   # regularizer once per step
             params = step(params, acc, state, cfg.learning_rate)
         objective = (total / counted if counted else 0.0) + mcfg.lam * float(
             np.sum(params.S * params.S)
         )
-        if not np.isfinite(objective):
-            raise NonFiniteObjective(epoch, start // cfg.batch_size, objective)
+        if not np.isfinite(objective):   # the last update overflowed S
+            raise NonFiniteObjective(epoch, b, objective)
         log.append(epoch, objective, time.perf_counter() - t0)
-        if cfg.checkpoint_every and cfg.checkpoint_path and (epoch + 1) % cfg.checkpoint_every == 0:
-            save_model(params, mcfg, cfg.checkpoint_path)
         if callback is not None:
             callback(epoch, params)
     return params, log
-
-
-def mean_objective(data, V, cfg, params, rng=None):
-    """Mean per-user objective on uncorrupted rows; cheap training diagnostics."""
-    mcfg = cfg.model
-    train_mat = data.train
-    m, n = train_mat.shape
-    dense = np.zeros(n)
-    total, counted = 0.0, 0
-    from amarec.model import loss as _loss
-
-    for u in range(m):
-        obs = train_mat.indices[train_mat.indptr[u]:train_mat.indptr[u + 1]]
-        if obs.size == 0:
-            continue
-        dense[obs] = 1.0
-        val, _ = _loss(dense, obs, params, V, mcfg)
-        dense[obs] = 0.0
-        total += val
-        counted += 1
-    return total / max(counted, 1)

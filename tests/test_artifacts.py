@@ -1,0 +1,249 @@
+"""Artifact provenance: the model decides its embeddings, loaders reject damaged
+files, and the CLI's documented keys and shipped presets stay in step."""
+
+import json
+import re
+import types
+
+import importlib.resources
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from amarec import cli, training
+from amarec.cli import main
+from amarec.linalg import RECIPE_DEFAULTS, load_embeddings, save_embeddings
+from amarec.model import AmaConfig, init_params, load_model, save_model
+from conftest import synthetic_events, write_movielens_file
+
+SMALL = ["--set", "d=2", "--set", "kappa=2", "--set", "epochs=2", "--set", "batch_size=8"]
+
+
+def prep(tmp_path, name, seed):
+    ratings = tmp_path / f"{name}.dat"
+    write_movielens_file(ratings, synthetic_events(m=25, n=15, per_user=12, seed=seed))
+    out = tmp_path / name
+    assert main(["prep", "--input", str(ratings), "--format", "movielens-dat",
+                 "--threshold", "2", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A split and a model trained on it with h=4 and the default gamma=10,
+    oversample=10, scale=none and seed=0."""
+    tmp = tmp_path_factory.mktemp("trained")
+    data = prep(tmp, "data", seed=4)
+    model = tmp / "model.bin"
+    assert main(["train", "--data", str(data), "--out", str(model),
+                 "--set", "h=4", *SMALL]) == 0
+    return tmp, data, model
+
+
+def evaluate(data, model, *extra):
+    return main(["evaluate", "--data", str(data), "--model", str(model), "--ks", "5",
+                 *extra])
+
+
+class TestModelDecidesEmbeddings:
+    def test_sidecar_records_recipe_and_train_hash(self, trained):
+        _, _, model = trained
+        sidecar = json.loads((model.parent / "model.bin.json").read_text())
+        assert sidecar["embedding"] == {**RECIPE_DEFAULTS, "h": 4}
+        assert len(sidecar["item_index_hash"]) == 64
+
+    def test_checkpoint_records_recipe_and_train_hash(self, tmp_path, monkeypatch):
+        # a run stopped after its first checkpoint leaves that checkpoint as the model
+        class Stopped(Exception):
+            pass
+
+        inner = training.train
+
+        def stopped_after_first_epoch(data, V, cfg, params=None, callback=None):
+            def then_stop(epoch, current):
+                callback(epoch, current)
+                raise Stopped
+
+            return inner(data, V, cfg, params=params, callback=then_stop)
+
+        monkeypatch.setattr(training, "train", stopped_after_first_epoch)
+        data, model = prep(tmp_path, "data", seed=4), tmp_path / "ckpt.bin"
+        with pytest.raises(Stopped):
+            main(["train", "--data", str(data), "--out", str(model), "--checkpoint-every",
+                  "1", "--set", "h=4", "--set", "gamma=3", *SMALL])
+        sidecar = json.loads((tmp_path / "ckpt.bin.json").read_text())
+        assert sidecar["embedding"] == {**RECIPE_DEFAULTS, "h": 4, "gamma": 3}
+        assert len(sidecar["item_index_hash"]) == 64
+
+    def test_embed_records_full_recipe(self, trained):
+        tmp, data, _ = trained
+        emb = tmp / "emb.bin"
+        assert main(["embed", "--data", str(data), "--out", str(emb),
+                     "--set", "h=4", "--set", "oversample=3"]) == 0
+        meta = json.loads((tmp / "emb.bin.json").read_text())
+        assert {k: meta[k] for k in RECIPE_DEFAULTS} == {**RECIPE_DEFAULTS, "h": 4,
+                                                         "oversample": 3}
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    @pytest.mark.parametrize("key,given,recorded", [
+        ("gamma", "3", "10"), ("oversample", "3", "10"), ("scale", "sqrt-sigma", "none"),
+        ("h", "5", "4"), ("seed", "1", "0"),
+    ])
+    def test_mismatched_recipe_key_rejected(self, trained, capsys, command, key,
+                                            given, recorded):
+        _, data, model = trained
+        what = ["--ks", "5"] if command == "evaluate" else ["--histogram"]
+        rc = main([command, "--data", str(data), "--model", str(model), *what,
+                   "--set", f"{key}={given}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{key}={recorded}" in err and f"{key}={given}" in err
+
+    def test_report_independent_of_matching_flags(self, trained):
+        tmp, data, model = trained
+        bare, flagged = tmp / "bare.json", tmp / "flagged.json"
+        assert evaluate(data, model, "--out", str(bare)) == 0
+        assert evaluate(data, model, "--out", str(flagged), "--set", "h=4",
+                        "--set", "gamma=10", "--set", "scale=none", "--set", "seed=0") == 0
+        assert bare.read_bytes() == flagged.read_bytes()
+
+    def test_different_train_matrix_rejected(self, trained, capsys):
+        tmp, data, model = trained
+        other = prep(tmp, "other", seed=5)
+        split = json.loads((other / "split.json").read_text())
+        assert len(split["item_ids"]) == len(json.loads(
+            (data / "split.json").read_text())["item_ids"])
+        assert evaluate(other, model) == 1
+        assert "different train matrix" in capsys.readouterr().err
+
+    def test_item_count_mismatch_rejected(self, trained, capsys):
+        tmp, data, _ = trained
+        cfg = AmaConfig(h=4, d=2, kappa=2)
+        n = len(json.loads((data / "split.json").read_text())["item_ids"])
+        path = tmp / "wide.bin"
+        save_model(init_params(n + 1, cfg), cfg, path)
+        assert evaluate(data, path) == 1
+        assert f"{n + 1} items" in capsys.readouterr().err
+
+    def test_sidecar_without_recipe_means_default_recipe(self, trained, capsys):
+        tmp, data, _ = trained
+        cfg = AmaConfig(h=4, d=2, kappa=2)
+        n = len(json.loads((data / "split.json").read_text())["item_ids"])
+        path = tmp / "drawn.bin"
+        save_model(init_params(n, cfg), cfg, path)
+        assert "embedding" not in json.loads((tmp / "drawn.bin.json").read_text())
+        assert evaluate(data, path, "--set", "gamma=10", "--set", "oversample=10") == 0
+        assert evaluate(data, path, "--set", "gamma=3") == 1
+        assert "gamma=10" in capsys.readouterr().err
+
+    def test_explain_unknown_user_with_matching_flags(self, trained, capsys):
+        _, data, model = trained
+        rc = main(["explain", "--data", str(data), "--model", str(model),
+                   "--user", "ghost", "--set", "h=4", *SMALL])
+        assert rc == 1
+        assert "unknown user" in capsys.readouterr().err
+
+
+class TestAlgorithmKey:
+    def test_pop_preset_alone_matches_baseline_flag(self, trained):
+        tmp, data, _ = trained
+        by_preset, by_flag = tmp / "pop_preset.json", tmp / "pop_flag.json"
+        assert main(["evaluate", "--data", str(data), "--preset", "ml1m-pop",
+                     "--out", str(by_preset)]) == 0
+        assert main(["evaluate", "--data", str(data), "--baseline", "pop",
+                     "--out", str(by_flag)]) == 0
+        assert by_preset.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize("preset,which", [
+        ("ml1m-pop", "--model"), ("ml1m-puresvd", "--baseline=pop"),
+        ("ml1m-ama", "--baseline=pop"),
+    ])
+    def test_contradicting_scorer_rejected(self, trained, capsys, preset, which):
+        _, data, model = trained
+        which = ["--model", str(model)] if which == "--model" else [which]
+        assert main(["evaluate", "--data", str(data), "--preset", preset, *which]) == 1
+        assert "algorithm=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "explain"])
+    def test_train_and_explain_need_ama(self, trained, capsys, command):
+        tmp, data, model = trained
+        extra = ["--out", str(tmp / "x.bin")] if command == "train" else [
+            "--model", str(model), "--histogram"]
+        assert main([command, "--data", str(data), "--preset", "ml1m-puresvd",
+                     *extra]) == 1
+        assert "algorithm=ama" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["embed", "explain"])
+    def test_no_threads_flag(self, trained, command):
+        _, data, _ = trained
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(data), "--threads", "2", "--out", "x"])
+        assert exc.value.code == 2
+
+
+class TestDrift:
+    def test_documented_keys_equal_parsed_keys(self):
+        block = cli.__doc__.split("Recognized keys", 1)[1].split("\n\n", 1)[1]
+        block = block.split("\n\n", 1)[0]
+        documented = {re.match(r"\s+(\w+)\s", line).group(1) for line in block.splitlines()}
+        assert documented == cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS
+
+    def test_every_preset_builds(self):
+        presets = importlib.resources.files("amarec").joinpath("presets")
+        names = sorted(p.name[:-5] for p in presets.iterdir() if p.name.endswith(".conf"))
+        assert len(names) == 9
+        rng = np.random.default_rng(0)
+        train = sp.csr_matrix((rng.random((220, 220)) < 0.1).astype(np.float64))
+        data = types.SimpleNamespace(train=train)
+        for name in names:
+            cfg = cli.load_preset(name)
+            if cfg["algorithm"] == "ama":
+                recipe, tcfg = cli._train_configs(cfg)
+                assert tcfg.model.h == recipe["h"] == cfg["h"]
+                assert tcfg.model.lam == cfg["lambda"] and tcfg.model.d == cfg["d"]
+            else:
+                args = types.SimpleNamespace(model=None, baseline=None)
+                scores = cli._scorer_for(args, data, cfg)(np.array([0, 1]), 0)
+                assert scores.shape == (220,)
+
+
+class TestDamagedFiles:
+    @pytest.fixture()
+    def model_path(self, tmp_path):
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        path = tmp_path / "m.bin"
+        save_model(init_params(5, cfg), cfg, path)
+        return path
+
+    def test_truncated_model_rejected(self, model_path):
+        model_path.write_bytes(model_path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="damaged model file"):
+            load_model(model_path)
+
+    def test_model_with_trailing_bytes_rejected(self, model_path):
+        model_path.write_bytes(model_path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="damaged model file"):
+            load_model(model_path)
+
+    def test_model_header_truncated_rejected(self, model_path):
+        model_path.write_bytes(model_path.read_bytes()[:20])
+        with pytest.raises(ValueError, match="damaged model file"):
+            load_model(model_path)
+
+    @pytest.mark.parametrize("key", ["n", "h", "d", "kappa"])
+    def test_sidecar_dims_disagree_rejected(self, model_path, key):
+        sidecar_path = model_path.parent / "m.bin.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar[key] += 1
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=f"{key}="):
+            load_model(model_path)
+
+    @pytest.mark.parametrize("cut", [-8, 1])
+    def test_embeddings_wrong_length_rejected(self, tmp_path, cut):
+        path = tmp_path / "e.bin"
+        save_embeddings(np.ones((4, 3)), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + b"\0" * cut)
+        with pytest.raises(ValueError, match="damaged embedding file"):
+            load_embeddings(path)

@@ -136,3 +136,16 @@ class TestTrainLoop:
         seen = []
         train(tiny_split, V, cfg, callback=lambda e, p: seen.append(e))
         assert seen == [0, 1, 2]
+
+
+def test_non_finite_objective_stops_at_its_batch(tiny_split):
+    from amarec.training import NonFiniteObjective
+
+    cfg = tiny_train_config()
+    assert tiny_split.shape[0] >= 3 * cfg.batch_size
+    V = embeddings_for(tiny_split, cfg.model)
+    params = init_params(tiny_split.shape[1], cfg.model)
+    params.S[0, 0] = np.nan
+    with pytest.raises(NonFiniteObjective) as exc:
+        train(tiny_split, V, cfg, params=params)
+    assert (exc.value.epoch, exc.value.batch) == (0, 0)
