@@ -50,7 +50,9 @@ class CliError(Exception):
 _FLOAT_KEYS = {"alpha", "lambda", "rho", "learning_rate"}
 _INT_KEYS = {"h", "d", "kappa", "epochs", "gamma", "oversample", "seed",
              "batch_size", "rank"}
-_STR_KEYS = {"scale", "optimizer", "algorithm"}
+_CHOICES = {"scale": ("none", "sqrt-sigma"), "optimizer": ("adam", "sgd"),
+            "algorithm": ("ama", "pop", "puresvd")}
+_STR_KEYS = _CHOICES.keys()
 
 # config key -> keyword argument, for each consumer of the configuration
 _RECIPE_KEYS = {k: k for k in linalg.RECIPE_DEFAULTS}
@@ -73,13 +75,16 @@ def parse_config_text(text, source="<config>"):
 
 
 def _coerce(key, value, where):
+    if key in _STR_KEYS:
+        if value not in _CHOICES[key]:
+            raise CliError(f"{where}: bad value {value!r} for {key}; "
+                           f"choose one of {', '.join(_CHOICES[key])}")
+        return value
     try:
         if key in _FLOAT_KEYS:
             return float(value)
         if key in _INT_KEYS:
             return int(float(value))
-        if key in _STR_KEYS:
-            return value
     except ValueError:
         raise CliError(f"{where}: bad value {value!r} for {key}") from None
     raise CliError(f"{where}: unknown config key {key!r}")

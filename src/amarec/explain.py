@@ -46,8 +46,8 @@ class UserExplanation:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _user_state(params, V, cfg, obs):
-    K, Vt = keys_values(V, params)
+def _user_state(params, kv, cfg, obs):
+    K, Vt = kv
     A = attend(K, params.Q, obs, cfg.kappa)
     U = encode(A, Vt[obs], params.B)
     return A, U
@@ -59,10 +59,14 @@ def explain_user(params, V, cfg, train_row, user, k=10):
     Attention uses the full uncorrupted train row as the mask; the top-k
     list excludes train items.
     """
+    return _explain_user(params, keys_values(V, params), cfg, train_row, user, k)
+
+
+def _explain_user(params, kv, cfg, train_row, user, k):
     obs = np.asarray(train_row, dtype=np.intp)
     if obs.size == 0:
         raise ValueError(f"user {user} has an empty interaction history")
-    A, U = _user_state(params, V, cfg, obs)
+    A, U = _user_state(params, kv, cfg, obs)
     per_mode = U @ params.S.T
     pred = decode_maxout(U, params.S)
     top = rank_topk(pred.scores, obs, k)
@@ -79,11 +83,12 @@ def mode_usage(params, V, cfg, data, k=10):
     train = data.train
     d = params.Q.shape[0]
     hist = np.zeros(d, dtype=np.int64)
+    kv = keys_values(V, params)
     for u in range(train.shape[0]):
         obs = train.indices[train.indptr[u]:train.indptr[u + 1]]
         if obs.size == 0:
             continue
-        exp = explain_user(params, V, cfg, obs, u, k)
+        exp = _explain_user(params, kv, cfg, obs, u, k)
         used = len({mode for _, mode, _ in exp.recommendations})
         hist[used - 1] += 1
     return hist
@@ -100,11 +105,12 @@ def mode_top_items(params, V, cfg, data, n_top=10):
     d = params.Q.shape[0]
     n = train.shape[1]
     agg = np.zeros((d, n))
+    kv = keys_values(V, params)
     for u in range(train.shape[0]):
         obs = train.indices[train.indptr[u]:train.indptr[u + 1]]
         if obs.size == 0:
             continue
-        A, _ = _user_state(params, V, cfg, obs)
+        A, _ = _user_state(params, kv, cfg, obs)
         np.add.at(agg, (slice(None), obs), A)
 
     counts = np.asarray(train.sum(axis=0)).ravel().astype(np.int64)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from amarec.fileio import atomic_open
+
 
 @dataclass(frozen=True)
 class SvdResult:
@@ -100,12 +102,12 @@ def save_embeddings(V, path, meta=None):
     A JSON metadata file is written next to it when ``meta`` is given.
     """
     V = np.ascontiguousarray(V, dtype=np.float64)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_EMB_MAGIC)
         fh.write(struct.pack("<QQ", V.shape[0], V.shape[1]))
         fh.write(V.tobytes())
     if meta is not None:
-        with open(str(path) + ".json", "w", encoding="utf-8") as fh:
+        with atomic_open(str(path) + ".json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from amarec.fileio import atomic_open
+
 
 @dataclass(frozen=True)
 class AmaConfig:
@@ -63,8 +65,8 @@ PARAM_NAMES = ("W_k", "W_v", "Q", "B", "S")
 
 @dataclass(frozen=True)
 class Prediction:
-    scores: np.ndarray   # length n
-    mode_of: np.ndarray  # length n, argmax mode per item (lowest index on ties)
+    scores: np.ndarray   # length n (B x n from batch_gradients)
+    mode_of: np.ndarray  # argmax mode per item (lowest index on ties), same shape
 
 
 def parameter_count(n, cfg):
@@ -143,15 +145,54 @@ def corrupt(obs, rho, rng):
     return obs[keep]
 
 
-def _forward(r, mask_obs, params, V, cfg):
-    K, Vt = keys_values(V, params)
-    A = attend(K, params.Q, mask_obs, cfg.kappa)
-    U = encode(A, Vt[mask_obs], params.B)
-    pred = decode_maxout(U, params.S)
-    c = confidence_weights(r, cfg.alpha)
-    err = np.asarray(r, dtype=np.float64) - pred.scores
-    data_loss = float(np.dot(c, err * err))
-    return K, Vt, A, U, pred, c, err, data_loss
+class DegenerateUser(Exception):
+    """The corrupted row has no observed entries; skip this user this epoch."""
+
+
+def batch_gradients(R, masks, params, V, cfg):
+    """Forward and exact backward pass of the data term for a batch of users.
+
+    ``R`` holds the clean rows (B x n, the targets) and ``masks[b]`` the item
+    indices row b attends over. Returns the gradients summed over the batch
+    (keyed by PARAM_NAMES, without the decoder penalty), the per-user data
+    losses and a Prediction with B x n fields. BLAS sees only fixed-shape
+    products, one GEMM per user and GEMVs, because a batch-wide GEMM can split
+    its sums differently under different BLAS thread counts; sums over the
+    observed rows run in numpy (reduceat, einsum), whose order is fixed.
+    """
+    lens = np.array([np.size(mk) for mk in masks])
+    if lens.min() == 0:
+        raise DegenerateUser("no observed entries left to encode from")
+    obs = np.concatenate(masks).astype(np.intp)
+    starts, seg = np.cumsum(lens) - lens, np.repeat(np.arange(lens.size), lens)
+    K_obs, Vt_obs = (kv[obs] for kv in keys_values(V, params))
+    V_obs, sk = np.asarray(V)[obs], math.sqrt(cfg.kappa)
+    logits = np.einsum("jk,lk->jl", K_obs, params.Q) / sk   # N x d over all masks
+    w = np.exp(logits - np.maximum.reduceat(logits, starts)[seg])
+    A = w / np.add.reduceat(w, starts)[seg]
+    U = np.add.reduceat(A[:, :, None] * Vt_obs[:, None], starts) + params.B  # B x d x h
+    nb, d, h = U.shape
+    per_mode = np.matmul(U, np.ascontiguousarray(params.S.T))   # B x d x n
+    scores, mode_of = per_mode[:, 0].copy(), np.zeros((nb, per_mode.shape[2]), np.intp)
+    for l in range(1, d):   # strict >: ties stay on the lowest mode
+        mode_of[per_mode[:, l] > scores] = l
+        np.maximum(scores, per_mode[:, l], out=scores)   # NaN propagates as in max()
+    g = R - scores                         # the error, then d(loss)/d(scores)
+    c = confidence_weights(R, cfg.alpha)
+    losses = np.einsum("bj,bj,bj->b", c, g, g)
+    g *= -2.0 * c
+    # routed gradients: row (b, l) is nonzero where user b's items take mode l
+    G = np.multiply(g[:, None], mode_of[:, None] == np.arange(d)[:, None], out=per_mode)
+    G = G.reshape(nb * d, -1)
+    dS = np.matmul(G.T[:, None], U.reshape(nb * d, h))[:, 0]   # one GEMV per item
+    dU = np.matmul(G[:, None], params.S).reshape(nb, d, h)     # one GEMV per user and mode
+    dA = np.einsum("jlh,jh->jl", dU[seg], Vt_obs)
+    dLogit = A * (dA - np.add.reduceat(A * dA, starts)[seg])
+    Z = np.add.reduceat(A[:, :, None] * V_obs[:, None], starts)   # the modes before W_v
+    grads = {"W_k": np.einsum("ja,jl->al", V_obs, dLogit) @ params.Q / sk,
+             "W_v": np.einsum("bla,blc->ac", Z, dU),
+             "Q": np.einsum("jl,jk->lk", dLogit, K_obs) / sk, "B": dU.sum(axis=0), "S": dS}
+    return grads, losses, Prediction(scores, mode_of)
 
 
 def loss(r, mask_obs, params, V, cfg):
@@ -161,56 +202,24 @@ def loss(r, mask_obs, params, V, cfg):
     are the item indices of the (possibly corrupted) row used as the
     attention mask. Returns (objective, Prediction).
     """
-    mask_obs = np.asarray(mask_obs, dtype=np.intp)
-    if mask_obs.size == 0:
-        raise DegenerateUser("no observed entries left to encode from")
-    *_, pred, _, _, data_loss = _forward(r, mask_obs, params, V, cfg)
-    return data_loss + cfg.lam * float(np.sum(params.S * params.S)), pred
-
-
-class DegenerateUser(Exception):
-    """The corrupted row has no observed entries; skip this user this epoch."""
+    g = gradients(r, mask_obs, params, V, cfg)
+    return g["loss"], g["prediction"]
 
 
 def gradients(r, mask_obs, params, V, cfg, include_regularizer=True):
     """Exact gradient of loss() with respect to every trainable parameter.
 
-    Maxout routes each item's gradient to its argmax mode only; the softmax
-    Jacobian is applied over observed items only. Returns a dict keyed by
+    A batch of one through batch_gradients. Returns a dict keyed by
     PARAM_NAMES, plus the scalar objective and the Prediction under
     ``"loss"`` and ``"prediction"``.
     """
-    mask_obs = np.asarray(mask_obs, dtype=np.intp)
-    if mask_obs.size == 0:
-        raise DegenerateUser("no observed entries left to encode from")
-    K, Vt, A, U, pred, c, err, data_loss = _forward(r, mask_obs, params, V, cfg)
-    d, n = params.Q.shape[0], params.S.shape[0]
-
-    g = -2.0 * c * err                         # d(loss)/d(scores), length n
-    dS = g[:, None] * U[pred.mode_of]          # n x h
-    one_hot = np.zeros((d, n))
-    one_hot[pred.mode_of, np.arange(n)] = 1.0
-    dU = one_hot @ (g[:, None] * params.S)     # d x h
-
-    dB = dU.copy()
-    V_obs = np.asarray(V)[mask_obs]
-    dVt_obs = A.T @ dU                         # n_obs x h
-    dA = dU @ Vt[mask_obs].T                   # d x n_obs
-    dLogit = A * (dA - np.sum(A * dA, axis=1, keepdims=True))
-    sk = math.sqrt(cfg.kappa)
-    dQ = dLogit @ K[mask_obs] / sk             # d x kappa
-    dK_obs = dLogit.T @ params.Q / sk          # n_obs x kappa
-    dW_k = V_obs.T @ dK_obs
-    dW_v = V_obs.T @ dVt_obs
-
-    objective = data_loss
+    grads, losses, pred = batch_gradients([r], [mask_obs], params, V, cfg)
+    objective = float(losses[0])
     if include_regularizer:
-        dS = dS + 2.0 * cfg.lam * params.S
+        grads["S"] += 2.0 * cfg.lam * params.S
         objective += cfg.lam * float(np.sum(params.S * params.S))
-    return {
-        "W_k": dW_k, "W_v": dW_v, "Q": dQ, "B": dB, "S": dS,
-        "loss": objective, "prediction": pred,
-    }
+    return {**grads, "loss": objective,
+            "prediction": Prediction(pred.scores[0], pred.mode_of[0])}
 
 
 _MDL_MAGIC = b"AMAMDL01"
@@ -222,18 +231,19 @@ def save_model(params, cfg, path, item_index_hash="", embedding=None):
     the train matrix hash and the embedding recipe, when given."""
     n, h = params.S.shape
     d, kappa = params.Q.shape
-    with open(path, "wb") as fh:
-        fh.write(_MDL_MAGIC)
-        fh.write(struct.pack("<IQQQQ", 1, n, h, d, kappa))
-        for name in PARAM_NAMES:
-            fh.write(np.ascontiguousarray(getattr(params, name), dtype=np.float64).tobytes())
     sidecar = {"config": asdict(cfg), "item_index_hash": item_index_hash,
                "n": n, "h": h, "d": d, "kappa": kappa}
     if embedding is not None:
         sidecar["embedding"] = embedding
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # both files are complete before either replaces its predecessor
+    with atomic_open(path, "wb") as fh, \
+            atomic_open(str(path) + ".json", "w", encoding="utf-8") as js:
+        fh.write(_MDL_MAGIC)
+        fh.write(struct.pack("<IQQQQ", 1, n, h, d, kappa))
+        for name in PARAM_NAMES:
+            fh.write(np.ascontiguousarray(getattr(params, name), dtype=np.float64).tobytes())
+        json.dump(sidecar, js, indent=2, sort_keys=True)
+        js.write("\n")
 
 
 def read_sidecar(path):

@@ -1,9 +1,9 @@
-"""Epoch loop: per-epoch corruption resampling, batched gradients, adam/sgd.
+"""Epoch loop: per-epoch corruption resampling, one batched step per batch, adam/sgd.
 
-Users are shuffled with an epoch-indexed RNG, corruption is redrawn every
-epoch, and within a batch the per-user gradients are accumulated in
-ascending user index so results are bit-identical regardless of thread
-count. Item embeddings are fixed and never updated.
+Users are shuffled with an epoch-indexed RNG and their corrupted rows are
+redrawn every epoch, in ascending user order within each batch. Every step
+makes one model.batch_gradients call for the whole batch, whose result does
+not depend on the BLAS thread count. Item embeddings are fixed, never updated.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from amarec.model import (
-    AmaConfig,
-    PARAM_NAMES,
-    corrupt,
-    gradients,
-    init_params,
-)
+from amarec.model import PARAM_NAMES, AmaConfig, batch_gradients, corrupt, init_params
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,6 @@ def train(data, V, cfg, params=None, callback=None):
     step = adam_step if cfg.optimizer == "adam" else sgd_step
 
     rows = [train_mat.indices[train_mat.indptr[i]:train_mat.indptr[i + 1]] for i in range(m)]
-    dense = np.zeros(n)
 
     log = TrainLog()
     for epoch in range(mcfg.epochs):
@@ -128,29 +121,22 @@ def train(data, V, cfg, params=None, callback=None):
         total, counted = 0.0, 0
         for b, start in enumerate(range(0, m, cfg.batch_size)):
             batch = np.sort(order[start:start + cfg.batch_size])
-            acc = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
-            used = 0
+            R, masks = np.zeros((batch.size, n)), []
             for u in batch:
-                obs = rows[u]
-                if obs.size == 0:
-                    continue
-                mask = corrupt(obs, mcfg.rho, rng)
-                if mask.size == 0:
-                    continue
-                dense[obs] = 1.0
-                g = gradients(dense, mask, params, V, mcfg, include_regularizer=False)
-                dense[obs] = 0.0
-                for k in PARAM_NAMES:
-                    acc[k] += g[k]
-                total += g["loss"]
-                counted += 1
-                used += 1
-            if used == 0:
+                mask = corrupt(rows[u], mcfg.rho, rng) if rows[u].size else rows[u]
+                if mask.size:
+                    R[len(masks), rows[u]] = 1.0
+                    masks.append(mask)
+            if not masks:
                 continue
+            grads, losses, _ = batch_gradients(R[:len(masks)], masks, params, V, mcfg)
+            for value in losses.tolist():   # one by one in ascending user order, not pairwise
+                total += value
+            counted += len(masks)
             if not np.isfinite(total):   # earlier batches were finite: this one is not
                 raise NonFiniteObjective(epoch, b, total)
-            acc["S"] += 2.0 * mcfg.lam * params.S   # regularizer once per step
-            params = step(params, acc, state, cfg.learning_rate)
+            grads["S"] += 2.0 * mcfg.lam * params.S   # regularizer once per step
+            params = step(params, grads, state, cfg.learning_rate)
         objective = (total / counted if counted else 0.0) + mcfg.lam * float(
             np.sum(params.S * params.S)
         )

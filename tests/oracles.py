@@ -71,6 +71,45 @@ def loss_oracle(r, mask_obs, params, V, cfg):
     return total + reg
 
 
+def gradients_oracle(r, mask_obs, params, V, cfg):
+    """Per-user forward and exact backward pass of the data term, in plain numpy.
+
+    Maxout routes each item's gradient to its argmax mode (lowest index on
+    ties); the softmax Jacobian covers the observed items only. Returns the
+    gradients keyed by parameter name plus the data loss under ``"loss"``.
+    """
+    obs = np.asarray(mask_obs, dtype=np.intp)
+    r = np.asarray(r, dtype=np.float64)
+    n = params.S.shape[0]
+    sk = math.sqrt(cfg.kappa)
+    K, Vt = V @ params.W_k, V @ params.W_v
+    logits = params.Q @ K[obs].T / sk                 # d x n_obs
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    A = w / w.sum(axis=1, keepdims=True)
+    U = A @ Vt[obs] + params.B                        # d x h
+    per_mode = U @ params.S.T                         # d x n
+    mode_of = per_mode.argmax(axis=0)
+    c = 1.0 + cfg.alpha * np.log1p(r)
+    err = r - per_mode.max(axis=0)
+
+    g = -2.0 * c * err
+    dS = g[:, None] * U[mode_of]
+    one_hot = np.zeros(per_mode.shape)
+    one_hot[mode_of, np.arange(n)] = 1.0
+    dU = one_hot @ (g[:, None] * params.S)
+    dA = dU @ Vt[obs].T
+    dLogit = A * (dA - np.sum(A * dA, axis=1, keepdims=True))
+    V_obs = V[obs]
+    return {
+        "W_k": V_obs.T @ (dLogit.T @ params.Q / sk),
+        "W_v": V_obs.T @ (A.T @ dU),
+        "Q": dLogit @ K[obs] / sk,
+        "B": dU,
+        "S": dS,
+        "loss": float(np.dot(c, err * err)),
+    }
+
+
 def enumerate_metrics(ranked, relevant, k):
     """Hand-enumeration of the ranking metrics for one user."""
     ranked = list(ranked)

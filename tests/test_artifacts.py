@@ -1,8 +1,10 @@
 """Artifact provenance: the model decides its embeddings, loaders reject damaged
 files, and the CLI's documented keys and shipped presets stay in step."""
 
+import dataclasses
 import json
 import re
+import struct
 import types
 
 import importlib.resources
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from amarec import cli, training
+from amarec import cli, fileio, training
 from amarec.cli import main
 from amarec.linalg import RECIPE_DEFAULTS, load_embeddings, save_embeddings
 from amarec.model import AmaConfig, init_params, load_model, save_model
@@ -247,3 +249,74 @@ class TestDamagedFiles:
         path.write_bytes(raw[:cut] if cut < 0 else raw + b"\0" * cut)
         with pytest.raises(ValueError, match="damaged embedding file"):
             load_embeddings(path)
+
+
+class TestAtomicWrites:
+    """A write that fails part way through leaves the previous file and its
+    sidecar whole, and no temporary file behind."""
+
+    @staticmethod
+    def fail_after(monkeypatch, limit):
+        """Binary files opened by atomic writers take ``limit`` bytes, then fail
+        as a full disk would."""
+        class Failing:
+            def __init__(self, fh):
+                self.fh, self.left = fh, limit
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if len(data) > self.left:
+                    self.fh.write(data[:self.left])
+                    raise OSError(28, "No space left on device")
+                self.left -= len(data)
+                return self.fh.write(data)
+
+        def fake_open(path, mode="r", **kw):
+            fh = open(path, mode, **kw)
+            return Failing(fh) if "b" in mode else fh
+
+        monkeypatch.setattr(fileio, "open", fake_open, raising=False)
+
+    @staticmethod
+    def snapshot(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    def test_model_layout_unchanged(self, tmp_path):
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        params = init_params(5, cfg, np.random.default_rng(3))
+        save_model(params, cfg, tmp_path / "m.bin", item_index_hash="abc")
+        payload = b"".join(getattr(params, k).tobytes() for k in ("W_k", "W_v", "Q", "B", "S"))
+        assert (tmp_path / "m.bin").read_bytes() == \
+            b"AMAMDL01" + struct.pack("<IQQQQ", 1, 5, 3, 2, 2) + payload
+        sidecar = {"config": dataclasses.asdict(cfg), "item_index_hash": "abc",
+                   "n": 5, "h": 3, "d": 2, "kappa": 2}
+        assert (tmp_path / "m.bin.json").read_text() == \
+            json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+        assert sorted(self.snapshot(tmp_path)) == ["m.bin", "m.bin.json"]
+
+    def test_model_write_failing_mid_payload_keeps_previous(self, tmp_path, monkeypatch):
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        path = tmp_path / "m.bin"
+        save_model(init_params(5, cfg), cfg, path, item_index_hash="old")
+        before = self.snapshot(tmp_path)
+        self.fail_after(monkeypatch, 100)   # the header is 44 bytes
+        with pytest.raises(OSError):
+            save_model(init_params(5, cfg, np.random.default_rng(1)), cfg, path,
+                       item_index_hash="new")
+        assert self.snapshot(tmp_path) == before
+        load_model(path)
+
+    def test_embeddings_write_failing_mid_payload_keeps_previous(self, tmp_path, monkeypatch):
+        path = tmp_path / "items.emb"
+        save_embeddings(np.ones((4, 3)), path, meta={"h": 3})
+        before = self.snapshot(tmp_path)
+        self.fail_after(monkeypatch, 40)   # the header is 24 bytes
+        with pytest.raises(OSError):
+            save_embeddings(np.zeros((4, 3)), path, meta={"h": 4})
+        assert self.snapshot(tmp_path) == before
+        np.testing.assert_array_equal(load_embeddings(path), np.ones((4, 3)))

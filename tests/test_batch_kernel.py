@@ -1,0 +1,102 @@
+"""The batched forward/backward kernel against the per-user reference, and
+training's independence from the BLAS thread count."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from amarec.model import AmaConfig, DegenerateUser, PARAM_NAMES, batch_gradients, corrupt
+from conftest import synthetic_events, write_movielens_file
+from oracles import gradients_oracle
+from test_model import random_params
+
+
+def batch_case(seed, n, h, d, kappa, users, rho, tied):
+    """Random rows, masks corrupted as training does (users whose mask comes
+    out empty are dropped), and parameters; ``tied`` zeroes S, so every
+    per-mode score ties at 0 and every item routes to mode 0."""
+    cfg = AmaConfig(h=h, d=d, kappa=kappa, alpha=1.5, lam=0.1, rho=rho, seed=seed)
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((n, h))
+    params = random_params(n, cfg, seed=seed + 1)
+    if tied:
+        params.S[:] = 0.0
+    rows, masks, dropped = [], [], 0
+    for _ in range(users):
+        row = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        mask = corrupt(row, rho, rng)
+        if mask.size == 0:
+            dropped += 1
+            continue
+        r = np.zeros(n)
+        r[row] = 1.0
+        rows.append(r)
+        masks.append(mask)
+    return cfg, V, params, rows, masks, dropped
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 12), h=st.integers(1, 5),
+       d=st.integers(1, 4), kappa=st.integers(1, 4), users=st.integers(1, 7),
+       rho=st.sampled_from([0.0, 0.3, 0.7]), tied=st.booleans())
+@example(seed=1, n=1, h=2, d=3, kappa=2, users=3, rho=0.0, tied=False)   # one-item masks
+@example(seed=2, n=6, h=3, d=1, kappa=2, users=4, rho=0.3, tied=False)   # d = 1
+@example(seed=3, n=7, h=3, d=3, kappa=2, users=5, rho=0.3, tied=True)    # all tied
+@example(seed=9, n=4, h=2, d=2, kappa=1, users=7, rho=0.7, tied=False)   # drops users
+def test_batch_equals_sum_of_per_user_oracle(seed, n, h, d, kappa, users, rho, tied):
+    cfg, V, params, rows, masks, _ = batch_case(seed, n, h, d, kappa, users, rho, tied)
+    if not masks:
+        return
+    grads, losses, pred = batch_gradients(np.array(rows), masks, params, V, cfg)
+    per_user = [gradients_oracle(r, mk, params, V, cfg) for r, mk in zip(rows, masks)]
+    np.testing.assert_allclose(losses, [g["loss"] for g in per_user], rtol=1e-12, atol=0)
+    for name in PARAM_NAMES:
+        terms = np.array([g[name] for g in per_user])
+        scale = np.abs(terms).sum(axis=0).max()
+        err = np.abs(grads[name] - terms.sum(axis=0)).max()
+        assert err <= 1e-12 * max(scale, 1e-300), f"{name}: {err:.3e} vs scale {scale:.3e}"
+    assert pred.scores.shape == pred.mode_of.shape == (len(masks), n)
+    if tied:
+        assert not pred.mode_of.any()
+
+
+def test_examples_cover_the_degenerate_cases():
+    one_item = batch_case(1, 1, 2, 3, 2, 3, 0.0, False)[4]
+    assert one_item and all(mk.size == 1 for mk in one_item)
+    assert batch_case(9, 4, 2, 2, 1, 7, 0.7, False)[5] > 0
+
+
+def test_empty_mask_is_degenerate():
+    cfg, V, params, rows, masks, _ = batch_case(4, 5, 2, 2, 2, 2, 0.0, False)
+    with pytest.raises(DegenerateUser):
+        batch_gradients(np.array(rows), [masks[0], masks[0][:0]], params, V, cfg)
+
+
+def test_train_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # At this size a batch-wide score GEMM, (B*d, h) @ (h, n), or a batch-wide
+    # (B*d, n) @ (n, h) GEMM for the mode gradients gives different bytes under
+    # 1 and 2 OpenBLAS threads on a 2-core x86-64 host.
+    ratings = tmp_path / "ratings.dat"
+    write_movielens_file(ratings, synthetic_events(m=100, n=2000, per_user=100, seed=5))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(threads, *args):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONHASHSEED": "0",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "amarec.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    run(1, "prep", "--input", str(ratings), "--format", "movielens-dat",
+        "--threshold", "2", "--out", str(tmp_path / "data"))
+    models = []
+    for threads in (1, 2):
+        models.append(tmp_path / f"model_{threads}.bin")
+        run(threads, "train", "--data", str(tmp_path / "data"), "--out", str(models[-1]),
+            "--set", "epochs=2", "--set", "batch_size=25", "--set", "gamma=2")
+    assert models[0].read_bytes() == models[1].read_bytes()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from amarec import baselines, linalg
 from amarec.cli import CliError, load_preset, main, parse_config_text
 from conftest import synthetic_events, write_movielens_file
 
@@ -142,6 +143,22 @@ class TestTrainEvaluateExplain:
                    "--set", "d=0"])
         assert rc == 1
         assert "d" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key, value, choices", [
+        (["evaluate"], "algorithm", "pop2", "ama, pop, puresvd"),
+        (["train", "--out", "m.bin"], "scale", "bogus", "none, sqrt-sigma"),
+        (["train", "--out", "m.bin"], "optimizer", "lbfgs", "adam, sgd"),
+    ])
+    def test_bad_choice_rejected_before_any_svd(self, tmp_path, prepped, capsys, monkeypatch,
+                                                argv, key, value, choices):
+        argv = [str(tmp_path / a) if a == "m.bin" else a for a in argv]
+        svds = []
+        for module in (linalg, baselines):
+            monkeypatch.setattr(module, "randomized_svd", lambda *a, **kw: svds.append(a))
+        rc = main([*argv, "--data", str(prepped), "--set", f"{key}={value}"])
+        assert rc == 1 and svds == []
+        err = capsys.readouterr().err
+        assert f"{value!r} for {key}" in err and choices in err
 
     def test_data_dir_from_env(self, tmp_path, prepped, monkeypatch):
         monkeypatch.setenv("AMAREC_DATA_DIR", str(prepped))

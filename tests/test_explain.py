@@ -157,3 +157,37 @@ def test_csv_and_dot_outputs(tmp_path):
     exp = explain_user(params, V, cfg, obs, 0, k=2)
     dot = user_explanation_dot(exp)
     assert dot.startswith("digraph") and "mode_0" in dot
+
+
+def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monkeypatch):
+    import amarec.explain as explain_mod
+
+    cfg, V, params, data = toy_model(m=12, n=9, d=3, seed=11)
+    m, n = data.train.shape
+    # the per-user path: every user's keys and values computed afresh
+    hist = np.zeros(cfg.d, dtype=np.int64)
+    agg = np.zeros((cfg.d, n))
+    for u in range(m):
+        obs = data.train[u].indices
+        exp = explain_user(params, V, cfg, obs, u, k=3)
+        hist[len({mode for _, mode, _ in exp.recommendations}) - 1] += 1
+        np.add.at(agg, (slice(None), obs), attend(keys_values(V, params)[0], params.Q, obs,
+                                                  cfg.kappa))
+    counts = np.asarray(data.train.sum(axis=0)).ravel().astype(np.int64)
+    pop_rank = np.empty(n, dtype=np.int64)
+    pop_rank[np.lexsort((np.arange(n), -counts))] = np.arange(1, n + 1)
+    top = [[(int(j), float(agg[l, j]), int(pop_rank[j]), int(counts[j]))
+            for j in np.lexsort((np.arange(n), -agg[l]))[:4]] for l in range(cfg.d)]
+    save_histogram_csv(hist, tmp_path / "hist_ref.csv")
+    save_mode_top_items_csv(top, tmp_path / "modes_ref.csv")
+
+    calls = []
+    monkeypatch.setattr(explain_mod, "keys_values",
+                        lambda *a: calls.append(1) or keys_values(*a))
+    save_histogram_csv(mode_usage(params, V, cfg, data, k=3), tmp_path / "hist.csv")
+    save_mode_top_items_csv(mode_top_items(params, V, cfg, data, n_top=4),
+                            tmp_path / "modes.csv")
+    assert len(calls) == 2   # once per report, not once per user
+    for name in ("hist", "modes"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}_ref.csv").read_bytes()
