@@ -23,6 +23,7 @@ from amarec.model import (
     AmaParameters,
     init_params,
     keys_values,
+    Segments,
     attend,
     encode,
     decode_maxout,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from amarec.linalg import randomized_svd
-from amarec.model import attend, decode_maxout, encode, keys_values
+from amarec.model import Segments, attend, decode_maxout, encode, keys_values
 
 
 def pop_scorer(train):
@@ -42,13 +42,14 @@ def puresvd_scorer(train, rank=50, iters=10, seed=0):
 def ama_scorer(params, V, cfg):
     """Score with a trained model; the clean train row masks attention."""
     K, Vt = keys_values(V, params)
+    S_T = np.ascontiguousarray(params.S.T)
 
     def score(train_row, user_index):
         obs = np.asarray(train_row, dtype=np.intp)
         if obs.size == 0:
             return np.zeros(params.S.shape[0])
-        A = attend(K, params.Q, obs, cfg.kappa)
-        U = encode(A, Vt[obs], params.B)
-        return decode_maxout(U, params.S).scores
+        segs = Segments.of([obs])
+        A = attend(K[obs], params.Q, segs, cfg.kappa)
+        return decode_maxout(encode(A, Vt[obs], segs, params.B), S_T).scores[0]
 
     return score

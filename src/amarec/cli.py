@@ -39,6 +39,7 @@ import sys
 
 
 from amarec import baselines, dataset, evaluation, explain as explain_mod, linalg, training
+from amarec.fileio import atomic_open
 from amarec.model import AmaConfig, load_model, read_sidecar, save_model
 from amarec.training import TrainConfig
 
@@ -228,21 +229,33 @@ def _scorer_for(args, data, cfg):
     raise CliError("pass --model or --baseline {pop,puresvd}")
 
 
+def _cutoffs(flag, text):
+    """The comma-separated cutoffs given to ``flag``; each must be an integer >= 1."""
+    try:
+        values = tuple(int(v) for v in str(text).split(","))
+        if min(values) >= 1:
+            return values
+    except ValueError:
+        pass
+    raise CliError(f"{flag} takes integers >= 1, got {text}")
+
+
 def cmd_evaluate(args):
+    ks = _cutoffs("--ks", args.ks)
     data = dataset.load_split(_data_dir(args))
     cfg = _gather_config(args)
     scorer = _scorer_for(args, data, cfg)
-    ks = tuple(int(k) for k in args.ks.split(","))
-    report = evaluation.evaluate(scorer, data, split=args.split, ks=ks,
-                                 threads=args.threads)
+    report = evaluation.evaluate(scorer, data, split=args.split, ks=ks)
     print(report.table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
         print(f"report written to {args.out}")
 
 
 def cmd_explain(args):
+    _cutoffs("--k", args.k)
+    _cutoffs("--n", args.n)
     data = dataset.load_split(_data_dir(args))
     cfg = _gather_config(args)
     _require_ama(cfg, "explain")
@@ -260,10 +273,10 @@ def cmd_explain(args):
             raise CliError(f"user {args.user!r} has an empty interaction history")
         exp = explain_mod.explain_user(params, V, mcfg, obs, u, k=args.k)
         out = args.out or f"user_{args.user}.json"
-        with open(out, "w", encoding="utf-8") as fh:
+        with atomic_open(out, "w", encoding="utf-8") as fh:
             fh.write(exp.to_json(item_ids=item_ids))
         if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
+            with atomic_open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(explain_mod.user_explanation_dot(exp, item_ids=item_ids))
         print(f"user explanation written to {out}")
     if args.histogram:
@@ -324,7 +337,7 @@ def build_parser():
     sp.add_argument("--split", default="test", choices=["validation", "test"])
     sp.add_argument("--ks", default="5,10,20")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker cap; results are thread-count invariant")
+                    help="ignored: evaluation is single-threaded; results never depend on it")
     sp.add_argument("--out", help="JSON report path")
     sp.set_defaults(func=cmd_evaluate)
 

@@ -8,6 +8,7 @@ the rest of the toolkit consumes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from amarec.fileio import atomic_open
 
 
 class ParseError(ValueError):
@@ -223,14 +226,11 @@ def split_content_hash(data):
 
 
 def save_split(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
-    """Write train/validation/test CSVs (user_idx,item_idx) plus a JSON sidecar."""
+    """Write train/validation/test CSVs (user_idx,item_idx) plus a JSON sidecar.
+
+    All four files are complete before any of them replaces its predecessor.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    for name, mat in (("train", data.train), ("validation", data.validation), ("test", data.test)):
-        with open(os.path.join(out_dir, f"{name}.csv"), "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["user_idx", "item_idx"])
-            for u, j in _matrix_pairs(mat):
-                w.writerow([u, j])
     sidecar = {
         "num_users": data.shape[0],
         "num_items": data.shape[1],
@@ -245,7 +245,16 @@ def save_split(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
         },
         "content_hash": split_content_hash(data),
     }
-    with open(os.path.join(out_dir, "split.json"), "w", encoding="utf-8") as fh:
+    with contextlib.ExitStack() as files:
+        for name, mat in (("train", data.train), ("validation", data.validation), ("test", data.test)):
+            fh = files.enter_context(atomic_open(os.path.join(out_dir, f"{name}.csv"), "w",
+                                                 encoding="utf-8", newline=""))
+            w = csv.writer(fh)
+            w.writerow(["user_idx", "item_idx"])
+            for u, j in _matrix_pairs(mat):
+                w.writerow([u, j])
+        fh = files.enter_context(atomic_open(os.path.join(out_dir, "split.json"), "w",
+                                             encoding="utf-8"))
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

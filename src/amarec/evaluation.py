@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,13 +106,13 @@ def _row_set(mat, u):
     return mat.indices[mat.indptr[u]:mat.indptr[u + 1]]
 
 
-def evaluate(scorer, data, split="test", ks=(5, 10, 20), threads=1):
+def evaluate(scorer, data, split="test", ks=(5, 10, 20)):
     """Score every user, rank the full catalog, and average the metrics.
 
     At test time the exclusion set is the train plus validation row (both
     were legitimate history); at validation time it is the train row only.
     Users whose relevant set is empty are skipped. Per-user records are
-    reduced in ascending user index, so results do not depend on ``threads``.
+    reduced in ascending user index.
     """
     if split == "test":
         target = data.test
@@ -122,7 +121,6 @@ def evaluate(scorer, data, split="test", ks=(5, 10, 20), threads=1):
     else:
         raise ValueError(f"unknown split {split!r}")
     train = data.train
-    m, _ = train.shape
     ks = tuple(sorted(ks))
     names = (["R-Precision", "NDCG"]
              + [f"MAP@{k}" for k in ks]
@@ -143,11 +141,7 @@ def evaluate(scorer, data, split="test", ks=(5, 10, 20), threads=1):
         rec += [recall_at_k(ranked, relevant, k) for k in ks]
         return rec
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(user_metrics, range(m)))
-    else:
-        records = [user_metrics(u) for u in range(m)]
+    records = [user_metrics(u) for u in range(train.shape[0])]
     rows = np.array([r for r in records if r is not None], dtype=np.float64)
     metrics = {}
     for idx, name in enumerate(names):

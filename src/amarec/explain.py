@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from amarec.evaluation import rank_topk
-from amarec.model import attend, decode_maxout, encode, keys_values
+from amarec.fileio import atomic_open
+from amarec.model import Segments, attend, decode_maxout, encode, keys_values
 
 
 @dataclass(frozen=True)
@@ -46,51 +47,46 @@ class UserExplanation:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _user_state(params, kv, cfg, obs):
-    K, Vt = kv
-    A = attend(K, params.Q, obs, cfg.kappa)
-    U = encode(A, Vt[obs], params.B)
-    return A, U
-
-
 def explain_user(params, V, cfg, train_row, user, k=10):
     """Attention weights and mode attribution for one user's top-k list.
 
     Attention uses the full uncorrupted train row as the mask; the top-k
     list excludes train items.
     """
-    return _explain_user(params, keys_values(V, params), cfg, train_row, user, k)
+    tables = (*keys_values(V, params), np.ascontiguousarray(params.S.T))
+    return _explain_user(params, tables, cfg, train_row, user, k)
 
 
-def _explain_user(params, kv, cfg, train_row, user, k):
+def _explain_user(params, tables, cfg, train_row, user, k):   # tables: K, Vt, S.T in C order
     obs = np.asarray(train_row, dtype=np.intp)
     if obs.size == 0:
         raise ValueError(f"user {user} has an empty interaction history")
-    A, U = _user_state(params, kv, cfg, obs)
-    per_mode = U @ params.S.T
-    pred = decode_maxout(U, params.S)
-    top = rank_topk(pred.scores, obs, k)
-    recs = [(int(j), int(pred.mode_of[j]), per_mode[:, j].copy()) for j in top]
-    return UserExplanation(user=user, attention=A, observed=obs, recommendations=recs)
+    K, Vt, S_T = tables
+    segs = Segments.of([obs])
+    A = attend(K[obs], params.Q, segs, cfg.kappa)
+    pred = decode_maxout(encode(A, Vt[obs], segs, params.B), S_T)
+    top = rank_topk(pred.scores[0], obs, k)
+    recs = [(int(j), int(pred.mode_of[0, j]), pred.per_mode[0, :, j].copy()) for j in top]
+    return UserExplanation(user=user, attention=A.T, observed=obs, recommendations=recs)
 
 
 def mode_usage(params, V, cfg, data, k=10):
     """Histogram over users of distinct argmax modes among top-k recommendations.
 
     Returns a length-d array; entry c-1 counts users whose top-k list draws
-    from exactly c distinct modes.
+    from exactly c distinct modes. Users with no recommendation, because
+    their train row is empty or covers the whole catalog, are not counted.
     """
     train = data.train
-    d = params.Q.shape[0]
-    hist = np.zeros(d, dtype=np.int64)
-    kv = keys_values(V, params)
-    for u in range(train.shape[0]):
-        obs = train.indices[train.indptr[u]:train.indptr[u + 1]]
+    hist = np.zeros(params.Q.shape[0], dtype=np.int64)
+    tables = (*keys_values(V, params), np.ascontiguousarray(params.S.T))
+    for u, obs in enumerate(np.split(train.indices, train.indptr[1:-1])):
         if obs.size == 0:
             continue
-        exp = _explain_user(params, kv, cfg, obs, u, k)
+        exp = _explain_user(params, tables, cfg, obs, u, k)
         used = len({mode for _, mode, _ in exp.recommendations})
-        hist[used - 1] += 1
+        if used:
+            hist[used - 1] += 1
     return hist
 
 
@@ -105,13 +101,11 @@ def mode_top_items(params, V, cfg, data, n_top=10):
     d = params.Q.shape[0]
     n = train.shape[1]
     agg = np.zeros((d, n))
-    kv = keys_values(V, params)
-    for u in range(train.shape[0]):
-        obs = train.indices[train.indptr[u]:train.indptr[u + 1]]
-        if obs.size == 0:
-            continue
-        A, _ = _user_state(params, kv, cfg, obs)
-        np.add.at(agg, (slice(None), obs), A)
+    rows = [obs for obs in np.split(train.indices, train.indptr[1:-1]) if obs.size]
+    if rows:   # one attend call over all users; each item's sum runs in user order
+        segs = Segments.of(rows)
+        A = attend(keys_values(V, params)[0][segs.obs], params.Q, segs, cfg.kappa)
+        np.add.at(agg, (slice(None), segs.obs), A.T)
 
     counts = np.asarray(train.sum(axis=0)).ravel().astype(np.int64)
     pop_order = np.lexsort((np.arange(n), -counts))
@@ -128,7 +122,7 @@ def mode_top_items(params, V, cfg, data, n_top=10):
 
 
 def save_histogram_csv(hist, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["modes_used", "num_users"])
         for c, v in enumerate(hist.tolist(), start=1):
@@ -136,7 +130,7 @@ def save_histogram_csv(hist, path):
 
 
 def save_mode_top_items_csv(top_items, path, item_ids=None):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["mode", "rank", "item_id", "aggregated_attention",
                     "popularity_rank", "popularity_count"])

@@ -65,8 +65,9 @@ PARAM_NAMES = ("W_k", "W_v", "Q", "B", "S")
 
 @dataclass(frozen=True)
 class Prediction:
-    scores: np.ndarray   # length n (B x n from batch_gradients)
-    mode_of: np.ndarray  # argmax mode per item (lowest index on ties), same shape
+    scores: np.ndarray    # B x n maxout scores (length n for one user)
+    mode_of: np.ndarray   # argmax mode per item (lowest index on ties), same shape
+    per_mode: np.ndarray  # B x d x n per-mode scores (d x n for one user)
 
 
 def parameter_count(n, cfg):
@@ -102,33 +103,61 @@ def keys_values(V, params):
     return V @ params.W_k, V @ params.W_v
 
 
-def attend(K, queries, obs, kappa):
-    """Masked scaled dot-product attention rows, one per mode.
+class DegenerateUser(ValueError):
+    """A mask has no observed entries: there is nothing to attend over."""
 
-    Returns a d x len(obs) matrix; row l is the softmax of q_l . k_j / sqrt(kappa)
-    over the observed items only (max-subtracted for numerical stability).
+
+@dataclass(frozen=True)
+class Segments:
+    """A batch of attention masks laid end to end: ``obs`` holds user 0's item
+    indices, then user 1's, and so on; user b's run starts at ``starts[b]``,
+    and ``seg[i]`` is the user of entry i."""
+
+    obs: np.ndarray
+    starts: np.ndarray
+    seg: np.ndarray
+
+    @classmethod
+    def of(cls, masks):
+        lens = np.array([np.size(mk) for mk in masks])
+        if lens.min() == 0:   # reduceat would return garbage for an empty run
+            raise DegenerateUser(f"mask {int(lens.argmin())} has no observed entries")
+        obs = np.concatenate(masks).astype(np.intp)
+        return cls(obs, np.cumsum(lens) - lens, np.repeat(np.arange(lens.size), lens))
+
+
+def attend(K_obs, Q, segs, kappa):
+    """Masked scaled dot-product attention of a batch of users, N_obs x d.
+
+    ``K_obs`` holds the keys of the items in ``segs.obs``, in that order.
+    Column l of user b's rows is the softmax of q_l . k_j / sqrt(kappa) over
+    b's observed items only (max-subtracted for numerical stability).
     """
-    obs = np.asarray(obs, dtype=np.intp)
-    if obs.size == 0:
-        raise ValueError("cannot attend over an empty observed set")
-    logits = queries @ K[obs].T / math.sqrt(kappa)   # d x n_obs
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=1, keepdims=True)
+    logits = np.einsum("jk,lk->jl", K_obs, Q) / math.sqrt(kappa)
+    w = np.exp(logits - np.maximum.reduceat(logits, segs.starts)[segs.seg])
+    return w / np.add.reduceat(w, segs.starts)[segs.seg]
 
 
-def encode(A, Vt_obs, B):
-    """Mode matrix U: row l is the attention-weighted sum of values plus b_l."""
-    return A @ Vt_obs + B
+def encode(A, Vt_obs, segs, B):
+    """Mode matrices U, B x d x h: row l of user b's is the attention-weighted
+    sum of b's values (``Vt_obs`` in the order of ``segs.obs``) plus b_l."""
+    return np.add.reduceat(A[:, :, None] * Vt_obs[:, None], segs.starts) + B
 
 
-def decode_maxout(U, S):
-    """Per-item maxout over modes of u_l . s_j; argmax ties go to the lowest mode."""
-    per_mode = U @ S.T                 # d x n
-    return Prediction(
-        scores=per_mode.max(axis=0),
-        mode_of=per_mode.argmax(axis=0),
-    )
+def decode_maxout(U, S_T):
+    """Per-item maxout over modes of u_l . s_j for each user of U (B x d x h).
+
+    ``S_T`` must be ``np.ascontiguousarray(S.T)``, computed once by the caller:
+    the non-contiguous view gives other bytes. Argmax ties go to the lowest
+    mode. BLAS sees one (d, h) @ (h, n) GEMM per user, whose bytes do not
+    depend on the batch or the BLAS thread count.
+    """
+    per_mode = np.matmul(U, S_T)   # B x d x n
+    scores, mode_of = per_mode[:, 0].copy(), np.zeros(per_mode[:, 0].shape, np.intp)
+    for l in range(1, U.shape[1]):   # strict >: ties stay on the lowest mode
+        mode_of[per_mode[:, l] > scores] = l
+        np.maximum(scores, per_mode[:, l], out=scores)   # NaN propagates as in max()
+    return Prediction(scores, mode_of, per_mode)
 
 
 def confidence_weights(r, alpha):
@@ -145,54 +174,41 @@ def corrupt(obs, rho, rng):
     return obs[keep]
 
 
-class DegenerateUser(Exception):
-    """The corrupted row has no observed entries; skip this user this epoch."""
-
-
 def batch_gradients(R, masks, params, V, cfg):
     """Forward and exact backward pass of the data term for a batch of users.
 
     ``R`` holds the clean rows (B x n, the targets) and ``masks[b]`` the item
     indices row b attends over. Returns the gradients summed over the batch
     (keyed by PARAM_NAMES, without the decoder penalty), the per-user data
-    losses and a Prediction with B x n fields. BLAS sees only fixed-shape
+    losses and the forward pass's Prediction. BLAS sees only fixed-shape
     products, one GEMM per user and GEMVs, because a batch-wide GEMM can split
     its sums differently under different BLAS thread counts; sums over the
     observed rows run in numpy (reduceat, einsum), whose order is fixed.
     """
-    lens = np.array([np.size(mk) for mk in masks])
-    if lens.min() == 0:
-        raise DegenerateUser("no observed entries left to encode from")
-    obs = np.concatenate(masks).astype(np.intp)
-    starts, seg = np.cumsum(lens) - lens, np.repeat(np.arange(lens.size), lens)
-    K_obs, Vt_obs = (kv[obs] for kv in keys_values(V, params))
-    V_obs, sk = np.asarray(V)[obs], math.sqrt(cfg.kappa)
-    logits = np.einsum("jk,lk->jl", K_obs, params.Q) / sk   # N x d over all masks
-    w = np.exp(logits - np.maximum.reduceat(logits, starts)[seg])
-    A = w / np.add.reduceat(w, starts)[seg]
-    U = np.add.reduceat(A[:, :, None] * Vt_obs[:, None], starts) + params.B  # B x d x h
+    segs = Segments.of(masks)
+    K_obs, Vt_obs = (kv[segs.obs] for kv in keys_values(V, params))
+    V_obs, sk = np.asarray(V)[segs.obs], math.sqrt(cfg.kappa)
+    A = attend(K_obs, params.Q, segs, cfg.kappa)
+    U = encode(A, Vt_obs, segs, params.B)
+    pred = decode_maxout(U, np.ascontiguousarray(params.S.T))
     nb, d, h = U.shape
-    per_mode = np.matmul(U, np.ascontiguousarray(params.S.T))   # B x d x n
-    scores, mode_of = per_mode[:, 0].copy(), np.zeros((nb, per_mode.shape[2]), np.intp)
-    for l in range(1, d):   # strict >: ties stay on the lowest mode
-        mode_of[per_mode[:, l] > scores] = l
-        np.maximum(scores, per_mode[:, l], out=scores)   # NaN propagates as in max()
-    g = R - scores                         # the error, then d(loss)/d(scores)
+    g = R - pred.scores                    # the error, then d(loss)/d(scores)
     c = confidence_weights(R, cfg.alpha)
     losses = np.einsum("bj,bj,bj->b", c, g, g)
     g *= -2.0 * c
+    del c   # B x n arrays no longer needed are freed before the B x d x n ones
     # routed gradients: row (b, l) is nonzero where user b's items take mode l
-    G = np.multiply(g[:, None], mode_of[:, None] == np.arange(d)[:, None], out=per_mode)
-    G = G.reshape(nb * d, -1)
+    G = (g[:, None] * (pred.mode_of[:, None] == np.arange(d)[:, None])).reshape(nb * d, -1)
+    del g
     dS = np.matmul(G.T[:, None], U.reshape(nb * d, h))[:, 0]   # one GEMV per item
     dU = np.matmul(G[:, None], params.S).reshape(nb, d, h)     # one GEMV per user and mode
-    dA = np.einsum("jlh,jh->jl", dU[seg], Vt_obs)
-    dLogit = A * (dA - np.add.reduceat(A * dA, starts)[seg])
-    Z = np.add.reduceat(A[:, :, None] * V_obs[:, None], starts)   # the modes before W_v
+    dA = np.einsum("jlh,jh->jl", dU[segs.seg], Vt_obs)
+    dLogit = A * (dA - np.add.reduceat(A * dA, segs.starts)[segs.seg])
+    Z = np.add.reduceat(A[:, :, None] * V_obs[:, None], segs.starts)   # the modes before W_v
     grads = {"W_k": np.einsum("ja,jl->al", V_obs, dLogit) @ params.Q / sk,
              "W_v": np.einsum("bla,blc->ac", Z, dU),
              "Q": np.einsum("jl,jk->lk", dLogit, K_obs) / sk, "B": dU.sum(axis=0), "S": dS}
-    return grads, losses, Prediction(scores, mode_of)
+    return grads, losses, pred
 
 
 def loss(r, mask_obs, params, V, cfg):
@@ -219,7 +235,7 @@ def gradients(r, mask_obs, params, V, cfg, include_regularizer=True):
         grads["S"] += 2.0 * cfg.lam * params.S
         objective += cfg.lam * float(np.sum(params.S * params.S))
     return {**grads, "loss": objective,
-            "prediction": Prediction(pred.scores[0], pred.mode_of[0])}
+            "prediction": Prediction(pred.scores[0], pred.mode_of[0], pred.per_mode[0])}
 
 
 _MDL_MAGIC = b"AMAMDL01"

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from amarec.fileio import atomic_open
 from amarec.model import PARAM_NAMES, AmaConfig, batch_gradients, corrupt, init_params
 
 
@@ -42,13 +43,13 @@ class TrainLog:
         self.records.append((epoch, objective, seconds))
 
     def save_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["epoch", "objective", "seconds"])
             w.writerows(self.records)
 
     def save_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(
                 [{"epoch": e, "objective": o, "seconds": s} for e, o, s in self.records],
                 fh, indent=2,
@@ -67,16 +68,26 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr):
+    """One adam update of the parameters and moments, in place. Each element
+    goes through the textbook update's operations in its order, so the bytes
+    match it; only the temporaries are reused."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     for k in PARAM_NAMES:
-        g = grads[k]
-        state.m[k] = b1 * state.m[k] + (1 - b1) * g
-        state.v[k] = b2 * state.v[k] + (1 - b2) * g * g
-        m_hat = state.m[k] / (1 - b1 ** state.t)
-        v_hat = state.v[k] / (1 - b2 ** state.t)
-        arr = getattr(params, k)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        g, m, v, arr = grads[k], state.m[k], state.v[k], getattr(params, k)
+        buf = np.multiply(g, 1 - b2)
+        buf *= g
+        v *= b2
+        v += buf                                  # v = b2 * v + (1 - b2) * g * g
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=buf)      # m = b1 * m + (1 - b1) * g
+        np.divide(v, 1 - b2 ** state.t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += state.eps                          # sqrt(v_hat) + eps
+        step = np.divide(m, 1 - b1 ** state.t)
+        step *= lr
+        step /= buf
+        arr -= step                               # lr * m_hat / (sqrt(v_hat) + eps)
     return params
 
 

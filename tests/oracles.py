@@ -71,6 +71,25 @@ def loss_oracle(r, mask_obs, params, V, cfg):
     return total + reg
 
 
+def forward_oracle(mask_obs, params, V, kappa):
+    """Per-user forward pass in plain numpy, one product per stage.
+
+    Returns a dict with the attention ``A`` (d x n_obs, a softmax over the
+    observed items per mode), the modes ``U`` (d x h), the per-mode scores
+    (d x n), and the maxout ``scores`` and ``mode_of`` (argmax, lowest index
+    on ties) over items.
+    """
+    obs = np.asarray(mask_obs, dtype=np.intp)
+    K, Vt = V @ params.W_k, V @ params.W_v
+    logits = params.Q @ K[obs].T / math.sqrt(kappa)   # d x n_obs
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    A = w / w.sum(axis=1, keepdims=True)
+    U = A @ Vt[obs] + params.B                         # d x h
+    per_mode = U @ params.S.T                          # d x n
+    return {"A": A, "U": U, "per_mode": per_mode,
+            "scores": per_mode.max(axis=0), "mode_of": per_mode.argmax(axis=0)}
+
+
 def gradients_oracle(r, mask_obs, params, V, cfg):
     """Per-user forward and exact backward pass of the data term, in plain numpy.
 
@@ -82,28 +101,23 @@ def gradients_oracle(r, mask_obs, params, V, cfg):
     r = np.asarray(r, dtype=np.float64)
     n = params.S.shape[0]
     sk = math.sqrt(cfg.kappa)
-    K, Vt = V @ params.W_k, V @ params.W_v
-    logits = params.Q @ K[obs].T / sk                 # d x n_obs
-    w = np.exp(logits - logits.max(axis=1, keepdims=True))
-    A = w / w.sum(axis=1, keepdims=True)
-    U = A @ Vt[obs] + params.B                        # d x h
-    per_mode = U @ params.S.T                         # d x n
-    mode_of = per_mode.argmax(axis=0)
+    fwd = forward_oracle(obs, params, V, cfg.kappa)
+    A, U, mode_of = fwd["A"], fwd["U"], fwd["mode_of"]
+    K_obs, Vt_obs, V_obs = V[obs] @ params.W_k, V[obs] @ params.W_v, V[obs]
     c = 1.0 + cfg.alpha * np.log1p(r)
-    err = r - per_mode.max(axis=0)
+    err = r - fwd["scores"]
 
     g = -2.0 * c * err
     dS = g[:, None] * U[mode_of]
-    one_hot = np.zeros(per_mode.shape)
+    one_hot = np.zeros(fwd["per_mode"].shape)
     one_hot[mode_of, np.arange(n)] = 1.0
     dU = one_hot @ (g[:, None] * params.S)
-    dA = dU @ Vt[obs].T
+    dA = dU @ Vt_obs.T
     dLogit = A * (dA - np.sum(A * dA, axis=1, keepdims=True))
-    V_obs = V[obs]
     return {
         "W_k": V_obs.T @ (dLogit.T @ params.Q / sk),
         "W_v": V_obs.T @ (A.T @ dU),
-        "Q": dLogit @ K[obs] / sk,
+        "Q": dLogit @ K_obs / sk,
         "B": dU,
         "S": dS,
         "loss": float(np.dot(c, err * err)),

@@ -29,8 +29,10 @@ from amarec.linalg import item_embeddings, randomized_svd
 from amarec.model import (
     AmaConfig,
     PARAM_NAMES,
+    Segments,
     attend,
     decode_maxout,
+    encode,
     gradients,
     keys_values,
     loss,
@@ -125,21 +127,22 @@ def test_criterion_5_attention_suite():
     rng = np.random.default_rng(0)
     for trial in range(20):
         cfg, V, params, r, obs = small_instance(trial + 300)
+        segs = Segments.of([obs])
         K, Vt = keys_values(V, params)
-        A = attend(K, params.Q, obs, cfg.kappa)
+        A = attend(K[obs], params.Q, segs, cfg.kappa)   # n_obs x d
         # normalization to 1 +/- 1e-9 over observed items
-        assert np.abs(A.sum(axis=1) - 1.0).max() <= 1e-9
+        assert np.abs(A.sum(axis=0) - 1.0).max() <= 1e-9
         assert np.all(A >= 0)
         # mask sufficiency: off-mask embedding perturbations leave the
         # encoding bit-identical (off-mask weights are exact zeros by
         # construction: unobserved items never enter the computation)
-        U1 = A @ Vt[obs] + params.B
+        U1 = encode(A, Vt[obs], segs, params.B)
         V2 = V.copy()
         outside = np.setdiff1d(np.arange(V.shape[0]), obs)
         V2[outside] = rng.standard_normal((outside.size, V.shape[1])) * 50
         K2, Vt2 = keys_values(V2, params)
-        A2 = attend(K2, params.Q, obs, cfg.kappa)
-        U2 = A2 @ Vt2[obs] + params.B
+        A2 = attend(K2[obs], params.Q, segs, cfg.kappa)
+        U2 = encode(A2, Vt2[obs], segs, params.B)
         assert np.array_equal(U1, U2)
     passed(5, "normalization 1e-9, exact off-mask zeros, mask sufficiency bit-exact")
 
@@ -148,21 +151,22 @@ def test_criterion_6_maxout_suite():
     for trial in range(20):
         rng = np.random.default_rng(trial + 600)
         d, h, n = int(rng.integers(1, 5)), int(rng.integers(2, 5)), int(rng.integers(3, 9))
-        U = rng.standard_normal((d, h))
+        U = rng.standard_normal((1, d, h))
         S = rng.standard_normal((n, h))
-        pred = decode_maxout(U, S)
-        per_mode = U @ S.T
-        assert np.all(pred.scores[None, :] >= per_mode - 1e-15)
+        pred = decode_maxout(U, np.ascontiguousarray(S.T))
+        per_mode, scores, mode_of = pred.per_mode[0], pred.scores[0], pred.mode_of[0]
+        np.testing.assert_allclose(per_mode, U[0] @ S.T, rtol=1e-12, atol=0)
+        assert np.all(scores[None, :] >= per_mode - 1e-15)
         for j in range(n):
-            assert per_mode[pred.mode_of[j], j] == pred.scores[j]
+            assert per_mode[mode_of[j], j] == scores[j]
     # d=1 reduces to the plain dot-product decoder
     rng = np.random.default_rng(1)
-    U = rng.standard_normal((1, 4))
-    S = rng.standard_normal((6, 4))
-    np.testing.assert_array_equal(decode_maxout(U, S).scores, (S @ U[0]))
+    U = rng.standard_normal((1, 1, 4))
+    S_T = np.ascontiguousarray(rng.standard_normal((6, 4)).T)
+    np.testing.assert_array_equal(decode_maxout(U, S_T).scores[0], U[0, 0] @ S_T)
     # deterministic lowest-index tie-break
-    U_tie = np.array([[2.0, 0.0], [2.0, 0.0]])
-    assert decode_maxout(U_tie, np.array([[1.0, 5.0]])).mode_of[0] == 0
+    U_tie = np.array([[[2.0, 0.0], [2.0, 0.0]]])
+    assert decode_maxout(U_tie, np.array([[1.0], [5.0]])).mode_of[0, 0] == 0
     passed(6, "dominance, d=1 dot-product reduction, deterministic tie-break")
 
 

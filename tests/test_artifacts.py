@@ -14,6 +14,7 @@ import scipy.sparse as sp
 
 from amarec import cli, fileio, training
 from amarec.cli import main
+from amarec.dataset import binarize, save_split, temporal_split
 from amarec.linalg import RECIPE_DEFAULTS, load_embeddings, save_embeddings
 from amarec.model import AmaConfig, init_params, load_model, save_model
 from conftest import synthetic_events, write_movielens_file
@@ -256,9 +257,10 @@ class TestAtomicWrites:
     sidecar whole, and no temporary file behind."""
 
     @staticmethod
-    def fail_after(monkeypatch, limit):
-        """Binary files opened by atomic writers take ``limit`` bytes, then fail
-        as a full disk would."""
+    def fail_after(monkeypatch, limit, failing=lambda path, mode: "b" in mode):
+        """Files opened by atomic writers for which ``failing(path, mode)`` holds,
+        binary files by default, take ``limit`` bytes, then fail as a full disk
+        would."""
         class Failing:
             def __init__(self, fh):
                 self.fh, self.left = fh, limit
@@ -278,7 +280,7 @@ class TestAtomicWrites:
 
         def fake_open(path, mode="r", **kw):
             fh = open(path, mode, **kw)
-            return Failing(fh) if "b" in mode else fh
+            return Failing(fh) if failing(str(path), mode) else fh
 
         monkeypatch.setattr(fileio, "open", fake_open, raising=False)
 
@@ -320,3 +322,23 @@ class TestAtomicWrites:
             save_embeddings(np.zeros((4, 3)), path, meta={"h": 4})
         assert self.snapshot(tmp_path) == before
         np.testing.assert_array_equal(load_embeddings(path), np.ones((4, 3)))
+
+    def test_report_write_failing_mid_way_keeps_previous(self, trained, tmp_path, monkeypatch):
+        _, data, model = trained
+        report = tmp_path / "report.json"
+        assert evaluate(data, model, "--out", str(report)) == 0
+        before = self.snapshot(tmp_path)
+        self.fail_after(monkeypatch, 50, failing=lambda path, mode: True)
+        assert evaluate(data, model, "--split", "validation", "--out", str(report)) == 1
+        assert self.snapshot(tmp_path) == before
+        assert json.loads(report.read_text())["split"] == "test"
+
+    def test_split_write_failing_in_its_last_file_keeps_previous_split(self, tmp_path,
+                                                                       monkeypatch):
+        out = prep(tmp_path, "data", seed=4)
+        before = self.snapshot(out)
+        other = temporal_split(binarize(synthetic_events(m=25, n=15, per_user=12, seed=5), 2))
+        self.fail_after(monkeypatch, 10, failing=lambda path, mode: "split.json" in path)
+        with pytest.raises(OSError):
+            save_split(other, out)
+        assert self.snapshot(out) == before   # the CSVs written whole were not swapped in

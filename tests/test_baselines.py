@@ -88,15 +88,14 @@ class TestPureSvdScorer:
 
 class TestAmaScorer:
     def test_matches_direct_forward(self):
-        from test_model import small_instance
-        from amarec.model import attend, decode_maxout, encode, keys_values
+        from test_model import attend_one, decode_one, encode_one, small_instance
+        from amarec.model import keys_values
 
         cfg, V, params, r, obs = small_instance(4)
         score = ama_scorer(params, V, cfg)
         K, Vt = keys_values(V, params)
-        A = attend(K, params.Q, obs, cfg.kappa)
-        U = encode(A, Vt[obs], params.B)
-        expected = decode_maxout(U, params.S).scores
+        A = attend_one(K, params.Q, obs, cfg.kappa)
+        expected = decode_one(encode_one(A, Vt[obs], params.B), params.S).scores
         np.testing.assert_array_equal(score(obs, 0), expected)
 
     def test_empty_history_zero_scores(self):

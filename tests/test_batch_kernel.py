@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from amarec.model import AmaConfig, DegenerateUser, PARAM_NAMES, batch_gradients, corrupt
+from amarec.baselines import ama_scorer
+from amarec.explain import explain_user
+from amarec.model import (AmaConfig, DegenerateUser, PARAM_NAMES, Segments, attend,
+                          batch_gradients, corrupt, decode_maxout, encode, keys_values)
 from conftest import synthetic_events, write_movielens_file
-from oracles import gradients_oracle
+from oracles import forward_oracle, gradients_oracle
 from test_model import random_params
 
 
@@ -65,6 +68,65 @@ def test_batch_equals_sum_of_per_user_oracle(seed, n, h, d, kappa, users, rho, t
         assert not pred.mode_of.any()
 
 
+def within(x, ref, scale):
+    """Elementwise |x - ref| <= 1e-12 * scale, the bound of a sum whose terms
+    have absolute values adding up to ``scale``."""
+    assert np.all(np.abs(x - ref) <= 1e-12 * scale), np.abs(x - ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 12), h=st.integers(1, 5),
+       d=st.integers(1, 4), kappa=st.integers(1, 4), users=st.integers(1, 7),
+       rho=st.sampled_from([0.0, 0.3, 0.7]), tied=st.booleans())
+@example(seed=1, n=1, h=2, d=3, kappa=2, users=3, rho=0.0, tied=False)   # one-item masks
+@example(seed=2, n=6, h=3, d=1, kappa=2, users=4, rho=0.3, tied=False)   # d = 1
+@example(seed=3, n=7, h=3, d=3, kappa=2, users=5, rho=0.3, tied=True)    # all tied
+def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, kappa, users,
+                                                               rho, tied):
+    cfg, V, params, rows, masks, _ = batch_case(seed, n, h, d, kappa, users, rho, tied)
+    if not masks:
+        return
+    K, Vt = keys_values(V, params)
+    S_T = np.ascontiguousarray(params.S.T)
+
+    def stages(mks):
+        segs = Segments.of(mks)
+        A = attend(K[segs.obs], params.Q, segs, cfg.kappa)
+        U = encode(A, Vt[segs.obs], segs, params.B)
+        return A, U, decode_maxout(U, S_T)
+
+    A, U, pred = stages(masks)
+    seg = Segments.of(masks).seg
+    for b, mk in enumerate(masks):
+        # the batch equals each user run alone, bitwise
+        A1, U1, one = stages([mk])
+        assert np.array_equal(A[seg == b], A1) and np.array_equal(U[b], U1[0])
+        for field in ("scores", "mode_of", "per_mode"):
+            assert np.array_equal(getattr(pred, field)[b], getattr(one, field)[0])
+        # maxout: the strict scan keeps the lowest of the tied modes
+        assert np.array_equal(one.scores[0], one.per_mode[0].max(axis=0))
+        assert np.array_equal(one.mode_of[0], one.per_mode[0].argmax(axis=0))
+        # and the per-user oracle to 1e-12
+        ref = forward_oracle(mk, params, V, cfg.kappa)
+        np.testing.assert_allclose(A1.T, ref["A"], rtol=1e-12, atol=0)
+        within(U1[0], ref["U"], np.abs(ref["A"]) @ np.abs(Vt[mk]) + np.abs(params.B))
+        scale = np.abs(ref["U"]) @ np.abs(params.S).T
+        within(one.per_mode[0], ref["per_mode"], scale)
+        within(ref["per_mode"][one.mode_of[0], np.arange(n)], ref["scores"], scale.max(axis=0))
+    if tied:
+        assert not pred.mode_of.any()
+
+    # scoring and explanation return training's forward pass, bitwise
+    clean = [np.flatnonzero(r) for r in rows]
+    _, _, trained = batch_gradients(np.array(rows), clean, params, V, cfg)
+    score = ama_scorer(params, V, cfg)
+    for b, obs in enumerate(clean):
+        assert np.array_equal(score(obs, b), trained.scores[b])
+        for j, mode, per_mode in explain_user(params, V, cfg, obs, b, k=n).recommendations:
+            assert mode == trained.mode_of[b, j]
+            assert np.array_equal(per_mode, trained.per_mode[b, :, j])
+
+
 def test_examples_cover_the_degenerate_cases():
     one_item = batch_case(1, 1, 2, 3, 2, 3, 0.0, False)[4]
     assert one_item and all(mk.size == 1 for mk in one_item)
@@ -77,7 +139,7 @@ def test_empty_mask_is_degenerate():
         batch_gradients(np.array(rows), [masks[0], masks[0][:0]], params, V, cfg)
 
 
-def test_train_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # At this size a batch-wide score GEMM, (B*d, h) @ (h, n), or a batch-wide
     # (B*d, n) @ (n, h) GEMM for the mode gradients gives different bytes under
     # 1 and 2 OpenBLAS threads on a 2-core x86-64 host.
@@ -89,14 +151,26 @@ def test_train_model_bytes_do_not_depend_on_blas_threads(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONHASHSEED": "0",
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-m", "amarec.cli", *args], env=env,
-                              capture_output=True, text=True, timeout=300)
+                              capture_output=True, text=True, timeout=300,
+                              cwd=tmp_path / f"t{threads}")
         assert proc.returncode == 0, proc.stderr
 
+    data = str(tmp_path / "data")
+    (tmp_path / "t1").mkdir()
+    (tmp_path / "t2").mkdir()
     run(1, "prep", "--input", str(ratings), "--format", "movielens-dat",
-        "--threshold", "2", "--out", str(tmp_path / "data"))
-    models = []
+        "--threshold", "2", "--out", data)
+    fast = ["--set", "gamma=2"]
     for threads in (1, 2):
-        models.append(tmp_path / f"model_{threads}.bin")
-        run(threads, "train", "--data", str(tmp_path / "data"), "--out", str(models[-1]),
-            "--set", "epochs=2", "--set", "batch_size=25", "--set", "gamma=2")
-    assert models[0].read_bytes() == models[1].read_bytes()
+        run(threads, "train", "--data", data, "--out", "model.bin", "--set", "epochs=2",
+            "--set", "batch_size=25", *fast)
+        run(threads, "evaluate", "--data", data, "--model", "model.bin", "--out",
+            "report.json", *fast)
+        # without --out, each report goes to its default file name
+        run(threads, "explain", "--data", data, "--model", "model.bin", "--user", "u000",
+            "--dot", "user.dot", "--histogram", "--modes", *fast)
+    names = ["model.bin", "report.json", "user_u000.json", "user.dot", "mode_usage.csv",
+             "mode_top_items.csv"]
+    for name in names:
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), \
+            name

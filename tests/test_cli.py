@@ -160,6 +160,20 @@ class TestTrainEvaluateExplain:
         err = capsys.readouterr().err
         assert f"{value!r} for {key}" in err and choices in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        (["evaluate", "--baseline", "pop"], "--ks", "5,0"),
+        (["evaluate", "--baseline", "pop"], "--ks", "-3"),
+        (["explain", "--histogram", "--model", "m.bin"], "--k", "0"),
+        (["explain", "--histogram", "--model", "m.bin"], "--k", "-2"),
+        (["explain", "--modes", "--model", "m.bin"], "--n", "-1"),
+    ])
+    def test_non_positive_cutoff_rejected(self, tmp_path, prepped, capsys, command, flag,
+                                          value):
+        out = tmp_path / "out"
+        rc = main([*command, f"{flag}={value}", "--data", str(prepped), "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert f"{flag} takes integers >= 1, got {value}" in capsys.readouterr().err
+
     def test_data_dir_from_env(self, tmp_path, prepped, monkeypatch):
         monkeypatch.setenv("AMAREC_DATA_DIR", str(prepped))
         rc = main(["evaluate", "--baseline", "pop", "--ks", "5"])

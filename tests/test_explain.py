@@ -9,9 +9,10 @@ from amarec.explain import (
     save_mode_top_items_csv,
     user_explanation_dot,
 )
-from amarec.model import AmaConfig, attend, keys_values
+from amarec.model import AmaConfig, keys_values
+from oracles import forward_oracle
 from test_metrics import make_split
-from test_model import random_params
+from test_model import attend_one, random_params
 
 
 def toy_model(m=3, n=6, d=2, h=3, kappa=2, seed=0):
@@ -41,9 +42,7 @@ class TestExplainUser:
         cfg, V, params, data = toy_model(seed=5)
         obs = data.train[1].indices
         exp = explain_user(params, V, cfg, obs, 1, k=3)
-        K, Vt = keys_values(V, params)
-        A = attend(K, params.Q, obs, cfg.kappa)
-        U = A @ Vt[obs] + params.B
+        U = forward_oracle(obs, params, V, cfg.kappa)["U"]
         for j, mode, per_mode in exp.recommendations:
             scores = np.array([U[l] @ params.S[j] for l in range(cfg.d)])
             np.testing.assert_allclose(per_mode, scores, atol=1e-12)
@@ -95,6 +94,12 @@ class TestModeUsage:
         assert hist.tolist() == brute.tolist()
         assert hist.sum() == 5
 
+    def test_user_covering_the_catalog_not_counted(self):
+        cfg, V, params, _ = toy_model(n=4, d=3)
+        data = make_split([[0, 1, 2, 3], [1, 2]], [[], []], [[], []], 4)
+        hist = mode_usage(params, V, cfg, data, k=2)
+        assert hist.sum() == 1   # user 0 has nothing left to recommend
+
     def test_buckets_bounded_by_min_d_k(self):
         cfg, V, params, data = toy_model(d=2, m=6, seed=2)
         hist = mode_usage(params, V, cfg, data, k=1)
@@ -125,7 +130,7 @@ class TestModeTopItems:
         agg = np.zeros((cfg.d, 5))
         for u in range(4):
             obs = data.train[u].indices
-            A = attend(keys_values(V, params)[0], params.Q, obs, cfg.kappa)
+            A = forward_oracle(obs, params, V, cfg.kappa)["A"]
             for l in range(cfg.d):
                 for pos, j in enumerate(obs.tolist()):
                     agg[l, j] += A[l, pos]
@@ -171,8 +176,8 @@ def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monk
         obs = data.train[u].indices
         exp = explain_user(params, V, cfg, obs, u, k=3)
         hist[len({mode for _, mode, _ in exp.recommendations}) - 1] += 1
-        np.add.at(agg, (slice(None), obs), attend(keys_values(V, params)[0], params.Q, obs,
-                                                  cfg.kappa))
+        np.add.at(agg, (slice(None), obs), attend_one(keys_values(V, params)[0], params.Q, obs,
+                                                      cfg.kappa))
     counts = np.asarray(data.train.sum(axis=0)).ravel().astype(np.int64)
     pop_rank = np.empty(n, dtype=np.int64)
     pop_rank[np.lexsort((np.arange(n), -counts))] = np.arange(1, n + 1)

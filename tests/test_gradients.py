@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 
 from amarec.model import PARAM_NAMES, gradients, loss
-from oracles import finite_difference
+from oracles import finite_difference, forward_oracle
 from test_model import small_instance
 
 
 def mode_margins(r, obs, params, V, cfg):
     """Gap between the best and second-best per-mode score, per item."""
-    from amarec.model import attend, encode, keys_values
-
-    K, Vt = keys_values(V, params)
-    A = attend(K, params.Q, obs, cfg.kappa)
-    U = encode(A, Vt[obs], params.B)
-    per_mode = np.sort(U @ params.S.T, axis=0)
+    per_mode = np.sort(forward_oracle(obs, params, V, cfg.kappa)["per_mode"], axis=0)
     if per_mode.shape[0] == 1:
         return np.full(per_mode.shape[1], np.inf)
     return per_mode[-1] - per_mode[-2]
@@ -57,7 +52,7 @@ def test_gradients_match_finite_differences(seed):
 def test_zero_gradient_at_perfect_fit():
     # lam=0 and exact reconstruction -> stationary point of the squared error
     from test_model import random_params
-    from amarec.model import AmaConfig, attend, encode, keys_values
+    from amarec.model import AmaConfig
 
     cfg = AmaConfig(h=2, d=1, kappa=2, alpha=1.0, lam=0.0, rho=0.0)
     n = 4
@@ -66,9 +61,7 @@ def test_zero_gradient_at_perfect_fit():
     obs = np.array([1, 3])
     r = np.zeros(n)
     r[obs] = 1.0
-    K, Vt = keys_values(V, params)
-    A = attend(K, params.Q, obs, cfg.kappa)
-    u = encode(A, Vt[obs], params.B)[0]
+    u = forward_oracle(obs, params, V, cfg.kappa)["U"][0]
     params.S = np.outer(r, u / (u @ u))
     g = gradients(r, obs, params, V, cfg)
     for name in PARAM_NAMES:

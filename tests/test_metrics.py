@@ -192,13 +192,6 @@ class TestEvaluate:
                             split="test", ks=(1,))
         assert report_t.metrics["Precision@1"]["mean"] == 1.0
 
-    def test_threads_do_not_change_results(self):
-        data = make_split([[0, 1], [2]], [[2], []], [[3], [0]], n=5)
-        scorer = lambda row, u: np.cos(np.arange(5) * (u + 1.0))
-        a = evaluate(scorer, data, ks=(1, 2), threads=1)
-        b = evaluate(scorer, data, ks=(1, 2), threads=4)
-        assert a.metrics == b.metrics
-
     def test_report_serialization(self):
         data = make_split([[0]], [[]], [[1]], n=3)
         report = evaluate(lambda row, u: np.arange(3, dtype=float), data, ks=(1,))

@@ -7,6 +7,8 @@ from amarec.model import (
     AmaConfig,
     AmaParameters,
     DegenerateUser,
+    Prediction,
+    Segments,
     attend,
     confidence_weights,
     corrupt,
@@ -16,7 +18,7 @@ from amarec.model import (
     loss,
     parameter_count,
 )
-from oracles import loss_oracle
+from oracles import forward_oracle, loss_oracle
 
 
 def random_params(n, cfg, seed=0, scale=1.0):
@@ -28,6 +30,23 @@ def random_params(n, cfg, seed=0, scale=1.0):
         B=scale * rng.standard_normal((cfg.d, cfg.h)),
         S=scale * rng.standard_normal((n, cfg.h)),
     )
+
+
+def attend_one(K, Q, obs, kappa):
+    """The batched attend stage on a batch of one user, as d x n_obs."""
+    obs = np.asarray(obs, dtype=np.intp)
+    return attend(K[obs], Q, Segments.of([obs]), kappa).T
+
+
+def encode_one(A, Vt_obs, B):
+    """The batched encode stage on one user's d x n_obs attention, as d x h."""
+    return encode(A.T, Vt_obs, Segments.of([np.arange(A.shape[1])]), B)[0]
+
+
+def decode_one(U, S):
+    """The batched maxout decoder on one user's d x h modes."""
+    pred = decode_maxout(U[None], np.ascontiguousarray(S.T))
+    return Prediction(pred.scores[0], pred.mode_of[0], pred.per_mode[0])
 
 
 def small_instance(seed, m=4, n=6, h=3, d=2, kappa=2, alpha=1.0, lam=0.01):
@@ -90,13 +109,13 @@ class TestAttend:
     def test_singleton_weight_one(self):
         K = np.random.default_rng(0).standard_normal((5, 2))
         Q = np.random.default_rng(1).standard_normal((3, 2))
-        A = attend(K, Q, [2], kappa=2)
+        A = attend_one(K, Q, [2], kappa=2)
         np.testing.assert_array_equal(A, np.ones((3, 1)))
 
     def test_equal_logits_uniform(self):
         K = np.zeros((4, 2))
         Q = np.random.default_rng(0).standard_normal((2, 2))
-        A = attend(K, Q, [0, 3], kappa=2)
+        A = attend_one(K, Q, [0, 3], kappa=2)
         np.testing.assert_allclose(A, 0.5, atol=1e-15)
 
     def test_log3_gap_quarter_three_quarters(self):
@@ -105,38 +124,38 @@ class TestAttend:
         K = np.array([[0.0], [math.log(3.0) * math.sqrt(kappa)]])
         K = np.hstack([K, np.zeros((2, kappa - 1))])
         Q = np.array([[1.0] + [0.0] * (kappa - 1)])
-        A = attend(K, Q, [0, 1], kappa=kappa)
+        A = attend_one(K, Q, [0, 1], kappa=kappa)
         np.testing.assert_allclose(A, [[0.25, 0.75]], atol=1e-12)
 
     def test_rows_normalized(self):
         rng = np.random.default_rng(3)
         K = rng.standard_normal((9, 3))
         Q = rng.standard_normal((4, 3))
-        A = attend(K, Q, [1, 4, 6, 8], kappa=3)
+        A = attend_one(K, Q, [1, 4, 6, 8], kappa=3)
         np.testing.assert_allclose(A.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(A >= 0)
 
     def test_empty_obs_raises(self):
         with pytest.raises(ValueError):
-            attend(np.zeros((3, 2)), np.zeros((1, 2)), [], kappa=2)
+            attend_one(np.zeros((3, 2)), np.zeros((1, 2)), [], kappa=2)
 
 
 class TestEncode:
     def test_single_item_no_bias(self):
         Vt_obs = np.array([[1.0, 2.0, 3.0]])
         A = np.ones((2, 1))
-        U = encode(A, Vt_obs, np.zeros((2, 3)))
+        U = encode_one(A, Vt_obs, np.zeros((2, 3)))
         np.testing.assert_array_equal(U, np.tile(Vt_obs, (2, 1)))
 
     def test_uniform_midpoint_plus_bias(self):
         Vt_obs = np.array([[0.0, 2.0], [4.0, 0.0]])
         A = np.full((1, 2), 0.5)
         B = np.array([[1.0, 1.0]])
-        np.testing.assert_array_equal(encode(A, Vt_obs, B), [[3.0, 2.0]])
+        np.testing.assert_array_equal(encode_one(A, Vt_obs, B), [[3.0, 2.0]])
 
     def test_zero_values_gives_bias(self):
         B = np.random.default_rng(0).standard_normal((3, 4))
-        U = encode(np.full((3, 2), 0.5), np.zeros((2, 4)), B)
+        U = encode_one(np.full((3, 2), 0.5), np.zeros((2, 4)), B)
         np.testing.assert_array_equal(U, B)
 
 
@@ -145,13 +164,13 @@ class TestDecodeMaxout:
         rng = np.random.default_rng(0)
         U = rng.standard_normal((1, 3))
         S = rng.standard_normal((5, 3))
-        pred = decode_maxout(U, S)
+        pred = decode_one(U, S)
         np.testing.assert_allclose(pred.scores, S @ U[0], atol=1e-15)
         assert np.all(pred.mode_of == 0)
 
     def test_hand_example(self):
         U = np.array([[1.0, 0.0], [0.0, 1.0]])
-        pred = decode_maxout(U, np.array([[2.0, 3.0]]))
+        pred = decode_one(U, np.array([[2.0, 3.0]]))
         assert pred.scores[0] == 3.0 and pred.mode_of[0] == 1
 
     def test_max_of_negatives(self):
@@ -159,7 +178,7 @@ class TestDecodeMaxout:
         S = np.array([[-5.0]])
         # force distinct per-mode scores -5 and -2
         U = np.array([[1.0], [0.4]])
-        pred = decode_maxout(U, S)
+        pred = decode_one(U, S)
         assert pred.scores[0] == pytest.approx(-2.0)
         assert pred.mode_of[0] == 1
 
@@ -167,14 +186,14 @@ class TestDecodeMaxout:
         rng = np.random.default_rng(5)
         U = rng.standard_normal((3, 4))
         S = rng.standard_normal((7, 4))
-        pred = decode_maxout(U, S)
+        pred = decode_one(U, S)
         per_mode = U @ S.T
         assert np.all(pred.scores[None, :] >= per_mode - 1e-15)
         for j in range(7):
             assert per_mode[pred.mode_of[j], j] == pred.scores[j]
         # exact tie goes to the lowest mode
         U_tie = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        pred_tie = decode_maxout(U_tie, np.array([[1.0, 0.0]]))
+        pred_tie = decode_one(U_tie, np.array([[1.0, 0.0]]))
         assert pred_tie.mode_of[0] == 0
 
 
@@ -222,12 +241,8 @@ class TestLoss:
         params.B[:] = 0.0
         # single mode; pick S so that scores equal r exactly
         V = np.eye(3, 2)
-        from amarec.model import keys_values as kv, attend as at, encode as en
-
-        K, Vt = kv(V, params)
         obs = np.array([0, 2])
-        A = at(K, params.Q, obs, cfg.kappa)
-        u = en(A, Vt[obs], params.B)[0]
+        u = forward_oracle(obs, params, V, cfg.kappa)["U"][0]
         r = np.array([1.0, 0.0, 1.0])
         # solve s_j . u = r_j by setting s_j = r_j * u / ||u||^2
         params.S = np.outer(r, u / (u @ u))
@@ -261,12 +276,10 @@ class TestLoss:
 class TestMaskSufficiency:
     def test_unobserved_embedding_changes_irrelevant(self):
         cfg, V, params, r, obs = small_instance(3)
-        from amarec.model import keys_values as kv, attend as at, encode as en
 
         def encoding(Vmat):
-            K, Vt = kv(Vmat, params)
-            A = at(K, params.Q, obs, cfg.kappa)
-            return en(A, Vt[obs], params.B)
+            K, Vt = keys_values(Vmat, params)
+            return encode_one(attend_one(K, params.Q, obs, cfg.kappa), Vt[obs], params.B)
 
         U1 = encoding(V)
         V2 = V.copy()

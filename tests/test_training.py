@@ -51,6 +51,32 @@ class TestOptimizers:
         step = np.abs(params.W_v - prev.W_v)
         np.testing.assert_allclose(step, lr, rtol=1e-3)
 
+    def test_adam_matches_textbook_update_bitwise_in_place(self):
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        rng = np.random.default_rng(7)
+        params = init_params(5, cfg, rng)
+        state, lr = AdamState(params), 0.01
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        buffers = [getattr(params, k) for k in PARAM_NAMES] + [*state.m.values(),
+                                                               *state.v.values()]
+        ref = {k: getattr(params, k).copy() for k in PARAM_NAMES}
+        m = {k: np.zeros_like(a) for k, a in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(a.shape) for k, a in ref.items()}
+            adam_step(params, grads, state, lr)
+            for k in PARAM_NAMES:
+                g = grads[k]
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                m_hat, v_hat = m[k] / (1 - b1 ** t), v[k] / (1 - b2 ** t)
+                ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                np.testing.assert_array_equal(getattr(params, k), ref[k])
+                np.testing.assert_array_equal(state.m[k], m[k])
+                np.testing.assert_array_equal(state.v[k], v[k])
+        now = [getattr(params, k) for k in PARAM_NAMES] + [*state.m.values(), *state.v.values()]
+        assert all(a is b for a, b in zip(now, buffers))   # updated in place
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0)
