@@ -13,7 +13,7 @@ import numpy as np
 from amarec.baselines import ama_scorer, pop_scorer, puresvd_scorer
 from amarec.dataset import RatingEvent, binarize, temporal_split
 from amarec.evaluation import evaluate
-from amarec.linalg import item_embeddings, randomized_svd
+from amarec.linalg import embed_items
 from amarec.model import AmaConfig, parameter_count
 from amarec.training import TrainConfig, train
 
@@ -40,9 +40,9 @@ def main():
           f"{data.train.nnz} train / {data.validation.nnz} val / {data.test.nnz} test")
 
     print("\n== item embeddings (randomized SVD of the train matrix) ==")
-    svd = randomized_svd(data.train, rank=8, power_iters=10, seed=0)
-    V = item_embeddings(svd)
-    print(f"top singular values: {np.round(svd.singular_values[:4], 3)}")
+    V = embed_items(data.train, h=8, gamma=10, seed=0)
+    print(f"{V.shape[0]} items x h={V.shape[1]}; orthonormal columns: "
+          f"{np.allclose(V.T @ V, np.eye(V.shape[1]))}")
 
     print("\n== training (2 preference modes, denoising corruption 0.3) ==")
     cfg = TrainConfig(

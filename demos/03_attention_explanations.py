@@ -12,7 +12,7 @@ Run:  python3 demos/03_attention_explanations.py
 import numpy as np
 
 from amarec.explain import explain_user, mode_top_items, mode_usage, user_explanation_dot
-from amarec.linalg import item_embeddings, randomized_svd
+from amarec.linalg import embed_items
 from amarec.model import AmaConfig
 from amarec.training import TrainConfig, train
 
@@ -33,7 +33,7 @@ def main():
                         epochs=120, seed=0),
         batch_size=64,
     )
-    V = item_embeddings(randomized_svd(data.train, rank=8, power_iters=10, seed=0))
+    V = embed_items(data.train, h=8, gamma=10, seed=0)
     params, _ = train(data, V, cfg)
 
     u = 0

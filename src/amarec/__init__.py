@@ -17,7 +17,7 @@ from amarec.dataset import (
     save_split,
     load_split,
 )
-from amarec.linalg import SvdResult, randomized_svd, item_embeddings
+from amarec.linalg import SvdResult, randomized_svd, embed_items
 from amarec.model import (
     AmaConfig,
     AmaParameters,

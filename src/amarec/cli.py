@@ -12,19 +12,16 @@ symbol in parentheses:
   rho           corruption rate (rho)
   epochs        training epochs (epsilon)
   gamma         randomized-SVD power iterations (gamma)
-  oversample    randomized-SVD oversampling columns
-  scale         embedding scaling, none | sqrt-sigma
   seed          RNG seed
   learning_rate optimizer step size
   batch_size    users per optimizer step
-  optimizer     adam | sgd
   rank          PureSVD rank (PureSVD presets only)
   algorithm     scorer: ama | pop | puresvd; train and explain need ama
 
-Unset keys take the library defaults. h, gamma, oversample, scale and seed
-make the embedding recipe, which train records next to the model: with
---model, the embeddings come from that record, and a configured recipe key
-must equal it. Without --model or --baseline, evaluate scores `algorithm`.
+Unset keys take the library defaults. h, gamma and seed make the embedding
+recipe, which train records next to the model: with --model, the embeddings
+come from that record, and a configured recipe key must equal it. Without
+--model or --baseline, evaluate scores `algorithm`.
 
 The default data directory comes from $AMAREC_DATA_DIR when --data is
 omitted.
@@ -49,17 +46,17 @@ class CliError(Exception):
 
 
 _FLOAT_KEYS = {"alpha", "lambda", "rho", "learning_rate"}
-_INT_KEYS = {"h", "d", "kappa", "epochs", "gamma", "oversample", "seed",
-             "batch_size", "rank"}
-_CHOICES = {"scale": ("none", "sqrt-sigma"), "optimizer": ("adam", "sgd"),
-            "algorithm": ("ama", "pop", "puresvd")}
+_INT_KEYS = {"h", "d", "kappa", "epochs", "gamma", "seed", "batch_size", "rank"}
+_CHOICES = {"algorithm": ("ama", "pop", "puresvd")}
 _STR_KEYS = _CHOICES.keys()
 
 # config key -> keyword argument, for each consumer of the configuration
 _RECIPE_KEYS = {k: k for k in linalg.RECIPE_DEFAULTS}
 _MODEL_KEYS = {**{k: k for k in ("d", "kappa", "alpha", "rho", "epochs")}, "lambda": "lam"}
-_TRAIN_KEYS = {k: k for k in ("learning_rate", "batch_size", "optimizer")}
+_TRAIN_KEYS = {k: k for k in ("learning_rate", "batch_size")}
 _PURESVD_KEYS = {"rank": "rank", "gamma": "iters", "seed": "seed"}
+# embedding keys that older model sidecars record, with the one value rebuilt today
+_RETIRED_RECIPE = {"oversample": 10, "scale": "none"}
 
 
 def parse_config_text(text, source="<config>"):
@@ -195,12 +192,18 @@ def cmd_train(args):
 
 def _load_ama(path, data, cfg):
     """(params, V, AmaConfig) of a model file, with V rebuilt from the recipe
-    in its sidecar. Rejects configured recipe keys that disagree with it and a
-    split other than the one the model was trained on."""
+    in its sidecar. Rejects a recorded setting that cannot be rebuilt,
+    configured recipe keys that disagree with the record and a split other
+    than the one the model was trained on."""
     params, mcfg = load_model(path)
     sidecar = read_sidecar(path)
     # a sidecar without a recipe comes from a model trained with the default one
-    recipe = _recipe(sidecar.get("embedding", {"h": mcfg.h, "seed": mcfg.seed}))
+    recorded = sidecar.get("embedding", {"h": mcfg.h, "seed": mcfg.seed})
+    for key, value in recorded.items():
+        if key not in _RECIPE_KEYS and (key, value) not in _RETIRED_RECIPE.items():
+            raise CliError(f"{path} records the embedding setting {key}={value}, "
+                           "which this version cannot rebuild")
+    recipe = _recipe(recorded)
     for key, given in _pick(cfg, _RECIPE_KEYS).items():
         if given != recipe[key]:
             raise CliError(f"{path} was trained with {key}={recipe[key]}, "
@@ -326,8 +329,6 @@ def build_parser():
     sp.add_argument("--out", required=True, help="model output path")
     sp.add_argument("--log-prefix", help="write the train log as PREFIX.csv/.json")
     sp.add_argument("--checkpoint-every", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1,
-                    help="ignored: training is single-threaded; results never depend on it")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("evaluate", help="rank and score a model or baseline")
@@ -336,8 +337,6 @@ def build_parser():
     sp.add_argument("--baseline", choices=["pop", "puresvd"])
     sp.add_argument("--split", default="test", choices=["validation", "test"])
     sp.add_argument("--ks", default="5,10,20")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="ignored: evaluation is single-threaded; results never depend on it")
     sp.add_argument("--out", help="JSON report path")
     sp.set_defaults(func=cmd_evaluate)
 

@@ -260,23 +260,34 @@ def save_split(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
 
 
 def load_split(out_dir):
-    """Inverse of save_split."""
+    """Inverse of save_split. Rejects a malformed row, naming its file and
+    line, and a matrix whose entry count differs from the one split.json
+    records, as a file cut short leaves it."""
     with open(os.path.join(out_dir, "split.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     m, n = meta["num_users"], meta["num_items"]
 
     def read_csv(name):
         rows, cols = [], []
-        with open(os.path.join(out_dir, f"{name}.csv"), "r", encoding="utf-8", newline="") as fh:
+        path = os.path.join(out_dir, f"{name}.csv")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
-            for row in reader:
-                rows.append(int(row[0]))
-                cols.append(int(row[1]))
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    u, j = row
+                    rows.append(int(u))
+                    cols.append(int(j))
+                except ValueError:
+                    raise ParseError(f"{path}: expected user_idx,item_idx, got "
+                                     f"{','.join(row)!r}", lineno) from None
         mat = sp.csr_matrix(
             (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(m, n)
         )
         mat.sort_indices()
+        if mat.nnz != meta["counts"][name]:
+            raise ConfigError(f"{path} holds {mat.nnz} interactions, but split.json "
+                              f"records {meta['counts'][name]}")
         return mat
 
     return SplitDataset(

@@ -54,13 +54,10 @@ def rank_topk(scores, exclude, k=None):
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
-    masked = scores.copy()
-    exclude = np.asarray(list(exclude), dtype=np.intp)
-    keep = n - exclude.size
-    if exclude.size:
-        masked[exclude] = -np.inf
-    order = np.lexsort((np.arange(n), -masked))
-    order = order[:keep]
+    excluded = np.zeros(n, dtype=bool)
+    excluded[np.asarray(list(exclude), dtype=np.intp)] = True   # a repeat counts once
+    masked = np.where(excluded, -np.inf, scores)
+    order = np.lexsort((np.arange(n), -masked))[:n - np.count_nonzero(excluded)]
     if k is not None:
         order = order[:k]
     return order

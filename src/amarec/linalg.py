@@ -26,11 +26,12 @@ class SvdResult:
     right: np.ndarray          # n x h
 
 
-def randomized_svd(R, rank, power_iters=10, oversample=10, seed=0):
+def randomized_svd(R, rank, power_iters=10, seed=0):
     """Rank-``rank`` randomized SVD of a (sparse or dense) m x n matrix.
 
-    Deterministic for a fixed seed. Each power iteration re-orthonormalizes
-    via QR to avoid losing the small singular directions.
+    Deterministic for a fixed seed. The range finder draws 10 oversampling
+    columns beyond ``rank``. Each power iteration re-orthonormalizes via QR
+    to avoid losing the small singular directions.
     """
     m, n = R.shape
     if not 1 <= rank <= min(m, n):
@@ -38,7 +39,7 @@ def randomized_svd(R, rank, power_iters=10, oversample=10, seed=0):
     if power_iters < 0:
         raise ValueError("power_iters must be >= 0")
 
-    k = min(rank + oversample, min(m, n))
+    k = min(rank + 10, min(m, n))
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, k))
 
@@ -66,26 +67,12 @@ def randomized_svd(R, rank, power_iters=10, oversample=10, seed=0):
                      right=np.ascontiguousarray(V))
 
 
-def item_embeddings(svd, scale="none"):
-    """Item embedding matrix from an SvdResult.
-
-    ``none`` returns the right factor unchanged; ``sqrt-sigma`` scales each
-    column by the square root of its singular value.
-    """
-    if scale == "none":
-        return svd.right.copy()
-    if scale == "sqrt-sigma":
-        return svd.right * np.sqrt(svd.singular_values)[None, :]
-    raise ValueError(f"unknown scale {scale!r}")
-
-
-def embed_items(train, *, h=40, gamma=10, oversample=10, scale="none", seed=0):
-    """Fixed n x h item embeddings of a train matrix. The keyword arguments are
-    the embedding recipe; a model is correct only with the V it was trained
-    on, so every caller builds V here and these are the recipe's only defaults."""
-    svd = randomized_svd(train, rank=h, power_iters=gamma, oversample=oversample,
-                         seed=seed)
-    return item_embeddings(svd, scale=scale)
+def embed_items(train, *, h=40, gamma=10, seed=0):
+    """Fixed n x h item embeddings of a train matrix: the right factor of its
+    rank-h randomized SVD. The keyword arguments are the embedding recipe; a
+    model is correct only with the V it was trained on, so every caller builds
+    V here and these are the recipe's only defaults."""
+    return randomized_svd(train, rank=h, power_iters=gamma, seed=seed).right
 
 
 RECIPE_DEFAULTS = {name: p.default

@@ -1,4 +1,4 @@
-"""Epoch loop: per-epoch corruption resampling, one batched step per batch, adam/sgd.
+"""Epoch loop: per-epoch corruption resampling, one adam step per batch.
 
 Users are shuffled with an epoch-indexed RNG and their corrupted rows are
 redrawn every epoch, in ascending user order within each batch. Every step
@@ -24,15 +24,12 @@ class TrainConfig:
     model: AmaConfig = field(default_factory=AmaConfig)
     learning_rate: float = 1e-3
     batch_size: int = 512
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -91,13 +88,6 @@ def adam_step(params, grads, state, lr):
     return params
 
 
-def sgd_step(params, grads, state, lr):
-    for k in PARAM_NAMES:
-        arr = getattr(params, k)
-        arr -= lr * grads[k]
-    return params
-
-
 class NonFiniteObjective(RuntimeError):
     def __init__(self, epoch, batch, value):
         super().__init__(f"non-finite objective {value} at epoch {epoch}, batch {batch}")
@@ -119,8 +109,7 @@ def train(data, V, cfg, params=None, callback=None):
 
     if params is None:
         params = init_params(n, mcfg, np.random.default_rng(mcfg.seed))
-    state = AdamState(params) if cfg.optimizer == "adam" else None
-    step = adam_step if cfg.optimizer == "adam" else sgd_step
+    state = AdamState(params)
 
     rows = [train_mat.indices[train_mat.indptr[i]:train_mat.indptr[i + 1]] for i in range(m)]
 
@@ -147,7 +136,7 @@ def train(data, V, cfg, params=None, callback=None):
             if not np.isfinite(total):   # earlier batches were finite: this one is not
                 raise NonFiniteObjective(epoch, b, total)
             grads["S"] += 2.0 * mcfg.lam * params.S   # regularizer once per step
-            params = step(params, grads, state, cfg.learning_rate)
+            params = adam_step(params, grads, state, cfg.learning_rate)
         objective = (total / counted if counted else 0.0) + mcfg.lam * float(
             np.sum(params.S * params.S)
         )

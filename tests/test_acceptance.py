@@ -25,7 +25,7 @@ from amarec.evaluation import (
     recall_at_k,
 )
 from amarec.explain import mode_usage
-from amarec.linalg import item_embeddings, randomized_svd
+from amarec.linalg import embed_items, randomized_svd
 from amarec.model import (
     AmaConfig,
     PARAM_NAMES,
@@ -66,8 +66,7 @@ def ml1m_model(ml1m_split):
         model=AmaConfig(h=40, d=3, kappa=3, alpha=1.0, lam=1e-5, rho=0.3,
                         epochs=300, seed=0),
     )
-    svd = randomized_svd(ml1m_split.train, rank=40, power_iters=10, seed=0)
-    V = item_embeddings(svd)
+    V = embed_items(ml1m_split.train, h=40, gamma=10, seed=0)
     params, _ = train(ml1m_split, V, cfg)
     return params, V, cfg
 
@@ -218,9 +217,9 @@ def test_criterion_9_thread_count_reproducibility(tmp_path):
     ratings = tmp_path / "ratings.dat"
     write_movielens_file(ratings, synthetic_events(m=30, n=20, per_user=14, seed=13))
     data_dir = tmp_path / "data"
-    env = {**os.environ, "PYTHONHASHSEED": "0"}
 
-    def run(args):
+    def run(args, threads=1):
+        env = {**os.environ, "PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": str(threads)}
         proc = subprocess.run([sys.executable, "-m", "amarec.cli", *args],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
@@ -234,14 +233,13 @@ def test_criterion_9_thread_count_reproducibility(tmp_path):
         report = tmp_path / f"report_t{threads}.json"
         fast = ["--set", "h=4", "--set", "d=2", "--set", "kappa=2",
                 "--set", "epochs=5", "--set", "gamma=3"]
-        run(["train", "--data", str(data_dir), "--out", str(model),
-             "--threads", str(threads), *fast])
+        run(["train", "--data", str(data_dir), "--out", str(model), *fast], threads)
         run(["evaluate", "--data", str(data_dir), "--model", str(model),
-             "--out", str(report), "--threads", str(threads), *fast])
+             "--out", str(report), *fast], threads)
         outputs[threads] = (model.read_bytes(), report.read_bytes())
-    assert outputs[1][0] == outputs[4][0], "model files differ across --threads"
-    assert outputs[1][1] == outputs[4][1], "reports differ across --threads"
-    passed(9, "model files and reports bit-identical for --threads 1 vs 4")
+    assert outputs[1][0] == outputs[4][0], "model files differ across BLAS threads"
+    assert outputs[1][1] == outputs[4][1], "reports differ across BLAS threads"
+    passed(9, "model files and reports bit-identical for OPENBLAS_NUM_THREADS 1 vs 4")
 
 
 def test_criterion_10_mode_usage_sanity(ml1m_split, ml1m_model):

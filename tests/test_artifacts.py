@@ -33,8 +33,8 @@ def prep(tmp_path, name, seed):
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """A split and a model trained on it with h=4 and the default gamma=10,
-    oversample=10, scale=none and seed=0."""
+    """A split and a model trained on it with h=4 and the default gamma=10 and
+    seed=0."""
     tmp = tmp_path_factory.mktemp("trained")
     data = prep(tmp, "data", seed=4)
     model = tmp / "model.bin"
@@ -82,15 +82,14 @@ class TestModelDecidesEmbeddings:
         tmp, data, _ = trained
         emb = tmp / "emb.bin"
         assert main(["embed", "--data", str(data), "--out", str(emb),
-                     "--set", "h=4", "--set", "oversample=3"]) == 0
+                     "--set", "h=4", "--set", "gamma=3"]) == 0
         meta = json.loads((tmp / "emb.bin.json").read_text())
         assert {k: meta[k] for k in RECIPE_DEFAULTS} == {**RECIPE_DEFAULTS, "h": 4,
-                                                         "oversample": 3}
+                                                         "gamma": 3}
 
     @pytest.mark.parametrize("command", ["evaluate", "explain"])
     @pytest.mark.parametrize("key,given,recorded", [
-        ("gamma", "3", "10"), ("oversample", "3", "10"), ("scale", "sqrt-sigma", "none"),
-        ("h", "5", "4"), ("seed", "1", "0"),
+        ("gamma", "3", "10"), ("h", "5", "4"), ("seed", "1", "0"),
     ])
     def test_mismatched_recipe_key_rejected(self, trained, capsys, command, key,
                                             given, recorded):
@@ -107,8 +106,38 @@ class TestModelDecidesEmbeddings:
         bare, flagged = tmp / "bare.json", tmp / "flagged.json"
         assert evaluate(data, model, "--out", str(bare)) == 0
         assert evaluate(data, model, "--out", str(flagged), "--set", "h=4",
-                        "--set", "gamma=10", "--set", "scale=none", "--set", "seed=0") == 0
+                        "--set", "gamma=10", "--set", "seed=0") == 0
         assert bare.read_bytes() == flagged.read_bytes()
+
+    @staticmethod
+    def with_recorded(model, path, **embedding):
+        """A copy of ``model`` at ``path`` whose sidecar also records ``embedding``."""
+        sidecar = json.loads(model.with_name(model.name + ".json").read_text())
+        sidecar["embedding"].update(embedding)
+        path.write_bytes(model.read_bytes())
+        path.with_name(path.name + ".json").write_text(json.dumps(sidecar))
+        return path
+
+    def test_older_sidecar_keys_load_at_the_value_they_were_written_with(self, trained,
+                                                                          tmp_path):
+        _, data, model = trained
+        older = self.with_recorded(model, tmp_path / "older.bin", oversample=10, scale="none")
+        reports = tmp_path / "now.json", tmp_path / "older.json"
+        assert evaluate(data, model, "--out", str(reports[0])) == 0
+        assert evaluate(data, older, "--out", str(reports[1])) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    @pytest.mark.parametrize("key,value", [
+        ("scale", "sqrt-sigma"), ("oversample", 3), ("power_iters", 2),
+    ])
+    def test_unrebuildable_recorded_key_rejected(self, trained, tmp_path, capsys, command,
+                                                 key, value):
+        _, data, model = trained
+        recorded = self.with_recorded(model, tmp_path / "other.bin", **{key: value})
+        what = ["--ks", "5"] if command == "evaluate" else ["--histogram"]
+        assert main([command, "--data", str(data), "--model", str(recorded), *what]) == 1
+        assert f"records the embedding setting {key}={value}," in capsys.readouterr().err
 
     def test_different_train_matrix_rejected(self, trained, capsys):
         tmp, data, model = trained
@@ -135,7 +164,7 @@ class TestModelDecidesEmbeddings:
         path = tmp / "drawn.bin"
         save_model(init_params(n, cfg), cfg, path)
         assert "embedding" not in json.loads((tmp / "drawn.bin.json").read_text())
-        assert evaluate(data, path, "--set", "gamma=10", "--set", "oversample=10") == 0
+        assert evaluate(data, path, "--set", "gamma=10", "--set", "seed=0") == 0
         assert evaluate(data, path, "--set", "gamma=3") == 1
         assert "gamma=10" in capsys.readouterr().err
 
@@ -176,7 +205,7 @@ class TestAlgorithmKey:
                      *extra]) == 1
         assert "algorithm=ama" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["embed", "explain"])
+    @pytest.mark.parametrize("command", ["embed", "explain", "train", "evaluate"])
     def test_no_threads_flag(self, trained, command):
         _, data, _ = trained
         with pytest.raises(SystemExit) as exc:
@@ -190,6 +219,11 @@ class TestDrift:
         block = block.split("\n\n", 1)[0]
         documented = {re.match(r"\s+(\w+)\s", line).group(1) for line in block.splitlines()}
         assert documented == cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS
+
+    def test_every_parsed_key_reaches_a_consumer(self):
+        consumed = {"algorithm"}.union(cli._RECIPE_KEYS, cli._MODEL_KEYS, cli._TRAIN_KEYS,
+                                       cli._PURESVD_KEYS)
+        assert cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS == consumed
 
     def test_every_preset_builds(self):
         presets = importlib.resources.files("amarec").joinpath("presets")

@@ -146,8 +146,6 @@ class TestTrainEvaluateExplain:
 
     @pytest.mark.parametrize("argv, key, value, choices", [
         (["evaluate"], "algorithm", "pop2", "ama, pop, puresvd"),
-        (["train", "--out", "m.bin"], "scale", "bogus", "none, sqrt-sigma"),
-        (["train", "--out", "m.bin"], "optimizer", "lbfgs", "adam, sgd"),
     ])
     def test_bad_choice_rejected_before_any_svd(self, tmp_path, prepped, capsys, monkeypatch,
                                                 argv, key, value, choices):
@@ -159,6 +157,34 @@ class TestTrainEvaluateExplain:
         assert rc == 1 and svds == []
         err = capsys.readouterr().err
         assert f"{value!r} for {key}" in err and choices in err
+
+    @pytest.mark.parametrize("setting", ["optimizer=adam", "scale=none", "oversample=10"])
+    def test_removed_key_rejected_before_any_svd(self, tmp_path, prepped, capsys,
+                                                 monkeypatch, setting):
+        svds = []
+        monkeypatch.setattr(linalg, "randomized_svd", lambda *a, **kw: svds.append(a))
+        rc = main(["train", "--data", str(prepped), "--out", str(tmp_path / "m.bin"),
+                   "--set", setting])
+        assert rc == 1 and svds == []
+        key = setting.split("=")[0]
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", ["line-end", "mid-line"])
+    def test_cut_train_file_rejected_before_any_svd(self, prepped, capsys, monkeypatch, cut):
+        path = prepped / "train.csv"
+        text = path.read_text()
+        lines = text.splitlines(keepends=True)
+        path.write_text("".join(lines[:-2]) if cut == "line-end" else text[:text.rindex(",")])
+        svds = []
+        monkeypatch.setattr(baselines, "randomized_svd", lambda *a, **kw: svds.append(a))
+        rc = main(["evaluate", "--data", str(prepped), "--baseline", "puresvd"])
+        assert rc == 1 and svds == []
+        err = capsys.readouterr().err
+        assert str(path) in err
+        if cut == "line-end":
+            assert f"holds {len(lines) - 3} interactions, but split.json records" in err
+        else:
+            assert f"line {len(lines)}: {path}: expected user_idx,item_idx, got '" in err
 
     @pytest.mark.parametrize("command, flag, value", [
         (["evaluate", "--baseline", "pop"], "--ks", "5,0"),

@@ -7,7 +7,7 @@ import pytest
 from amarec.baselines import ama_scorer, pop_scorer
 from amarec.dataset import RatingEvent, binarize, temporal_split
 from amarec.evaluation import evaluate
-from amarec.linalg import item_embeddings, randomized_svd
+from amarec.linalg import randomized_svd
 from amarec.model import AmaConfig
 from amarec.training import TrainConfig, train
 
@@ -35,7 +35,7 @@ def test_ama_beats_pop_on_structured_data(genre_world):
                         epochs=120, seed=0),
         batch_size=64,
     )
-    V = item_embeddings(randomized_svd(data.train, rank=8, power_iters=10, seed=0))
+    V = randomized_svd(data.train, rank=8, power_iters=10, seed=0).right
     params, log = train(data, V, cfg)
     assert log.records[-1][1] < log.records[0][1]
 

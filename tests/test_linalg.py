@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from amarec.linalg import (
-    item_embeddings,
     load_embeddings,
     matrix_hash,
     randomized_svd,
@@ -92,34 +91,10 @@ class TestRandomizedSvd:
             randomized_svd(np.eye(3), rank=0)
 
 
-class TestItemEmbeddings:
-    def test_scale_none_is_identity(self):
-        res = randomized_svd(random_binary(6, 5, seed=1), rank=3)
-        np.testing.assert_array_equal(item_embeddings(res, "none"), res.right)
-
-    def test_sqrt_sigma(self):
-        res = randomized_svd(np.diag([4.0, 1.0]), rank=2)
-        V = item_embeddings(res, "sqrt-sigma")
-        np.testing.assert_allclose(np.abs(V), np.abs(res.right) * [2.0, 1.0], atol=1e-12)
-
-    def test_zero_singular_value_column_zeroed(self):
-        from amarec.linalg import SvdResult
-
-        res = SvdResult(left=np.eye(3), singular_values=np.array([2.0, 0.0]),
-                        right=np.ones((3, 2)))
-        V = item_embeddings(res, "sqrt-sigma")
-        assert np.all(V[:, 1] == 0.0)
-
-    def test_unknown_scale(self):
-        res = randomized_svd(np.eye(2), rank=1)
-        with pytest.raises(ValueError):
-            item_embeddings(res, "sigma")
-
-
 def test_embedding_save_load_roundtrip(tmp_path):
     V = np.random.default_rng(0).standard_normal((7, 4))
     path = tmp_path / "emb.bin"
-    save_embeddings(V, path, meta={"h": 4, "gamma": 10, "seed": 0, "scale": "none"})
+    save_embeddings(V, path, meta={"h": 4, "gamma": 10, "seed": 0})
     np.testing.assert_array_equal(load_embeddings(path), V)
     assert (tmp_path / "emb.bin.json").exists()
 

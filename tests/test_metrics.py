@@ -38,6 +38,10 @@ class TestRankTopk:
         assert len(set(out.tolist())) == len(out) == 10
         assert not {2, 5} & set(out.tolist())
 
+    def test_repeated_exclusion_counted_once(self):
+        out = rank_topk([5, 4, 3, 2, 1], exclude=[0, 0], k=None)
+        assert out.tolist() == [1, 2, 3, 4]
+
 
 WORKED_RANKED = np.array([10, 11, 12, 13, 14])  # hits at ranks 1 and 4
 WORKED_RELEVANT = {10, 13, 99}
@@ -157,7 +161,8 @@ class TestEvaluate:
         assert report.metrics["NDCG"]["mean"] == 1.0
 
     def test_matches_brute_force_on_toy_fixture(self):
-        data = make_split([[0, 1], [2], [0]], [[2], [], [1]],
+        # user 0 has item 1 in train and validation, as an item rated twice can
+        data = make_split([[0, 1], [2], [0]], [[1, 2], [], [1]],
                           [[3, 4], [0, 3], [2]], n=5)
         scores = {0: [9, 8, 7, 6, 5], 1: [1, 5, 3, 2, 4], 2: [2, 2, 2, 9, 1]}
         report = evaluate(lambda row, u: np.array(scores[u], float), data, ks=(2,))

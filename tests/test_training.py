@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from amarec.linalg import item_embeddings, randomized_svd
+from amarec.linalg import randomized_svd
 from amarec.model import AmaConfig, PARAM_NAMES, init_params
-from amarec.training import AdamState, TrainConfig, adam_step, sgd_step, train
+from amarec.training import AdamState, TrainConfig, adam_step, train
 
 
 def embeddings_for(data, cfg):
-    svd = randomized_svd(data.train, rank=cfg.h, power_iters=5, seed=cfg.seed)
-    return item_embeddings(svd)
+    return randomized_svd(data.train, rank=cfg.h, power_iters=5, seed=cfg.seed).right
 
 
 def tiny_train_config(**kw):
@@ -18,25 +17,6 @@ def tiny_train_config(**kw):
 
 
 class TestOptimizers:
-    def test_sgd_zero_gradient_noop(self):
-        cfg = AmaConfig(h=2, d=1, kappa=1)
-        params = init_params(3, cfg)
-        before = params.copy()
-        grads = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
-        sgd_step(params, grads, None, 0.1)
-        for k in PARAM_NAMES:
-            np.testing.assert_array_equal(getattr(params, k), getattr(before, k))
-
-    def test_sgd_definition(self):
-        cfg = AmaConfig(h=2, d=1, kappa=1)
-        params = init_params(3, cfg)
-        before = params.copy()
-        grads = {k: np.full_like(getattr(params, k), 2.0) for k in PARAM_NAMES}
-        sgd_step(params, grads, None, 0.1)
-        for k in PARAM_NAMES:
-            np.testing.assert_allclose(getattr(params, k),
-                                       getattr(before, k) - 0.2, atol=1e-15)
-
     def test_adam_constant_gradient_step_approaches_lr(self):
         # with a fixed gradient, m_hat/sqrt(v_hat) -> 1, so |step| -> lr
         cfg = AmaConfig(h=2, d=1, kappa=1)
@@ -82,8 +62,6 @@ class TestOptimizers:
             TrainConfig(learning_rate=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="lbfgs")
 
 
 class TestTrainLoop:
@@ -137,14 +115,6 @@ class TestTrainLoop:
         params, log = train(tiny_split, V, cfg)
         for k in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(params, k), getattr(init, k))
-
-    def test_sgd_also_trains(self, tiny_split):
-        cfg = tiny_train_config(optimizer="sgd", learning_rate=1e-3,
-                                model={"epochs": 30})
-        V = embeddings_for(tiny_split, cfg.model)
-        _, log = train(tiny_split, V, cfg)
-        objectives = [o for _, o, _ in log.records]
-        assert objectives[-1] < objectives[0]
 
     def test_log_files(self, tmp_path, tiny_split):
         cfg = tiny_train_config(model={"epochs": 2})
