@@ -35,7 +35,7 @@ from amarec.model import (
 )
 from amarec.training import TrainConfig, TrainLog, train
 from amarec.baselines import pop_scorer, puresvd_scorer
-from amarec.evaluation import RankingReport, rank_topk, evaluate
+from amarec.evaluation import RankingReport, evaluate
 from amarec.explain import explain_user, mode_usage, mode_top_items
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Reference scorers for the evaluation harness.
 
-A scorer is any callable ``(train_row_indices, user_index) -> scores`` over
-the full item catalog, deterministic for fixed model state. POP ranks by
-train popularity; PureSVD projects the user row onto the top singular
-subspace of the train matrix. ``ama_scorer`` adapts a trained model to the
-same contract.
+A scorer is any callable ``(rows, users) -> scores`` from the CSR slice of
+the train matrix for the user indices ``users`` to their (len(users), n)
+scores over the full item catalog; a user's scores depend only on its row
+and the model state. POP ranks by train popularity; PureSVD projects each
+row onto the top singular subspace of the train matrix; ``ama_scorer``
+scores with a trained model.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ def pop_scorer(train):
         raise ValueError("train matrix is empty")
     counts = np.asarray(train.sum(axis=0)).ravel().astype(np.float64)
 
-    def score(train_row, user_index):
-        return counts
+    def score(rows, users):
+        return np.tile(counts, (len(users), 1))
 
     return score
 
@@ -31,25 +32,38 @@ def puresvd_scorer(train, rank=50, iters=10, seed=0):
     """Similarity scorer r . V V^T with V from randomized SVD of train."""
     V = randomized_svd(train, rank=rank, power_iters=iters, seed=seed).right
 
-    def score(train_row, user_index):
-        if len(train_row) == 0:
-            return np.zeros(train.shape[1])
-        return V @ V[train_row].sum(axis=0)
+    def score(rows, users):
+        # one GEMV per user: a batch GEMM (rows @ V) @ V.T sums in another order
+        return np.matmul(V, (rows @ V)[:, :, None])[:, :, 0]
 
     return score
 
 
-def ama_scorer(params, V, cfg):
-    """Score with a trained model; the clean train row masks attention."""
+def ama_predictor(params, V, cfg):
+    """The forward pass of a trained model, keys and values computed once:
+    ``predict(rows)`` returns the attention (N_obs x d) and the Prediction
+    of a CSR block whose rows, all nonempty, are the attention masks."""
     K, Vt = keys_values(V, params)
     S_T = np.ascontiguousarray(params.S.T)
 
-    def score(train_row, user_index):
-        obs = np.asarray(train_row, dtype=np.intp)
-        if obs.size == 0:
-            return np.zeros(params.S.shape[0])
-        segs = Segments.of([obs])
-        A = attend(K[obs], params.Q, segs, cfg.kappa)
-        return decode_maxout(encode(A, Vt[obs], segs, params.B), S_T).scores[0]
+    def predict(rows):
+        segs = Segments.of(np.split(rows.indices, rows.indptr[1:-1]))
+        A = attend(K[segs.obs], params.Q, segs, cfg.kappa)
+        return A, decode_maxout(encode(A, Vt[segs.obs], segs, params.B), S_T)
+
+    return predict
+
+
+def ama_scorer(params, V, cfg):
+    """Score with a trained model; the clean train row masks attention, and
+    a user with an empty row scores zeros."""
+    predict = ama_predictor(params, V, cfg)
+
+    def score(rows, users):
+        scores = np.zeros(rows.shape)
+        full = np.flatnonzero(np.diff(rows.indptr))
+        if full.size:
+            scores[full] = predict(rows[full])[1].scores
+        return scores
 
     return score

@@ -82,7 +82,7 @@ def _coerce(key, value, where):
         if key in _FLOAT_KEYS:
             return float(value)
         if key in _INT_KEYS:
-            return int(float(value))
+            return int(value)
     except ValueError:
         raise CliError(f"{where}: bad value {value!r} for {key}") from None
     raise CliError(f"{where}: unknown config key {key!r}")
@@ -270,11 +270,7 @@ def cmd_explain(args):
         u = data.user_index.get(args.user)
         if u is None:
             raise CliError(f"unknown user id {args.user!r}")
-        train = data.train
-        obs = train.indices[train.indptr[u]:train.indptr[u + 1]]
-        if obs.size == 0:
-            raise CliError(f"user {args.user!r} has an empty interaction history")
-        exp = explain_mod.explain_user(params, V, mcfg, obs, u, k=args.k)
+        exp = explain_mod.explain_user(params, V, mcfg, data.train[u].indices, u, k=args.k)
         out = args.out or f"user_{args.user}.json"
         with atomic_open(out, "w", encoding="utf-8") as fh:
             fh.write(exp.to_json(item_ids=item_ids))

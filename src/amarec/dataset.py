@@ -78,7 +78,8 @@ def parse_ratings(path, format, amazon_columns="item,user,rating,timestamp"):
 
     ``movielens-dat`` lines look like ``user::item::rating::timestamp``;
     ``amazon-csv`` is header-less with the column order given by
-    ``amazon_columns`` (default ``item,user,rating,timestamp``).
+    ``amazon_columns`` (default ``item,user,rating,timestamp``). Timestamps
+    are non-negative integers.
     """
     if format not in _FORMATS:
         raise ConfigError(f"unknown format {format!r}, expected one of {_FORMATS}")
@@ -118,7 +119,7 @@ def parse_ratings(path, format, amazon_columns="item,user,rating,timestamp"):
 def _make_event(user, item, rating, timestamp, lineno):
     try:
         r = float(rating)
-        ts = int(float(timestamp))
+        ts = int(timestamp)   # "1.7" is an error, not 1
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
     if not math.isfinite(r):
@@ -260,9 +261,9 @@ def save_split(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
 
 
 def load_split(out_dir):
-    """Inverse of save_split. Rejects a malformed row, naming its file and
-    line, and a matrix whose entry count differs from the one split.json
-    records, as a file cut short leaves it."""
+    """Inverse of save_split. Rejects a malformed or out-of-range row,
+    naming its file and line, and a matrix whose entry count differs from
+    the one split.json records, as a file cut short leaves it."""
     with open(os.path.join(out_dir, "split.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     m, n = meta["num_users"], meta["num_items"]
@@ -281,9 +282,12 @@ def load_split(out_dir):
                 except ValueError:
                     raise ParseError(f"{path}: expected user_idx,item_idx, got "
                                      f"{','.join(row)!r}", lineno) from None
-        mat = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(m, n)
-        )
+        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+        bad = np.flatnonzero((rows < 0) | (rows >= m) | (cols < 0) | (cols >= n))
+        if bad.size:   # line 1 is the header
+            raise ParseError(f"{path}: index {rows[bad[0]]},{cols[bad[0]]} outside the "
+                             f"{m} users x {n} items of split.json", int(bad[0]) + 2)
+        mat = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, n))
         mat.sort_indices()
         if mat.nnz != meta["counts"][name]:
             raise ConfigError(f"{path} holds {mat.nnz} interactions, but split.json "

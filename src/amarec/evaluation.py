@@ -1,10 +1,10 @@
-"""Top-N ranking and the five ranking metrics with per-user aggregation.
+"""Full-catalog top-N ranking of blocks of users and the five ranking metrics.
 
 Metrics follow the usual binary-relevance definitions: Precision@K,
 Recall@K, MAP@K normalized by min(K, |relevant|), R-Precision, and
-binary-gain NDCG over the full recommended list. Users with an empty
-relevant set in the target split are excluded from the averages; reported
-means carry 95% normal-approximation confidence intervals.
+binary-gain NDCG over the full ranked list. Users with an empty relevant
+set in the target split are excluded from the averages; reported means
+carry 95% normal-approximation confidence intervals.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+BLOCK = 32   # users per scorer call; an AMA block holds B x d x n per-mode scores
 
 
 @dataclass(frozen=True)
@@ -45,104 +47,78 @@ class RankingReport:
         return "\n".join([header, values, "(95% CI) " + cis])
 
 
-def rank_topk(scores, exclude, k=None):
-    """Indices of the top-k items by score, excluded items removed.
-
-    Ties break toward the smaller item index. ``exclude`` is an iterable of
-    item indices (typically the user's train row, plus the validation row
-    when scoring the test split). ``k=None`` ranks the whole catalog.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.size
-    excluded = np.zeros(n, dtype=bool)
-    excluded[np.asarray(list(exclude), dtype=np.intp)] = True   # a repeat counts once
-    masked = np.where(excluded, -np.inf, scores)
-    order = np.lexsort((np.arange(n), -masked))[:n - np.count_nonzero(excluded)]
-    if k is not None:
-        order = order[:k]
-    return order
+def rank_rows(scores, *exclude):
+    """Each row's items by descending score, ties to the smaller item index,
+    with the entries of the CSR blocks ``exclude`` (one row per score row)
+    ranked at -inf; a repeated entry counts once. Returns the (B, n) order and
+    the ranked lengths n - |excluded|: row b ranks ``order[b, :length[b]]``."""
+    masked = np.array(scores, dtype=np.float64)
+    hidden = np.zeros(masked.shape, dtype=bool)
+    for block in exclude:
+        hidden[np.repeat(np.arange(block.shape[0]), np.diff(block.indptr)), block.indices] = True
+    masked[hidden] = -np.inf
+    return np.argsort(-masked, axis=1, kind="stable"), masked.shape[1] - hidden.sum(axis=1)
 
 
-def precision_at_k(ranked, relevant, k):
-    return len(set(ranked[:k].tolist()) & relevant) / k
+def _block_metrics(order, length, relevant, ks, discount):
+    """The metric rows of a block from the ranks of its relevant items."""
+    nb, n = order.shape
+    rank = np.empty_like(order)
+    rank[np.arange(nb)[:, None], order] = np.arange(n)
+    rank[rank >= length[:, None]] = n   # not ranked: never a hit
+    R = np.diff(relevant.indptr)
+    owner = np.repeat(np.arange(nb), R)
+    # each row's hit positions in rank order, padded with n
+    hits = np.full((nb, R.max()), n)
+    hits[owner, np.arange(owner.size) - relevant.indptr[owner]] = rank[owner, relevant.indices]
+    hits.sort(axis=1)
+
+    def found(cut):   # hits among the first ``cut`` ranks; the padding n never counts
+        return (hits < np.minimum(np.reshape(cut, (-1, 1)), n)).sum(axis=1)
+
+    # sums run in rank order, one term at a time, as a hand loop adds them;
+    # a user with nothing ranked reads the full ideal sum and scores NDCG 0
+    dcg = np.cumsum(discount[hits], axis=1)[:, -1]
+    ideal = np.cumsum(discount)[np.minimum(length, R) - 1]
+    nth = np.arange(1, hits.shape[1] + 1)
+    cols = [found(R) / R, dcg / ideal]
+    cols += [np.cumsum(np.where(hits < min(k, n), nth / (hits + 1), 0.0), axis=1)[:, -1]
+             / np.minimum(k, R) for k in ks]
+    cols += [found(k) / k for k in ks]
+    cols += [found(k) / R for k in ks]
+    return np.column_stack(cols)
 
 
-def recall_at_k(ranked, relevant, k):
-    return len(set(ranked[:k].tolist()) & relevant) / len(relevant)
-
-
-def map_at_k(ranked, relevant, k):
-    """Truncated average precision, normalized by min(k, |relevant|)."""
-    hits = 0
-    total = 0.0
-    for i, item in enumerate(ranked[:k].tolist(), start=1):
-        if item in relevant:
-            hits += 1
-            total += hits / i
-    return total / min(k, len(relevant))
-
-
-def r_precision(ranked, relevant):
-    r = len(relevant)
-    return len(set(ranked[:r].tolist()) & relevant) / r
-
-
-def ndcg(ranked, relevant, k_cap=None):
-    """Binary-gain NDCG; by default over the whole ranked list."""
-    if k_cap is None:
-        k_cap = len(ranked)
-    dcg = 0.0
-    for i, item in enumerate(ranked[:k_cap].tolist(), start=1):
-        if item in relevant:
-            dcg += 1.0 / math.log2(i + 1)
-    ideal = sum(1.0 / math.log2(i + 1) for i in range(1, min(k_cap, len(relevant)) + 1))
-    return dcg / ideal
-
-
-def _row_set(mat, u):
-    return mat.indices[mat.indptr[u]:mat.indptr[u + 1]]
+def metric_rows(scorer, data, split="test", ks=(5, 10, 20)):
+    """The metric names, the users with a nonempty relevant set in ascending
+    index, and one metric row per such user, scored and ranked in blocks. At
+    test time the exclusion set is the train plus validation row (both were
+    legitimate history); at validation time it is the train row only."""
+    if split not in ("test", "validation"):
+        raise ValueError(f"unknown split {split!r}")
+    target = data.test if split == "test" else data.validation
+    ks = tuple(sorted(ks))
+    names = ["R-Precision", "NDCG"] + [f"{m}@{k}" for m in ("MAP", "Precision", "Recall")
+                                       for k in ks]
+    n = target.shape[1]
+    discount = np.array([1.0 / math.log2(i + 1) for i in range(1, n + 1)] + [0.0])
+    users = np.flatnonzero(np.diff(target.indptr))
+    rows = [np.zeros((0, len(names)))]
+    for start in range(0, users.size, BLOCK):
+        block = users[start:start + BLOCK]
+        history = data.train[block]
+        exclude = (history, data.validation[block]) if split == "test" else (history,)
+        order, length = rank_rows(scorer(history, block), *exclude)
+        rows.append(_block_metrics(order, length, target[block], ks, discount))
+    return names, users, np.concatenate(rows)
 
 
 def evaluate(scorer, data, split="test", ks=(5, 10, 20)):
-    """Score every user, rank the full catalog, and average the metrics.
-
-    At test time the exclusion set is the train plus validation row (both
-    were legitimate history); at validation time it is the train row only.
-    Users whose relevant set is empty are skipped. Per-user records are
-    reduced in ascending user index.
-    """
-    if split == "test":
-        target = data.test
-    elif split == "validation":
-        target = data.validation
-    else:
-        raise ValueError(f"unknown split {split!r}")
-    train = data.train
+    """Average ``metric_rows`` over the users, reduced in ascending user index."""
     ks = tuple(sorted(ks))
-    names = (["R-Precision", "NDCG"]
-             + [f"MAP@{k}" for k in ks]
-             + [f"Precision@{k}" for k in ks]
-             + [f"Recall@{k}" for k in ks])
-
-    def user_metrics(u):
-        relevant = set(_row_set(target, u).tolist())
-        if not relevant:
-            return None
-        exclude = _row_set(train, u)
-        if split == "test":
-            exclude = np.concatenate([exclude, _row_set(data.validation, u)])
-        ranked = rank_topk(scorer(_row_set(train, u), u), exclude)
-        rec = [r_precision(ranked, relevant), ndcg(ranked, relevant)]
-        rec += [map_at_k(ranked, relevant, k) for k in ks]
-        rec += [precision_at_k(ranked, relevant, k) for k in ks]
-        rec += [recall_at_k(ranked, relevant, k) for k in ks]
-        return rec
-
-    records = [user_metrics(u) for u in range(train.shape[0])]
-    rows = np.array([r for r in records if r is not None], dtype=np.float64)
+    names, _, rows = metric_rows(scorer, data, split, ks)
     metrics = {}
-    for idx, name in enumerate(names):
-        col = rows[:, idx] if rows.size else np.zeros(0)
+    for name, col in zip(names, rows.T):
         mean = float(col.mean()) if col.size else 0.0
         ci = float(1.96 * col.std(ddof=1) / math.sqrt(col.size)) if col.size > 1 else 0.0
         metrics[name] = {"mean": mean, "ci": ci}

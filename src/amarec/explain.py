@@ -13,10 +13,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from amarec.evaluation import rank_topk
+from amarec.baselines import ama_predictor
+from amarec.evaluation import BLOCK, rank_rows
 from amarec.fileio import atomic_open
-from amarec.model import Segments, attend, decode_maxout, encode, keys_values
+from amarec.model import Segments, attend, keys_values
 
 
 @dataclass(frozen=True)
@@ -53,20 +55,15 @@ def explain_user(params, V, cfg, train_row, user, k=10):
     Attention uses the full uncorrupted train row as the mask; the top-k
     list excludes train items.
     """
-    tables = (*keys_values(V, params), np.ascontiguousarray(params.S.T))
-    return _explain_user(params, tables, cfg, train_row, user, k)
-
-
-def _explain_user(params, tables, cfg, train_row, user, k):   # tables: K, Vt, S.T in C order
     obs = np.asarray(train_row, dtype=np.intp)
     if obs.size == 0:
         raise ValueError(f"user {user} has an empty interaction history")
-    K, Vt, S_T = tables
-    segs = Segments.of([obs])
-    A = attend(K[obs], params.Q, segs, cfg.kappa)
-    pred = decode_maxout(encode(A, Vt[obs], segs, params.B), S_T)
-    top = rank_topk(pred.scores[0], obs, k)
-    recs = [(int(j), int(pred.mode_of[0, j]), pred.per_mode[0, :, j].copy()) for j in top]
+    history = sp.csr_matrix((np.ones(obs.size), obs, [0, obs.size]),
+                            shape=(1, params.S.shape[0]))
+    A, pred = ama_predictor(params, V, cfg)(history)
+    order, length = rank_rows(pred.scores, history)
+    recs = [(int(j), int(pred.mode_of[0, j]), pred.per_mode[0, :, j].copy())
+            for j in order[0, :min(k, length[0])]]
     return UserExplanation(user=user, attention=A.T, observed=obs, recommendations=recs)
 
 
@@ -78,16 +75,19 @@ def mode_usage(params, V, cfg, data, k=10):
     their train row is empty or covers the whole catalog, are not counted.
     """
     train = data.train
-    hist = np.zeros(params.Q.shape[0], dtype=np.int64)
-    tables = (*keys_values(V, params), np.ascontiguousarray(params.S.T))
-    for u, obs in enumerate(np.split(train.indices, train.indptr[1:-1])):
-        if obs.size == 0:
-            continue
-        exp = _explain_user(params, tables, cfg, obs, u, k)
-        used = len({mode for _, mode, _ in exp.recommendations})
-        if used:
-            hist[used - 1] += 1
-    return hist
+    d = params.Q.shape[0]
+    predict = ama_predictor(params, V, cfg)
+    users = np.flatnonzero(np.diff(train.indptr))
+    hist = np.zeros(d + 1, dtype=np.int64)
+    for start in range(0, users.size, BLOCK):
+        rows = train[users[start:start + BLOCK]]
+        pred = predict(rows)[1]
+        order, length = rank_rows(pred.scores, rows)
+        modes = np.take_along_axis(pred.mode_of, order[:, :k], axis=1)
+        modes[np.arange(modes.shape[1]) >= length[:, None]] = -1   # past the ranked list
+        used = sum((modes == l).any(axis=1) for l in range(d))
+        hist += np.bincount(used, minlength=d + 1)
+    return hist[1:]
 
 
 def mode_top_items(params, V, cfg, data, n_top=10):

@@ -16,14 +16,7 @@ import pytest
 
 from amarec.baselines import ama_scorer, pop_scorer
 from amarec.dataset import binarize, parse_ratings, temporal_split
-from amarec.evaluation import (
-    evaluate,
-    map_at_k,
-    ndcg,
-    precision_at_k,
-    r_precision,
-    recall_at_k,
-)
+from amarec.evaluation import evaluate
 from amarec.explain import mode_usage
 from amarec.linalg import embed_items, randomized_svd
 from amarec.model import (
@@ -42,6 +35,7 @@ from amarec.training import TrainConfig, train
 from conftest import synthetic_events, write_movielens_file
 from oracles import enumerate_metrics, finite_difference, jacobi_singular_values
 from test_gradients import well_separated_instance
+from test_metrics import metrics_of
 from test_model import small_instance
 
 ML1M_ENV = "AMAREC_ML1M_RATINGS"
@@ -173,10 +167,11 @@ def test_criterion_7_metric_oracle_equivalence():
     # worked example
     ranked = np.array([10, 11, 12, 13, 14])
     relevant = {10, 13, 99}
-    assert precision_at_k(ranked, relevant, 5) == 0.4
-    assert recall_at_k(ranked, relevant, 5) == 2 / 3
-    assert map_at_k(ranked, relevant, 5) == 0.5
-    assert abs(ndcg(ranked, relevant, 5) - 0.6714) < 2e-4
+    worked = metrics_of(ranked, relevant, 5)
+    assert worked["precision"] == 0.4
+    assert worked["recall"] == 2 / 3
+    assert worked["ap"] == 0.5
+    assert abs(worked["ndcg"] - 0.6714) < 2e-4
     # bit-exact equivalence with the enumeration oracle on small fixtures
     for seed in range(50):
         rng = np.random.default_rng(seed)
@@ -185,12 +180,7 @@ def test_criterion_7_metric_oracle_equivalence():
         relevant = set(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                   replace=False).tolist())
         k = int(rng.integers(1, 6))
-        oracle = enumerate_metrics(ranked, relevant, k)
-        assert precision_at_k(ranked, relevant, k) == oracle["precision"]
-        assert recall_at_k(ranked, relevant, k) == oracle["recall"]
-        assert map_at_k(ranked, relevant, k) == oracle["ap"]
-        assert r_precision(ranked, relevant) == oracle["r_precision"]
-        assert ndcg(ranked, relevant) == oracle["ndcg"]
+        assert metrics_of(ranked, relevant, k) == enumerate_metrics(ranked, relevant, k)
     passed(7, "worked example and 50 fixtures bit-exact against the oracle")
 
 

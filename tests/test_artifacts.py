@@ -240,8 +240,8 @@ class TestDrift:
                 assert tcfg.model.lam == cfg["lambda"] and tcfg.model.d == cfg["d"]
             else:
                 args = types.SimpleNamespace(model=None, baseline=None)
-                scores = cli._scorer_for(args, data, cfg)(np.array([0, 1]), 0)
-                assert scores.shape == (220,)
+                scores = cli._scorer_for(args, data, cfg)(train[:1], np.array([0]))
+                assert scores.shape == (1, 220)
 
 
 class TestDamagedFiles:

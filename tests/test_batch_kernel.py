@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from amarec.baselines import ama_scorer
@@ -120,8 +121,10 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
     clean = [np.flatnonzero(r) for r in rows]
     _, _, trained = batch_gradients(np.array(rows), clean, params, V, cfg)
     score = ama_scorer(params, V, cfg)
+    block = sp.csr_matrix(np.array(rows))
+    assert np.array_equal(score(block, np.arange(len(rows))), trained.scores)
     for b, obs in enumerate(clean):
-        assert np.array_equal(score(obs, b), trained.scores[b])
+        assert np.array_equal(score(block[b], np.array([b]))[0], trained.scores[b])
         for j, mode, per_mode in explain_user(params, V, cfg, obs, b, k=n).recommendations:
             assert mode == trained.mode_of[b, j]
             assert np.array_equal(per_mode, trained.per_mode[b, :, j])
@@ -166,11 +169,14 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
             "--set", "batch_size=25", *fast)
         run(threads, "evaluate", "--data", data, "--model", "model.bin", "--out",
             "report.json", *fast)
+        for baseline in ("pop", "puresvd"):
+            run(threads, "evaluate", "--data", data, "--baseline", baseline, "--out",
+                f"{baseline}.json", *fast)
         # without --out, each report goes to its default file name
         run(threads, "explain", "--data", data, "--model", "model.bin", "--user", "u000",
             "--dot", "user.dot", "--histogram", "--modes", *fast)
-    names = ["model.bin", "report.json", "user_u000.json", "user.dot", "mode_usage.csv",
-             "mode_top_items.csv"]
+    names = ["model.bin", "report.json", "pop.json", "puresvd.json", "user_u000.json",
+             "user.dot", "mode_usage.csv", "mode_top_items.csv"]
     for name in names:
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), \
             name

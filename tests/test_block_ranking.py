@@ -1,0 +1,96 @@
+"""evaluate's and explain's block ranking path against a per-user reference:
+a lexsort ranking of one user at a time, ``enumerate_metrics`` for the metric
+rows and a plain loop for the mode-usage histogram, compared bit for bit."""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from amarec.evaluation import BLOCK, metric_rows
+from amarec.explain import mode_usage
+from amarec.model import AmaConfig, Segments, attend, decode_maxout, encode, keys_values
+from oracles import enumerate_metrics
+from test_metrics import make_split
+from test_model import random_params
+
+
+def random_rows(rng, m, n):
+    """m random item sets over n items; about one in five is empty and one in
+    eight covers the whole catalog."""
+    rows = []
+    for _ in range(m):
+        size = int(rng.integers(1, n + 1)) if rng.random() >= 0.2 else 0
+        if rng.random() < 1 / 8:
+            size = n
+        rows.append(sorted(rng.choice(n, size=size, replace=False).tolist()))
+    return rows
+
+
+def reference_ranked(scores, exclude):
+    n = scores.size
+    return [j for j in np.lexsort((np.arange(n), -scores)).tolist() if j not in exclude]
+
+
+def reference_row(ranked, relevant, ks):
+    if not ranked:   # every metric is 0; the oracle's NDCG would divide by 0
+        return [0.0] * (2 + 3 * len(ks))
+    by_k = {k: enumerate_metrics(ranked, relevant, k) for k in ks}
+    first = by_k[ks[0]]
+    return ([first["r_precision"], first["ndcg"]] + [by_k[k]["ap"] for k in ks]
+            + [by_k[k]["precision"] for k in ks] + [by_k[k]["recall"] for k in ks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 2 * BLOCK + 5), n=st.integers(1, 9),
+       levels=st.integers(1, 4), split=st.sampled_from(["test", "validation"]),
+       ks=st.lists(st.integers(1, 11), min_size=1, max_size=3, unique=True))
+@example(seed=0, m=1, n=1, levels=1, split="test", ks=[1])
+@example(seed=5, m=2 * BLOCK + 1, n=4, levels=2, split="validation", ks=[3, 1])
+def test_metric_rows_match_per_user_reference(seed, m, n, levels, split, ks):
+    rng = np.random.default_rng(seed)
+    # train, validation and test rows drawn independently: an item may sit in
+    # a user's train and test rows at once, as an item rated twice can
+    data = make_split(random_rows(rng, m, n), random_rows(rng, m, n), random_rows(rng, m, n), n)
+    scores = rng.integers(0, levels, size=(m, n)).astype(float)   # ties when levels < n
+    names, users, rows = metric_rows(lambda rows, users: scores[users], data, split, ks)
+
+    target = data.test if split == "test" else data.validation
+    expected_users = [u for u in range(m) if target[u].nnz]
+    assert users.tolist() == expected_users
+    assert rows.shape == (len(expected_users), len(names))
+    for u, row in zip(expected_users, rows):
+        exclude = set(data.train[u].indices.tolist())
+        if split == "test":
+            exclude |= set(data.validation[u].indices.tolist())
+        ranked = reference_ranked(scores[u], exclude)
+        expected = reference_row(ranked, set(target[u].indices.tolist()), sorted(ks))
+        assert row.tolist() == expected, (u, names)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 2 * BLOCK + 5), n=st.integers(1, 9),
+       d=st.integers(1, 4), k=st.integers(1, 11), tied=st.booleans())
+@example(seed=3, m=2 * BLOCK + 2, n=6, d=3, k=4, tied=True)
+def test_mode_usage_matches_per_user_loop(seed, m, n, d, k, tied):
+    rng = np.random.default_rng(seed)
+    cfg = AmaConfig(h=3, d=d, kappa=2)
+    V = rng.standard_normal((n, cfg.h))
+    params = random_params(n, cfg, seed=seed + 1)
+    if tied:   # every score ties at 0 and every item takes mode 0
+        params.S[:] = 0.0
+    data = make_split(random_rows(rng, m, n), [[]] * m, [[]] * m, n)
+
+    K, Vt = keys_values(V, params)
+    S_T = np.ascontiguousarray(params.S.T)
+    expected = np.zeros(d, dtype=np.int64)
+    for u in range(m):
+        obs = data.train[u].indices
+        if not obs.size:
+            continue
+        segs = Segments.of([obs])
+        pred = decode_maxout(encode(attend(K[obs], params.Q, segs, cfg.kappa), Vt[obs], segs,
+                                    params.B), S_T)
+        top = reference_ranked(pred.scores[0], set(obs.tolist()))[:k]
+        used = len({int(pred.mode_of[0, j]) for j in top})
+        if used:
+            expected[used - 1] += 1
+    assert mode_usage(params, V, cfg, data, k=k).tolist() == expected.tolist()

@@ -132,6 +132,14 @@ class TestTrainEvaluateExplain:
                    "--set", "rank=4", "--set", "gamma=3", "--ks", "5"])
         assert rc == 0
 
+    def test_non_integer_value_of_integer_key_rejected(self, prepped, capsys, monkeypatch):
+        svds = []
+        monkeypatch.setattr(baselines, "randomized_svd", lambda *a, **kw: svds.append(a))
+        rc = main(["evaluate", "--data", str(prepped), "--baseline", "puresvd",
+                   "--set", "rank=4.7"])
+        assert rc == 1 and svds == []
+        assert "bad value '4.7' for rank" in capsys.readouterr().err
+
     def test_unknown_split_nonzero(self, prepped, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--data", str(prepped), "--baseline", "pop",

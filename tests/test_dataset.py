@@ -48,6 +48,14 @@ class TestParseRatings:
             parse_ratings(p, "movielens-dat")
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("timestamp", ["1.7", "2.0", "1e3"])
+    def test_non_integer_timestamp_rejected_at_its_line(self, tmp_path, timestamp):
+        p = tmp_path / "ratings.dat"
+        p.write_text(f"1::1::5::10\n2::2::4::{timestamp}\n")
+        with pytest.raises(ParseError, match=timestamp) as exc:
+            parse_ratings(p, "movielens-dat")
+        assert exc.value.line_number == 2
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_ratings(tmp_path / "x", "netflix")
@@ -198,3 +206,16 @@ def test_save_load_roundtrip(tmp_path, tiny_split):
         a, b = getattr(loaded, name), getattr(tiny_split, name)
         assert (a != b).nnz == 0
     assert split_content_hash(loaded) == split_content_hash(tiny_split)
+
+
+@pytest.mark.parametrize("row", ["0,99999", "-1,0"])
+def test_out_of_range_index_names_file_and_line(tmp_path, tiny_split, row):
+    save_split(tiny_split, tmp_path / "out", threshold=2)
+    path = tmp_path / "out" / "train.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = row + "\n"   # line 4; the entry count still matches split.json
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError) as exc:
+        load_split(tmp_path / "out")
+    assert exc.value.line_number == 4
+    assert str(path) in str(exc.value) and row in str(exc.value)

@@ -166,6 +166,7 @@ def test_csv_and_dot_outputs(tmp_path):
 
 def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monkeypatch):
     import amarec.explain as explain_mod
+    from amarec import baselines
 
     cfg, V, params, data = toy_model(m=12, n=9, d=3, seed=11)
     m, n = data.train.shape
@@ -187,8 +188,9 @@ def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monk
     save_mode_top_items_csv(top, tmp_path / "modes_ref.csv")
 
     calls = []
-    monkeypatch.setattr(explain_mod, "keys_values",
-                        lambda *a: calls.append(1) or keys_values(*a))
+    for module in (explain_mod, baselines):   # explain's own and its forward pass's
+        monkeypatch.setattr(module, "keys_values",
+                            lambda *a: calls.append(1) or keys_values(*a))
     save_histogram_csv(mode_usage(params, V, cfg, data, k=3), tmp_path / "hist.csv")
     save_mode_top_items_csv(mode_top_items(params, V, cfg, data, n_top=4),
                             tmp_path / "modes.csv")

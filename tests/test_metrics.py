@@ -6,41 +6,52 @@ import pytest
 import scipy.sparse as sp
 
 from amarec.dataset import SplitDataset
-from amarec.evaluation import (
-    evaluate,
-    map_at_k,
-    ndcg,
-    precision_at_k,
-    r_precision,
-    rank_topk,
-    recall_at_k,
-)
+from amarec.evaluation import evaluate, metric_rows, rank_rows
 from oracles import enumerate_metrics
+
+
+def ranked_list(scores, exclude=(), k=None):
+    """One row's ranked list through rank_rows; ``exclude`` may repeat an item."""
+    exclude = np.asarray(exclude, dtype=np.intp)
+    block = sp.csr_matrix((np.ones(exclude.size), exclude, [0, exclude.size]),
+                          shape=(1, len(scores)))
+    order, length = rank_rows([scores], block)
+    return order[0, :length[0]][:k]
+
+
+def metrics_of(ranked, relevant, k):
+    """One user's metrics through the block path of evaluate, for a scorer
+    that ranks ``ranked`` in that order and a train row holding every other
+    item, so the ranked list is exactly ``ranked``."""
+    n = max([*ranked, *relevant]) + 1
+    scores = np.zeros(n)
+    scores[list(ranked)] = np.arange(len(ranked), 0, -1)
+    data = make_split([sorted(set(range(n)) - set(ranked))], [sorted(relevant)], [[]], n)
+    names, _, rows = metric_rows(lambda rows, users: scores[None], data, "validation", (k,))
+    row = dict(zip(names, rows[0].tolist()))
+    return {"precision": row[f"Precision@{k}"], "recall": row[f"Recall@{k}"],
+            "ap": row[f"MAP@{k}"], "r_precision": row["R-Precision"], "ndcg": row["NDCG"]}
 
 
 class TestRankTopk:
     def test_basic(self):
-        out = rank_topk([0.1, 0.9, 0.5], exclude=[], k=2)
-        assert out.tolist() == [1, 2]
+        assert ranked_list([0.1, 0.9, 0.5], k=2).tolist() == [1, 2]
 
     def test_exclusion(self):
-        out = rank_topk([0.1, 0.9, 0.5], exclude=[1], k=2)
-        assert out.tolist() == [2, 0]
+        assert ranked_list([0.1, 0.9, 0.5], exclude=[1], k=2).tolist() == [2, 0]
 
     def test_tie_breaks_ascending_index(self):
-        out = rank_topk([0.5, 0.1, 0.5], exclude=[], k=2)
-        assert out.tolist() == [0, 2]
+        assert ranked_list([0.5, 0.1, 0.5], k=2).tolist() == [0, 2]
 
     def test_no_duplicates_no_excluded(self):
         rng = np.random.default_rng(0)
         scores = rng.random(12)
-        out = rank_topk(scores, exclude=[2, 5], k=None)
+        out = ranked_list(scores, exclude=[2, 5])
         assert len(set(out.tolist())) == len(out) == 10
         assert not {2, 5} & set(out.tolist())
 
     def test_repeated_exclusion_counted_once(self):
-        out = rank_topk([5, 4, 3, 2, 1], exclude=[0, 0], k=None)
-        assert out.tolist() == [1, 2, 3, 4]
+        assert ranked_list([5, 4, 3, 2, 1], exclude=[0, 0]).tolist() == [1, 2, 3, 4]
 
 
 WORKED_RANKED = np.array([10, 11, 12, 13, 14])  # hits at ranks 1 and 4
@@ -49,46 +60,45 @@ WORKED_RELEVANT = {10, 13, 99}
 
 class TestWorkedExample:
     def test_precision(self):
-        assert precision_at_k(WORKED_RANKED, WORKED_RELEVANT, 5) == pytest.approx(0.4)
+        assert metrics_of(WORKED_RANKED, WORKED_RELEVANT, 5)["precision"] == pytest.approx(0.4)
 
     def test_recall(self):
-        assert recall_at_k(WORKED_RANKED, WORKED_RELEVANT, 5) == pytest.approx(2 / 3)
+        assert metrics_of(WORKED_RANKED, WORKED_RELEVANT, 5)["recall"] == pytest.approx(2 / 3)
 
     def test_map(self):
-        assert map_at_k(WORKED_RANKED, WORKED_RELEVANT, 5) == pytest.approx(0.5)
+        assert metrics_of(WORKED_RANKED, WORKED_RELEVANT, 5)["ap"] == pytest.approx(0.5)
 
     def test_ndcg(self):
         expected = (1 + 1 / math.log2(5)) / (1 + 1 / math.log2(3) + 1 / math.log2(4))
-        got = ndcg(WORKED_RANKED, WORKED_RELEVANT, k_cap=5)
+        got = metrics_of(WORKED_RANKED, WORKED_RELEVANT, 5)["ndcg"]
         assert got == pytest.approx(expected)
         assert got == pytest.approx(0.6714, abs=2e-4)
 
     def test_r_precision(self):
         # R = 3 relevant, one hit in the top-3
-        assert r_precision(WORKED_RANKED, WORKED_RELEVANT) == pytest.approx(1 / 3)
+        assert metrics_of(WORKED_RANKED, WORKED_RELEVANT, 5)["r_precision"] == \
+            pytest.approx(1 / 3)
 
 
 class TestTrivialCases:
     def test_all_relevant_topk(self):
-        ranked = np.arange(5)
-        relevant = set(range(8))
-        assert precision_at_k(ranked, relevant, 5) == 1.0
-        assert map_at_k(ranked, relevant, 5) == 1.0
+        got = metrics_of(np.arange(5), set(range(8)), 5)
+        assert got["precision"] == 1.0
+        assert got["ap"] == 1.0
 
     def test_no_hits(self):
-        ranked = np.arange(5)
-        relevant = {90, 91}
-        assert precision_at_k(ranked, relevant, 5) == 0.0
-        assert recall_at_k(ranked, relevant, 5) == 0.0
-        assert map_at_k(ranked, relevant, 5) == 0.0
-        assert ndcg(ranked, relevant) == 0.0
-        assert r_precision(ranked, relevant) == 0.0
+        got = metrics_of(np.arange(5), {90, 91}, 5)
+        assert got["precision"] == 0.0
+        assert got["recall"] == 0.0
+        assert got["ap"] == 0.0
+        assert got["ndcg"] == 0.0
+        assert got["r_precision"] == 0.0
 
     def test_ideal_ranking_ndcg_one(self):
-        assert ndcg(np.array([3, 1, 9]), {3, 1, 9}) == pytest.approx(1.0)
+        assert metrics_of(np.array([3, 1, 9]), {3, 1, 9}, 1)["ndcg"] == pytest.approx(1.0)
 
     def test_all_top_r_relevant(self):
-        assert r_precision(np.array([0, 1, 2, 3]), {0, 1}) == 1.0
+        assert metrics_of(np.array([0, 1, 2, 3]), {0, 1}, 1)["r_precision"] == 1.0
 
 
 class TestOracleEquivalence:
@@ -99,28 +109,32 @@ class TestOracleEquivalence:
         ranked = rng.permutation(n)
         relevant = set(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
         k = int(rng.integers(1, 6))
-        oracle = enumerate_metrics(ranked, relevant, k)
-        assert precision_at_k(ranked, relevant, k) == oracle["precision"]
-        assert recall_at_k(ranked, relevant, k) == oracle["recall"]
-        assert map_at_k(ranked, relevant, k) == oracle["ap"]
-        assert r_precision(ranked, relevant) == oracle["r_precision"]
-        assert ndcg(ranked, relevant) == oracle["ndcg"]
+        assert metrics_of(ranked, relevant, k) == enumerate_metrics(ranked, relevant, k)
+
+    def test_long_list_bit_exact(self):
+        # a pairwise sum of 200 gains differs from the oracle's loop; a lone
+        # hit at rank 1,620 or 3,241 scores NDCG 1 / log2(1621) or
+        # 1 / log2(3242), where np.log2 is one bit off math.log2
+        rng = np.random.default_rng(1)
+        ranked = rng.permutation(3300)
+        many = set(rng.choice(3300, size=200, replace=False).tolist())
+        for relevant in (many, {int(ranked[1619])}, {int(ranked[3240])}):
+            for k in (5, 50, 3300):
+                assert metrics_of(ranked, relevant, k) == enumerate_metrics(ranked, relevant, k)
 
     def test_r_precision_order_insensitive(self):
         relevant = {0, 2, 5}
         base = [2, 5, 7, 1, 0]
-        vals = {r_precision(np.array(list(p) + base[3:]), relevant)
+        vals = {metrics_of(np.array(list(p) + base[3:]), relevant, 1)["r_precision"]
                 for p in itertools.permutations(base[:3])}
         assert len(vals) == 1
 
     def test_monotone_in_added_hit(self):
         relevant = {4, 9}
-        worse = np.array([0, 1, 2, 3, 4])   # hit at rank 5
-        better = np.array([0, 1, 2, 4, 3])  # hit at rank 4
-        for metric in (lambda r: precision_at_k(r, relevant, 5),
-                       lambda r: map_at_k(r, relevant, 5),
-                       lambda r: ndcg(r, relevant, 5)):
-            assert metric(better) >= metric(worse)
+        worse = metrics_of(np.array([0, 1, 2, 3, 4]), relevant, 5)   # hit at rank 5
+        better = metrics_of(np.array([0, 1, 2, 4, 3]), relevant, 5)  # hit at rank 4
+        for metric in ("precision", "ap", "ndcg"):
+            assert better[metric] >= worse[metric]
 
 
 def make_split(train_rows, val_rows, test_rows, n):
@@ -141,7 +155,7 @@ def make_split(train_rows, val_rows, test_rows, n):
 class TestEvaluate:
     def test_single_user_zero_ci(self):
         data = make_split([[0]], [[]], [[1]], n=4)
-        report = evaluate(lambda row, u: np.array([0.0, 1.0, 0.5, 0.2]), data,
+        report = evaluate(lambda rows, users: np.array([[0.0, 1.0, 0.5, 0.2]]), data,
                           ks=(1, 2))
         assert report.num_users == 1
         for rec in report.metrics.values():
@@ -150,10 +164,8 @@ class TestEvaluate:
     def test_perfect_oracle_scorer(self):
         data = make_split([[0], [1]], [[], []], [[1, 2], [0, 3]], n=5)
 
-        def oracle(row, u):
-            dense = np.zeros(5)
-            dense[data.test[u].indices] = 1.0
-            return dense
+        def oracle(rows, users):
+            return data.test[users].toarray()
 
         report = evaluate(oracle, data, ks=(2,))
         assert report.metrics["Precision@2"]["mean"] == 1.0
@@ -165,7 +177,8 @@ class TestEvaluate:
         data = make_split([[0, 1], [2], [0]], [[1, 2], [], [1]],
                           [[3, 4], [0, 3], [2]], n=5)
         scores = {0: [9, 8, 7, 6, 5], 1: [1, 5, 3, 2, 4], 2: [2, 2, 2, 9, 1]}
-        report = evaluate(lambda row, u: np.array(scores[u], float), data, ks=(2,))
+        report = evaluate(lambda rows, users: np.array([scores[u] for u in users], float),
+                          data, ks=(2,))
 
         per_user = []
         for u in range(3):
@@ -184,22 +197,24 @@ class TestEvaluate:
 
     def test_empty_relevant_users_skipped(self):
         data = make_split([[0], [1]], [[], []], [[1], []], n=3)
-        report = evaluate(lambda row, u: np.arange(3, dtype=float), data, ks=(1,))
+        report = evaluate(lambda rows, users: np.tile(np.arange(3.0), (len(users), 1)), data,
+                          ks=(1,))
         assert report.num_users == 1
 
     def test_validation_split_excludes_train_only(self):
         data = make_split([[0]], [[1]], [[2]], n=3)
         # item 2 scores highest; at validation time it must stay rankable
-        report = evaluate(lambda row, u: np.array([0.0, 0.5, 1.0]), data,
+        report = evaluate(lambda rows, users: np.array([[0.0, 0.5, 1.0]]), data,
                           split="validation", ks=(1,))
         assert report.metrics["Precision@1"]["mean"] == 0.0
-        report_t = evaluate(lambda row, u: np.array([0.0, 0.5, 1.0]), data,
+        report_t = evaluate(lambda rows, users: np.array([[0.0, 0.5, 1.0]]), data,
                             split="test", ks=(1,))
         assert report_t.metrics["Precision@1"]["mean"] == 1.0
 
     def test_report_serialization(self):
         data = make_split([[0]], [[]], [[1]], n=3)
-        report = evaluate(lambda row, u: np.arange(3, dtype=float), data, ks=(1,))
+        report = evaluate(lambda rows, users: np.tile(np.arange(3.0), (len(users), 1)), data,
+                          ks=(1,))
         text = report.to_json()
         assert '"R-Precision"' in text
         assert "R-Precision" in report.table()
