@@ -260,6 +260,55 @@ def save_split(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
         fh.write("\n")
 
 
+def _read_pairs(path, m, n):
+    """The (user_idx, item_idx) rows below the header line of a split CSV,
+    parsed with numpy from the file's bytes. Each row must be two unsigned
+    decimal integers below m and n, joined by a comma and ending in \\n,
+    \\r\\n or the end of the file; the first row that is not raises a
+    ParseError naming the file and line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw:
+        raise ParseError(f"{path}: empty file, expected a user_idx,item_idx header", 1)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    newline = np.flatnonzero(buf == ord("\n"))
+    start, end = np.append(0, newline + 1), np.append(newline, buf.size)
+    keep = start < buf.size   # no line after a final newline
+    keep[0] = False           # line 1 is the header
+    start, end = start[keep], end[keep]
+    end -= (end > start) & (buf[end - 1] == ord("\r"))
+
+    def line(i):   # the text of row i, on line i + 2
+        return raw[start[i]:end[i]].decode("utf-8", "replace")
+
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    comma = buf == ord(",")
+    # digits and commas of each row; its line break is neither
+    digits = np.add.reduceat(digit, start, dtype=np.intp)
+    commas = np.add.reduceat(comma, start, dtype=np.intp)
+    ok = (commas == 1) & (digits == end - start - 1) & digit[start] & digit[end - 1]
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise ParseError(f"{path}: expected user_idx,item_idx, got {line(bad)!r}", bad + 2)
+    sep = np.flatnonzero(comma)
+    sep = sep[sep.size - start.size:]   # one per row, after any in the header
+
+    def number(lo, hi):   # saturates at 10**17, above any index, so it cannot wrap
+        value = np.zeros(lo.size, dtype=np.int64)
+        for k in range(int((hi - lo).max(initial=0)), 0, -1):   # k-th digit from the right
+            at = hi - k
+            place = np.where(at >= lo, buf[np.maximum(at, 0)] - ord("0"), 0)
+            value = np.minimum(10 * value + place, 10**17)
+        return value
+
+    rows, cols = number(start, sep), number(sep + 1, end)
+    bad = np.flatnonzero((rows >= m) | (cols >= n))
+    if bad.size:
+        raise ParseError(f"{path}: index {line(bad[0])} outside the {m} users x {n} items "
+                         "of split.json", int(bad[0]) + 2)
+    return rows, cols
+
+
 def load_split(out_dir):
     """Inverse of save_split. Rejects a malformed or out-of-range row,
     naming its file and line, and a matrix whose entry count differs from
@@ -269,24 +318,8 @@ def load_split(out_dir):
     m, n = meta["num_users"], meta["num_items"]
 
     def read_csv(name):
-        rows, cols = [], []
         path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    u, j = row
-                    rows.append(int(u))
-                    cols.append(int(j))
-                except ValueError:
-                    raise ParseError(f"{path}: expected user_idx,item_idx, got "
-                                     f"{','.join(row)!r}", lineno) from None
-        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-        bad = np.flatnonzero((rows < 0) | (rows >= m) | (cols < 0) | (cols >= n))
-        if bad.size:   # line 1 is the header
-            raise ParseError(f"{path}: index {rows[bad[0]]},{cols[bad[0]]} outside the "
-                             f"{m} users x {n} items of split.json", int(bad[0]) + 2)
+        rows, cols = _read_pairs(path, m, n)
         mat = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, n))
         mat.sort_indices()
         if mat.nnz != meta["counts"][name]:

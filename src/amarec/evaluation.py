@@ -1,5 +1,12 @@
 """Full-catalog top-N ranking of blocks of users and the five ranking metrics.
 
+Every item of the catalog is ranked, never a sample. Within a user's row,
+items go by descending score, ties to the smaller item index, and the
+user's excluded items (train, and validation at test time) come last. No
+report reads a whole ranked row, so none is built: ``top_k`` gives the
+first k items of each row, and ``hit_ranks`` the exact rank of each
+relevant item, from which ``metric_rows`` reads every metric.
+
 Metrics follow the usual binary-relevance definitions: Precision@K,
 Recall@K, MAP@K normalized by min(K, |relevant|), R-Precision, and
 binary-gain NDCG over the full ranked list. Users with an empty relevant
@@ -47,30 +54,76 @@ class RankingReport:
         return "\n".join([header, values, "(95% CI) " + cis])
 
 
-def rank_rows(scores, *exclude):
-    """Each row's items by descending score, ties to the smaller item index,
-    with the entries of the CSR blocks ``exclude`` (one row per score row)
-    ranked at -inf; a repeated entry counts once. Returns the (B, n) order and
-    the ranked lengths n - |excluded|: row b ranks ``order[b, :length[b]]``."""
-    masked = np.array(scores, dtype=np.float64)
-    hidden = np.zeros(masked.shape, dtype=bool)
+def rank_keys(scores, *exclude):
+    """Ascending sort keys for a block of score rows: ``-scores``, with the
+    entries of the CSR blocks ``exclude`` (one row per score row) at +inf so
+    that they rank last; a repeated entry counts once. Returns the (B, n)
+    keys and each row's count of ranked items, n - |excluded|. An item
+    scored -inf is not ranked either; a NaN score raises ValueError."""
+    keys = -np.asarray(scores, dtype=np.float64)
+    if np.isnan(keys).any():
+        raise ValueError("a scorer returned a NaN score, which has no rank")
     for block in exclude:
-        hidden[np.repeat(np.arange(block.shape[0]), np.diff(block.indptr)), block.indices] = True
-    masked[hidden] = -np.inf
-    return np.argsort(-masked, axis=1, kind="stable"), masked.shape[1] - hidden.sum(axis=1)
+        keys[np.repeat(np.arange(block.shape[0]), np.diff(block.indptr)), block.indices] = np.inf
+    return keys, keys.shape[1] - np.isposinf(keys).sum(axis=1)
 
 
-def _block_metrics(order, length, relevant, ks, discount):
+def top_k(keys, k):
+    """Each row's first min(k, n) items by ascending key, ties to the smaller
+    item index. Only the items at or below the row's k-th smallest key, found
+    by ``np.partition``, are sorted, and every item tied with the k-th is
+    among them, so the result equals a stable sort's first k columns."""
+    nb, n = keys.shape
+    k = min(k, n)
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1, None]
+    rows, items = np.nonzero(keys <= kth)   # row-major: ascending item index
+    order = np.lexsort((keys[rows, items], rows))   # stable
+    start = np.searchsorted(rows, np.arange(nb))
+    return items[order][start[:, None] + np.arange(k)]
+
+
+def hit_ranks(keys, relevant):
+    """The 0-based rank of each entry of the CSR block ``relevant``, in CSR
+    order, within its row of ``keys`` ordered as ``top_k`` orders it: the
+    count of items with a smaller key plus the count tied with it at a
+    smaller index. An excluded (+inf) entry is not ranked and reads n."""
+    nb, n = keys.shape
+    ptr, items = relevant.indptr, relevant.indices
+    owner = np.repeat(np.arange(nb), np.diff(ptr))
+    key = keys[owner, items]
+    ordered = np.sort(keys, axis=1)
+    first = np.empty(items.size, dtype=np.intp)   # items with a smaller key
+    ties = np.empty(items.size, dtype=np.intp)    # items with an equal key, itself included
+    for b in range(nb):
+        span = slice(ptr[b], ptr[b + 1])
+        first[span] = np.searchsorted(ordered[b], key[span], "left")
+        ties[span] = np.searchsorted(ordered[b], key[span], "right") - first[span]
+    # an unstable argsort of each row with a tie lists every tie group at
+    # positions first .. first + ties - 1; sort each distinct group's members
+    # by item index once, then count the members below each tied item
+    tied = np.flatnonzero(ties > 1)
+    rows, row = np.unique(owner[tied], return_inverse=True)
+    order = np.argsort(keys[rows], axis=1).ravel()
+    groups, pick, group = np.unique(row * n + first[tied], return_index=True,
+                                    return_inverse=True)
+    size = ties[tied][pick]
+    start = np.cumsum(size) - size   # of each group in ``member``
+    at = np.repeat(groups - start, size) + np.arange(size.sum())
+    member = np.sort(np.repeat(np.arange(groups.size) * n, size) + order[at])
+    rank = first
+    rank[tied] += np.searchsorted(member, group * n + items[tied]) - start[group]
+    rank[np.isposinf(key)] = n
+    return rank
+
+
+def _block_metrics(ranks, length, relevant, ks, discount):
     """The metric rows of a block from the ranks of its relevant items."""
-    nb, n = order.shape
-    rank = np.empty_like(order)
-    rank[np.arange(nb)[:, None], order] = np.arange(n)
-    rank[rank >= length[:, None]] = n   # not ranked: never a hit
+    nb, n = relevant.shape
     R = np.diff(relevant.indptr)
     owner = np.repeat(np.arange(nb), R)
     # each row's hit positions in rank order, padded with n
     hits = np.full((nb, R.max()), n)
-    hits[owner, np.arange(owner.size) - relevant.indptr[owner]] = rank[owner, relevant.indices]
+    hits[owner, np.arange(owner.size) - relevant.indptr[owner]] = ranks
     hits.sort(axis=1)
 
     def found(cut):   # hits among the first ``cut`` ranks; the padding n never counts
@@ -108,8 +161,9 @@ def metric_rows(scorer, data, split="test", ks=(5, 10, 20)):
         block = users[start:start + BLOCK]
         history = data.train[block]
         exclude = (history, data.validation[block]) if split == "test" else (history,)
-        order, length = rank_rows(scorer(history, block), *exclude)
-        rows.append(_block_metrics(order, length, target[block], ks, discount))
+        keys, length = rank_keys(scorer(history, block), *exclude)
+        relevant = target[block]
+        rows.append(_block_metrics(hit_ranks(keys, relevant), length, relevant, ks, discount))
     return names, users, np.concatenate(rows)
 
 

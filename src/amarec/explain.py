@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from amarec.baselines import ama_predictor
-from amarec.evaluation import BLOCK, rank_rows
+from amarec.evaluation import BLOCK, rank_keys, top_k
 from amarec.fileio import atomic_open
 from amarec.model import Segments, attend, keys_values
 
@@ -61,9 +61,9 @@ def explain_user(params, V, cfg, train_row, user, k=10):
     history = sp.csr_matrix((np.ones(obs.size), obs, [0, obs.size]),
                             shape=(1, params.S.shape[0]))
     A, pred = ama_predictor(params, V, cfg)(history)
-    order, length = rank_rows(pred.scores, history)
+    keys, length = rank_keys(pred.scores, history)
     recs = [(int(j), int(pred.mode_of[0, j]), pred.per_mode[0, :, j].copy())
-            for j in order[0, :min(k, length[0])]]
+            for j in top_k(keys, k)[0, :length[0]]]
     return UserExplanation(user=user, attention=A.T, observed=obs, recommendations=recs)
 
 
@@ -82,8 +82,8 @@ def mode_usage(params, V, cfg, data, k=10):
     for start in range(0, users.size, BLOCK):
         rows = train[users[start:start + BLOCK]]
         pred = predict(rows)[1]
-        order, length = rank_rows(pred.scores, rows)
-        modes = np.take_along_axis(pred.mode_of, order[:, :k], axis=1)
+        keys, length = rank_keys(pred.scores, rows)
+        modes = np.take_along_axis(pred.mode_of, top_k(keys, k), axis=1)
         modes[np.arange(modes.shape[1]) >= length[:, None]] = -1   # past the ranked list
         used = sum((modes == l).any(axis=1) for l in range(d))
         hist += np.bincount(used, minlength=d + 1)

@@ -271,8 +271,9 @@ def read_sidecar(path):
 def load_model(path):
     """Returns (AmaParameters, AmaConfig). The sidecar JSON must be present.
 
-    Rejects a file whose length differs from what its header's dims imply and
-    a sidecar whose dims disagree with the header.
+    Rejects a file whose length differs from what its header's dims imply, a
+    parameter holding a NaN or an infinity, and a sidecar whose dims disagree
+    with the header.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -294,6 +295,9 @@ def load_model(path):
         r, c = shapes[name]
         arrays[name] = np.frombuffer(raw, np.float64, r * c, offset).reshape(r, c).copy()
         offset += r * c * 8
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"damaged model file {path}: parameter {name} holds a "
+                             "non-finite value")
     sidecar = read_sidecar(path)
     for key, value in (("n", n), ("h", h), ("d", d), ("kappa", kappa)):
         if sidecar.get(key) != value:

@@ -267,6 +267,28 @@ class TestDamagedFiles:
         with pytest.raises(ValueError, match="damaged model file"):
             load_model(model_path)
 
+    @pytest.mark.parametrize("name", ["W_k", "S"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_parameter_rejected(self, model_path, name, value):
+        params, cfg = load_model(model_path)
+        getattr(params, name)[-1, -1] = value
+        save_model(params, cfg, model_path)
+        with pytest.raises(ValueError, match=f"parameter {name} holds a non-finite value"):
+            load_model(model_path)
+
+    def test_non_finite_parameter_stops_evaluate_and_explain(self, trained, tmp_path, capsys):
+        _, data, model = trained
+        params, cfg = load_model(model)
+        params.S[0, 0] = np.nan
+        bad = tmp_path / "nan.bin"
+        save_model(params, cfg, bad)
+        (tmp_path / "nan.bin.json").write_text((model.parent / "model.bin.json").read_text())
+        for argv in (["evaluate", "--ks", "5"], ["explain", "--histogram", "--k", "5"]):
+            out = tmp_path / "out"
+            assert main([*argv, "--data", str(data), "--model", str(bad), "--out", str(out)]) == 1
+            assert not out.exists()
+            assert "parameter S holds a non-finite value" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["n", "h", "d", "kappa"])
     def test_sidecar_dims_disagree_rejected(self, model_path, key):
         sidecar_path = model_path.parent / "m.bin.json"

@@ -1,11 +1,14 @@
 """evaluate's and explain's block ranking path against a per-user reference:
 a lexsort ranking of one user at a time, ``enumerate_metrics`` for the metric
-rows and a plain loop for the mode-usage histogram, compared bit for bit."""
+rows and a plain loop for the mode-usage histogram, compared bit for bit. The
+two ranking primitives, ``top_k`` and ``hit_ranks``, are also compared with
+the lexsort directly at catalog widths where ``np.partition`` and the
+tie-group counts do real work."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from amarec.evaluation import BLOCK, metric_rows
+from amarec.evaluation import BLOCK, hit_ranks, metric_rows, rank_keys, top_k
 from amarec.explain import mode_usage
 from amarec.model import AmaConfig, Segments, attend, decode_maxout, encode, keys_values
 from oracles import enumerate_metrics
@@ -30,6 +33,45 @@ def reference_ranked(scores, exclude):
     return [j for j in np.lexsort((np.arange(n), -scores)).tolist() if j not in exclude]
 
 
+def signed_scores(rng, m, n, levels):
+    """Continuous scores when ``levels`` is 0, else scores on ``levels``
+    levels around 0; about half of the zeros are -0.0, which ties with 0.0."""
+    if levels:
+        scores = rng.integers(0, levels, size=(m, n)) - levels // 2.0
+    else:
+        scores = rng.standard_normal((m, n))
+        scores[rng.random((m, n)) < 0.1] = 0.0
+    scores[(scores == 0) & (rng.random((m, n)) < 0.5)] = -0.0
+    return scores
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 40), n=st.integers(1, 200),
+       levels=st.integers(0, 4), k=st.integers(1, 220))
+@example(seed=1, m=9, n=200, levels=1, k=200)
+@example(seed=2, m=9, n=150, levels=2, k=10)
+def test_top_k_and_hit_ranks_match_lexsort(seed, m, n, levels, k):
+    rng = np.random.default_rng(seed)
+    scores = signed_scores(rng, m, n, levels)
+    # two exclusion blocks that may share entries, as train and validation
+    # rows do at test time; one row in eight excludes the whole catalog
+    data = make_split(random_rows(rng, m, n), random_rows(rng, m, n), random_rows(rng, m, n), n)
+    keys, length = rank_keys(scores, data.train, data.validation)
+    top = top_k(keys, k)
+    ranks = hit_ranks(keys, data.test)
+
+    assert top.shape == (m, min(k, n))
+    for u in range(m):
+        exclude = set(data.train[u].indices.tolist()) | set(data.validation[u].indices.tolist())
+        ranked = reference_ranked(scores[u], exclude)
+        assert length[u] == len(ranked)
+        masked = np.where(np.isin(np.arange(n), list(exclude)), -np.inf, scores[u])
+        assert top[u].tolist() == np.lexsort((np.arange(n), -masked))[:k].tolist()
+        relevant = data.test[u].indices.tolist()
+        expected = [ranked.index(j) if j in ranked else n for j in relevant]
+        assert ranks[data.test.indptr[u]:data.test.indptr[u + 1]].tolist() == expected
+
+
 def reference_row(ranked, relevant, ks):
     if not ranked:   # every metric is 0; the oracle's NDCG would divide by 0
         return [0.0] * (2 + 3 * len(ks))
@@ -45,6 +87,7 @@ def reference_row(ranked, relevant, ks):
        ks=st.lists(st.integers(1, 11), min_size=1, max_size=3, unique=True))
 @example(seed=0, m=1, n=1, levels=1, split="test", ks=[1])
 @example(seed=5, m=2 * BLOCK + 1, n=4, levels=2, split="validation", ks=[3, 1])
+@example(seed=6, m=BLOCK + 3, n=120, levels=3, split="test", ks=[1, 10])
 def test_metric_rows_match_per_user_reference(seed, m, n, levels, split, ks):
     rng = np.random.default_rng(seed)
     # train, validation and test rows drawn independently: an item may sit in

@@ -1,5 +1,8 @@
 import json
+import os
+import resource
 
+import numpy as np
 import pytest
 
 from amarec import baselines, linalg
@@ -194,6 +197,12 @@ class TestTrainEvaluateExplain:
         else:
             assert f"line {len(lines)}: {path}: expected user_idx,item_idx, got '" in err
 
+    def test_empty_validation_file_rejected(self, prepped, capsys):
+        path = prepped / "validation.csv"
+        path.write_bytes(b"")
+        assert main(["evaluate", "--data", str(prepped), "--baseline", "pop"]) == 1
+        assert f"line 1: {path}: empty file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, flag, value", [
         (["evaluate", "--baseline", "pop"], "--ks", "5,0"),
         (["evaluate", "--baseline", "pop"], "--ks", "-3"),
@@ -226,3 +235,28 @@ def test_unknown_split_raises_systemexit_guard():
     # argparse exits with code 2 on bad choices; ensure main() surfaces it
     with pytest.raises(SystemExit):
         main(["evaluate", "--split", "dev", "--data", "x", "--frobnicate"])
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator setting applies to glibc only")
+def test_main_keeps_freed_memory_for_reuse(tmp_path, capsys):
+    # about 81 MB freed at the top of the heap is more than glibc's adaptive
+    # trim threshold (at most 64 MB) would keep, so without main's setting the
+    # second round faults every page in again (about 20,000 faults)
+    main(["prep", "--input", str(tmp_path / "nope.dat"), "--format", "movielens-dat",
+          "--out", str(tmp_path / "o")])
+
+    def allocate():   # 27 touched arrays of 3 MiB, below numpy's huge-page size
+        arrays = [np.ones(3 << 17) for _ in range(27)]
+        del arrays
+
+    allocate()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    allocate()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000

@@ -219,3 +219,43 @@ def test_out_of_range_index_names_file_and_line(tmp_path, tiny_split, row):
         load_split(tmp_path / "out")
     assert exc.value.line_number == 4
     assert str(path) in str(exc.value) and row in str(exc.value)
+
+
+@pytest.mark.parametrize("edit", [lambda text: text.replace("\r\n", "\n"),
+                                  lambda text: text.rstrip("\r\n")],
+                         ids=["lf-endings", "no-final-line-break"])
+def test_line_endings_load_identical_matrices(tmp_path, tiny_split, edit):
+    save_split(tiny_split, tmp_path / "out", threshold=2)
+    for name in ("train", "validation", "test"):
+        path = tmp_path / "out" / f"{name}.csv"
+        path.write_bytes(edit(path.read_bytes().decode()).encode())
+    loaded = load_split(tmp_path / "out")
+    for name in ("train", "validation", "test"):
+        a, b = getattr(loaded, name), getattr(tiny_split, name)
+        assert a.shape == b.shape
+        for field in ("indptr", "indices", "data"):
+            assert getattr(a, field).tolist() == getattr(b, field).tolist()
+
+
+@pytest.mark.parametrize("name, row", [("train", ""), ("train", "3,4,5"),
+                                       ("validation", "2.0,1"), ("test", "1,2.0")])
+def test_malformed_row_names_file_and_line(tmp_path, tiny_split, name, row):
+    save_split(tiny_split, tmp_path / "out", threshold=2)
+    path = tmp_path / "out" / f"{name}.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = row + "\r\n"   # line 3
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError) as exc:
+        load_split(tmp_path / "out")
+    assert exc.value.line_number == 3
+    assert f"{path}: expected user_idx,item_idx, got {row!r}" in str(exc.value)
+
+
+def test_empty_file_names_the_file(tmp_path, tiny_split):
+    save_split(tiny_split, tmp_path / "out", threshold=2)
+    path = tmp_path / "out" / "validation.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ParseError) as exc:
+        load_split(tmp_path / "out")
+    assert exc.value.line_number == 1
+    assert f"{path}: empty file" in str(exc.value)

@@ -6,17 +6,17 @@ import pytest
 import scipy.sparse as sp
 
 from amarec.dataset import SplitDataset
-from amarec.evaluation import evaluate, metric_rows, rank_rows
+from amarec.evaluation import evaluate, metric_rows, rank_keys, top_k
 from oracles import enumerate_metrics
 
 
 def ranked_list(scores, exclude=(), k=None):
-    """One row's ranked list through rank_rows; ``exclude`` may repeat an item."""
+    """One row's ranked list through top_k with k = n; ``exclude`` may repeat an item."""
     exclude = np.asarray(exclude, dtype=np.intp)
     block = sp.csr_matrix((np.ones(exclude.size), exclude, [0, exclude.size]),
                           shape=(1, len(scores)))
-    order, length = rank_rows([scores], block)
-    return order[0, :length[0]][:k]
+    keys, length = rank_keys([scores], block)
+    return top_k(keys, len(scores))[0, :length[0]][:k]
 
 
 def metrics_of(ranked, relevant, k):
@@ -52,6 +52,11 @@ class TestRankTopk:
 
     def test_repeated_exclusion_counted_once(self):
         assert ranked_list([5, 4, 3, 2, 1], exclude=[0, 0]).tolist() == [1, 2, 3, 4]
+
+    def test_nan_score_rejected(self):
+        data = make_split([[0]], [[1]], [[2]], 3)
+        with pytest.raises(ValueError, match="NaN score"):
+            metric_rows(lambda rows, users: np.array([[0.1, np.nan, 0.3]]), data, "test")
 
 
 WORKED_RANKED = np.array([10, 11, 12, 13, 14])  # hits at ranks 1 and 4
