@@ -11,7 +11,7 @@ Run:  python3 demos/01_end_to_end_synthetic.py
 import numpy as np
 
 from amarec.baselines import ama_scorer, pop_scorer, puresvd_scorer
-from amarec.dataset import RatingEvent, binarize, temporal_split
+from amarec.dataset import Ratings, binarize, temporal_split
 from amarec.evaluation import evaluate
 from amarec.linalg import embed_items
 from amarec.model import AmaConfig, parameter_count
@@ -19,17 +19,19 @@ from amarec.training import TrainConfig, train
 
 
 def make_events(m=120, n=60, seed=0):
+    """A rating log as Ratings columns: user and item ids, ratings, timestamps."""
     rng = np.random.default_rng(seed)
     genre = rng.integers(0, 2, size=n)
-    events = []
+    users, items, times = [], [], []
     for u in range(m):
         taste = rng.choice([0, 1, 2])  # genre 0, genre 1, or both
         probs = np.where(genre == 0, 0.8 if taste in (0, 2) else 0.1,
                          0.8 if taste in (1, 2) else 0.1)
-        items = np.argsort(-(rng.random(n) * probs))[: rng.integers(10, 25)]
-        for t, j in enumerate(items):
-            events.append(RatingEvent(f"u{u:03d}", f"i{j:03d}", 5.0, 1000 + t))
-    return events
+        liked = np.argsort(-(rng.random(n) * probs))[: rng.integers(10, 25)]
+        users += [f"u{u:03d}"] * liked.size
+        items += [f"i{j:03d}" for j in liked]
+        times += range(1000, 1000 + liked.size)
+    return Ratings(users, items, np.full(len(users), 5.0), times)
 
 
 def main():

@@ -8,12 +8,11 @@ harness, and attention-based explanation reports.
 """
 
 from amarec.dataset import (
-    RatingEvent,
+    Ratings,
     SplitDataset,
     parse_ratings,
     binarize,
     temporal_split,
-    build_matrix,
     save_split,
     load_split,
 )

@@ -148,13 +148,16 @@ def _data_dir(args):
 
 
 def cmd_prep(args):
-    events = dataset.parse_ratings(args.input, args.format,
-                                   amazon_columns=args.amazon_columns)
-    events = dataset.binarize(events, args.threshold)
-    if not events:
+    try:
+        fractions = tuple(float(f) for f in args.fractions.split(","))
+    except ValueError:
+        raise CliError(f"--fractions takes numbers, got {args.fractions!r}") from None
+    ratings = dataset.parse_ratings(args.input, args.format,
+                                    amazon_columns=args.amazon_columns)
+    ratings = dataset.binarize(ratings, args.threshold)
+    if not len(ratings):
         raise CliError("empty dataset: no ratings exceed the threshold")
-    fractions = tuple(float(f) for f in args.fractions.split(","))
-    data = dataset.temporal_split(events, fractions)
+    data = dataset.temporal_split(ratings, fractions)
     dataset.save_split(data, args.out, threshold=args.threshold, fractions=fractions)
     m, n = data.shape
     print(f"wrote splits to {args.out}: {m} users x {n} items, "

@@ -1,7 +1,7 @@
 """Rating-file ingestion, binarization, temporal splitting and sparse matrices.
 
 Raw rating files (MovieLens ``::`` format or header-less Amazon review CSV)
-are parsed into events, thresholded into implicit feedback, split per user
+are parsed into columns, thresholded into implicit feedback, split per user
 along the time axis, and packed into binary CSR interaction matrices that
 the rest of the toolkit consumes.
 """
@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,21 +35,40 @@ class ConfigError(ValueError):
     """Invalid configuration value (unknown format tag, bad fractions, ...)."""
 
 
-@dataclass(frozen=True)
-class RatingEvent:
-    user_id: str
-    item_id: str
-    rating: float
-    timestamp: int
+_FORMATS = ("movielens-dat", "amazon-csv")
+_COLUMNS = ("user", "item", "rating", "timestamp")
+_SPLITS = ("train", "validation", "test")
+
+
+@dataclass(frozen=True, eq=False)
+class Ratings:
+    """A rating log as four equal-length columns in input order: ``user`` and
+    ``item`` ids as Python ``str`` in object arrays (a numpy ``U`` array
+    would drop trailing NUL characters and merge ids), ``rating`` as float64
+    and ``timestamp`` as int64. Sequences passed in become those arrays."""
+
+    user: np.ndarray
+    item: np.ndarray
+    rating: np.ndarray
+    timestamp: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in zip(_COLUMNS, (object, object, np.float64, np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({getattr(self, name).shape for name in _COLUMNS}) != 1:
+            raise ValueError("Ratings columns differ in length")
+
+    def __len__(self):
+        return self.rating.size
 
 
 @dataclass(frozen=True)
 class SplitDataset:
     """Train/validation/test interaction matrices over shared index spaces.
 
-    All three matrices are binary CSR of identical shape (m users, n items).
-    ``user_ids`` / ``item_ids`` map row/column back to external ids;
-    ``user_index`` / ``item_index`` are the inverse maps.
+    All three matrices are binary CSR of identical shape (m users, n items)
+    with sorted indices. ``user_ids`` / ``item_ids`` map row/column back to
+    external ids; ``user_index`` / ``item_index`` are the inverse maps.
     """
 
     train: sp.csr_matrix
@@ -70,190 +90,173 @@ class SplitDataset:
         return self.train.shape
 
 
-_FORMATS = ("movielens-dat", "amazon-csv")
-
-
 def parse_ratings(path, format, amazon_columns="item,user,rating,timestamp"):
-    """Parse a raw rating file into a list of RatingEvent, input order kept.
+    """Parse a raw rating file into Ratings, input order kept.
 
     ``movielens-dat`` lines look like ``user::item::rating::timestamp``;
     ``amazon-csv`` is header-less with the column order given by
-    ``amazon_columns`` (default ``item,user,rating,timestamp``). Timestamps
-    are non-negative integers.
-    """
+    ``amazon_columns`` (default ``item,user,rating,timestamp``). Blank lines
+    are skipped. Timestamps are integers from 0 to the int64 maximum. The
+    first faulty line in file order raises a ParseError."""
     if format not in _FORMATS:
         raise ConfigError(f"unknown format {format!r}, expected one of {_FORMATS}")
-    events = []
-    if format == "movielens-dat":
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("::")
-                if len(parts) != 4:
-                    raise ParseError(
-                        f"expected 4 '::'-separated fields, got {len(parts)}", lineno
-                    )
-                events.append(_make_event(parts[0], parts[1], parts[2], parts[3], lineno))
-    else:
-        cols = [c.strip() for c in amazon_columns.split(",")]
-        if sorted(cols) != ["item", "rating", "timestamp", "user"]:
-            raise ConfigError(f"bad amazon column order {amazon_columns!r}")
-        pos = {name: i for i, name in enumerate(cols)}
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise ParseError(f"expected 4 CSV fields, got {len(row)}", lineno)
-                events.append(
-                    _make_event(
-                        row[pos["user"]], row[pos["item"]], row[pos["rating"]],
-                        row[pos["timestamp"]], lineno,
-                    )
-                )
-    return events
-
-
-def _make_event(user, item, rating, timestamp, lineno):
+    amazon = format == "amazon-csv"
+    cols = [c.strip() for c in amazon_columns.split(",")] if amazon else list(_COLUMNS)
+    if sorted(cols) != sorted(_COLUMNS):
+        raise ConfigError(f"bad amazon column order {amazon_columns!r}")
+    pick = [cols.index(name) for name in _COLUMNS]
     try:
-        r = float(rating)
-        ts = int(timestamp)   # "1.7" is an error, not 1
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno) from None
-    if not math.isfinite(r):
-        raise ParseError(f"non-finite rating {rating!r}", lineno)
-    if ts < 0:
-        raise ParseError(f"negative timestamp {timestamp!r}", lineno)
-    return RatingEvent(user_id=user, item_id=item, rating=r, timestamp=ts)
+        fields = _fields(path, amazon)
+        user, item, rating, timestamp = (fields[k::4] for k in pick)
+        ratings = Ratings(user, item, list(map(float, rating)), list(map(int, timestamp)))
+        if not (np.isfinite(ratings.rating).all() and (ratings.timestamp >= 0).all()):
+            raise ValueError("a non-finite rating or a negative timestamp")
+        return ratings
+    except (ValueError, OverflowError):   # a UnicodeDecodeError is a ValueError
+        _raise_first_fault(path, amazon, pick)
+        raise
 
 
-def binarize(events, threshold):
-    """Keep events with rating strictly above ``threshold``; set ratings to 1."""
+def _fields(path, amazon):
+    """Every field of the non-blank lines, flat and in file order; a
+    ValueError if one of those lines does not have 4 fields."""
+    if amazon:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+        sizes, fields = set(map(len, rows)), list(chain.from_iterable(rows))
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in fh.read().split("\n") if line]
+        sizes = {c + 1 for c in set(map(str.count, lines, repeat("::")))}
+        # "::" never spans a "\n": each line splits as str.split would, no list per line
+        fields = "\n".join(lines).replace("::", "\n").split("\n")
+    if not sizes <= {4}:
+        raise ValueError("a line without 4 fields")
+    return fields
+
+
+def _raise_first_fault(path, amazon, pick):
+    """Re-read the file line by line; raise a ParseError for the first faulty
+    line, naming the first of its faults in the order checked below."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="" if amazon else None) as fh:
+        lines = csv.reader(fh) if amazon else (
+            line.rstrip("\n").split("::") if line != "\n" else [] for line in fh)
+        for lineno, fields in enumerate(lines, start=1):
+            if not fields:
+                continue
+            try:
+                "".join(fields).encode("utf-8")
+            except UnicodeEncodeError as exc:   # an undecodable byte, escaped as a surrogate
+                byte = ord(exc.object[exc.start]) - 0xDC00
+                raise ParseError(f"invalid UTF-8 byte 0x{byte:02x}", lineno) from None
+            if len(fields) != 4:
+                sep = "CSV" if amazon else "'::'-separated"
+                raise ParseError(f"expected 4 {sep} fields, got {len(fields)}", lineno)
+            rating, timestamp = fields[pick[2]], fields[pick[3]]
+            try:
+                r, ts = float(rating), int(timestamp)   # "1.7" is an error, not 1
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            if not math.isfinite(r):
+                raise ParseError(f"non-finite rating {rating!r}", lineno)
+            if ts < 0:
+                raise ParseError(f"negative timestamp {timestamp!r}", lineno)
+            if ts >= 2**63:
+                raise ParseError(f"timestamp {timestamp!r} beyond int64", lineno)
+
+
+def binarize(ratings, threshold):
+    """Keep ratings strictly above ``threshold``; set them to 1."""
     if not math.isfinite(threshold) and threshold > 0:
         raise ConfigError("threshold must not be +inf")
-    return [
-        RatingEvent(e.user_id, e.item_id, 1.0, e.timestamp)
-        for e in events
-        if e.rating > threshold
-    ]
+    keep = ratings.rating > threshold
+    return Ratings(ratings.user[keep], ratings.item[keep], np.ones(np.count_nonzero(keep)),
+                   ratings.timestamp[keep])
 
 
-def temporal_split(events, fractions=(0.5, 0.2, 0.3)):
+def _codes(ids):
+    """The sorted distinct ids, and each id's position among them."""
+    distinct = sorted(set(ids))
+    index = {v: j for j, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+
+def temporal_split(ratings, fractions=(0.5, 0.2, 0.3)):
     """Per-user temporal split into train/validation/test matrices.
 
-    Each user's events are sorted by (timestamp, item_id); with N events the
-    first floor(f1*N) go to train, up to floor((f1+f2)*N) to validation, the
-    rest to test. Users without train events are dropped entirely; items
-    never seen in train are dropped from all splits and from the item index.
+    Each user's events are sorted by (timestamp, item_id); with N events
+    (duplicate pairs included) the first floor(f1*N) go to train, up to
+    floor((f1+f2)*N) to validation, the rest to test. Users without train
+    events are dropped entirely; items never seen in train are dropped from
+    all splits and from the item index. A pair may sit in several splits.
     """
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
+    if len(fractions) != 3 or not all(math.isfinite(f) and f >= 0 for f in fractions):
         raise ConfigError(f"bad fractions {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must sum to 1, got {fractions}")
-    if not events:
+    if not len(ratings):
         raise ConfigError("empty event list")
 
-    by_user = {}
-    for e in events:
-        by_user.setdefault(e.user_id, []).append(e)
-
+    user_ids, user = _codes(ratings.user)
+    item_ids, item = _codes(ratings.item)
+    order = np.lexsort((item, ratings.timestamp, user))
+    user, item = user[order], item[order]
+    start = np.flatnonzero(np.r_[True, user[1:] != user[:-1]])   # each user's run
+    count = np.diff(np.r_[start, user.size])
+    rank = np.arange(user.size) - np.repeat(start, count)
     f1, f2, _ = fractions
-    train_ev, val_ev, test_ev = [], [], []
-    for uid, evs in by_user.items():
-        evs.sort(key=lambda e: (e.timestamp, e.item_id))
-        n = len(evs)
-        n_train = math.floor(f1 * n)
-        n_val = math.floor((f1 + f2) * n) - n_train
-        if n_train == 0:
-            continue
-        train_ev.extend(evs[:n_train])
-        val_ev.extend(evs[n_train : n_train + n_val])
-        test_ev.extend(evs[n_train + n_val :])
-
-    if not train_ev:
+    part = ((rank >= np.repeat(np.floor(f1 * count), count)).astype(np.int8)
+            + (rank >= np.repeat(np.floor((f1 + f2) * count), count)))
+    if not (part == 0).any():
         raise ConfigError("empty dataset: no user retains a train event")
 
-    item_ids = tuple(sorted({e.item_id for e in train_ev}))
-    item_index = {v: j for j, v in enumerate(item_ids)}
-    user_ids = tuple(sorted({e.user_id for e in train_ev}))
-    user_index = {u: i for i, u in enumerate(user_ids)}
-
-    # validation/test events touching unseen items vanish with the item drop
-    val_ev = [e for e in val_ev if e.item_id in item_index]
-    test_ev = [e for e in test_ev if e.item_id in item_index]
-
-    return SplitDataset(
-        train=build_matrix(train_ev, user_index, item_index),
-        validation=build_matrix(val_ev, user_index, item_index),
-        test=build_matrix(test_ev, user_index, item_index),
-        user_ids=user_ids,
-        item_ids=item_ids,
-    )
+    kept_users = np.bincount(user[part == 0], minlength=len(user_ids)) > 0
+    kept_items = np.bincount(item[part == 0], minlength=len(item_ids)) > 0
+    shape = (int(kept_users.sum()), int(kept_items.sum()))
+    # validation/test events of dropped users or unseen items vanish with them
+    keep = kept_users[user] & kept_items[item]
+    cells = (np.cumsum(kept_users)[user] - 1) * shape[1] + np.cumsum(kept_items)[item] - 1
+    cells = [np.unique(cells[keep & (part == s)]) for s in range(3)]
+    return SplitDataset(*(_matrix(c // shape[1], c % shape[1], shape) for c in cells),
+                        user_ids=tuple(compress(user_ids, kept_users)),
+                        item_ids=tuple(compress(item_ids, kept_items)))
 
 
-def build_matrix(events, user_index, item_index):
-    """Binary CSR matrix from events; duplicate pairs collapse to a single 1."""
-    m, n = len(user_index), len(item_index)
-    pairs = set()
-    for e in events:
-        if e.user_id not in user_index:
-            raise KeyError(f"unknown user id {e.user_id!r}")
-        if e.item_id not in item_index:
-            raise KeyError(f"unknown item id {e.item_id!r}")
-        pairs.add((user_index[e.user_id], item_index[e.item_id]))
-    if not pairs:
-        return sp.csr_matrix((m, n), dtype=np.float64)
-    rows, cols = zip(*sorted(pairs))
-    data = np.ones(len(rows), dtype=np.float64)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(m, n))
+def _matrix(rows, cols, shape):
+    """CSR matrix with sorted indices and a 1 for each (row, col) pair."""
+    mat = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=shape)
     mat.sort_indices()
     return mat
-
-
-def _matrix_pairs(mat):
-    coo = mat.tocoo()
-    return sorted(zip(coo.row.tolist(), coo.col.tolist()))
-
-
-def split_content_hash(data):
-    """SHA-256 over the sorted (split, user, item) triples; split identity key."""
-    h = hashlib.sha256()
-    for name, mat in (("train", data.train), ("validation", data.validation), ("test", data.test)):
-        for u, j in _matrix_pairs(mat):
-            h.update(f"{name},{u},{j}\n".encode())
-    return h.hexdigest()
 
 
 def save_split(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
     """Write train/validation/test CSVs (user_idx,item_idx) plus a JSON sidecar.
 
-    All four files are complete before any of them replaces its predecessor.
+    Each matrix's entries are listed once, row-major, for both the CSV rows
+    and the sidecar's ``content_hash``, a SHA-256 over the (split, user,
+    item) triples that keys the split's identity. All four files are
+    complete before any of them replaces its predecessor.
     """
     os.makedirs(out_dir, exist_ok=True)
+    pairs, digest = {}, hashlib.sha256()
+    for name in _SPLITS:
+        mat = getattr(data, name)
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)).tolist()
+        pairs[name] = [f"{u},{j}" for u, j in zip(rows, mat.indices.tolist())]
+        digest.update("".join(f"{name},{p}\n" for p in pairs[name]).encode())
     sidecar = {
-        "num_users": data.shape[0],
-        "num_items": data.shape[1],
-        "user_ids": list(data.user_ids),
-        "item_ids": list(data.item_ids),
-        "threshold": threshold,
-        "fractions": list(fractions),
-        "counts": {
-            "train": int(data.train.nnz),
-            "validation": int(data.validation.nnz),
-            "test": int(data.test.nnz),
-        },
-        "content_hash": split_content_hash(data),
+        "num_users": data.shape[0], "num_items": data.shape[1],
+        "user_ids": list(data.user_ids), "item_ids": list(data.item_ids),
+        "threshold": threshold, "fractions": list(fractions),
+        "counts": {name: len(pairs[name]) for name in _SPLITS},
+        "content_hash": digest.hexdigest(),
     }
     with contextlib.ExitStack() as files:
-        for name, mat in (("train", data.train), ("validation", data.validation), ("test", data.test)):
+        for name in _SPLITS:
             fh = files.enter_context(atomic_open(os.path.join(out_dir, f"{name}.csv"), "w",
                                                  encoding="utf-8", newline=""))
-            w = csv.writer(fh)
-            w.writerow(["user_idx", "item_idx"])
-            for u, j in _matrix_pairs(mat):
-                w.writerow([u, j])
+            fh.write("\r\n".join(["user_idx,item_idx", *pairs[name], ""]))
         fh = files.enter_context(atomic_open(os.path.join(out_dir, "split.json"), "w",
                                              encoding="utf-8"))
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -261,11 +264,10 @@ def save_split(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
 
 
 def _read_pairs(path, m, n):
-    """The (user_idx, item_idx) rows below the header line of a split CSV,
-    parsed with numpy from the file's bytes. Each row must be two unsigned
-    decimal integers below m and n, joined by a comma and ending in \\n,
-    \\r\\n or the end of the file; the first row that is not raises a
-    ParseError naming the file and line."""
+    """The (user_idx, item_idx) rows below a split CSV's header, parsed with
+    numpy from its bytes. Each row must be two unsigned decimal integers below
+    m and n, joined by a comma and ending in \\n, \\r\\n or the end of the
+    file; the first row that is not raises a ParseError naming file and line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw:
@@ -319,18 +321,11 @@ def load_split(out_dir):
 
     def read_csv(name):
         path = os.path.join(out_dir, f"{name}.csv")
-        rows, cols = _read_pairs(path, m, n)
-        mat = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, n))
-        mat.sort_indices()
+        mat = _matrix(*_read_pairs(path, m, n), (m, n))
         if mat.nnz != meta["counts"][name]:
             raise ConfigError(f"{path} holds {mat.nnz} interactions, but split.json "
                               f"records {meta['counts'][name]}")
         return mat
 
-    return SplitDataset(
-        train=read_csv("train"),
-        validation=read_csv("validation"),
-        test=read_csv("test"),
-        user_ids=tuple(meta["user_ids"]),
-        item_ids=tuple(meta["item_ids"]),
-    )
+    return SplitDataset(*map(read_csv, _SPLITS), user_ids=tuple(meta["user_ids"]),
+                        item_ids=tuple(meta["item_ids"]))

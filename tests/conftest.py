@@ -6,25 +6,21 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from amarec.dataset import RatingEvent, binarize, temporal_split
+from amarec.dataset import Ratings, binarize, temporal_split
 
 
 def synthetic_events(m=30, n=20, per_user=12, seed=7):
     """Dense-ish synthetic rating log with timestamps and 1-5 ratings."""
     rng = np.random.default_rng(seed)
-    events = []
+    columns = {"user": [], "item": [], "rating": [], "timestamp": []}
     for u in range(m):
         items = rng.choice(n, size=min(per_user, n), replace=False)
         for t, j in enumerate(items):
-            events.append(
-                RatingEvent(
-                    user_id=f"u{u:03d}",
-                    item_id=f"i{int(j):03d}",
-                    rating=float(rng.integers(1, 6)),
-                    timestamp=1_000_000 + 100 * t + int(rng.integers(0, 50)),
-                )
-            )
-    return events
+            columns["user"].append(f"u{u:03d}")
+            columns["item"].append(f"i{int(j):03d}")
+            columns["rating"].append(float(rng.integers(1, 6)))
+            columns["timestamp"].append(1_000_000 + 100 * t + int(rng.integers(0, 50)))
+    return Ratings(**columns)
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +29,8 @@ def tiny_split():
     return temporal_split(events)
 
 
-def write_movielens_file(path, events):
+def write_movielens_file(path, ratings):
     with open(path, "w", encoding="utf-8") as fh:
-        for e in events:
-            fh.write(f"{e.user_id}::{e.item_id}::{e.rating:g}::{e.timestamp}\n")
+        for u, i, r, t in zip(ratings.user, ratings.item, ratings.rating.tolist(),
+                              ratings.timestamp.tolist()):
+            fh.write(f"{u}::{i}::{r:g}::{t}\n")

@@ -4,9 +4,17 @@ Everything here is written as plain loops (or a textbook algorithm) and
 deliberately shares no code path with the package under test.
 """
 
+import csv
+import hashlib
+import json
 import math
+import os
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+
+from amarec.dataset import ConfigError, ParseError, SplitDataset
 
 
 def jacobi_singular_values(A, max_sweeps=100, tol=1e-13):
@@ -169,3 +177,190 @@ def finite_difference(f, arr, step=1e-5):
         flat[i] = orig
         gflat[i] = (plus - minus) / (2.0 * step)
     return g
+
+
+# ---------------------------------------------------------------------------
+# The list-of-events ingestion path: one RatingEvent per line, per-user lists,
+# pair sets. The reference for dataset's columnar parse_ratings, binarize,
+# temporal_split and save_split, which must write byte-identical files and
+# report the same (line, message) for a faulty input.
+
+
+@dataclass(frozen=True)
+class RatingEvent:
+    user_id: str
+    item_id: str
+    rating: float
+    timestamp: int
+
+
+_FORMATS = ("movielens-dat", "amazon-csv")
+
+
+def parse_ratings_oracle(path, format, amazon_columns="item,user,rating,timestamp"):
+    """Parse a raw rating file into a list of RatingEvent, input order kept."""
+    if format not in _FORMATS:
+        raise ConfigError(f"unknown format {format!r}, expected one of {_FORMATS}")
+    events = []
+    if format == "movielens-dat":
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("::")
+                if len(parts) != 4:
+                    raise ParseError(
+                        f"expected 4 '::'-separated fields, got {len(parts)}", lineno
+                    )
+                events.append(_make_event(parts[0], parts[1], parts[2], parts[3], lineno))
+    else:
+        cols = [c.strip() for c in amazon_columns.split(",")]
+        if sorted(cols) != ["item", "rating", "timestamp", "user"]:
+            raise ConfigError(f"bad amazon column order {amazon_columns!r}")
+        pos = {name: i for i, name in enumerate(cols)}
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise ParseError(f"expected 4 CSV fields, got {len(row)}", lineno)
+                events.append(
+                    _make_event(
+                        row[pos["user"]], row[pos["item"]], row[pos["rating"]],
+                        row[pos["timestamp"]], lineno,
+                    )
+                )
+    return events
+
+
+def _make_event(user, item, rating, timestamp, lineno):
+    try:
+        r = float(rating)
+        ts = int(timestamp)   # "1.7" is an error, not 1
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+    if not math.isfinite(r):
+        raise ParseError(f"non-finite rating {rating!r}", lineno)
+    if ts < 0:
+        raise ParseError(f"negative timestamp {timestamp!r}", lineno)
+    return RatingEvent(user_id=user, item_id=item, rating=r, timestamp=ts)
+
+
+def binarize_oracle(events, threshold):
+    """Keep events with rating strictly above ``threshold``; set ratings to 1."""
+    if not math.isfinite(threshold) and threshold > 0:
+        raise ConfigError("threshold must not be +inf")
+    return [
+        RatingEvent(e.user_id, e.item_id, 1.0, e.timestamp)
+        for e in events
+        if e.rating > threshold
+    ]
+
+
+def temporal_split_oracle(events, fractions=(0.5, 0.2, 0.3)):
+    """Per-user temporal split into train/validation/test matrices."""
+    if len(fractions) != 3 or any(f < 0 for f in fractions):
+        raise ConfigError(f"bad fractions {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigError(f"fractions must sum to 1, got {fractions}")
+    if not events:
+        raise ConfigError("empty event list")
+
+    by_user = {}
+    for e in events:
+        by_user.setdefault(e.user_id, []).append(e)
+
+    f1, f2, _ = fractions
+    train_ev, val_ev, test_ev = [], [], []
+    for uid, evs in by_user.items():
+        evs.sort(key=lambda e: (e.timestamp, e.item_id))
+        n = len(evs)
+        n_train = math.floor(f1 * n)
+        n_val = math.floor((f1 + f2) * n) - n_train
+        if n_train == 0:
+            continue
+        train_ev.extend(evs[:n_train])
+        val_ev.extend(evs[n_train : n_train + n_val])
+        test_ev.extend(evs[n_train + n_val :])
+
+    if not train_ev:
+        raise ConfigError("empty dataset: no user retains a train event")
+
+    item_ids = tuple(sorted({e.item_id for e in train_ev}))
+    item_index = {v: j for j, v in enumerate(item_ids)}
+    user_ids = tuple(sorted({e.user_id for e in train_ev}))
+    user_index = {u: i for i, u in enumerate(user_ids)}
+
+    # validation/test events touching unseen items vanish with the item drop
+    val_ev = [e for e in val_ev if e.item_id in item_index]
+    test_ev = [e for e in test_ev if e.item_id in item_index]
+
+    return SplitDataset(
+        train=build_matrix(train_ev, user_index, item_index),
+        validation=build_matrix(val_ev, user_index, item_index),
+        test=build_matrix(test_ev, user_index, item_index),
+        user_ids=user_ids,
+        item_ids=item_ids,
+    )
+
+
+def build_matrix(events, user_index, item_index):
+    """Binary CSR matrix from events; duplicate pairs collapse to a single 1."""
+    m, n = len(user_index), len(item_index)
+    pairs = set()
+    for e in events:
+        if e.user_id not in user_index:
+            raise KeyError(f"unknown user id {e.user_id!r}")
+        if e.item_id not in item_index:
+            raise KeyError(f"unknown item id {e.item_id!r}")
+        pairs.add((user_index[e.user_id], item_index[e.item_id]))
+    if not pairs:
+        return sp.csr_matrix((m, n), dtype=np.float64)
+    rows, cols = zip(*sorted(pairs))
+    data = np.ones(len(rows), dtype=np.float64)
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(m, n))
+    mat.sort_indices()
+    return mat
+
+
+def _matrix_pairs(mat):
+    coo = mat.tocoo()
+    return sorted(zip(coo.row.tolist(), coo.col.tolist()))
+
+
+def split_content_hash(data):
+    """SHA-256 over the sorted (split, user, item) triples; split identity key."""
+    h = hashlib.sha256()
+    for name, mat in (("train", data.train), ("validation", data.validation), ("test", data.test)):
+        for u, j in _matrix_pairs(mat):
+            h.update(f"{name},{u},{j}\n".encode())
+    return h.hexdigest()
+
+
+def save_split_oracle(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
+    """Write train/validation/test CSVs (user_idx,item_idx) plus a JSON sidecar."""
+    os.makedirs(out_dir, exist_ok=True)
+    sidecar = {
+        "num_users": data.shape[0],
+        "num_items": data.shape[1],
+        "user_ids": list(data.user_ids),
+        "item_ids": list(data.item_ids),
+        "threshold": threshold,
+        "fractions": list(fractions),
+        "counts": {
+            "train": int(data.train.nnz),
+            "validation": int(data.validation.nnz),
+            "test": int(data.test.nnz),
+        },
+        "content_hash": split_content_hash(data),
+    }
+    for name, mat in (("train", data.train), ("validation", data.validation), ("test", data.test)):
+        with open(os.path.join(out_dir, f"{name}.csv"), "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["user_idx", "item_idx"])
+            for u, j in _matrix_pairs(mat):
+                w.writerow([u, j])
+    with open(os.path.join(out_dir, "split.json"), "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -81,6 +81,18 @@ class TestPrep:
         assert rc != 0
         assert "empty dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fractions, message", [
+        ("a,0.2,0.3", "--fractions takes numbers, got 'a,0.2,0.3'"),
+        ("nan,0.2,0.3", "bad fractions (nan, 0.2, 0.3)"),
+    ])
+    def test_bad_fractions_exit_1_naming_them(self, tmp_path, ratings_file, capsys,
+                                              fractions, message):
+        rc = main(["prep", "--input", str(ratings_file), "--format", "movielens-dat",
+                   "--fractions", fractions, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrainEvaluateExplain:
     def test_full_pipeline(self, tmp_path, prepped, capsys):

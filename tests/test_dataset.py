@@ -1,38 +1,64 @@
+import csv
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from amarec.dataset import (
     ConfigError,
     ParseError,
-    RatingEvent,
+    Ratings,
     binarize,
-    build_matrix,
     load_split,
     parse_ratings,
     save_split,
-    split_content_hash,
     temporal_split,
 )
 from conftest import synthetic_events
 
+SPLIT_FILES = ("train.csv", "validation.csv", "test.csv", "split.json")
 
-def ev(user, item, rating=1.0, ts=0):
-    return RatingEvent(user, item, rating, ts)
+
+def log(*rows):
+    """Ratings from (user, item[, rating[, timestamp]]) rows; rating 1, time 0."""
+    rows = [(*row, *(1.0, 0)[len(row) - 2:]) for row in rows]
+    return Ratings(*zip(*rows)) if rows else Ratings([], [], [], [])
+
+
+def rows_of(ratings):
+    return list(zip(ratings.user.tolist(), ratings.item.tolist(),
+                    ratings.rating.tolist(), ratings.timestamp.tolist()))
 
 
 class TestParseRatings:
     def test_movielens_line(self, tmp_path):
         p = tmp_path / "ratings.dat"
         p.write_text("1::1193::5::978300760\n")
-        events = parse_ratings(p, "movielens-dat")
-        assert events == [RatingEvent("1", "1193", 5.0, 978300760)]
+        assert rows_of(parse_ratings(p, "movielens-dat")) == [("1", "1193", 5.0, 978300760)]
 
     def test_amazon_line(self, tmp_path):
         p = tmp_path / "ratings.csv"
         p.write_text("B00001,U42,4.0,1400000000\n")
-        events = parse_ratings(p, "amazon-csv")
-        assert events == [RatingEvent("U42", "B00001", 4.0, 1400000000)]
+        assert rows_of(parse_ratings(p, "amazon-csv")) == [("U42", "B00001", 4.0, 1400000000)]
+
+    def test_columns(self, tmp_path):
+        p = tmp_path / "ratings.dat"
+        p.write_text("1::1193::5::978300760\n2::9::3.5::1\n")
+        ratings = parse_ratings(p, "movielens-dat")
+        assert len(ratings) == 2
+        assert ratings.user.dtype == object and ratings.item.dtype == object
+        assert all(type(v) is str for v in [*ratings.user, *ratings.item])
+        assert ratings.rating.dtype == np.float64 and ratings.timestamp.dtype == np.int64
+
+    def test_columns_must_have_equal_length(self):
+        with pytest.raises(ValueError, match="length"):
+            Ratings(["u"], ["a", "b"], [1.0], [0])
 
     def test_missing_field_reports_line_number(self, tmp_path):
         p = tmp_path / "ratings.dat"
@@ -56,6 +82,40 @@ class TestParseRatings:
             parse_ratings(p, "movielens-dat")
         assert exc.value.line_number == 2
 
+    def test_first_faulty_line_wins_whatever_its_fault(self, tmp_path):
+        p = tmp_path / "ratings.dat"
+        p.write_text("1::1::5::10\n2::2::oops::20\n3::3::4::30\n\n4::4::4\n")
+        with pytest.raises(ParseError) as exc:
+            parse_ratings(p, "movielens-dat")
+        assert (exc.value.line_number, str(exc.value)) == (
+            2, "line 2: could not convert string to float: 'oops'")
+
+    def test_non_finite_rating_beats_negative_timestamp(self, tmp_path):
+        p = tmp_path / "ratings.dat"
+        p.write_text("1::1::5::10\n2::2::nan::-5\n3::3::4::-1\n")
+        with pytest.raises(ParseError) as exc:
+            parse_ratings(p, "movielens-dat")
+        assert str(exc.value) == "line 2: non-finite rating 'nan'"
+
+    def test_timestamp_beyond_int64_names_its_line(self, tmp_path):
+        # accepted by the per-event path, which kept timestamps as Python ints
+        p = tmp_path / "ratings.dat"
+        p.write_text(f"1::10::5::{2**63 - 1}\n1::10::5::100000000000000000000000\n")
+        with pytest.raises(ParseError, match="beyond int64") as exc:
+            parse_ratings(p, "movielens-dat")
+        assert exc.value.line_number == 2
+        p.write_text(f"1::10::5::{2**63 - 1}\n")
+        assert parse_ratings(p, "movielens-dat").timestamp.tolist() == [2**63 - 1]
+
+    @pytest.mark.parametrize("format, line", [("movielens-dat", b"2::2::5::20\n"),
+                                              ("amazon-csv", b"B2,U2,5.0,20\n")])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, format, line):
+        p = tmp_path / "ratings"
+        p.write_bytes(line + b"\xff\xfe" + line)
+        with pytest.raises(ParseError, match="invalid UTF-8 byte 0xff") as exc:
+            parse_ratings(p, format)
+        assert exc.value.line_number == 2
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_ratings(tmp_path / "x", "netflix")
@@ -63,82 +123,119 @@ class TestParseRatings:
     def test_order_preserved(self, tmp_path):
         p = tmp_path / "r.dat"
         p.write_text("2::9::3::5\n1::8::4::1\n")
-        events = parse_ratings(p, "movielens-dat")
-        assert [e.user_id for e in events] == ["2", "1"]
+        assert parse_ratings(p, "movielens-dat").user.tolist() == ["2", "1"]
 
     def test_amazon_column_reorder(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("U42,B1,4.0,99\n")
-        events = parse_ratings(p, "amazon-csv",
-                               amazon_columns="user,item,rating,timestamp")
-        assert events[0].user_id == "U42" and events[0].item_id == "B1"
+        ratings = parse_ratings(p, "amazon-csv", amazon_columns="user,item,rating,timestamp")
+        assert ratings.user.tolist() == ["U42"] and ratings.item.tolist() == ["B1"]
+
+    def test_colons_at_field_edges_stay_in_their_line(self, tmp_path):
+        p = tmp_path / "r.dat"
+        p.write_text("a:::b::5::1:\nc::d::4::2\n")
+        with pytest.raises(ParseError, match="'1:'") as exc:
+            parse_ratings(p, "movielens-dat")
+        assert exc.value.line_number == 1
+        p.write_text("a:::b::5::1\n:c::d::4::2\n")
+        assert rows_of(parse_ratings(p, "movielens-dat")) == [
+            ("a", ":b", 5.0, 1), (":c", "d", 4.0, 2)]
 
 
 class TestBinarize:
     def test_threshold_three(self):
-        events = [ev("u", "a", 3.0), ev("u", "b", 4.0), ev("u", "c", 5.0)]
-        out = binarize(events, 3.0)
-        assert [e.item_id for e in out] == ["b", "c"]
-        assert all(e.rating == 1.0 for e in out)
+        out = binarize(log(("u", "a", 3.0), ("u", "b", 4.0), ("u", "c", 5.0)), 3.0)
+        assert out.item.tolist() == ["b", "c"]
+        assert out.rating.tolist() == [1.0, 1.0]
 
     def test_minus_inf_keeps_all(self):
-        events = [ev("u", "a", 1.0), ev("u", "b", 5.0)]
-        assert len(binarize(events, -math.inf)) == 2
+        assert len(binarize(log(("u", "a", 1.0), ("u", "b", 5.0)), -math.inf)) == 2
 
     def test_empty(self):
-        assert binarize([], 3.0) == []
+        assert len(binarize(log(), 3.0)) == 0
 
     def test_idempotent(self):
         # holds for thresholds below 1, where binary output passes the filter
-        events = [ev("u", str(i), float(r), i) for i, r in enumerate([1, 3, 4, 5, 2])]
+        ratings = log(*[("u", str(i), float(r), i) for i, r in enumerate([1, 3, 4, 5, 2])])
         for t in (0.0, 0.5):
-            once = binarize(events, t)
-            assert binarize(once, t) == once
+            once = binarize(ratings, t)
+            assert rows_of(binarize(once, t)) == rows_of(once)
 
 
 class TestTemporalSplit:
     def user_events(self, n, uid="u0"):
-        return [ev(uid, f"i{k:02d}", 1.0, ts=100 + k) for k in range(n)]
+        return [(uid, f"i{k:02d}", 1.0, 100 + k) for k in range(n)]
 
     def test_ten_events_5_2_3(self):
         # anchor user keeps every item in the train index
-        anchor = [ev("anchor", f"i{k % 10:02d}", 1.0, ts=k) for k in range(20)]
-        data = temporal_split(self.user_events(10) + anchor)
+        anchor = [("anchor", f"i{k % 10:02d}", 1.0, k) for k in range(20)]
+        data = temporal_split(log(*self.user_events(10), *anchor))
         u0 = data.user_index["u0"]
         assert (data.train[u0].nnz, data.validation[u0].nnz, data.test[u0].nnz) == (5, 2, 3)
 
     def test_seven_events_3_1_3(self):
         # items not in train are dropped, so seed items for train coverage
         evs = self.user_events(7)
-        anchor = [ev("u1", e.item_id, 1.0, ts=1) for e in evs] + [
-            ev("u1", "extra", 1.0, ts=2)
-        ] * 7
-        data = temporal_split(evs + anchor)
+        anchor = [("u1", item, 1.0, 1) for _, item, _, _ in evs] + [("u1", "extra", 1.0, 2)] * 7
+        data = temporal_split(log(*evs, *anchor))
         u0 = data.user_index["u0"]
         assert data.train[u0].nnz == 3
         assert data.validation[u0].nnz == 1
         assert data.test[u0].nnz == 3
 
     def test_single_event_user_dropped(self):
-        evs = self.user_events(10, uid="big") + [ev("tiny", "i00", 1.0, 999)]
-        data = temporal_split(evs)
+        data = temporal_split(log(*self.user_events(10, uid="big"), ("tiny", "i00", 1.0, 999)))
         assert "tiny" not in data.user_index
         assert "big" in data.user_index
 
     def test_items_unseen_in_train_dropped(self):
-        evs = self.user_events(10)
         # the last items only appear in u0's test portion
-        data = temporal_split(evs)
+        data = temporal_split(log(*self.user_events(10)))
         assert "i09" not in data.item_index
         assert data.shape[1] == data.train.shape[1]
 
+    def test_rows_hold_their_users_items(self):
+        anchor = [("u1", "i1", 1.0, 0), ("u1", "i2", 1.0, 1)]
+        data = temporal_split(log(("u0", "i0", 1.0, 0), ("u0", "i2", 1.0, 1), *anchor),
+                              fractions=(1.0, 0.0, 0.0))
+        assert data.shape == (2, 3)
+        assert data.train[data.user_index["u0"]].indices.tolist() == [0, 2]
+
+    def test_duplicates_collapse(self):
+        # both copies count toward N = 4, so both land in the 2-event train cut
+        data = temporal_split(log(("u0", "i0", 1.0, 1), ("u0", "i0", 1.0, 2),
+                                  ("u0", "i1", 1.0, 3), ("u0", "i2", 1.0, 4)),
+                              fractions=(0.5, 0.5, 0.0))
+        assert data.train.nnz == 1 and data.train[0, 0] == 1.0
+        assert data.validation.nnz == 0 and data.shape == (1, 1)
+
+    def test_empty_matrices_keep_the_shape(self):
+        data = temporal_split(log(("a", "x", 1.0, 1), ("b", "y", 1.0, 1)),
+                              fractions=(1.0, 0.0, 0.0))
+        for mat in (data.validation, data.test):
+            assert mat.shape == (2, 2) and mat.nnz == 0
+
+    def test_ids_sort_as_strings_and_nul_ids_stay_distinct(self):
+        data = temporal_split(log(*[(u, i, 1.0, 0) for u in ("9", "10", "a\x00", "a")
+                                    for i in ("b", "b\x00", "É")]), fractions=(1.0, 0.0, 0.0))
+        assert data.user_ids == ("10", "9", "a", "a\x00")
+        assert data.item_ids == ("b", "b\x00", "É")
+        assert data.train.nnz == 12
+
     def test_empty_events_error(self):
         with pytest.raises(ConfigError):
-            temporal_split([])
+            temporal_split(log())
 
     def test_bad_fractions(self):
         with pytest.raises(ConfigError):
-            temporal_split(self.user_events(4), fractions=(0.5, 0.2, 0.2))
+            temporal_split(log(*self.user_events(4)), fractions=(0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("fractions", [(math.nan, 0.2, 0.3), (0.5, math.nan, 0.3),
+                                           (0.5, 0.2, math.inf)])
+    def test_non_finite_fractions_named(self, fractions):
+        with pytest.raises(ConfigError, match=r"bad fractions \(") as exc:
+            temporal_split(log(*self.user_events(4)), fractions=fractions)
+        assert str(fractions) in str(exc.value)
 
     def test_partition_and_monotonic(self):
         events = binarize(synthetic_events(seed=11), 2)
@@ -149,8 +246,8 @@ class TestTemporalSplit:
             assert (a.multiply(b)).nnz == 0
         # temporal order per user, ties broken by item id
         by_user = {}
-        for e in sorted(events, key=lambda e: (e.user_id, e.timestamp, e.item_id)):
-            by_user.setdefault(e.user_id, []).append(e)
+        for uid, item, _, ts in sorted(rows_of(events), key=lambda e: (e[0], e[3], e[1])):
+            by_user.setdefault(uid, []).append((item, ts))
         for uid, evs in by_user.items():
             if uid not in data.user_index:
                 continue
@@ -158,43 +255,156 @@ class TestTemporalSplit:
             n = len(evs)
             n_train = math.floor(0.5 * n)
             n_val = math.floor(0.7 * n) - n_train
-            train_ts = [e.timestamp for e in evs[:n_train]]
-            val_ts = [e.timestamp for e in evs[n_train:n_train + n_val]]
-            test_ts = [e.timestamp for e in evs[n_train + n_val:]]
+            train_ts = [ts for _, ts in evs[:n_train]]
+            val_ts = [ts for _, ts in evs[n_train:n_train + n_val]]
+            test_ts = [ts for _, ts in evs[n_train + n_val:]]
             if train_ts and val_ts:
                 assert max(train_ts) <= min(val_ts)
             if val_ts and test_ts:
                 assert max(val_ts) <= min(test_ts)
             # train events all kept
-            assert data.train[u].nnz == len({e.item_id for e in evs[:n_train]})
+            assert data.train[u].nnz == len({item for item, _ in evs[:n_train]})
 
     def test_deterministic_files(self, tmp_path):
         events = binarize(synthetic_events(seed=3), 2)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         save_split(temporal_split(events), out1, threshold=2)
-        save_split(temporal_split(list(events)), out2, threshold=2)
-        for name in ("train.csv", "validation.csv", "test.csv", "split.json"):
+        copy = Ratings(list(events.user), list(events.item), events.rating.tolist(),
+                       events.timestamp.tolist())
+        save_split(temporal_split(copy), out2, threshold=2)
+        for name in SPLIT_FILES:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-class TestBuildMatrix:
-    def test_basic(self):
-        mat = build_matrix([ev("u0", "i0"), ev("u0", "i2")],
-                           {"u0": 0}, {"i0": 0, "i1": 1, "i2": 2})
-        assert mat.shape == (1, 3)
-        assert mat.indices.tolist() == [0, 2]
+# ----------------------------------------------------- against the list oracle
+# Small random logs with the cases the split must survive: duplicate pairs,
+# equal timestamps, rating-3 ties, single-event users, items seen only after
+# the train cut, blank lines, CRLF endings and ids that sort or merge oddly.
 
-    def test_duplicates_collapse(self):
-        mat = build_matrix([ev("u0", "i0"), ev("u0", "i0")], {"u0": 0}, {"i0": 0})
-        assert mat.nnz == 1 and mat[0, 0] == 1.0
+IDS = ["1", "01", "10", "9", "\u00c9", "a", "a\x00", ":b", "x\u2028y", " s", "\u00fc"]
+RATINGS = ["1", "2", "3", "3.0", "4", "4.5", "5", " 5", "5.0"]
+FORMATS = ["movielens-dat", "amazon-csv"]
+COLUMN_ORDERS = ["item,user,rating,timestamp", "user,item,rating,timestamp",
+                 "timestamp,rating,item,user"]
 
-    def test_empty(self):
-        mat = build_matrix([], {"a": 0, "b": 1}, {"x": 0, "y": 1})
-        assert mat.shape == (2, 2) and mat.nnz == 0
 
-    def test_unknown_id_named(self):
-        with pytest.raises(KeyError, match="ghost"):
-            build_matrix([ev("ghost", "i0")], {"u0": 0}, {"i0": 0})
+def random_lines(rng, amazon_ids=False):
+    """(user, item, rating, timestamp) string rows of a small random log. Ids
+    are picked by index: a numpy array of them would drop the trailing NUL."""
+    # in a "::" line an id "a:" would split as "a" and ":..."; CSV quotes the rest
+    pool = IDS + (['q,"r"', "c,d", "a:"] if amazon_ids else [])
+
+    def pick(values, size=None):
+        chosen = rng.choice(len(values), size=size or 1, replace=False).tolist()
+        return [values[k] for k in chosen] if size else values[chosen[0]]
+
+    users, items = pick(pool, int(rng.integers(1, 7))), pick(pool, int(rng.integers(1, 9)))
+    rows = []
+    for user in users:
+        t = int(rng.integers(0, 5))
+        for _ in range(int(rng.integers(1, 12))):   # duplicates, single-event users
+            t += int(rng.integers(0, 3))            # equal timestamps
+            rows.append([user, pick(items), pick(RATINGS), str(t)])
+    late = [u for u in users if rng.random() < 0.5]   # items only after every train cut
+    rows += [[u, f"late{k % 2}", "5", "99"] for k, u in enumerate(late)]
+    rng.shuffle(rows)
+    return rows
+
+
+def write_log(path, rows, format, columns, rng):
+    """Write rows in ``format``, with random blank lines and CRLF endings."""
+    order = [columns.split(",").index(c) for c in ("user", "item", "rating", "timestamp")]
+    out = io.StringIO(newline="")
+    for row in rows:
+        ending = "\r\n" if rng.random() < 0.3 else "\n"
+        if rng.random() < 0.1:
+            out.write(ending)
+        if format == "movielens-dat":
+            out.write("::".join(row) + ending)
+        else:   # a row without 4 fields is a fault, written as it is
+            fields = [row[order.index(pos)] for pos in range(4)] if len(row) == 4 else row
+            csv.writer(out, lineterminator=ending).writerow(fields)
+    Path(path).write_bytes(out.getvalue().encode("utf-8"))
+
+
+def outcome(run):
+    """A callable's files or its error, as comparable values."""
+    try:
+        return ("ok", run())
+    except (ParseError, ConfigError) as exc:
+        return (type(exc).__name__, getattr(exc, "line_number", None), str(exc))
+
+
+def prep_both(path, format, columns, fractions, out):
+    """Columnar and list-oracle prep of one file; each side's files or error."""
+    def new():
+        ratings = parse_ratings(path, format, amazon_columns=columns)
+        kept = binarize(ratings, 3.0)
+        save_split(temporal_split(kept, fractions), out / "new", 3.0, fractions)
+        return len(ratings), len(kept), rows_of(ratings), read_files(out / "new")
+
+    def old():
+        events = oracles.parse_ratings_oracle(path, format, amazon_columns=columns)
+        kept = oracles.binarize_oracle(events, 3.0)
+        oracles.save_split_oracle(oracles.temporal_split_oracle(kept, fractions), out / "old",
+                                  3.0, fractions)
+        rows = [(e.user_id, e.item_id, e.rating, e.timestamp) for e in events]
+        return len(events), len(kept), rows, read_files(out / "old")
+
+    return outcome(new), outcome(old)
+
+
+def read_files(out):
+    return {name: (out / name).read_bytes() for name in SPLIT_FILES}
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 100_000), format=st.sampled_from(FORMATS),
+       columns=st.sampled_from(COLUMN_ORDERS),
+       fractions=st.sampled_from([(0.5, 0.2, 0.3), (0.3, 0.3, 0.4), (0.6, 0.4, 0.0),
+                                  (1.0, 0.0, 0.0), (0.1, 0.1, 0.8), (0.7, 0.1, 0.2)]))
+@example(seed=0, format="movielens-dat", columns=COLUMN_ORDERS[0], fractions=(0.5, 0.2, 0.3))
+@example(seed=5, format="amazon-csv", columns=COLUMN_ORDERS[2], fractions=(0.7, 0.1, 0.2))
+def test_split_files_match_the_list_oracle(seed, format, columns, fractions):
+    rng = np.random.default_rng(seed)
+    rows = random_lines(rng, amazon_ids=format == "amazon-csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_log(tmp / "ratings", rows, format, columns, rng)
+        new, old = prep_both(tmp / "ratings", format, columns, fractions, tmp)
+    assert new[0] != "ParseError"
+    assert new == old
+
+
+FAULTS = {   # column -> faulty values; each is a fault the list oracle reports too
+    "rating": ["oops", "", "nan", "inf", "-inf", "1e400", "1,5"],
+    "timestamp": ["1.7", "1e3", "", "-5", "x", "-0.5"],
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 100_000), format=st.sampled_from(FORMATS),
+       columns=st.sampled_from(COLUMN_ORDERS), faults=st.integers(1, 3))
+def test_faults_match_the_list_oracle(seed, format, columns, faults):
+    rng = np.random.default_rng(seed)
+    rows = random_lines(rng)
+    for at in rng.choice(len(rows), size=min(faults, len(rows)), replace=False):
+        row = rows[at]
+        kind = rng.integers(4)
+        if kind == 0:
+            row.pop()                        # too few fields
+        elif kind == 1:
+            row.append("7")                  # too many fields
+        else:
+            column = ["rating", "timestamp"][kind - 2]
+            values = FAULTS[column]
+            row[2 if column == "rating" else 3] = values[int(rng.integers(len(values)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_log(tmp / "ratings", rows, format, columns, rng)
+        new, old = prep_both(tmp / "ratings", format, columns, (0.5, 0.2, 0.3), tmp)
+    assert new[0] == "ParseError"
+    assert new == old
 
 
 def test_save_load_roundtrip(tmp_path, tiny_split):
@@ -205,7 +415,10 @@ def test_save_load_roundtrip(tmp_path, tiny_split):
     for name in ("train", "validation", "test"):
         a, b = getattr(loaded, name), getattr(tiny_split, name)
         assert (a != b).nnz == 0
-    assert split_content_hash(loaded) == split_content_hash(tiny_split)
+    save_split(loaded, tmp_path / "again", threshold=2)
+    assert read_files(tmp_path / "again") == read_files(tmp_path / "out")
+    meta = json.loads((tmp_path / "out" / "split.json").read_text())
+    assert meta["content_hash"] == oracles.split_content_hash(loaded)
 
 
 @pytest.mark.parametrize("row", ["0,99999", "-1,0"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from amarec.baselines import ama_scorer, pop_scorer
-from amarec.dataset import RatingEvent, binarize, temporal_split
+from amarec.dataset import Ratings, binarize, temporal_split
 from amarec.evaluation import evaluate
 from amarec.linalg import randomized_svd
 from amarec.model import AmaConfig
@@ -17,15 +17,18 @@ def genre_world():
     rng = np.random.default_rng(0)
     m, n = 120, 60
     genre = rng.integers(0, 2, size=n)
-    events = []
+    users, items, times = [], [], []
     for u in range(m):
         taste = rng.choice([0, 1, 2])  # single-genre or mixed
         probs = np.where(genre == 0, 0.8 if taste in (0, 2) else 0.1,
                          0.8 if taste in (1, 2) else 0.1)
-        items = np.argsort(-(rng.random(n) * probs))[: rng.integers(10, 25)]
-        for t, j in enumerate(items):
-            events.append(RatingEvent(f"u{u:03d}", f"i{j:03d}", 5.0, 1000 + t))
-    return temporal_split(binarize(events, 3.0))
+        liked = np.argsort(-(rng.random(n) * probs))[: rng.integers(10, 25)]
+        for t, j in enumerate(liked):
+            users.append(f"u{u:03d}")
+            items.append(f"i{j:03d}")
+            times.append(1000 + t)
+    ratings = Ratings(users, items, np.full(len(users), 5.0), times)
+    return temporal_split(binarize(ratings, 3.0))
 
 
 def test_ama_beats_pop_on_structured_data(genre_world):
