@@ -54,8 +54,8 @@ def main():
     )
     print(f"trainable parameters: {parameter_count(n, cfg.model)}")
     params, log = train(data, V, cfg)
-    print(f"objective: epoch 0 = {log.records[0][1]:.3f}, "
-          f"epoch {len(log.records) - 1} = {log.records[-1][1]:.3f}")
+    print(f"objective: epoch 0 = {log[0]['objective']:.3f}, "
+          f"epoch {log[-1]['epoch']} = {log[-1]['objective']:.3f}")
 
     print("\n== test-split evaluation ==")
     scorers = {

@@ -28,11 +28,9 @@ from amarec.model import (
     decode_maxout,
     confidence_weights,
     corrupt,
-    loss,
-    gradients,
     parameter_count,
 )
-from amarec.training import TrainConfig, TrainLog, train
+from amarec.training import TrainConfig, train
 from amarec.baselines import pop_scorer, puresvd_scorer
 from amarec.evaluation import RankingReport, evaluate
 from amarec.explain import explain_user, mode_usage, mode_top_items

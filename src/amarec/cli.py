@@ -33,6 +33,7 @@ import argparse
 import ctypes
 import functools
 import importlib.resources
+import json
 import os
 import sys
 
@@ -174,6 +175,9 @@ def cmd_embed(args):
 
 
 def cmd_train(args):
+    if args.checkpoint_every < 0:
+        raise CliError("--checkpoint-every takes an integer >= 0, "
+                       f"got {args.checkpoint_every}")
     data = dataset.load_split(_data_dir(args))
     cfg = _gather_config(args)
     _require_ama(cfg, "train")
@@ -188,9 +192,9 @@ def cmd_train(args):
     params, log = training.train(data, V, tcfg, callback=checkpoint)
     save_model(params, tcfg.model, args.out, **provenance)
     if args.log_prefix:
-        log.save_csv(args.log_prefix + ".csv")
-        log.save_json(args.log_prefix + ".json")
-    last = log.records[-1][1] if log.records else float("nan")
+        with atomic_open(args.log_prefix + ".json", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(log, indent=2) + "\n")
+    last = log[-1]["objective"] if log else float("nan")
     print(f"trained {tcfg.model.epochs} epochs; final mean objective {last:.6g}; "
           f"model written to {args.out}")
 
@@ -264,6 +268,8 @@ def cmd_evaluate(args):
 def cmd_explain(args):
     _cutoffs("--k", args.k)
     _cutoffs("--n", args.n)
+    if args.out and (args.user is not None) + args.histogram + args.modes > 1:
+        raise CliError("--out names one file; pass only one of --user, --histogram, --modes")
     data = dataset.load_split(_data_dir(args))
     cfg = _gather_config(args)
     _require_ama(cfg, "explain")
@@ -328,7 +334,7 @@ def build_parser():
     sp = sub.add_parser("train", help="embed and train a model")
     common_cfg(sp)
     sp.add_argument("--out", required=True, help="model output path")
-    sp.add_argument("--log-prefix", help="write the train log as PREFIX.csv/.json")
+    sp.add_argument("--log-prefix", help="write the train log as PREFIX.json")
     sp.add_argument("--checkpoint-every", type=int, default=0)
     sp.set_defaults(func=cmd_train)
 

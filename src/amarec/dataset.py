@@ -68,7 +68,7 @@ class SplitDataset:
 
     All three matrices are binary CSR of identical shape (m users, n items)
     with sorted indices. ``user_ids`` / ``item_ids`` map row/column back to
-    external ids; ``user_index`` / ``item_index`` are the inverse maps.
+    external ids; ``user_index`` is the inverse map of ``user_ids``.
     """
 
     train: sp.csr_matrix
@@ -80,10 +80,6 @@ class SplitDataset:
     @property
     def user_index(self):
         return {u: i for i, u in enumerate(self.user_ids)}
-
-    @property
-    def item_index(self):
-        return {v: j for j, v in enumerate(self.item_ids)}
 
     @property
     def shape(self):
@@ -112,7 +108,7 @@ def parse_ratings(path, format, amazon_columns="item,user,rating,timestamp"):
         if not (np.isfinite(ratings.rating).all() and (ratings.timestamp >= 0).all()):
             raise ValueError("a non-finite rating or a negative timestamp")
         return ratings
-    except (ValueError, OverflowError):   # a UnicodeDecodeError is a ValueError
+    except (ValueError, OverflowError, csv.Error):   # a UnicodeDecodeError is a ValueError
         _raise_first_fault(path, amazon, pick)
         raise
 
@@ -140,7 +136,7 @@ def _raise_first_fault(path, amazon, pick):
     line, naming the first of its faults in the order checked below."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape",
               newline="" if amazon else None) as fh:
-        lines = csv.reader(fh) if amazon else (
+        lines = _csv_rows(fh) if amazon else (
             line.rstrip("\n").split("::") if line != "\n" else [] for line in fh)
         for lineno, fields in enumerate(lines, start=1):
             if not fields:
@@ -164,6 +160,16 @@ def _raise_first_fault(path, amazon, pick):
                 raise ParseError(f"negative timestamp {timestamp!r}", lineno)
             if ts >= 2**63:
                 raise ParseError(f"timestamp {timestamp!r} beyond int64", lineno)
+
+
+def _csv_rows(fh):
+    """The rows of a CSV file; a csv.Error, such as a field beyond the csv
+    module's field size limit, is raised as a ParseError at its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
 
 
 def binarize(ratings, threshold):

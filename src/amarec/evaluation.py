@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,20 +30,10 @@ class RankingReport:
     metrics: dict                 # name -> {"mean": float, "ci": float}
     ks: tuple
     split: str = ""
-    model_hash: str = ""
     num_users: int = 0
 
     def to_json(self):
-        return json.dumps(
-            {
-                "metrics": self.metrics,
-                "ks": list(self.ks),
-                "split": self.split,
-                "model_hash": self.model_hash,
-                "num_users": self.num_users,
-            },
-            indent=2, sort_keys=True,
-        ) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def table(self):
         """Human-readable table mirroring the usual results-table columns."""

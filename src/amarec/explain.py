@@ -28,21 +28,18 @@ class UserExplanation:
     observed: np.ndarray         # the observed item indices (mask)
     recommendations: list        # (item, source mode, per-mode scores) per top-K slot
 
-    def to_json(self, item_ids=None):
-        def name(j):
-            return item_ids[j] if item_ids is not None else int(j)
-
+    def to_json(self, item_ids):
         payload = {
             "user": self.user,
             "modes": [
                 sorted(
-                    ((name(j), float(w)) for j, w in zip(self.observed.tolist(), row)),
+                    ((item_ids[j], float(w)) for j, w in zip(self.observed.tolist(), row)),
                     key=lambda t: -t[1],
                 )
                 for row in self.attention
             ],
             "recommendations": [
-                {"item": name(j), "mode": int(l), "per_mode_scores": [float(s) for s in ps]}
+                {"item": item_ids[j], "mode": int(l), "per_mode_scores": [float(s) for s in ps]}
                 for j, l, ps in self.recommendations
             ],
         }
@@ -129,32 +126,31 @@ def save_histogram_csv(hist, path):
             w.writerow([c, v])
 
 
-def save_mode_top_items_csv(top_items, path, item_ids=None):
+def save_mode_top_items_csv(top_items, path, item_ids):
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["mode", "rank", "item_id", "aggregated_attention",
                     "popularity_rank", "popularity_count"])
         for l, rows in enumerate(top_items):
             for rank, (j, score, prank, pcount) in enumerate(rows, start=1):
-                item = item_ids[j] if item_ids is not None else j
-                w.writerow([l, rank, item, f"{score:.10g}", prank, pcount])
+                w.writerow([l, rank, item_ids[j], f"{score:.10g}", prank, pcount])
 
 
-def user_explanation_dot(exp, item_ids=None, min_weight=0.05):
+_DOT_MIN_WEIGHT = 0.05   # lighter observed-item -> mode edges are left out of the graph
+
+
+def user_explanation_dot(exp, item_ids):
     """DOT graph of the observed-items / modes / recommendations tripartite layout."""
-    def name(j):
-        return str(item_ids[j]) if item_ids is not None else str(j)
-
     lines = ["digraph explanation {", "  rankdir=LR;"]
     for j in exp.observed.tolist():
-        lines.append(f'  "obs_{j}" [label="{name(j)}", shape=box];')
+        lines.append(f'  "obs_{j}" [label="{item_ids[j]}", shape=box];')
     for l in range(exp.attention.shape[0]):
         lines.append(f'  "mode_{l}" [label="preference {l}", shape=ellipse];')
-    for rank, (j, _, _) in enumerate(exp.recommendations):
-        lines.append(f'  "rec_{j}" [label="{name(j)}", shape=box, style=rounded];')
+    for j, _, _ in exp.recommendations:
+        lines.append(f'  "rec_{j}" [label="{item_ids[j]}", shape=box, style=rounded];')
     for l, row in enumerate(exp.attention):
         for j, w in zip(exp.observed.tolist(), row):
-            if w >= min_weight:
+            if w >= _DOT_MIN_WEIGHT:
                 lines.append(f'  "obs_{j}" -> "mode_{l}" [penwidth={1 + 4 * w:.2f}];')
     for j, l, _ in exp.recommendations:
         lines.append(f'  "mode_{l}" -> "rec_{j}";')

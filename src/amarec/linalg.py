@@ -83,20 +83,18 @@ RECIPE_DEFAULTS = {name: p.default
 _EMB_MAGIC = b"AMAEMB01"
 
 
-def save_embeddings(V, path, meta=None):
-    """Binary embedding file: magic, uint64 dims, row-major float64 payload.
-
-    A JSON metadata file is written next to it when ``meta`` is given.
-    """
+def save_embeddings(V, path, meta):
+    """Binary embedding file: magic, uint64 dims, row-major float64 payload,
+    and ``meta`` as a JSON sidecar next to it."""
     V = np.ascontiguousarray(V, dtype=np.float64)
-    with atomic_open(path, "wb") as fh:
+    # both files are complete before either replaces its predecessor
+    with atomic_open(path, "wb") as fh, \
+            atomic_open(str(path) + ".json", "w", encoding="utf-8") as js:
         fh.write(_EMB_MAGIC)
         fh.write(struct.pack("<QQ", V.shape[0], V.shape[1]))
         fh.write(V.tobytes())
-    if meta is not None:
-        with atomic_open(str(path) + ".json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        json.dump(meta, js, indent=2, sort_keys=True)
+        js.write("\n")
 
 
 def load_embeddings(path):

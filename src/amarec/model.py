@@ -1,4 +1,4 @@
-"""The attentive multi-modal autoencoder: encoder, maxout decoder, loss, gradients.
+"""The attentive multi-modal autoencoder: encoder, maxout decoder, exact gradients.
 
 A user's observed items attend (scaled dot-product, masked to the observed
 set) into d preference-mode vectors; each item's score is the maximum of
@@ -179,11 +179,12 @@ def batch_gradients(R, masks, params, V, cfg):
 
     ``R`` holds the clean rows (B x n, the targets) and ``masks[b]`` the item
     indices row b attends over. Returns the gradients summed over the batch
-    (keyed by PARAM_NAMES, without the decoder penalty), the per-user data
-    losses and the forward pass's Prediction. BLAS sees only fixed-shape
-    products, one GEMM per user and GEMVs, because a batch-wide GEMM can split
-    its sums differently under different BLAS thread counts; sums over the
-    observed rows run in numpy (reduceat, einsum), whose order is fixed.
+    (keyed by PARAM_NAMES; the caller adds the decoder penalty's), the
+    per-user data losses and the forward pass's Prediction. BLAS sees only
+    fixed-shape products, one GEMM per user and GEMVs, because a batch-wide
+    GEMM can split its sums differently under different BLAS thread counts;
+    sums over the observed rows run in numpy (reduceat, einsum), whose order
+    is fixed.
     """
     segs = Segments.of(masks)
     K_obs, Vt_obs = (kv[segs.obs] for kv in keys_values(V, params))
@@ -209,33 +210,6 @@ def batch_gradients(R, masks, params, V, cfg):
              "W_v": np.einsum("bla,blc->ac", Z, dU),
              "Q": np.einsum("jl,jk->lk", dLogit, K_obs) / sk, "B": dU.sum(axis=0), "S": dS}
     return grads, losses, pred
-
-
-def loss(r, mask_obs, params, V, cfg):
-    """Weighted denoising squared error plus decoder penalty for one user.
-
-    ``r`` is the clean binary row (the reconstruction target); ``mask_obs``
-    are the item indices of the (possibly corrupted) row used as the
-    attention mask. Returns (objective, Prediction).
-    """
-    g = gradients(r, mask_obs, params, V, cfg)
-    return g["loss"], g["prediction"]
-
-
-def gradients(r, mask_obs, params, V, cfg, include_regularizer=True):
-    """Exact gradient of loss() with respect to every trainable parameter.
-
-    A batch of one through batch_gradients. Returns a dict keyed by
-    PARAM_NAMES, plus the scalar objective and the Prediction under
-    ``"loss"`` and ``"prediction"``.
-    """
-    grads, losses, pred = batch_gradients([r], [mask_obs], params, V, cfg)
-    objective = float(losses[0])
-    if include_regularizer:
-        grads["S"] += 2.0 * cfg.lam * params.S
-        objective += cfg.lam * float(np.sum(params.S * params.S))
-    return {**grads, "loss": objective,
-            "prediction": Prediction(pred.scores[0], pred.mode_of[0], pred.per_mode[0])}
 
 
 _MDL_MAGIC = b"AMAMDL01"

@@ -8,14 +8,11 @@ not depend on the BLAS thread count. Item embeddings are fixed, never updated.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from amarec.fileio import atomic_open
 from amarec.model import PARAM_NAMES, AmaConfig, batch_gradients, corrupt, init_params
 
 
@@ -32,33 +29,12 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-@dataclass
-class TrainLog:
-    records: list = field(default_factory=list)  # (epoch, mean objective, seconds)
-
-    def append(self, epoch, objective, seconds):
-        self.records.append((epoch, objective, seconds))
-
-    def save_csv(self, path):
-        with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "objective", "seconds"])
-            w.writerows(self.records)
-
-    def save_json(self, path):
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                [{"epoch": e, "objective": o, "seconds": s} for e, o, s in self.records],
-                fh, indent=2,
-            )
-            fh.write("\n")
-
-
 class AdamState:
     """Standard adam moments, one pair of buffers per parameter."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params):
         self.t = 0
         self.m = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
         self.v = {k: np.zeros_like(getattr(params, k)) for k in PARAM_NAMES}
@@ -97,7 +73,8 @@ class NonFiniteObjective(RuntimeError):
 def train(data, V, cfg, params=None, callback=None):
     """Train on data.train with fixed item embeddings V.
 
-    Returns (AmaParameters, TrainLog). Users whose corrupted row is empty
+    Returns the AmaParameters and the log: one ``{"epoch", "objective",
+    "seconds"}`` dict per epoch. Users whose corrupted row is empty
     are skipped for that epoch. ``callback(epoch, params)`` runs after each
     epoch when given (used for checkpoints and validation-based selection).
     """
@@ -113,7 +90,7 @@ def train(data, V, cfg, params=None, callback=None):
 
     rows = [train_mat.indices[train_mat.indptr[i]:train_mat.indptr[i + 1]] for i in range(m)]
 
-    log = TrainLog()
+    log = []
     for epoch in range(mcfg.epochs):
         t0 = time.perf_counter()
         rng = np.random.default_rng([mcfg.seed, epoch])
@@ -142,7 +119,8 @@ def train(data, V, cfg, params=None, callback=None):
         )
         if not np.isfinite(objective):   # the last update overflowed S
             raise NonFiniteObjective(epoch, b, objective)
-        log.append(epoch, objective, time.perf_counter() - t0)
+        log.append({"epoch": epoch, "objective": objective,
+                    "seconds": time.perf_counter() - t0})
         if callback is not None:
             callback(epoch, params)
     return params, log

@@ -26,9 +26,7 @@ from amarec.model import (
     attend,
     decode_maxout,
     encode,
-    gradients,
     keys_values,
-    loss,
     parameter_count,
 )
 from amarec.training import TrainConfig, train
@@ -36,7 +34,7 @@ from conftest import synthetic_events, write_movielens_file
 from oracles import enumerate_metrics, finite_difference, jacobi_singular_values
 from test_gradients import well_separated_instance
 from test_metrics import metrics_of
-from test_model import small_instance
+from test_model import small_instance, user_objective
 
 ML1M_ENV = "AMAREC_ML1M_RATINGS"
 
@@ -103,10 +101,10 @@ def test_criterion_4_gradient_suite():
     checked = 0
     for seed in range(22):
         cfg, V, params, r, obs = well_separated_instance(seed)
-        analytic = gradients(r, obs, params, V, cfg)
+        analytic = user_objective(r, obs, params, V, cfg)[1]
         for name in PARAM_NAMES:
             arr = getattr(params, name)
-            fd = finite_difference(lambda: loss(r, obs, params, V, cfg)[0], arr,
+            fd = finite_difference(lambda: user_objective(r, obs, params, V, cfg)[0], arr,
                                    step=1e-5)
             rel = np.abs(analytic[name] - fd) / np.maximum(
                 np.maximum(np.abs(fd), np.abs(analytic[name])), 1e-8)

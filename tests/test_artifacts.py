@@ -301,7 +301,7 @@ class TestDamagedFiles:
     @pytest.mark.parametrize("cut", [-8, 1])
     def test_embeddings_wrong_length_rejected(self, tmp_path, cut):
         path = tmp_path / "e.bin"
-        save_embeddings(np.ones((4, 3)), path)
+        save_embeddings(np.ones((4, 3)), path, meta={"h": 3})
         raw = path.read_bytes()
         path.write_bytes(raw[:cut] if cut < 0 else raw + b"\0" * cut)
         with pytest.raises(ValueError, match="damaged embedding file"):
@@ -378,6 +378,16 @@ class TestAtomicWrites:
             save_embeddings(np.zeros((4, 3)), path, meta={"h": 4})
         assert self.snapshot(tmp_path) == before
         np.testing.assert_array_equal(load_embeddings(path), np.ones((4, 3)))
+
+    def test_embeddings_sidecar_failing_mid_way_keeps_both_previous(self, tmp_path,
+                                                                    monkeypatch):
+        path = tmp_path / "items.emb"
+        save_embeddings(np.ones((4, 3)), path, meta={"h": 3})
+        before = self.snapshot(tmp_path)
+        self.fail_after(monkeypatch, 5, failing=lambda path, mode: ".emb.json" in path)
+        with pytest.raises(OSError):
+            save_embeddings(np.zeros((4, 3)), path, meta={"h": 4})
+        assert self.snapshot(tmp_path) == before   # the new payload was not swapped in
 
     def test_report_write_failing_mid_way_keeps_previous(self, trained, tmp_path, monkeypatch):
         _, data, model = trained

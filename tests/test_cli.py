@@ -93,6 +93,15 @@ class TestPrep:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_field_beyond_csv_limit_exit_1_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "ratings.csv"
+        path.write_text("i1,u1,5,10\n" + "x" * 200_000 + ",u2,5,11\n")
+        rc = main(["prep", "--input", str(path), "--format", "amazon-csv",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "error: line 2: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrainEvaluateExplain:
     def test_full_pipeline(self, tmp_path, prepped, capsys):
@@ -100,7 +109,7 @@ class TestTrainEvaluateExplain:
         rc = main(["train", "--data", str(prepped), "--out", str(model),
                    "--log-prefix", str(tmp_path / "trainlog"), *fast_overrides()])
         assert rc == 0
-        assert model.exists() and (tmp_path / "trainlog.csv").exists()
+        assert model.exists() and (tmp_path / "trainlog.json").exists()
 
         report = tmp_path / "report.json"
         rc = main(["evaluate", "--data", str(prepped), "--model", str(model),
@@ -127,6 +136,40 @@ class TestTrainEvaluateExplain:
                    "--dot", str(tmp_path / "user.dot"), *fast_overrides()])
         assert rc == 0
         assert (tmp_path / "user.dot").read_text().startswith("digraph")
+
+    def test_log_prefix_writes_one_json_record_per_epoch(self, tmp_path, prepped):
+        rc = main(["train", "--data", str(prepped), "--out", str(tmp_path / "m.bin"),
+                   "--log-prefix", str(tmp_path / "log"), *fast_overrides(),
+                   "--set", "epochs=3"])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.glob("log*")) == ["log.json"]
+        log = json.loads((tmp_path / "log.json").read_text())
+        assert [sorted(record) for record in log] == [["epoch", "objective", "seconds"]] * 3
+        assert [record["epoch"] for record in log] == [0, 1, 2]
+
+    def test_negative_checkpoint_every_rejected(self, tmp_path, capsys):
+        rc = main(["train", "--data", str(tmp_path / "unread"), "--out",
+                   str(tmp_path / "m.bin"), "--checkpoint-every", "-1"])
+        assert rc == 1 and not (tmp_path / "m.bin").exists()
+        assert "--checkpoint-every takes an integer >= 0, got -1" in capsys.readouterr().err
+
+    def test_evaluate_report_keys(self, tmp_path, prepped):
+        report = tmp_path / "report.json"
+        rc = main(["evaluate", "--data", str(prepped), "--baseline", "pop",
+                   "--ks", "5", "--out", str(report)])
+        assert rc == 0
+        assert sorted(json.loads(report.read_text())) == ["ks", "metrics", "num_users",
+                                                          "split"]
+
+    @pytest.mark.parametrize("views", [["--user", "u1", "--histogram"],
+                                       ["--histogram", "--modes"],
+                                       ["--user", "u1", "--modes"]])
+    def test_explain_out_with_several_views_rejected(self, tmp_path, capsys, views):
+        out = tmp_path / "out"
+        rc = main(["explain", "--data", str(tmp_path / "unread"), "--model",
+                   str(tmp_path / "m.bin"), *views, "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert "pass only one of --user, --histogram, --modes" in capsys.readouterr().err
 
     def test_embed_command(self, tmp_path, prepped):
         emb = tmp_path / "emb.bin"

@@ -191,7 +191,7 @@ class TestTemporalSplit:
     def test_items_unseen_in_train_dropped(self):
         # the last items only appear in u0's test portion
         data = temporal_split(log(*self.user_events(10)))
-        assert "i09" not in data.item_index
+        assert "i09" not in data.item_ids
         assert data.shape[1] == data.train.shape[1]
 
     def test_rows_hold_their_users_items(self):

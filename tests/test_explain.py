@@ -154,13 +154,14 @@ def test_csv_and_dot_outputs(tmp_path):
     assert (tmp_path / "hist.csv").read_text().startswith("modes_used,num_users")
 
     top = mode_top_items(params, V, cfg, data, n_top=2)
-    save_mode_top_items_csv(top, tmp_path / "modes.csv")
+    item_ids = [f"i{j}" for j in range(V.shape[0])]
+    save_mode_top_items_csv(top, tmp_path / "modes.csv", item_ids)
     header = (tmp_path / "modes.csv").read_text().splitlines()[0]
     assert header == "mode,rank,item_id,aggregated_attention,popularity_rank,popularity_count"
 
     obs = data.train[0].indices
     exp = explain_user(params, V, cfg, obs, 0, k=2)
-    dot = user_explanation_dot(exp)
+    dot = user_explanation_dot(exp, item_ids)
     assert dot.startswith("digraph") and "mode_0" in dot
 
 
@@ -185,7 +186,7 @@ def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monk
     top = [[(int(j), float(agg[l, j]), int(pop_rank[j]), int(counts[j]))
             for j in np.lexsort((np.arange(n), -agg[l]))[:4]] for l in range(cfg.d)]
     save_histogram_csv(hist, tmp_path / "hist_ref.csv")
-    save_mode_top_items_csv(top, tmp_path / "modes_ref.csv")
+    save_mode_top_items_csv(top, tmp_path / "modes_ref.csv", range(n))
 
     calls = []
     for module in (explain_mod, baselines):   # explain's own and its forward pass's
@@ -193,7 +194,7 @@ def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monk
                             lambda *a: calls.append(1) or keys_values(*a))
     save_histogram_csv(mode_usage(params, V, cfg, data, k=3), tmp_path / "hist.csv")
     save_mode_top_items_csv(mode_top_items(params, V, cfg, data, n_top=4),
-                            tmp_path / "modes.csv")
+                            tmp_path / "modes.csv", range(n))
     assert len(calls) == 2   # once per report, not once per user
     for name in ("hist", "modes"):
         assert (tmp_path / f"{name}.csv").read_bytes() == \

@@ -1,11 +1,13 @@
 """Analytic gradients vs central finite differences on random small instances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from amarec.model import PARAM_NAMES, gradients, loss
-from oracles import finite_difference, forward_oracle
-from test_model import small_instance
+from amarec.model import PARAM_NAMES, batch_gradients
+from oracles import finite_difference, forward_oracle, loss_oracle
+from test_model import small_instance, user_objective
 
 
 def mode_margins(r, obs, params, V, cfg):
@@ -38,11 +40,12 @@ def well_separated_instance(seed):
 @pytest.mark.parametrize("seed", range(25))
 def test_gradients_match_finite_differences(seed):
     cfg, V, params, r, obs = well_separated_instance(seed)
-    analytic = gradients(r, obs, params, V, cfg)
+    analytic = user_objective(r, obs, params, V, cfg)[1]
 
     for name in PARAM_NAMES:
         arr = getattr(params, name)
-        fd = finite_difference(lambda: loss(r, obs, params, V, cfg)[0], arr, step=1e-5)
+        fd = finite_difference(lambda: user_objective(r, obs, params, V, cfg)[0], arr,
+                               step=1e-5)
         num = np.abs(analytic[name] - fd)
         den = np.maximum(np.abs(fd), np.abs(analytic[name]))
         rel = num / np.maximum(den, 1e-8)
@@ -63,12 +66,14 @@ def test_zero_gradient_at_perfect_fit():
     r[obs] = 1.0
     u = forward_oracle(obs, params, V, cfg.kappa)["U"][0]
     params.S = np.outer(r, u / (u @ u))
-    g = gradients(r, obs, params, V, cfg)
+    g = user_objective(r, obs, params, V, cfg)[1]
     for name in PARAM_NAMES:
         assert np.abs(g[name]).max() < 1e-10
 
 
 def test_regularizer_gradient_alone():
+    # the kernel leaves the decoder penalty to its caller (train adds 2 lam S
+    # once per step), so its gradients do not depend on lam
     from test_model import random_params
     from amarec.model import AmaConfig
 
@@ -78,13 +83,15 @@ def test_regularizer_gradient_alone():
     V = np.random.default_rng(2).standard_normal((n, 2))
     r = np.zeros(n)
     r[0] = 1.0
-    with_reg = gradients(r, np.array([0]), params, V, cfg, include_regularizer=True)
-    without = gradients(r, np.array([0]), params, V, cfg, include_regularizer=False)
-    np.testing.assert_allclose(with_reg["S"] - without["S"], 2 * cfg.lam * params.S,
-                               atol=1e-12)
+    kernel = batch_gradients(r[None], [np.array([0])], params, V, cfg)[0]
+    unpenalized = batch_gradients(r[None], [np.array([0])], params, V,
+                                  dataclasses.replace(cfg, lam=0.0))[0]
+    for name in PARAM_NAMES:
+        np.testing.assert_array_equal(kernel[name], unpenalized[name])
 
 
 def test_gradient_loss_value_matches_loss():
+    # the objective the finite differences above run on is the oracle's
     cfg, V, params, r, obs = well_separated_instance(99)
-    g = gradients(r, obs, params, V, cfg)
-    assert g["loss"] == pytest.approx(loss(r, obs, params, V, cfg)[0], rel=1e-12)
+    assert user_objective(r, obs, params, V, cfg)[0] == pytest.approx(
+        loss_oracle(r, obs, params, V, cfg), rel=1e-12)

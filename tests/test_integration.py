@@ -40,7 +40,7 @@ def test_ama_beats_pop_on_structured_data(genre_world):
     )
     V = randomized_svd(data.train, rank=8, power_iters=10, seed=0).right
     params, log = train(data, V, cfg)
-    assert log.records[-1][1] < log.records[0][1]
+    assert log[-1]["objective"] < log[0]["objective"]
 
     ama = evaluate(ama_scorer(params, V, cfg.model), data, split="test")
     pop = evaluate(pop_scorer(data.train), data, split="test")

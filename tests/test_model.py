@@ -10,12 +10,12 @@ from amarec.model import (
     Prediction,
     Segments,
     attend,
+    batch_gradients,
     confidence_weights,
     corrupt,
     decode_maxout,
     encode,
     keys_values,
-    loss,
     parameter_count,
 )
 from oracles import forward_oracle, loss_oracle
@@ -59,6 +59,15 @@ def small_instance(seed, m=4, n=6, h=3, d=2, kappa=2, alpha=1.0, lam=0.01):
     obs = rng.choice(n, size=rng.integers(2, n), replace=False)
     r[obs] = 1.0
     return cfg, V, params, r, np.sort(obs)
+
+
+def user_objective(r, obs, params, V, cfg):
+    """One user's objective, gradients and Prediction: ``batch_gradients`` on
+    a batch of one, plus the decoder penalty lam ||S||^2 and its gradient."""
+    grads, losses, pred = batch_gradients(np.asarray(r)[None], [obs], params, V, cfg)
+    grads["S"] += 2.0 * cfg.lam * params.S
+    objective = float(losses[0]) + cfg.lam * float(np.sum(params.S * params.S))
+    return objective, grads, Prediction(pred.scores[0], pred.mode_of[0], pred.per_mode[0])
 
 
 class TestConfig:
@@ -246,7 +255,7 @@ class TestLoss:
         r = np.array([1.0, 0.0, 1.0])
         # solve s_j . u = r_j by setting s_j = r_j * u / ||u||^2
         params.S = np.outer(r, u / (u @ u))
-        val, pred = loss(r, obs, params, V, cfg)
+        val, _, pred = user_objective(r, obs, params, V, cfg)
         assert val == pytest.approx(0.0, abs=1e-20)
         np.testing.assert_allclose(pred.scores, r, atol=1e-12)
 
@@ -257,20 +266,20 @@ class TestLoss:
         params.S = np.zeros((n, 3))
         V = np.random.default_rng(0).standard_normal((n, 3))
         r = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
-        val, _ = loss(r, np.array([0, 2]), params, V, cfg)
+        val, _, _ = user_objective(r, np.array([0, 2]), params, V, cfg)
         expected = np.dot(confidence_weights(r, 2.0), r * r)
         assert val == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_straight_line_oracle(self, seed):
         cfg, V, params, r, obs = small_instance(seed)
-        val, _ = loss(r, obs, params, V, cfg)
+        val, _, _ = user_objective(r, obs, params, V, cfg)
         assert val == pytest.approx(loss_oracle(r, obs, params, V, cfg), abs=1e-10)
 
     def test_degenerate_user_signal(self):
         cfg, V, params, r, obs = small_instance(0)
         with pytest.raises(DegenerateUser):
-            loss(r, np.array([], dtype=np.intp), params, V, cfg)
+            user_objective(r, np.array([], dtype=np.intp), params, V, cfg)
 
 
 class TestMaskSufficiency:

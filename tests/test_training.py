@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ class TestTrainLoop:
         init = init_params(tiny_split.shape[1], cfg.model,
                            np.random.default_rng(cfg.model.seed))
         params, log = train(tiny_split, V, cfg)
-        assert log.records == []
+        assert log == []
         for k in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(params, k), getattr(init, k))
 
@@ -79,7 +81,7 @@ class TestTrainLoop:
         cfg = tiny_train_config(model={"epochs": 50})
         V = embeddings_for(tiny_split, cfg.model)
         params, log = train(tiny_split, V, cfg)
-        objectives = [o for _, o, _ in log.records]
+        objectives = [record["objective"] for record in log]
         assert objectives[49] < objectives[0]
 
     def test_large_lambda_shrinks_decoder(self, tiny_split):
@@ -116,15 +118,13 @@ class TestTrainLoop:
         for k in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(params, k), getattr(init, k))
 
-    def test_log_files(self, tmp_path, tiny_split):
+    def test_log_files(self, tiny_split):
         cfg = tiny_train_config(model={"epochs": 2})
         V = embeddings_for(tiny_split, cfg.model)
         _, log = train(tiny_split, V, cfg)
-        log.save_csv(tmp_path / "log.csv")
-        log.save_json(tmp_path / "log.json")
-        lines = (tmp_path / "log.csv").read_text().strip().splitlines()
-        assert lines[0] == "epoch,objective,seconds"
-        assert len(lines) == 3
+        assert [list(record) for record in log] == [["epoch", "objective", "seconds"]] * 2
+        assert [record["epoch"] for record in log] == [0, 1]
+        assert json.loads(json.dumps(log)) == log   # what train --log-prefix writes
 
     def test_callback_sees_every_epoch(self, tiny_split):
         cfg = tiny_train_config(model={"epochs": 3})
