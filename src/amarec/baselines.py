@@ -41,15 +41,17 @@ def puresvd_scorer(train, rank=50, iters=10, seed=0):
 
 def ama_predictor(params, V, cfg):
     """The forward pass of a trained model, keys and values computed once:
-    ``predict(rows)`` returns the attention (N_obs x d) and the Prediction
-    of a CSR block whose rows, all nonempty, are the attention masks."""
+    ``predict(rows)`` returns the attention (N_obs x d), the modes U
+    (B x d x h), the maxout scores and each item's mode (both B x n) of a
+    CSR block whose rows, all nonempty, are the attention masks."""
     K, Vt = keys_values(V, params)
     S_T = np.ascontiguousarray(params.S.T)
 
     def predict(rows):
         segs = Segments.of(np.split(rows.indices, rows.indptr[1:-1]))
         A = attend(K[segs.obs], params.Q, segs, cfg.kappa)
-        return A, decode_maxout(encode(A, Vt[segs.obs], segs, params.B), S_T)
+        U = encode(A, Vt[segs.obs], segs, params.B)
+        return (A, U, *decode_maxout(U, S_T))
 
     return predict
 
@@ -63,7 +65,7 @@ def ama_scorer(params, V, cfg):
         scores = np.zeros(rows.shape)
         full = np.flatnonzero(np.diff(rows.indptr))
         if full.size:
-            scores[full] = predict(rows[full])[1].scores
+            scores[full] = predict(rows[full])[2]
         return scores
 
     return score

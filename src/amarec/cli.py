@@ -209,6 +209,9 @@ def _load_ama(path, data, cfg):
     # a sidecar without a recipe comes from a model trained with the default one
     recorded = sidecar.get("embedding", {"h": mcfg.h, "seed": mcfg.seed})
     for key, value in recorded.items():
+        if key in _RECIPE_KEYS and (isinstance(value, bool) or not isinstance(value, int)):
+            raise CliError(f"{path} records the embedding setting {key}={value!r}, "
+                           "which is not an integer")
         if key not in _RECIPE_KEYS and (key, value) not in _RETIRED_RECIPE.items():
             raise CliError(f"{path} records the embedding setting {key}={value}, "
                            "which this version cannot rebuild")

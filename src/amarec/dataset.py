@@ -136,9 +136,9 @@ def _raise_first_fault(path, amazon, pick):
     line, naming the first of its faults in the order checked below."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape",
               newline="" if amazon else None) as fh:
-        lines = _csv_rows(fh) if amazon else (
-            line.rstrip("\n").split("::") if line != "\n" else [] for line in fh)
-        for lineno, fields in enumerate(lines, start=1):
+        records = _csv_rows(fh) if amazon else enumerate(
+            (line.rstrip("\n").split("::") if line != "\n" else [] for line in fh), start=1)
+        for lineno, fields in records:
             if not fields:
                 continue
             try:
@@ -163,13 +163,17 @@ def _raise_first_fault(path, amazon, pick):
 
 
 def _csv_rows(fh):
-    """The rows of a CSV file; a csv.Error, such as a field beyond the csv
-    module's field size limit, is raised as a ParseError at its line."""
-    reader = csv.reader(fh)
+    """(line, row) for each record of a CSV file, ``line`` being the physical
+    line the record starts on: a quoted field may span lines. A csv.Error,
+    such as a field beyond the csv module's field size limit, is raised as a
+    ParseError at the line its record starts on."""
+    reader, start = csv.reader(fh), 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
-        raise ParseError(str(exc), reader.line_num) from None
+        raise ParseError(str(exc), start) from None
 
 
 def binarize(ratings, threshold):
@@ -317,12 +321,40 @@ def _read_pairs(path, m, n):
     return rows, cols
 
 
-def load_split(out_dir):
-    """Inverse of save_split. Rejects a malformed or out-of-range row,
-    naming its file and line, and a matrix whose entry count differs from
-    the one split.json records, as a file cut short leaves it."""
-    with open(os.path.join(out_dir, "split.json"), "r", encoding="utf-8") as fh:
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _read_split_meta(path):
+    """The split.json at ``path``, checked to be an object with integer
+    ``num_users`` and ``num_items``, ``user_ids`` and ``item_ids`` lists of
+    that many strings and an integer ``counts`` entry per split; a
+    ConfigError names the file and the first key that is not."""
+    with open(path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path} is not a JSON object")
+    for size, key in (("num_users", "user_ids"), ("num_items", "item_ids")):
+        if not _is_count(meta.get(size)):
+            raise ConfigError(f"{path}: {size} must be an integer >= 0, got {meta.get(size)!r}")
+        ids = meta.get(key)
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise ConfigError(f"{path}: {key} must be a list of id strings")
+        if len(ids) != meta[size]:
+            raise ConfigError(f"{path}: {key} lists {len(ids)} ids, but {size} is {meta[size]}")
+    counts = meta.get("counts")
+    for name in _SPLITS:
+        if not (isinstance(counts, dict) and _is_count(counts.get(name))):
+            raise ConfigError(f"{path}: counts must give an integer >= 0 for {name}")
+    return meta
+
+
+def load_split(out_dir):
+    """Inverse of save_split. Rejects a malformed split.json before reading
+    any CSV, a malformed or out-of-range row, naming its file and line, and
+    a matrix whose entry count differs from the one split.json records, as a
+    file cut short leaves it."""
+    meta = _read_split_meta(os.path.join(out_dir, "split.json"))
     m, n = meta["num_users"], meta["num_items"]
 
     def read_csv(name):

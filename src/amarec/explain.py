@@ -57,9 +57,10 @@ def explain_user(params, V, cfg, train_row, user, k=10):
         raise ValueError(f"user {user} has an empty interaction history")
     history = sp.csr_matrix((np.ones(obs.size), obs, [0, obs.size]),
                             shape=(1, params.S.shape[0]))
-    A, pred = ama_predictor(params, V, cfg)(history)
-    keys, length = rank_keys(pred.scores, history)
-    recs = [(int(j), int(pred.mode_of[0, j]), pred.per_mode[0, :, j].copy())
+    A, U, scores, mode_of = ama_predictor(params, V, cfg)(history)
+    keys, length = rank_keys(scores, history)
+    per_mode = np.matmul(U, np.ascontiguousarray(params.S.T))[0]   # the decode's own GEMM
+    recs = [(int(j), int(mode_of[0, j]), per_mode[:, j].copy())
             for j in top_k(keys, k)[0, :length[0]]]
     return UserExplanation(user=user, attention=A.T, observed=obs, recommendations=recs)
 
@@ -78,9 +79,9 @@ def mode_usage(params, V, cfg, data, k=10):
     hist = np.zeros(d + 1, dtype=np.int64)
     for start in range(0, users.size, BLOCK):
         rows = train[users[start:start + BLOCK]]
-        pred = predict(rows)[1]
-        keys, length = rank_keys(pred.scores, rows)
-        modes = np.take_along_axis(pred.mode_of, top_k(keys, k), axis=1)
+        _, _, scores, mode_of = predict(rows)
+        keys, length = rank_keys(scores, rows)
+        modes = np.take_along_axis(mode_of, top_k(keys, k), axis=1)
         modes[np.arange(modes.shape[1]) >= length[:, None]] = -1   # past the ranked list
         used = sum((modes == l).any(axis=1) for l in range(d))
         hist += np.bincount(used, minlength=d + 1)

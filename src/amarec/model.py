@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -61,13 +61,6 @@ class AmaParameters:
 
 
 PARAM_NAMES = ("W_k", "W_v", "Q", "B", "S")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    scores: np.ndarray    # B x n maxout scores (length n for one user)
-    mode_of: np.ndarray   # argmax mode per item (lowest index on ties), same shape
-    per_mode: np.ndarray  # B x d x n per-mode scores (d x n for one user)
 
 
 def parameter_count(n, cfg):
@@ -145,19 +138,20 @@ def encode(A, Vt_obs, segs, B):
 
 
 def decode_maxout(U, S_T):
-    """Per-item maxout over modes of u_l . s_j for each user of U (B x d x h).
+    """Per-item maxout over modes of u_l . s_j for each user of U (B x d x h):
+    the B x n scores and each item's argmax mode, lowest on ties.
 
     ``S_T`` must be ``np.ascontiguousarray(S.T)``, computed once by the caller:
-    the non-contiguous view gives other bytes. Argmax ties go to the lowest
-    mode. BLAS sees one (d, h) @ (h, n) GEMM per user, whose bytes do not
-    depend on the batch or the BLAS thread count.
+    the non-contiguous view gives other bytes. BLAS sees one (d, h) @ (h, n)
+    GEMM per user, whose bytes do not depend on the batch or the BLAS thread
+    count; ``np.matmul(U, S_T)`` gives the per-mode scores it maximizes over.
     """
-    per_mode = np.matmul(U, S_T)   # B x d x n
+    per_mode = np.matmul(U, S_T)   # B x d x n, freed on return
     scores, mode_of = per_mode[:, 0].copy(), np.zeros(per_mode[:, 0].shape, np.intp)
     for l in range(1, U.shape[1]):   # strict >: ties stay on the lowest mode
         mode_of[per_mode[:, l] > scores] = l
         np.maximum(scores, per_mode[:, l], out=scores)   # NaN propagates as in max()
-    return Prediction(scores, mode_of, per_mode)
+    return scores, mode_of
 
 
 def confidence_weights(r, alpha):
@@ -179,28 +173,28 @@ def batch_gradients(R, masks, params, V, cfg):
 
     ``R`` holds the clean rows (B x n, the targets) and ``masks[b]`` the item
     indices row b attends over. Returns the gradients summed over the batch
-    (keyed by PARAM_NAMES; the caller adds the decoder penalty's), the
-    per-user data losses and the forward pass's Prediction. BLAS sees only
-    fixed-shape products, one GEMM per user and GEMVs, because a batch-wide
-    GEMM can split its sums differently under different BLAS thread counts;
-    sums over the observed rows run in numpy (reduceat, einsum), whose order
-    is fixed.
+    (keyed by PARAM_NAMES; the caller adds the decoder penalty's) and the
+    per-user data losses. BLAS sees only fixed-shape products, one GEMM per
+    user and GEMVs, because a batch-wide GEMM can split its sums differently
+    under different BLAS thread counts; sums over the observed rows run in
+    numpy (reduceat, einsum), whose order is fixed.
     """
     segs = Segments.of(masks)
     K_obs, Vt_obs = (kv[segs.obs] for kv in keys_values(V, params))
     V_obs, sk = np.asarray(V)[segs.obs], math.sqrt(cfg.kappa)
     A = attend(K_obs, params.Q, segs, cfg.kappa)
     U = encode(A, Vt_obs, segs, params.B)
-    pred = decode_maxout(U, np.ascontiguousarray(params.S.T))
+    scores, mode_of = decode_maxout(U, np.ascontiguousarray(params.S.T))
     nb, d, h = U.shape
-    g = R - pred.scores                    # the error, then d(loss)/d(scores)
+    g = R - scores                         # the error, then d(loss)/d(scores)
+    del scores
     c = confidence_weights(R, cfg.alpha)
     losses = np.einsum("bj,bj,bj->b", c, g, g)
     g *= -2.0 * c
     del c   # B x n arrays no longer needed are freed before the B x d x n ones
     # routed gradients: row (b, l) is nonzero where user b's items take mode l
-    G = (g[:, None] * (pred.mode_of[:, None] == np.arange(d)[:, None])).reshape(nb * d, -1)
-    del g
+    G = (g[:, None] * (mode_of[:, None] == np.arange(d)[:, None])).reshape(nb * d, -1)
+    del g, mode_of
     dS = np.matmul(G.T[:, None], U.reshape(nb * d, h))[:, 0]   # one GEMV per item
     dU = np.matmul(G[:, None], params.S).reshape(nb, d, h)     # one GEMV per user and mode
     dA = np.einsum("jlh,jh->jl", dU[segs.seg], Vt_obs)
@@ -209,7 +203,7 @@ def batch_gradients(R, masks, params, V, cfg):
     grads = {"W_k": np.einsum("ja,jl->al", V_obs, dLogit) @ params.Q / sk,
              "W_v": np.einsum("bla,blc->ac", Z, dU),
              "Q": np.einsum("jl,jk->lk", dLogit, K_obs) / sk, "B": dU.sum(axis=0), "S": dS}
-    return grads, losses, pred
+    return grads, losses
 
 
 _MDL_MAGIC = b"AMAMDL01"
@@ -242,12 +236,57 @@ def read_sidecar(path):
         return json.load(fh)
 
 
+# each AmaConfig field and the JSON types its sidecar value may take
+_CONFIG_TYPES = {f.name: (int,) if isinstance(f.default, int) else (int, float)
+                 for f in fields(AmaConfig)}
+
+
+def _sidecar_config(sidecar, path, dims):
+    """The AmaConfig of a model sidecar whose layout and dims hold: a JSON
+    object with the header's dims, a string ``item_index_hash``, an optional
+    ``embedding`` object and a ``config`` object holding every AmaConfig
+    field, as a finite number of its type, with the header's h, d and kappa.
+    Any other sidecar raises a ValueError naming the file and the field."""
+    where = f"model sidecar {path}.json"
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key, value in dims.items():
+        if sidecar.get(key) != value:
+            raise ValueError(f"{where} gives {key}={sidecar.get(key)}, "
+                             f"but the model file has {key}={value}")
+    if not isinstance(sidecar.get("item_index_hash"), str):
+        raise ValueError(f"{where}: item_index_hash must be a string, "
+                         f"got {sidecar.get('item_index_hash')!r}")
+    for key in ("config", "embedding"):
+        if not isinstance(sidecar.get(key, {}), dict):
+            raise ValueError(f"{where}: {key} must be a JSON object")
+    config = sidecar.get("config", {})
+    unknown = sorted(config.keys() - _CONFIG_TYPES.keys())
+    if unknown:
+        raise ValueError(f"{where}: unknown config key {unknown[0]!r}")
+    missing = sorted(_CONFIG_TYPES.keys() - config.keys())
+    if missing:
+        raise ValueError(f"{where}: config lacks the key {missing[0]!r}")
+    for key, value in config.items():
+        if (isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key])
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise ValueError(f"{where}: config.{key} must be a finite "
+                             f"{_CONFIG_TYPES[key][-1].__name__}, got {value!r}")
+        if dims.get(key, value) != value:
+            raise ValueError(f"{where} gives config.{key}={value}, "
+                             f"but the model file has {key}={dims[key]}")
+    try:
+        return AmaConfig(**config)
+    except ValueError as exc:
+        raise ValueError(f"{where}: config: {exc}") from None
+
+
 def load_model(path):
     """Returns (AmaParameters, AmaConfig). The sidecar JSON must be present.
 
     Rejects a file whose length differs from what its header's dims imply, a
-    parameter holding a NaN or an infinity, and a sidecar whose dims disagree
-    with the header.
+    parameter holding a NaN or an infinity, and a sidecar that is malformed
+    or disagrees with the header (see ``_sidecar_config``).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -272,10 +311,5 @@ def load_model(path):
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"damaged model file {path}: parameter {name} holds a "
                              "non-finite value")
-    sidecar = read_sidecar(path)
-    for key, value in (("n", n), ("h", h), ("d", d), ("kappa", kappa)):
-        if sidecar.get(key) != value:
-            raise ValueError(f"model sidecar of {path} gives {key}={sidecar.get(key)}, "
-                             f"but the model file has {key}={value}")
-    cfg = AmaConfig(**sidecar["config"])
+    cfg = _sidecar_config(read_sidecar(path), path, {"n": n, "h": h, "d": d, "kappa": kappa})
     return AmaParameters(**arrays), cfg

@@ -106,7 +106,7 @@ def train(data, V, cfg, params=None, callback=None):
                     masks.append(mask)
             if not masks:
                 continue
-            grads, losses, _ = batch_gradients(R[:len(masks)], masks, params, V, mcfg)
+            grads, losses = batch_gradients(R[:len(masks)], masks, params, V, mcfg)
             for value in losses.tolist():   # one by one in ascending user order, not pairwise
                 total += value
             counted += len(masks)

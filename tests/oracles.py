@@ -220,7 +220,9 @@ def parse_ratings_oracle(path, format, amazon_columns="item,user,rating,timestam
             raise ConfigError(f"bad amazon column order {amazon_columns!r}")
         pos = {name: i for i, name in enumerate(cols)}
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
+            reader, start = csv.reader(fh), 1
+            for row in reader:   # a record starts on the line after the previous one ends
+                lineno, start = start, reader.line_num + 1
                 if not row:
                     continue
                 if len(row) != 4:

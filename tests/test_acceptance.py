@@ -144,8 +144,9 @@ def test_criterion_6_maxout_suite():
         d, h, n = int(rng.integers(1, 5)), int(rng.integers(2, 5)), int(rng.integers(3, 9))
         U = rng.standard_normal((1, d, h))
         S = rng.standard_normal((n, h))
-        pred = decode_maxout(U, np.ascontiguousarray(S.T))
-        per_mode, scores, mode_of = pred.per_mode[0], pred.scores[0], pred.mode_of[0]
+        S_T = np.ascontiguousarray(S.T)
+        scores, mode_of = (x[0] for x in decode_maxout(U, S_T))
+        per_mode = np.matmul(U, S_T)[0]   # the GEMM the decode maximizes over
         np.testing.assert_allclose(per_mode, U[0] @ S.T, rtol=1e-12, atol=0)
         assert np.all(scores[None, :] >= per_mode - 1e-15)
         for j in range(n):
@@ -154,10 +155,10 @@ def test_criterion_6_maxout_suite():
     rng = np.random.default_rng(1)
     U = rng.standard_normal((1, 1, 4))
     S_T = np.ascontiguousarray(rng.standard_normal((6, 4)).T)
-    np.testing.assert_array_equal(decode_maxout(U, S_T).scores[0], U[0, 0] @ S_T)
+    np.testing.assert_array_equal(decode_maxout(U, S_T)[0][0], U[0, 0] @ S_T)
     # deterministic lowest-index tie-break
     U_tie = np.array([[[2.0, 0.0], [2.0, 0.0]]])
-    assert decode_maxout(U_tie, np.array([[1.0], [5.0]])).mode_of[0, 0] == 0
+    assert decode_maxout(U_tie, np.array([[1.0], [5.0]]))[1][0, 0] == 0
     passed(6, "dominance, d=1 dot-product reduction, deterministic tie-break")
 
 

@@ -139,6 +139,14 @@ class TestModelDecidesEmbeddings:
         assert main([command, "--data", str(data), "--model", str(recorded), *what]) == 1
         assert f"records the embedding setting {key}={value}," in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["4", 4.0, True])
+    def test_non_integer_recorded_recipe_value_rejected(self, trained, tmp_path, capsys, value):
+        _, data, model = trained
+        recorded = self.with_recorded(model, tmp_path / "other.bin", h=value)
+        assert evaluate(data, recorded) == 1
+        assert f"records the embedding setting h={value!r}, which is not an integer" in (
+            capsys.readouterr().err)
+
     def test_different_train_matrix_rejected(self, trained, capsys):
         tmp, data, model = trained
         other = prep(tmp, "other", seed=5)
@@ -297,6 +305,57 @@ class TestDamagedFiles:
         sidecar_path.write_text(json.dumps(sidecar))
         with pytest.raises(ValueError, match=f"{key}="):
             load_model(model_path)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda sc: sc["config"].update(kappa=12), "config.kappa=12"),
+        (lambda sc: sc["config"].update(h=4), "config.h=4"),
+        (lambda sc: sc["config"].update(beta=1), "unknown config key 'beta'"),
+        (lambda sc: sc["config"].pop("rho"), "config lacks the key 'rho'"),
+        (lambda sc: sc["config"].update(h="3"), "config.h must be a finite int, got '3'"),
+        (lambda sc: sc["config"].update(d=True), "config.d must be a finite int"),
+        (lambda sc: sc["config"].update(lam=float("nan")), "config.lam must be a finite float"),
+        (lambda sc: sc["config"].update(rho=1.5), "config: rho must lie in [0, 1]"),
+        (lambda sc: sc.update(config=[3]), "config must be a JSON object"),
+        (lambda sc: sc.update(embedding="svd"), "embedding must be a JSON object"),
+        (lambda sc: sc.pop("item_index_hash"), "item_index_hash must be a string, got None"),
+        (lambda sc: sc.update(item_index_hash=7), "item_index_hash must be a string, got 7"),
+    ], ids=["config-kappa", "config-h", "unknown-key", "missing-key", "string-h", "bool-d",
+            "nan-lam", "rho-range", "config-list", "embedding-string", "no-hash", "int-hash"])
+    def test_malformed_sidecar_rejected_naming_file_and_field(self, model_path, edit, field):
+        sidecar_path = model_path.parent / "m.bin.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        edit(sidecar)
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError) as exc:
+            load_model(model_path)
+        assert str(exc.value).startswith(f"model sidecar {sidecar_path}")
+        assert field in str(exc.value)
+
+    def test_sidecar_that_is_not_an_object_rejected(self, model_path):
+        sidecar_path = model_path.parent / "m.bin.json"
+        sidecar_path.write_text("[1, 2]\n")
+        with pytest.raises(ValueError, match=re.escape(f"{sidecar_path} is not a JSON object")):
+            load_model(model_path)
+
+    def test_sidecar_without_recipe_or_hash_loads(self, model_path):
+        sidecar = json.loads((model_path.parent / "m.bin.json").read_text())
+        assert "embedding" not in sidecar and sidecar["item_index_hash"] == ""
+        assert load_model(model_path)[1] == AmaConfig(h=3, d=2, kappa=2)
+
+    def test_config_disagreeing_with_header_stops_evaluate_and_explain(self, trained,
+                                                                       tmp_path, capsys):
+        _, data, model = trained
+        bad = tmp_path / "kappa.bin"
+        bad.write_bytes(model.read_bytes())
+        sidecar = json.loads((model.parent / "model.bin.json").read_text())
+        sidecar["config"]["kappa"] = 12
+        (tmp_path / "kappa.bin.json").write_text(json.dumps(sidecar))
+        for argv in (["evaluate", "--ks", "5"], ["explain", "--histogram", "--k", "5"]):
+            out = tmp_path / "out"
+            assert main([*argv, "--data", str(data), "--model", str(bad), "--out", str(out)]) == 1
+            assert not out.exists()
+            assert "gives config.kappa=12, but the model file has kappa=2" in (
+                capsys.readouterr().err)
 
     @pytest.mark.parametrize("cut", [-8, 1])
     def test_embeddings_wrong_length_rejected(self, tmp_path, cut):

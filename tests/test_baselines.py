@@ -104,7 +104,7 @@ class TestAmaScorer:
         score = ama_scorer(params, V, cfg)
         K, Vt = keys_values(V, params)
         A = attend_one(K, params.Q, obs, cfg.kappa)
-        expected = decode_one(encode_one(A, Vt[obs], params.B), params.S).scores
+        expected = decode_one(encode_one(A, Vt[obs], params.B), params.S)[0]
         np.testing.assert_array_equal(one(score, obs, 0, V.shape[0]), expected)
 
     def test_empty_history_zero_scores(self):

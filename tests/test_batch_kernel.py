@@ -1,9 +1,10 @@
 """The batched forward/backward kernel against the per-user reference, and
-training's independence from the BLAS thread count."""
+training's independence from the BLAS thread count and its memory peak."""
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from amarec.model import (AmaConfig, DegenerateUser, PARAM_NAMES, Segments, atte
                           batch_gradients, corrupt, decode_maxout, encode, keys_values)
 from conftest import synthetic_events, write_movielens_file
 from oracles import forward_oracle, gradients_oracle
-from test_model import random_params
+from test_model import random_params, recording_decode
 
 
 def batch_case(seed, n, h, d, kappa, users, rho, tied):
@@ -56,7 +57,9 @@ def test_batch_equals_sum_of_per_user_oracle(seed, n, h, d, kappa, users, rho, t
     cfg, V, params, rows, masks, _ = batch_case(seed, n, h, d, kappa, users, rho, tied)
     if not masks:
         return
-    grads, losses, pred = batch_gradients(np.array(rows), masks, params, V, cfg)
+    with recording_decode() as calls:
+        grads, losses = batch_gradients(np.array(rows), masks, params, V, cfg)
+    (_, scores, mode_of), = calls
     per_user = [gradients_oracle(r, mk, params, V, cfg) for r, mk in zip(rows, masks)]
     np.testing.assert_allclose(losses, [g["loss"] for g in per_user], rtol=1e-12, atol=0)
     for name in PARAM_NAMES:
@@ -64,9 +67,9 @@ def test_batch_equals_sum_of_per_user_oracle(seed, n, h, d, kappa, users, rho, t
         scale = np.abs(terms).sum(axis=0).max()
         err = np.abs(grads[name] - terms.sum(axis=0)).max()
         assert err <= 1e-12 * max(scale, 1e-300), f"{name}: {err:.3e} vs scale {scale:.3e}"
-    assert pred.scores.shape == pred.mode_of.shape == (len(masks), n)
+    assert scores.shape == mode_of.shape == (len(masks), n)
     if tied:
-        assert not pred.mode_of.any()
+        assert not mode_of.any()
 
 
 def within(x, ref, scale):
@@ -94,40 +97,45 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
         segs = Segments.of(mks)
         A = attend(K[segs.obs], params.Q, segs, cfg.kappa)
         U = encode(A, Vt[segs.obs], segs, params.B)
-        return A, U, decode_maxout(U, S_T)
+        return A, U, *decode_maxout(U, S_T)
 
-    A, U, pred = stages(masks)
+    A, U, scores, mode_of = stages(masks)
     seg = Segments.of(masks).seg
     for b, mk in enumerate(masks):
         # the batch equals each user run alone, bitwise
-        A1, U1, one = stages([mk])
+        A1, U1, scores1, mode_of1 = stages([mk])
         assert np.array_equal(A[seg == b], A1) and np.array_equal(U[b], U1[0])
-        for field in ("scores", "mode_of", "per_mode"):
-            assert np.array_equal(getattr(pred, field)[b], getattr(one, field)[0])
+        assert np.array_equal(scores[b], scores1[0])
+        assert np.array_equal(mode_of[b], mode_of1[0])
+        per_mode = np.matmul(U1, S_T)[0]   # the per-user GEMM the decode maximizes over
+        assert np.array_equal(np.matmul(U, S_T)[b], per_mode)
         # maxout: the strict scan keeps the lowest of the tied modes
-        assert np.array_equal(one.scores[0], one.per_mode[0].max(axis=0))
-        assert np.array_equal(one.mode_of[0], one.per_mode[0].argmax(axis=0))
+        assert np.array_equal(scores1[0], per_mode.max(axis=0))
+        assert np.array_equal(mode_of1[0], per_mode.argmax(axis=0))
         # and the per-user oracle to 1e-12
         ref = forward_oracle(mk, params, V, cfg.kappa)
         np.testing.assert_allclose(A1.T, ref["A"], rtol=1e-12, atol=0)
         within(U1[0], ref["U"], np.abs(ref["A"]) @ np.abs(Vt[mk]) + np.abs(params.B))
         scale = np.abs(ref["U"]) @ np.abs(params.S).T
-        within(one.per_mode[0], ref["per_mode"], scale)
-        within(ref["per_mode"][one.mode_of[0], np.arange(n)], ref["scores"], scale.max(axis=0))
+        within(per_mode, ref["per_mode"], scale)
+        within(ref["per_mode"][mode_of1[0], np.arange(n)], ref["scores"], scale.max(axis=0))
     if tied:
-        assert not pred.mode_of.any()
+        assert not mode_of.any()
 
-    # scoring and explanation return training's forward pass, bitwise
+    # scoring and explanation return what training's decode returns, bitwise
     clean = [np.flatnonzero(r) for r in rows]
-    _, _, trained = batch_gradients(np.array(rows), clean, params, V, cfg)
+    with recording_decode() as calls:
+        batch_gradients(np.array(rows), clean, params, V, cfg)
+    (trained_U, trained_scores, trained_modes), = calls
+    trained_per_mode = np.matmul(trained_U, S_T)
     score = ama_scorer(params, V, cfg)
     block = sp.csr_matrix(np.array(rows))
-    assert np.array_equal(score(block, np.arange(len(rows))), trained.scores)
+    assert np.array_equal(score(block, np.arange(len(rows))), trained_scores)
     for b, obs in enumerate(clean):
-        assert np.array_equal(score(block[b], np.array([b]))[0], trained.scores[b])
+        assert np.array_equal(score(block[b], np.array([b]))[0], trained_scores[b])
         for j, mode, per_mode in explain_user(params, V, cfg, obs, b, k=n).recommendations:
-            assert mode == trained.mode_of[b, j]
-            assert np.array_equal(per_mode, trained.per_mode[b, :, j])
+            assert mode == trained_modes[b, j]
+            assert np.array_equal(per_mode, trained_per_mode[b, :, j])
 
 
 def test_examples_cover_the_degenerate_cases():
@@ -180,3 +188,29 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     for name in names:
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), \
             name
+
+
+def test_step_memory_stays_below_two_mode_score_arrays():
+    # At this shape one B x d x n float64 array dominates every other
+    # temporary of the step. Keeping the per-mode scores alive through the
+    # backward pass, next to the routed gradients, would peak near 2.75x.
+    nb, n, d, h = 64, 4000, 5, 8
+    cfg = AmaConfig(h=h, d=d, kappa=2, rho=0.0)
+    rng = np.random.default_rng(3)
+    V = rng.standard_normal((n, h))
+    params = random_params(n, cfg, seed=4)
+    masks = [np.sort(rng.choice(n, size=5, replace=False)) for _ in range(nb)]
+    R = np.zeros((nb, n))
+    for b, mk in enumerate(masks):
+        R[b, mk] = 1.0
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        batch_gradients(R, masks, params, V, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2.0 * nb * d * n * 8, peak / (nb * d * n * 8)

@@ -130,10 +130,10 @@ def test_mode_usage_matches_per_user_loop(seed, m, n, d, k, tied):
         if not obs.size:
             continue
         segs = Segments.of([obs])
-        pred = decode_maxout(encode(attend(K[obs], params.Q, segs, cfg.kappa), Vt[obs], segs,
-                                    params.B), S_T)
-        top = reference_ranked(pred.scores[0], set(obs.tolist()))[:k]
-        used = len({int(pred.mode_of[0, j]) for j in top})
+        scores, mode_of = decode_maxout(encode(attend(K[obs], params.Q, segs, cfg.kappa),
+                                               Vt[obs], segs, params.B), S_T)
+        top = reference_ranked(scores[0], set(obs.tolist()))[:k]
+        used = len({int(mode_of[0, j]) for j in top})
         if used:
             expected[used - 1] += 1
     assert mode_usage(params, V, cfg, data, k=k).tolist() == expected.tolist()

@@ -116,6 +116,27 @@ class TestParseRatings:
             parse_ratings(p, format)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("text, line, value", [
+        ('i1,"u\n1",5,10\ni2,u2,5,11\ni3,u3,x,12\n', 4, "x"),
+        ('i1,"u\n1",5,10\ni2,u2,5,11\ni3,u3,5,12\n\ni4,"u\n4",y,13\n', 6, "y"),
+    ], ids=["after-a-two-line-record", "two-line-record-after-a-blank-line"])
+    def test_amazon_fault_names_the_physical_line_its_record_starts_on(self, tmp_path, text,
+                                                                       line, value):
+        p = tmp_path / "r.csv"
+        p.write_text(text)
+        for parse in (parse_ratings, oracles.parse_ratings_oracle):
+            with pytest.raises(ParseError) as exc:
+                parse(p, "amazon-csv")
+            assert (exc.value.line_number, str(exc.value)) == (
+                line, f"line {line}: could not convert string to float: {value!r}")
+
+    def test_csv_error_names_the_line_its_record_starts_on(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text('i1,u1,5,10\ni2,"u\n' + "x" * 200_000 + '",5,11\n')
+        with pytest.raises(ParseError, match="field larger than field limit") as exc:
+            parse_ratings(p, "amazon-csv")
+        assert exc.value.line_number == 2
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_ratings(tmp_path / "x", "netflix")
@@ -291,8 +312,9 @@ COLUMN_ORDERS = ["item,user,rating,timestamp", "user,item,rating,timestamp",
 def random_lines(rng, amazon_ids=False):
     """(user, item, rating, timestamp) string rows of a small random log. Ids
     are picked by index: a numpy array of them would drop the trailing NUL."""
-    # in a "::" line an id "a:" would split as "a" and ":..."; CSV quotes the rest
-    pool = IDS + (['q,"r"', "c,d", "a:"] if amazon_ids else [])
+    # in a "::" line an id "a:" would split as "a" and ":..."; CSV quotes the
+    # rest, and a quoted "n\nl" makes a record span two physical lines
+    pool = IDS + (['q,"r"', "c,d", "a:", "n\nl"] if amazon_ids else [])
 
     def pick(values, size=None):
         chosen = rng.choice(len(values), size=size or 1, replace=False).tolist()
@@ -387,7 +409,7 @@ FAULTS = {   # column -> faulty values; each is a fault the list oracle reports 
        columns=st.sampled_from(COLUMN_ORDERS), faults=st.integers(1, 3))
 def test_faults_match_the_list_oracle(seed, format, columns, faults):
     rng = np.random.default_rng(seed)
-    rows = random_lines(rng)
+    rows = random_lines(rng, amazon_ids=format == "amazon-csv")
     for at in rng.choice(len(rows), size=min(faults, len(rows)), replace=False):
         row = rows[at]
         kind = rng.integers(4)
@@ -462,6 +484,42 @@ def test_malformed_row_names_file_and_line(tmp_path, tiny_split, name, row):
         load_split(tmp_path / "out")
     assert exc.value.line_number == 3
     assert f"{path}: expected user_idx,item_idx, got {row!r}" in str(exc.value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta["item_ids"].pop(), "item_ids lists {n_1} ids, but num_items is {n}"),
+    (lambda meta: meta["user_ids"].pop(), "user_ids lists {m_1} ids, but num_users is {m}"),
+    (lambda meta: meta["user_ids"].__setitem__(0, 7), "user_ids must be a list of id strings"),
+    (lambda meta: meta.update(item_ids="abc"), "item_ids must be a list of id strings"),
+    (lambda meta: meta.update(num_users="3"), "num_users must be an integer >= 0, got '3'"),
+    (lambda meta: meta.update(num_items=-1), "num_items must be an integer >= 0, got -1"),
+    (lambda meta: meta.pop("counts"), "counts must give an integer >= 0 for train"),
+    (lambda meta: meta["counts"].pop("test"), "counts must give an integer >= 0 for test"),
+    (lambda meta: meta["counts"].update(validation=2.0),
+     "counts must give an integer >= 0 for validation"),
+], ids=["short-item-ids", "short-user-ids", "int-user-id", "string-item-ids",
+        "string-num-users", "negative-num-items", "no-counts", "no-test-count",
+        "float-count"])
+def test_malformed_split_json_rejected_before_any_csv(tmp_path, tiny_split, edit, message):
+    save_split(tiny_split, tmp_path / "out", threshold=2)
+    path = tmp_path / "out" / "split.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+    for name in ("train", "validation", "test"):
+        (tmp_path / "out" / f"{name}.csv").unlink()
+    m, n = tiny_split.shape
+    with pytest.raises(ConfigError) as exc:
+        load_split(tmp_path / "out")
+    assert str(exc.value) == f"{path}: " + message.format(m=m, n=n, m_1=m - 1, n_1=n - 1)
+
+
+def test_split_json_that_is_not_an_object_rejected(tmp_path, tiny_split):
+    save_split(tiny_split, tmp_path / "out", threshold=2)
+    path = tmp_path / "out" / "split.json"
+    path.write_text("[]\n")
+    with pytest.raises(ConfigError, match="is not a JSON object"):
+        load_split(tmp_path / "out")
 
 
 def test_empty_file_names_the_file(tmp_path, tiny_split):

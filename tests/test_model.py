@@ -1,4 +1,6 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from amarec.model import (
     AmaConfig,
     AmaParameters,
     DegenerateUser,
-    Prediction,
     Segments,
     attend,
     batch_gradients,
@@ -44,9 +45,24 @@ def encode_one(A, Vt_obs, B):
 
 
 def decode_one(U, S):
-    """The batched maxout decoder on one user's d x h modes."""
-    pred = decode_maxout(U[None], np.ascontiguousarray(S.T))
-    return Prediction(pred.scores[0], pred.mode_of[0], pred.per_mode[0])
+    """The batched maxout decoder on one user's d x h modes: (scores, mode_of)."""
+    scores, mode_of = decode_maxout(U[None], np.ascontiguousarray(S.T))
+    return scores[0], mode_of[0]
+
+
+@contextlib.contextmanager
+def recording_decode():
+    """Record (U, scores, mode_of) of every decode that ``batch_gradients``
+    makes inside the block."""
+    calls = []
+
+    def record(U, S_T):
+        scores, mode_of = decode_maxout(U, S_T)
+        calls.append((U, scores, mode_of))
+        return scores, mode_of
+
+    with mock.patch("amarec.model.decode_maxout", record):
+        yield calls
 
 
 def small_instance(seed, m=4, n=6, h=3, d=2, kappa=2, alpha=1.0, lam=0.01):
@@ -62,12 +78,14 @@ def small_instance(seed, m=4, n=6, h=3, d=2, kappa=2, alpha=1.0, lam=0.01):
 
 
 def user_objective(r, obs, params, V, cfg):
-    """One user's objective, gradients and Prediction: ``batch_gradients`` on
-    a batch of one, plus the decoder penalty lam ||S||^2 and its gradient."""
-    grads, losses, pred = batch_gradients(np.asarray(r)[None], [obs], params, V, cfg)
+    """One user's objective, gradients and scores: ``batch_gradients`` on a
+    batch of one, plus the decoder penalty lam ||S||^2 and its gradient."""
+    with recording_decode() as calls:
+        grads, losses = batch_gradients(np.asarray(r)[None], [obs], params, V, cfg)
     grads["S"] += 2.0 * cfg.lam * params.S
     objective = float(losses[0]) + cfg.lam * float(np.sum(params.S * params.S))
-    return objective, grads, Prediction(pred.scores[0], pred.mode_of[0], pred.per_mode[0])
+    (_, scores, _), = calls
+    return objective, grads, scores[0]
 
 
 class TestConfig:
@@ -173,37 +191,37 @@ class TestDecodeMaxout:
         rng = np.random.default_rng(0)
         U = rng.standard_normal((1, 3))
         S = rng.standard_normal((5, 3))
-        pred = decode_one(U, S)
-        np.testing.assert_allclose(pred.scores, S @ U[0], atol=1e-15)
-        assert np.all(pred.mode_of == 0)
+        scores, mode_of = decode_one(U, S)
+        np.testing.assert_allclose(scores, S @ U[0], atol=1e-15)
+        assert np.all(mode_of == 0)
 
     def test_hand_example(self):
         U = np.array([[1.0, 0.0], [0.0, 1.0]])
-        pred = decode_one(U, np.array([[2.0, 3.0]]))
-        assert pred.scores[0] == 3.0 and pred.mode_of[0] == 1
+        scores, mode_of = decode_one(U, np.array([[2.0, 3.0]]))
+        assert scores[0] == 3.0 and mode_of[0] == 1
 
     def test_max_of_negatives(self):
         U = np.array([[1.0], [1.0]])
         S = np.array([[-5.0]])
         # force distinct per-mode scores -5 and -2
         U = np.array([[1.0], [0.4]])
-        pred = decode_one(U, S)
-        assert pred.scores[0] == pytest.approx(-2.0)
-        assert pred.mode_of[0] == 1
+        scores, mode_of = decode_one(U, S)
+        assert scores[0] == pytest.approx(-2.0)
+        assert mode_of[0] == 1
 
     def test_dominance_and_tiebreak(self):
         rng = np.random.default_rng(5)
         U = rng.standard_normal((3, 4))
         S = rng.standard_normal((7, 4))
-        pred = decode_one(U, S)
+        scores, mode_of = decode_one(U, S)
         per_mode = U @ S.T
-        assert np.all(pred.scores[None, :] >= per_mode - 1e-15)
+        assert np.all(scores[None, :] >= per_mode - 1e-15)
         for j in range(7):
-            assert per_mode[pred.mode_of[j], j] == pred.scores[j]
+            assert per_mode[mode_of[j], j] == scores[j]
         # exact tie goes to the lowest mode
         U_tie = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        pred_tie = decode_one(U_tie, np.array([[1.0, 0.0]]))
-        assert pred_tie.mode_of[0] == 0
+        _, mode_of_tie = decode_one(U_tie, np.array([[1.0, 0.0]]))
+        assert mode_of_tie[0] == 0
 
 
 class TestConfidenceWeights:
@@ -255,9 +273,9 @@ class TestLoss:
         r = np.array([1.0, 0.0, 1.0])
         # solve s_j . u = r_j by setting s_j = r_j * u / ||u||^2
         params.S = np.outer(r, u / (u @ u))
-        val, _, pred = user_objective(r, obs, params, V, cfg)
+        val, _, scores = user_objective(r, obs, params, V, cfg)
         assert val == pytest.approx(0.0, abs=1e-20)
-        np.testing.assert_allclose(pred.scores, r, atol=1e-12)
+        np.testing.assert_allclose(scores, r, atol=1e-12)
 
     def test_zero_decoder_gives_weighted_target_norm(self):
         cfg = AmaConfig(h=3, d=2, kappa=2, alpha=2.0, lam=0.5, rho=0.0)
