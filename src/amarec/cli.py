@@ -34,13 +34,14 @@ import ctypes
 import functools
 import importlib.resources
 import json
+import math
 import os
 import sys
 
 
 from amarec import baselines, dataset, evaluation, explain as explain_mod, linalg, training
 from amarec.fileio import atomic_open
-from amarec.model import AmaConfig, load_model, read_sidecar, save_model
+from amarec.model import AmaConfig, load_model, save_model
 from amarec.training import TrainConfig
 
 
@@ -58,8 +59,6 @@ _RECIPE_KEYS = {k: k for k in linalg.RECIPE_DEFAULTS}
 _MODEL_KEYS = {**{k: k for k in ("d", "kappa", "alpha", "rho", "epochs")}, "lambda": "lam"}
 _TRAIN_KEYS = {k: k for k in ("learning_rate", "batch_size")}
 _PURESVD_KEYS = {"rank": "rank", "gamma": "iters", "seed": "seed"}
-# embedding keys that older model sidecars record, with the one value rebuilt today
-_RETIRED_RECIPE = {"oversample": 10, "scale": "none"}
 
 
 def parse_config_text(text, source="<config>"):
@@ -82,12 +81,14 @@ def _coerce(key, value, where):
                            f"choose one of {', '.join(_CHOICES[key])}")
         return value
     try:
-        if key in _FLOAT_KEYS:
+        if key in _FLOAT_KEYS and math.isfinite(float(value)):   # not nan, inf or -inf
             return float(value)
         if key in _INT_KEYS:
             return int(value)
     except ValueError:
-        raise CliError(f"{where}: bad value {value!r} for {key}") from None
+        pass
+    if key in _FLOAT_KEYS or key in _INT_KEYS:
+        raise CliError(f"{where}: bad value {value!r} for {key}")
     raise CliError(f"{where}: unknown config key {key!r}")
 
 
@@ -201,21 +202,9 @@ def cmd_train(args):
 
 def _load_ama(path, data, cfg):
     """(params, V, AmaConfig) of a model file, with V rebuilt from the recipe
-    in its sidecar. Rejects a recorded setting that cannot be rebuilt,
-    configured recipe keys that disagree with the record and a split other
-    than the one the model was trained on."""
-    params, mcfg = load_model(path)
-    sidecar = read_sidecar(path)
-    # a sidecar without a recipe comes from a model trained with the default one
-    recorded = sidecar.get("embedding", {"h": mcfg.h, "seed": mcfg.seed})
-    for key, value in recorded.items():
-        if key in _RECIPE_KEYS and (isinstance(value, bool) or not isinstance(value, int)):
-            raise CliError(f"{path} records the embedding setting {key}={value!r}, "
-                           "which is not an integer")
-        if key not in _RECIPE_KEYS and (key, value) not in _RETIRED_RECIPE.items():
-            raise CliError(f"{path} records the embedding setting {key}={value}, "
-                           "which this version cannot rebuild")
-    recipe = _recipe(recorded)
+    ``load_model`` resolves. Rejects configured recipe keys that disagree with
+    that recipe and a split other than the one the model was trained on."""
+    params, mcfg, recipe, trained_on = load_model(path)
     for key, given in _pick(cfg, _RECIPE_KEYS).items():
         if given != recipe[key]:
             raise CliError(f"{path} was trained with {key}={recipe[key]}, "
@@ -223,7 +212,6 @@ def _load_ama(path, data, cfg):
     if data.shape[1] != params.S.shape[0]:
         raise CliError(f"{path} scores {params.S.shape[0]} items, "
                        f"but the split has {data.shape[1]}")
-    trained_on = sidecar["item_index_hash"]
     if trained_on and trained_on != linalg.matrix_hash(data.train):
         raise CliError(f"{path} was trained on a different train matrix")
     return params, linalg.embed_items(data.train, **recipe), mcfg

@@ -110,13 +110,8 @@ def mode_top_items(params, V, cfg, data, n_top=10):
     pop_rank = np.empty(n, dtype=np.int64)
     pop_rank[pop_order] = np.arange(1, n + 1)
 
-    result = []
-    for l in range(d):
-        top = np.lexsort((np.arange(n), -agg[l]))[:n_top]
-        result.append(
-            [(int(j), float(agg[l, j]), int(pop_rank[j]), int(counts[j])) for j in top]
-        )
-    return result
+    return [[(int(j), float(agg[l, j]), int(pop_rank[j]), int(counts[j])) for j in top]
+            for l, top in enumerate(top_k(-agg, n_top))]
 
 
 def save_histogram_csv(hist, path):

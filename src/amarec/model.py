@@ -22,6 +22,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from amarec.fileio import atomic_open
+from amarec.linalg import RECIPE_DEFAULTS
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class AmaConfig:
             raise ValueError("h, d and kappa must be >= 1")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if self.alpha < 0 or self.lam < 0:
-            raise ValueError("alpha and lam must be >= 0")
+        if not (0 <= self.alpha < math.inf and 0 <= self.lam < math.inf):
+            raise ValueError("alpha and lam must be >= 0 and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -230,23 +231,20 @@ def save_model(params, cfg, path, item_index_hash="", embedding=None):
         js.write("\n")
 
 
-def read_sidecar(path):
-    """The JSON sidecar written next to a model file."""
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # each AmaConfig field and the JSON types its sidecar value may take
 _CONFIG_TYPES = {f.name: (int,) if isinstance(f.default, int) else (int, float)
                  for f in fields(AmaConfig)}
+# embedding keys that older model sidecars record, with the one value rebuilt today
+_RETIRED_RECIPE = {"oversample": 10, "scale": "none"}
 
 
 def _sidecar_config(sidecar, path, dims):
-    """The AmaConfig of a model sidecar whose layout and dims hold: a JSON
-    object with the header's dims, a string ``item_index_hash``, an optional
-    ``embedding`` object and a ``config`` object holding every AmaConfig
-    field, as a finite number of its type, with the header's h, d and kappa.
-    Any other sidecar raises a ValueError naming the file and the field."""
+    """The AmaConfig and embedding recipe of a model sidecar whose layout and
+    dims hold: a JSON object with the header's dims, a string
+    ``item_index_hash``, an optional ``embedding`` object of integer recipe
+    values and a ``config`` object holding every AmaConfig field, as a finite
+    number of its type, with the header's h, d and kappa. Any other sidecar
+    raises a ValueError naming the file and the field."""
     where = f"model sidecar {path}.json"
     if not isinstance(sidecar, dict):
         raise ValueError(f"{where} is not a JSON object")
@@ -276,13 +274,25 @@ def _sidecar_config(sidecar, path, dims):
             raise ValueError(f"{where} gives config.{key}={value}, "
                              f"but the model file has {key}={dims[key]}")
     try:
-        return AmaConfig(**config)
+        cfg = AmaConfig(**config)
     except ValueError as exc:
         raise ValueError(f"{where}: config: {exc}") from None
+    # a sidecar without a recipe comes from a model trained with the default one
+    recorded = sidecar.get("embedding", {"h": cfg.h, "seed": cfg.seed})
+    for key, value in recorded.items():
+        if key in RECIPE_DEFAULTS and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{where} records the embedding setting {key}={value!r}, "
+                             "which is not an integer")
+        if key not in RECIPE_DEFAULTS and (key, value) not in _RETIRED_RECIPE.items():
+            raise ValueError(f"{where} records the embedding setting {key}={value}, "
+                             "which this version cannot rebuild")
+    return cfg, {key: recorded.get(key, value) for key, value in RECIPE_DEFAULTS.items()}
 
 
 def load_model(path):
-    """Returns (AmaParameters, AmaConfig). The sidecar JSON must be present.
+    """Returns (AmaParameters, AmaConfig, recipe, item_index_hash): the
+    ``embed_items`` keywords that rebuild the V the model was trained with,
+    and its train matrix's hash, ``""`` when unknown. The sidecar must exist.
 
     Rejects a file whose length differs from what its header's dims imply, a
     parameter holding a NaN or an infinity, and a sidecar that is malformed
@@ -311,5 +321,7 @@ def load_model(path):
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"damaged model file {path}: parameter {name} holds a "
                              "non-finite value")
-    cfg = _sidecar_config(read_sidecar(path), path, {"n": n, "h": h, "d": d, "kappa": kappa})
-    return AmaParameters(**arrays), cfg
+    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    cfg, recipe = _sidecar_config(sidecar, path, {"n": n, "h": h, "d": d, "kappa": kappa})
+    return AmaParameters(**arrays), cfg, recipe, sidecar["item_index_hash"]

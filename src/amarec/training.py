@@ -8,6 +8,7 @@ not depend on the BLAS thread count. Item embeddings are fixed, never updated.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,8 +24,8 @@ class TrainConfig:
     batch_size: int = 512
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be > 0 and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -64,7 +65,7 @@ def adam_step(params, grads, state, lr):
     return params
 
 
-class NonFiniteObjective(RuntimeError):
+class NonFiniteObjective(ValueError):
     def __init__(self, epoch, batch, value):
         super().__init__(f"non-finite objective {value} at epoch {epoch}, batch {batch}")
         self.epoch, self.batch = epoch, batch

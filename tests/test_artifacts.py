@@ -1,6 +1,7 @@
 """Artifact provenance: the model decides its embeddings, loaders reject damaged
 files, and the CLI's documented keys and shipped presets stay in step."""
 
+import builtins
 import dataclasses
 import json
 import re
@@ -176,6 +177,21 @@ class TestModelDecidesEmbeddings:
         assert evaluate(data, path, "--set", "gamma=3") == 1
         assert "gamma=10" in capsys.readouterr().err
 
+    def test_one_read_of_the_sidecar_per_command(self, trained, tmp_path, monkeypatch):
+        _, data, model = trained
+        real_open, opened = builtins.open, []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        for argv in (["evaluate", "--ks", "5"], ["explain", "--histogram", "--k", "5"]):
+            opened.clear()
+            assert main([*argv, "--data", str(data), "--model", str(model),
+                         "--out", str(tmp_path / "out")]) == 0
+            assert opened.count(f"{model}.json") == 1, argv
+
     def test_explain_unknown_user_with_matching_flags(self, trained, capsys):
         _, data, model = trained
         rc = main(["explain", "--data", str(data), "--model", str(model),
@@ -278,7 +294,7 @@ class TestDamagedFiles:
     @pytest.mark.parametrize("name", ["W_k", "S"])
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_non_finite_parameter_rejected(self, model_path, name, value):
-        params, cfg = load_model(model_path)
+        params, cfg, _, _ = load_model(model_path)
         getattr(params, name)[-1, -1] = value
         save_model(params, cfg, model_path)
         with pytest.raises(ValueError, match=f"parameter {name} holds a non-finite value"):
@@ -286,7 +302,7 @@ class TestDamagedFiles:
 
     def test_non_finite_parameter_stops_evaluate_and_explain(self, trained, tmp_path, capsys):
         _, data, model = trained
-        params, cfg = load_model(model)
+        params, cfg, _, _ = load_model(model)
         params.S[0, 0] = np.nan
         bad = tmp_path / "nan.bin"
         save_model(params, cfg, bad)
@@ -319,8 +335,22 @@ class TestDamagedFiles:
         (lambda sc: sc.update(embedding="svd"), "embedding must be a JSON object"),
         (lambda sc: sc.pop("item_index_hash"), "item_index_hash must be a string, got None"),
         (lambda sc: sc.update(item_index_hash=7), "item_index_hash must be a string, got 7"),
+        (lambda sc: sc.update(embedding={"h": "3"}),
+         "records the embedding setting h='3', which is not an integer"),
+        (lambda sc: sc.update(embedding={"h": 3.0}),
+         "records the embedding setting h=3.0, which is not an integer"),
+        (lambda sc: sc.update(embedding={"h": True}),
+         "records the embedding setting h=True, which is not an integer"),
+        (lambda sc: sc.update(embedding={"h": 3, "power_iters": 2}),
+         "records the embedding setting power_iters=2, which this version cannot rebuild"),
+        (lambda sc: sc.update(embedding={"h": 3, "oversample": 3}),
+         "records the embedding setting oversample=3, which this version cannot rebuild"),
+        (lambda sc: sc.update(embedding={"h": 3, "scale": "sqrt-sigma"}),
+         "records the embedding setting scale=sqrt-sigma, which this version cannot rebuild"),
     ], ids=["config-kappa", "config-h", "unknown-key", "missing-key", "string-h", "bool-d",
-            "nan-lam", "rho-range", "config-list", "embedding-string", "no-hash", "int-hash"])
+            "nan-lam", "rho-range", "config-list", "embedding-string", "no-hash", "int-hash",
+            "recipe-string-h", "recipe-float-h", "recipe-bool-h", "recipe-power-iters",
+            "recipe-oversample-3", "recipe-scale"])
     def test_malformed_sidecar_rejected_naming_file_and_field(self, model_path, edit, field):
         sidecar_path = model_path.parent / "m.bin.json"
         sidecar = json.loads(sidecar_path.read_text())
@@ -341,6 +371,19 @@ class TestDamagedFiles:
         sidecar = json.loads((model_path.parent / "m.bin.json").read_text())
         assert "embedding" not in sidecar and sidecar["item_index_hash"] == ""
         assert load_model(model_path)[1] == AmaConfig(h=3, d=2, kappa=2)
+
+    @pytest.mark.parametrize("edit, recipe", [
+        (lambda sc: None, {"h": 3, "gamma": 10, "seed": 0}),
+        (lambda sc: sc["config"].update(seed=7), {"h": 3, "gamma": 10, "seed": 7}),
+        (lambda sc: sc.update(embedding={"h": 3, "gamma": 2, "seed": 5, "oversample": 10,
+                                         "scale": "none"}), {"h": 3, "gamma": 2, "seed": 5}),
+    ], ids=["no-recipe", "no-recipe-seed-7", "retired-keys"])
+    def test_load_model_returns_the_complete_recipe(self, model_path, edit, recipe):
+        sidecar_path = model_path.parent / "m.bin.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        edit(sidecar)
+        sidecar_path.write_text(json.dumps(sidecar))
+        assert load_model(model_path)[2:] == (recipe, "")
 
     def test_config_disagreeing_with_header_stops_evaluate_and_explain(self, trained,
                                                                        tmp_path, capsys):

@@ -224,6 +224,26 @@ class TestTrainEvaluateExplain:
         err = capsys.readouterr().err
         assert f"{value!r} for {key}" in err and choices in err
 
+    @pytest.mark.parametrize("key", ["alpha", "lambda", "rho", "learning_rate"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected_before_any_svd(self, tmp_path, prepped, capsys,
+                                                      monkeypatch, key, value):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the randomized SVD ran")
+
+        monkeypatch.setattr(linalg, "embed_items", no_svd)
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--data", str(prepped), "--out", str(out), "--set", f"{key}={value}"])
+        assert rc == 1 and not out.exists()
+        assert f"bad value {value!r} for {key}" in capsys.readouterr().err
+
+    def test_diverging_train_exits_1_without_a_model(self, tmp_path, prepped, capsys):
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--data", str(prepped), "--out", str(out), *fast_overrides(),
+                   "--set", "learning_rate=1e300"])
+        assert rc == 1 and not out.exists()
+        assert "error: non-finite objective" in capsys.readouterr().err
+
     @pytest.mark.parametrize("setting", ["optimizer=adam", "scale=none", "oversample=10"])
     def test_removed_key_rejected_before_any_svd(self, tmp_path, prepped, capsys,
                                                  monkeypatch, setting):

@@ -97,6 +97,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             AmaConfig(alpha=-1)
 
+    @pytest.mark.parametrize("key", ["alpha", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, key, value):
+        with pytest.raises(ValueError, match="alpha and lam must be >= 0 and finite"):
+            AmaConfig(**{key: value})
+
     def test_parameter_count_formula(self):
         cfg = AmaConfig(h=4, d=2, kappa=3)
         assert parameter_count(10, cfg) == 10 * 4 + 16 + 8 + (4 + 2) * 3
@@ -322,7 +328,8 @@ def test_model_save_load_roundtrip(tmp_path):
 
     path = tmp_path / "model.bin"
     save_model(params, cfg, path, item_index_hash="abc")
-    loaded, loaded_cfg = load_model(path)
+    loaded, loaded_cfg, _, trained_on = load_model(path)
+    assert trained_on == "abc"
     assert loaded_cfg == cfg
     for name in ("W_k", "W_v", "Q", "B", "S"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))

@@ -65,6 +65,11 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_learning_rate_rejected(self, value):
+        with pytest.raises(ValueError, match="learning_rate must be > 0 and finite"):
+            TrainConfig(learning_rate=value)
+
 
 class TestTrainLoop:
     def test_zero_epochs_identity(self, tiny_split):
