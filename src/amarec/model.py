@@ -112,10 +112,12 @@ class Segments:
     seg: np.ndarray
 
     @classmethod
-    def of(cls, masks):
+    def of(cls, masks, first=0):
+        """``first`` is the index of ``masks[0]`` in the caller's batch, for
+        the message that names an empty mask."""
         lens = np.array([np.size(mk) for mk in masks])
         if lens.min() == 0:   # reduceat would return garbage for an empty run
-            raise DegenerateUser(f"mask {int(lens.argmin())} has no observed entries")
+            raise DegenerateUser(f"mask {first + int(lens.argmin())} has no observed entries")
         obs = np.concatenate(masks).astype(np.intp)
         return cls(obs, np.cumsum(lens) - lens, np.repeat(np.arange(lens.size), lens))
 
@@ -148,10 +150,13 @@ def decode_maxout(U, S_T):
     count; ``np.matmul(U, S_T)`` gives the per-mode scores it maximizes over.
     """
     per_mode = np.matmul(U, S_T)   # B x d x n, freed on return
-    scores, mode_of = per_mode[:, 0].copy(), np.zeros(per_mode[:, 0].shape, np.intp)
-    for l in range(1, U.shape[1]):   # strict >: ties stay on the lowest mode
-        mode_of[per_mode[:, l] > scores] = l
-        np.maximum(scores, per_mode[:, l], out=scores)   # NaN propagates as in max()
+    scores = per_mode.max(axis=1)   # NaN propagates; such an item gets mode 0
+    # the lowest maximizing mode is the number of leading modes below the max
+    below = per_mode[:, 0] < scores
+    mode_of = below.astype(np.intp)
+    for l in range(1, U.shape[1] - 1):
+        below &= per_mode[:, l] < scores
+        mode_of += below
     return scores, mode_of
 
 
@@ -169,40 +174,74 @@ def corrupt(obs, rho, rng):
     return obs[keep]
 
 
+# users per forward/backward pass of batch_gradients: a fixed constant, not a
+# setting, because it decides which GEMMs run and so the gradients' bytes
+CHUNK = 32
+
+
 def batch_gradients(R, masks, params, V, cfg):
     """Forward and exact backward pass of the data term for a batch of users.
 
-    ``R`` holds the clean rows (B x n, the targets) and ``masks[b]`` the item
-    indices row b attends over. Returns the gradients summed over the batch
-    (keyed by PARAM_NAMES; the caller adds the decoder penalty's) and the
-    per-user data losses. BLAS sees only fixed-shape products, one GEMM per
-    user and GEMVs, because a batch-wide GEMM can split its sums differently
-    under different BLAS thread counts; sums over the observed rows run in
-    numpy (reduceat, einsum), whose order is fixed.
+    ``R`` holds the clean binary rows (B x n, the targets) and ``masks[b]``
+    the item indices row b attends over. Returns the gradients summed over the
+    batch (keyed by PARAM_NAMES; the caller adds the decoder penalty's) and
+    the per-user data losses. The users run in chunks of CHUNK, whose
+    gradients are summed in ascending chunk order, so no temporary grows with
+    the batch. Keys and values are computed once per call over the whole
+    catalog: ``V[obs] @ W`` gives other bytes than ``(V @ W)[obs]``.
     """
-    segs = Segments.of(masks)
-    K_obs, Vt_obs = (kv[segs.obs] for kv in keys_values(V, params))
-    V_obs, sk = np.asarray(V)[segs.obs], math.sqrt(cfg.kappa)
+    if not masks:
+        raise ValueError("batch_gradients needs at least one user")
+    K, Vt = keys_values(V, params)
+    V, S_T = np.asarray(V), np.ascontiguousarray(params.S.T)
+    losses = []
+    for lo in range(0, len(masks), CHUNK):
+        chunk, loss = _chunk_gradients(R, masks, lo, K, Vt, V, S_T, params, cfg)
+        if lo == 0:
+            grads = chunk
+        else:
+            for name in PARAM_NAMES:
+                grads[name] += chunk[name]
+        losses.append(loss)
+    return grads, np.concatenate(losses)
+
+
+def _chunk_gradients(R, masks, lo, K, Vt, V, S_T, params, cfg):
+    """batch_gradients on the users lo to lo + CHUNK, with the keys K, the
+    values Vt and ``S_T`` computed once for the whole batch.
+
+    BLAS sees only products whose bytes do not depend on the BLAS thread
+    count: one GEMM per user, and GEMMs whose inner dimension runs over the
+    chunk's B_c*d modes. A GEMM with B_c*d rows and inner dimension n can
+    split its sums differently under different thread counts, so ``dU`` runs
+    as one ``(d, n) @ (n, h)`` GEMM per user. Sums over the observed items
+    run in numpy (reduceat, einsum), whose order is fixed.
+    """
+    R, segs = R[lo:lo + CHUNK], Segments.of(masks[lo:lo + CHUNK], first=lo)
+    K_obs, Vt_obs, V_obs = K[segs.obs], Vt[segs.obs], V[segs.obs]
     A = attend(K_obs, params.Q, segs, cfg.kappa)
     U = encode(A, Vt_obs, segs, params.B)
-    scores, mode_of = decode_maxout(U, np.ascontiguousarray(params.S.T))
+    scores, mode_of = decode_maxout(U, S_T)
     nb, d, h = U.shape
     g = R - scores                         # the error, then d(loss)/d(scores)
     del scores
-    c = confidence_weights(R, cfg.alpha)
+    c_obs = confidence_weights(1.0, cfg.alpha)   # the weight of a binary row's 1s; its 0s get 1
+    c = np.where(R != 0, c_obs, 1.0)
     losses = np.einsum("bj,bj,bj->b", c, g, g)
-    g *= -2.0 * c
-    del c   # B x n arrays no longer needed are freed before the B x d x n ones
-    # routed gradients: row (b, l) is nonzero where user b's items take mode l
-    G = (g[:, None] * (mode_of[:, None] == np.arange(d)[:, None])).reshape(nb * d, -1)
+    c *= -2.0
+    g *= c
+    # routed gradients: G[b, l] is user b's error on the items that take mode l
+    G = g[:, None] * (mode_of[:, None] == np.arange(d)[:, None])
     del g, mode_of
-    dS = np.matmul(G.T[:, None], U.reshape(nb * d, h))[:, 0]   # one GEMV per item
-    dU = np.matmul(G[:, None], params.S).reshape(nb, d, h)     # one GEMV per user and mode
+    dS = G.reshape(nb * d, -1).T @ U.reshape(nb * d, h)   # one GEMM, inner dimension B_c*d
+    dU = np.matmul(G, params.S)                           # one GEMM per user
+    del G
     dA = np.einsum("jlh,jh->jl", dU[segs.seg], Vt_obs)
     dLogit = A * (dA - np.add.reduceat(A * dA, segs.starts)[segs.seg])
     Z = np.add.reduceat(A[:, :, None] * V_obs[:, None], segs.starts)   # the modes before W_v
+    sk = math.sqrt(cfg.kappa)
     grads = {"W_k": np.einsum("ja,jl->al", V_obs, dLogit) @ params.Q / sk,
-             "W_v": np.einsum("bla,blc->ac", Z, dU),
+             "W_v": Z.reshape(nb * d, h).T @ dU.reshape(nb * d, h),
              "Q": np.einsum("jl,jk->lk", dLogit, K_obs) / sk, "B": dU.sum(axis=0), "S": dS}
     return grads, losses
 
@@ -242,9 +281,10 @@ def _sidecar_config(sidecar, path, dims):
     """The AmaConfig and embedding recipe of a model sidecar whose layout and
     dims hold: a JSON object with the header's dims, a string
     ``item_index_hash``, an optional ``embedding`` object of integer recipe
-    values and a ``config`` object holding every AmaConfig field, as a finite
-    number of its type, with the header's h, d and kappa. Any other sidecar
-    raises a ValueError naming the file and the field."""
+    values whose ``h``, recorded or not, is the model's, and a ``config``
+    object holding every AmaConfig field, as a finite number of its type,
+    with the header's h, d and kappa. Any other sidecar raises a ValueError
+    naming the file and the field."""
     where = f"model sidecar {path}.json"
     if not isinstance(sidecar, dict):
         raise ValueError(f"{where} is not a JSON object")
@@ -286,7 +326,11 @@ def _sidecar_config(sidecar, path, dims):
         if key not in RECIPE_DEFAULTS and (key, value) not in _RETIRED_RECIPE.items():
             raise ValueError(f"{where} records the embedding setting {key}={value}, "
                              "which this version cannot rebuild")
-    return cfg, {key: recorded.get(key, value) for key, value in RECIPE_DEFAULTS.items()}
+        if key == "h" and value != cfg.h:
+            raise ValueError(f"{where} records the embedding setting h={value}, "
+                             f"but the model file has h={cfg.h}")
+    defaults = {**RECIPE_DEFAULTS, "h": cfg.h}   # the embeddings are the model's size
+    return cfg, {key: recorded.get(key, value) for key, value in defaults.items()}
 
 
 def load_model(path):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from amarec import cli, fileio, training
+from amarec import cli, fileio, linalg, training
 from amarec.cli import main
 from amarec.dataset import binarize, save_split, temporal_split
 from amarec.linalg import RECIPE_DEFAULTS, load_embeddings, save_embeddings
@@ -147,6 +147,32 @@ class TestModelDecidesEmbeddings:
         assert evaluate(data, recorded) == 1
         assert f"records the embedding setting h={value!r}, which is not an integer" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_recorded_h_other_than_the_models_rejected_before_any_svd(
+            self, trained, tmp_path, capsys, monkeypatch, command):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the randomized SVD ran")
+
+        _, data, model = trained
+        recorded = self.with_recorded(model, tmp_path / "other.bin", h=5)
+        monkeypatch.setattr(linalg, "embed_items", no_svd)
+        what = ["--ks", "5"] if command == "evaluate" else ["--histogram"]
+        assert main([command, "--data", str(data), "--model", str(recorded), *what]) == 1
+        assert (f"model sidecar {recorded}.json records the embedding setting h=5, "
+                "but the model file has h=4") in capsys.readouterr().err
+
+    def test_recipe_recorded_without_h_rebuilds_at_the_models_h(self, trained, tmp_path):
+        _, data, model = trained
+        sidecar = json.loads(model.with_name(model.name + ".json").read_text())
+        del sidecar["embedding"]["h"]
+        bare = tmp_path / "bare.bin"
+        bare.write_bytes(model.read_bytes())
+        bare.with_name(bare.name + ".json").write_text(json.dumps(sidecar))
+        reports = tmp_path / "model.json", tmp_path / "bare.json"
+        assert evaluate(data, model, "--out", str(reports[0])) == 0
+        assert evaluate(data, bare, "--out", str(reports[1])) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     def test_different_train_matrix_rejected(self, trained, capsys):
         tmp, data, model = trained
@@ -347,10 +373,12 @@ class TestDamagedFiles:
          "records the embedding setting oversample=3, which this version cannot rebuild"),
         (lambda sc: sc.update(embedding={"h": 3, "scale": "sqrt-sigma"}),
          "records the embedding setting scale=sqrt-sigma, which this version cannot rebuild"),
+        (lambda sc: sc.update(embedding={"h": 5, "gamma": 4}),
+         "records the embedding setting h=5, but the model file has h=3"),
     ], ids=["config-kappa", "config-h", "unknown-key", "missing-key", "string-h", "bool-d",
             "nan-lam", "rho-range", "config-list", "embedding-string", "no-hash", "int-hash",
             "recipe-string-h", "recipe-float-h", "recipe-bool-h", "recipe-power-iters",
-            "recipe-oversample-3", "recipe-scale"])
+            "recipe-oversample-3", "recipe-scale", "recipe-other-h"])
     def test_malformed_sidecar_rejected_naming_file_and_field(self, model_path, edit, field):
         sidecar_path = model_path.parent / "m.bin.json"
         sidecar = json.loads(sidecar_path.read_text())
@@ -377,7 +405,8 @@ class TestDamagedFiles:
         (lambda sc: sc["config"].update(seed=7), {"h": 3, "gamma": 10, "seed": 7}),
         (lambda sc: sc.update(embedding={"h": 3, "gamma": 2, "seed": 5, "oversample": 10,
                                          "scale": "none"}), {"h": 3, "gamma": 2, "seed": 5}),
-    ], ids=["no-recipe", "no-recipe-seed-7", "retired-keys"])
+        (lambda sc: sc.update(embedding={"gamma": 4}), {"h": 3, "gamma": 4, "seed": 0}),
+    ], ids=["no-recipe", "no-recipe-seed-7", "retired-keys", "recipe-without-h"])
     def test_load_model_returns_the_complete_recipe(self, model_path, edit, recipe):
         sidecar_path = model_path.parent / "m.bin.json"
         sidecar = json.loads(sidecar_path.read_text())

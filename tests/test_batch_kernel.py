@@ -6,12 +6,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
+from amarec import model
 from amarec.baselines import ama_scorer
 from amarec.explain import explain_user
 from amarec.model import (AmaConfig, DegenerateUser, PARAM_NAMES, Segments, attend,
@@ -19,6 +21,16 @@ from amarec.model import (AmaConfig, DegenerateUser, PARAM_NAMES, Segments, atte
 from conftest import synthetic_events, write_movielens_file
 from oracles import forward_oracle, gradients_oracle
 from test_model import random_params, recording_decode
+
+
+def chunked(size):
+    """Within the block, batch_gradients runs chunks of ``size`` users."""
+    return mock.patch.object(model, "CHUNK", size)
+
+
+def decoded(calls):
+    """The (U, scores, mode_of) of a batch, from its chunks' recorded decodes."""
+    return tuple(np.concatenate([call[i] for call in calls]) for i in range(3))
 
 
 def batch_case(seed, n, h, d, kappa, users, rho, tied):
@@ -45,21 +57,27 @@ def batch_case(seed, n, h, d, kappa, users, rho, tied):
     return cfg, V, params, rows, masks, dropped
 
 
+# chunks of 2 or 3 users split most batches into several chunks, the last ragged
+CHUNKS = st.sampled_from([2, 3, model.CHUNK])
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), h=st.integers(1, 5),
        d=st.integers(1, 4), kappa=st.integers(1, 4), users=st.integers(1, 7),
-       rho=st.sampled_from([0.0, 0.3, 0.7]), tied=st.booleans())
-@example(seed=1, n=1, h=2, d=3, kappa=2, users=3, rho=0.0, tied=False)   # one-item masks
-@example(seed=2, n=6, h=3, d=1, kappa=2, users=4, rho=0.3, tied=False)   # d = 1
-@example(seed=3, n=7, h=3, d=3, kappa=2, users=5, rho=0.3, tied=True)    # all tied
-@example(seed=9, n=4, h=2, d=2, kappa=1, users=7, rho=0.7, tied=False)   # drops users
-def test_batch_equals_sum_of_per_user_oracle(seed, n, h, d, kappa, users, rho, tied):
+       rho=st.sampled_from([0.0, 0.3, 0.7]), tied=st.booleans(), chunk=CHUNKS)
+@example(seed=1, n=1, h=2, d=3, kappa=2, users=3, rho=0.0, tied=False, chunk=2)  # one-item masks
+@example(seed=2, n=6, h=3, d=1, kappa=2, users=4, rho=0.3, tied=False, chunk=3)  # d = 1
+@example(seed=3, n=7, h=3, d=3, kappa=2, users=5, rho=0.3, tied=True, chunk=2)   # all tied
+@example(seed=9, n=4, h=2, d=2, kappa=1, users=7, rho=0.7, tied=False, chunk=2)  # drops users
+@example(seed=5, n=9, h=3, d=3, kappa=2, users=7, rho=0.0, tied=False, chunk=3)  # 3, 3 and 1
+def test_batch_equals_sum_of_per_user_oracle(seed, n, h, d, kappa, users, rho, tied, chunk):
     cfg, V, params, rows, masks, _ = batch_case(seed, n, h, d, kappa, users, rho, tied)
     if not masks:
         return
-    with recording_decode() as calls:
+    with chunked(chunk), recording_decode() as calls:
         grads, losses = batch_gradients(np.array(rows), masks, params, V, cfg)
-    (_, scores, mode_of), = calls
+    assert len(calls) == -(-len(masks) // chunk)
+    _, scores, mode_of = decoded(calls)
     per_user = [gradients_oracle(r, mk, params, V, cfg) for r, mk in zip(rows, masks)]
     np.testing.assert_allclose(losses, [g["loss"] for g in per_user], rtol=1e-12, atol=0)
     for name in PARAM_NAMES:
@@ -81,12 +99,13 @@ def within(x, ref, scale):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), h=st.integers(1, 5),
        d=st.integers(1, 4), kappa=st.integers(1, 4), users=st.integers(1, 7),
-       rho=st.sampled_from([0.0, 0.3, 0.7]), tied=st.booleans())
-@example(seed=1, n=1, h=2, d=3, kappa=2, users=3, rho=0.0, tied=False)   # one-item masks
-@example(seed=2, n=6, h=3, d=1, kappa=2, users=4, rho=0.3, tied=False)   # d = 1
-@example(seed=3, n=7, h=3, d=3, kappa=2, users=5, rho=0.3, tied=True)    # all tied
+       rho=st.sampled_from([0.0, 0.3, 0.7]), tied=st.booleans(), chunk=CHUNKS)
+@example(seed=1, n=1, h=2, d=3, kappa=2, users=3, rho=0.0, tied=False, chunk=2)  # one-item masks
+@example(seed=2, n=6, h=3, d=1, kappa=2, users=4, rho=0.3, tied=False, chunk=3)  # d = 1
+@example(seed=3, n=7, h=3, d=3, kappa=2, users=5, rho=0.3, tied=True, chunk=2)   # all tied
+@example(seed=5, n=9, h=3, d=3, kappa=2, users=7, rho=0.0, tied=False, chunk=3)  # 3, 3 and 1
 def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, kappa, users,
-                                                               rho, tied):
+                                                               rho, tied, chunk):
     cfg, V, params, rows, masks, _ = batch_case(seed, n, h, d, kappa, users, rho, tied)
     if not masks:
         return
@@ -124,9 +143,10 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
 
     # scoring and explanation return what training's decode returns, bitwise
     clean = [np.flatnonzero(r) for r in rows]
-    with recording_decode() as calls:
+    with chunked(chunk), recording_decode() as calls:
         batch_gradients(np.array(rows), clean, params, V, cfg)
-    (trained_U, trained_scores, trained_modes), = calls
+    assert len(calls) == -(-len(clean) // chunk)
+    trained_U, trained_scores, trained_modes = decoded(calls)
     trained_per_mode = np.matmul(trained_U, S_T)
     score = ama_scorer(params, V, cfg)
     block = sp.csr_matrix(np.array(rows))
@@ -142,18 +162,31 @@ def test_examples_cover_the_degenerate_cases():
     one_item = batch_case(1, 1, 2, 3, 2, 3, 0.0, False)[4]
     assert one_item and all(mk.size == 1 for mk in one_item)
     assert batch_case(9, 4, 2, 2, 1, 7, 0.7, False)[5] > 0
+    assert len(batch_case(5, 9, 3, 3, 2, 7, 0.0, False)[4]) == 7   # chunks of 3, 3 and 1
 
 
-def test_empty_mask_is_degenerate():
+@pytest.mark.parametrize("chunk", [1, model.CHUNK])
+def test_empty_mask_is_degenerate(chunk):
     cfg, V, params, rows, masks, _ = batch_case(4, 5, 2, 2, 2, 2, 0.0, False)
-    with pytest.raises(DegenerateUser):
+    with chunked(chunk), pytest.raises(DegenerateUser, match="^mask 1 has no observed"):
         batch_gradients(np.array(rows), [masks[0], masks[0][:0]], params, V, cfg)
+
+
+def test_empty_batch_rejected():
+    cfg, V, params, _, _, _ = batch_case(4, 5, 2, 2, 2, 2, 0.0, False)
+    with pytest.raises(ValueError, match="at least one user"):
+        batch_gradients(np.zeros((0, 5)), [], params, V, cfg)
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # At this size a batch-wide score GEMM, (B*d, h) @ (h, n), or a batch-wide
     # (B*d, n) @ (n, h) GEMM for the mode gradients gives different bytes under
-    # 1 and 2 OpenBLAS threads on a 2-core x86-64 host.
+    # 1 and 2 OpenBLAS threads on a 2-core x86-64 host. What training runs
+    # instead keeps its bytes there: one (d, h) @ (h, n) and one (d, n) @ (n, h)
+    # GEMM per user, and the (n, B_c*d) @ (B_c*d, h) and (h, B_c*d) @ (B_c*d, h)
+    # GEMMs for dS and the W_v gradient, whose inner dimension is a chunk's
+    # modes. A batch of 70 users runs as chunks of 32, 32 and at most 6 users,
+    # summed across chunks.
     ratings = tmp_path / "ratings.dat"
     write_movielens_file(ratings, synthetic_events(m=100, n=2000, per_user=100, seed=5))
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -175,6 +208,8 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     for threads in (1, 2):
         run(threads, "train", "--data", data, "--out", "model.bin", "--set", "epochs=2",
             "--set", "batch_size=25", *fast)
+        run(threads, "train", "--data", data, "--out", "chunked.bin", "--set", "epochs=2",
+            "--set", "batch_size=70", *fast)
         run(threads, "evaluate", "--data", data, "--model", "model.bin", "--out",
             "report.json", *fast)
         for baseline in ("pop", "puresvd"):
@@ -183,18 +218,16 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         # without --out, each report goes to its default file name
         run(threads, "explain", "--data", data, "--model", "model.bin", "--user", "u000",
             "--dot", "user.dot", "--histogram", "--modes", *fast)
-    names = ["model.bin", "report.json", "pop.json", "puresvd.json", "user_u000.json",
-             "user.dot", "mode_usage.csv", "mode_top_items.csv"]
+    names = ["model.bin", "chunked.bin", "report.json", "pop.json", "puresvd.json",
+             "user_u000.json", "user.dot", "mode_usage.csv", "mode_top_items.csv"]
     for name in names:
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), \
             name
 
 
-def test_step_memory_stays_below_two_mode_score_arrays():
-    # At this shape one B x d x n float64 array dominates every other
-    # temporary of the step. Keeping the per-mode scores alive through the
-    # backward pass, next to the routed gradients, would peak near 2.75x.
-    nb, n, d, h = 64, 4000, 5, 8
+def step_peak(nb, n, d, h):
+    """The tracemalloc peak of one batch_gradients call on nb users with
+    five observed items each, above what was allocated before the call."""
     cfg = AmaConfig(h=h, d=d, kappa=2, rho=0.0)
     rng = np.random.default_rng(3)
     V = rng.standard_normal((n, h))
@@ -209,8 +242,25 @@ def test_step_memory_stays_below_two_mode_score_arrays():
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         batch_gradients(R, masks, params, V, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_step_memory_stays_below_two_mode_score_arrays():
+    # At this shape one B x d x n float64 array dominates every other
+    # temporary of the step. Keeping the per-mode scores alive through the
+    # backward pass, next to the routed gradients, would peak near 2.75x.
+    nb, n, d, h = 64, 4000, 5, 8
+    peak = step_peak(nb, n, d, h)
     assert peak < 2.0 * nb * d * n * 8, peak / (nb * d * n * 8)
+
+
+def test_step_memory_is_set_by_the_chunk_not_the_batch():
+    # Nine chunks, the last ragged. One B x d x n array of the whole batch is
+    # 8.2 chunk arrays, 2.7 times the bound.
+    n, d, h = 4000, 5, 8
+    chunk_array = model.CHUNK * d * n * 8   # one chunk's per-mode scores, in bytes
+    peak = step_peak(8 * model.CHUNK + 5, n, d, h)
+    assert peak < 3.0 * chunk_array, peak / chunk_array
