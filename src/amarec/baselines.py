@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from amarec.linalg import randomized_svd
-from amarec.model import Segments, attend, decode_maxout, encode, keys_values
+from amarec.model import Forward
 
 
 def pop_scorer(train):
@@ -39,33 +39,17 @@ def puresvd_scorer(train, rank=50, iters=10, seed=0):
     return score
 
 
-def ama_predictor(params, V, cfg):
-    """The forward pass of a trained model, keys and values computed once:
-    ``predict(rows)`` returns the attention (N_obs x d), the modes U
-    (B x d x h), the maxout scores and each item's mode (both B x n) of a
-    CSR block whose rows, all nonempty, are the attention masks."""
-    K, Vt = keys_values(V, params)
-    S_T = np.ascontiguousarray(params.S.T)
-
-    def predict(rows):
-        segs = Segments.of(np.split(rows.indices, rows.indptr[1:-1]))
-        A = attend(K[segs.obs], params.Q, segs, cfg.kappa)
-        U = encode(A, Vt[segs.obs], segs, params.B)
-        return (A, U, *decode_maxout(U, S_T))
-
-    return predict
-
-
 def ama_scorer(params, V, cfg):
     """Score with a trained model; the clean train row masks attention, and
     a user with an empty row scores zeros."""
-    predict = ama_predictor(params, V, cfg)
+    forward = Forward(params, V, cfg)
 
     def score(rows, users):
         scores = np.zeros(rows.shape)
         full = np.flatnonzero(np.diff(rows.indptr))
         if full.size:
-            scores[full] = predict(rows[full])[2]
+            rows = rows[full]
+            scores[full] = forward(np.split(rows.indices, rows.indptr[1:-1]))[3]
         return scores
 
     return score

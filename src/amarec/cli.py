@@ -30,8 +30,6 @@ omitted.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
 import importlib.resources
 import json
 import math
@@ -261,6 +259,8 @@ def cmd_explain(args):
     _cutoffs("--n", args.n)
     if args.out and (args.user is not None) + args.histogram + args.modes > 1:
         raise CliError("--out names one file; pass only one of --user, --histogram, --modes")
+    if args.dot and args.user is None:
+        raise CliError("--dot draws the per-user report; pass --user with it")
     data = dataset.load_split(_data_dir(args))
     cfg = _gather_config(args)
     _require_ama(cfg, "explain")
@@ -331,8 +331,9 @@ def build_parser():
 
     sp = sub.add_parser("evaluate", help="rank and score a model or baseline")
     common_cfg(sp)
-    sp.add_argument("--model", help="trained model file")
-    sp.add_argument("--baseline", choices=["pop", "puresvd"])
+    scorer = sp.add_mutually_exclusive_group()
+    scorer.add_argument("--model", help="trained model file")
+    scorer.add_argument("--baseline", choices=["pop", "puresvd"])
     sp.add_argument("--split", default="test", choices=["validation", "test"])
     sp.add_argument("--ks", default="5,10,20")
     sp.add_argument("--out", help="JSON report path")
@@ -354,31 +355,7 @@ def build_parser():
     return p
 
 
-@functools.cache
-def _keep_freed_memory():
-    """Stop glibc from handing freed heap memory back to the OS.
-
-    Each training step and each ranked block frees and reallocates the same
-    few-MB temporaries. glibc's default thresholds adapt to the allocation
-    history, so whether those temporaries came back from the heap or as
-    freshly zeroed pages changed with what had run before in the process:
-    ``train`` took about 4,500 or about 11,300 minor page faults per command
-    on the same inputs. A fixed mmap threshold (32 MiB, glibc's largest) and
-    trim threshold (256 MiB) keep them in the heap: a fresh ``train`` takes
-    no page faults after its first epoch. Arrays of 32 MiB or more are still
-    mapped anew each time. Other C libraries are left alone."""
-    try:
-        glibc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):   # no confstr, or not glibc
-        glibc = None
-    if glibc:
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
-        mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
-
-
 def main(argv=None):
-    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

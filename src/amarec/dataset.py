@@ -349,19 +349,35 @@ def _read_split_meta(path):
     return meta
 
 
+def _first_repeat(rows, cols):
+    """(first, again): ``again`` is the earliest row, in file order, whose
+    (user, item) pair an earlier row holds, and ``first`` is that earlier row."""
+    order = np.lexsort((cols, rows))   # stable: a pair's rows keep their file order
+    same = np.flatnonzero((rows[order[1:]] == rows[order[:-1]])
+                          & (cols[order[1:]] == cols[order[:-1]]))
+    k = same[np.argmin(order[same + 1])]
+    return int(order[k]), int(order[k + 1])
+
+
 def load_split(out_dir):
     """Inverse of save_split. Rejects a malformed split.json before reading
-    any CSV, a malformed or out-of-range row, naming its file and line, and
-    a matrix whose entry count differs from the one split.json records, as a
-    file cut short leaves it."""
+    any CSV, a malformed or out-of-range row, naming its file and line, a
+    row that repeats an earlier row's pair, naming both lines, and a file
+    whose row count differs from the one split.json records, as a file cut
+    short leaves it."""
     meta = _read_split_meta(os.path.join(out_dir, "split.json"))
     m, n = meta["num_users"], meta["num_items"]
 
     def read_csv(name):
         path = os.path.join(out_dir, f"{name}.csv")
-        mat = _matrix(*_read_pairs(path, m, n), (m, n))
-        if mat.nnz != meta["counts"][name]:
-            raise ConfigError(f"{path} holds {mat.nnz} interactions, but split.json "
+        rows, cols = _read_pairs(path, m, n)
+        mat = _matrix(rows, cols, (m, n))
+        if mat.nnz < rows.size:   # the matrix summed a repeated pair into one entry
+            first, again = _first_repeat(rows, cols)
+            raise ParseError(f"{path}: row {rows[again]},{cols[again]} repeats line "
+                             f"{first + 2}", again + 2)
+        if rows.size != meta["counts"][name]:
+            raise ConfigError(f"{path} holds {rows.size} interactions, but split.json "
                               f"records {meta['counts'][name]}")
         return mat
 

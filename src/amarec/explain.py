@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from amarec.baselines import ama_predictor
 from amarec.evaluation import BLOCK, rank_keys, top_k
 from amarec.fileio import atomic_open
-from amarec.model import Segments, attend, keys_values
+from amarec.model import Forward
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,11 @@ def explain_user(params, V, cfg, train_row, user, k=10):
     obs = np.asarray(train_row, dtype=np.intp)
     if obs.size == 0:
         raise ValueError(f"user {user} has an empty interaction history")
-    history = sp.csr_matrix((np.ones(obs.size), obs, [0, obs.size]),
-                            shape=(1, params.S.shape[0]))
-    A, U, scores, mode_of = ama_predictor(params, V, cfg)(history)
-    keys, length = rank_keys(scores, history)
-    per_mode = np.matmul(U, np.ascontiguousarray(params.S.T))[0]   # the decode's own GEMM
+    forward = Forward(params, V, cfg)
+    _, A, U, scores, mode_of = forward([obs])
+    keys, length = rank_keys(scores, sp.csr_matrix((np.ones(obs.size), obs, [0, obs.size]),
+                                                   shape=scores.shape))
+    per_mode = np.matmul(U, forward.S_T)[0]   # the decode's own GEMM
     recs = [(int(j), int(mode_of[0, j]), per_mode[:, j].copy())
             for j in top_k(keys, k)[0, :length[0]]]
     return UserExplanation(user=user, attention=A.T, observed=obs, recommendations=recs)
@@ -74,12 +73,12 @@ def mode_usage(params, V, cfg, data, k=10):
     """
     train = data.train
     d = params.Q.shape[0]
-    predict = ama_predictor(params, V, cfg)
+    forward = Forward(params, V, cfg)
     users = np.flatnonzero(np.diff(train.indptr))
     hist = np.zeros(d + 1, dtype=np.int64)
     for start in range(0, users.size, BLOCK):
         rows = train[users[start:start + BLOCK]]
-        _, _, scores, mode_of = predict(rows)
+        *_, scores, mode_of = forward(np.split(rows.indices, rows.indptr[1:-1]))
         keys, length = rank_keys(scores, rows)
         modes = np.take_along_axis(mode_of, top_k(keys, k), axis=1)
         modes[np.arange(modes.shape[1]) >= length[:, None]] = -1   # past the ranked list
@@ -101,8 +100,7 @@ def mode_top_items(params, V, cfg, data, n_top=10):
     agg = np.zeros((d, n))
     rows = [obs for obs in np.split(train.indices, train.indptr[1:-1]) if obs.size]
     if rows:   # one attend call over all users; each item's sum runs in user order
-        segs = Segments.of(rows)
-        A = attend(keys_values(V, params)[0][segs.obs], params.Q, segs, cfg.kappa)
+        segs, A = Forward(params, V, cfg).attention(rows)
         np.add.at(agg, (slice(None), segs.obs), A.T)
 
     counts = np.asarray(train.sum(axis=0)).ravel().astype(np.int64)

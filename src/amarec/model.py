@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, asdict, fields
 
@@ -23,6 +24,14 @@ import numpy as np
 
 from amarec.fileio import atomic_open
 from amarec.linalg import RECIPE_DEFAULTS
+
+
+def _integer(name, value):
+    """A config field's value as an int; one that is not an integer, or is a
+    bool, raises. A numpy integer becomes an int, which a sidecar can hold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,8 @@ class AmaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("h", "d", "kappa", "epochs", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.h < 1 or self.d < 1 or self.kappa < 1:
             raise ValueError("h, d and kappa must be >= 1")
         if not 0.0 <= self.rho <= 1.0:
@@ -144,10 +155,9 @@ def decode_maxout(U, S_T):
     """Per-item maxout over modes of u_l . s_j for each user of U (B x d x h):
     the B x n scores and each item's argmax mode, lowest on ties.
 
-    ``S_T`` must be ``np.ascontiguousarray(S.T)``, computed once by the caller:
-    the non-contiguous view gives other bytes. BLAS sees one (d, h) @ (h, n)
-    GEMM per user, whose bytes do not depend on the batch or the BLAS thread
-    count; ``np.matmul(U, S_T)`` gives the per-mode scores it maximizes over.
+    ``S_T`` is ``Forward.S_T``. BLAS sees one (d, h) @ (h, n) GEMM per user,
+    whose bytes do not depend on the batch or the BLAS thread count;
+    ``np.matmul(U, S_T)`` gives the per-mode scores it maximizes over.
     """
     per_mode = np.matmul(U, S_T)   # B x d x n, freed on return
     scores = per_mode.max(axis=1)   # NaN propagates; such an item gets mode 0
@@ -174,6 +184,30 @@ def corrupt(obs, rho, rng):
     return obs[keep]
 
 
+class Forward:
+    """The forward pass that training, scoring and explanation share, with its
+    item tables built once: keys and values over the whole catalog (``V[obs] @
+    W`` gives other bytes than ``(V @ W)[obs]``) and ``S_T``, a C-order copy of
+    ``S.T`` (the transposed view gives other bytes)."""
+
+    def __init__(self, params, V, cfg):
+        self.params, self.cfg, self.V = params, cfg, np.asarray(V)
+        self.K, self.Vt = keys_values(self.V, params)
+        self.S_T = np.ascontiguousarray(params.S.T)
+
+    def attention(self, masks, first=0):
+        """(segs, A): the masks laid end to end and their N_obs x d attention."""
+        segs = Segments.of(masks, first)
+        return segs, attend(self.K[segs.obs], self.params.Q, segs, self.cfg.kappa)
+
+    def __call__(self, masks, first=0):
+        """(segs, A, U, scores, mode_of): the attention, the B x d x h modes,
+        and the B x n maxout scores with each item's mode."""
+        segs, A = self.attention(masks, first)
+        U = encode(A, self.Vt[segs.obs], segs, self.params.B)
+        return (segs, A, U, *decode_maxout(U, self.S_T))
+
+
 # users per forward/backward pass of batch_gradients: a fixed constant, not a
 # setting, because it decides which GEMMs run and so the gradients' bytes
 CHUNK = 32
@@ -185,18 +219,17 @@ def batch_gradients(R, masks, params, V, cfg):
     ``R`` holds the clean binary rows (B x n, the targets) and ``masks[b]``
     the item indices row b attends over. Returns the gradients summed over the
     batch (keyed by PARAM_NAMES; the caller adds the decoder penalty's) and
-    the per-user data losses. The users run in chunks of CHUNK, whose
-    gradients are summed in ascending chunk order, so no temporary grows with
-    the batch. Keys and values are computed once per call over the whole
-    catalog: ``V[obs] @ W`` gives other bytes than ``(V @ W)[obs]``.
+    the per-user data losses. One ``Forward`` serves the whole call; the users
+    run in chunks of CHUNK, whose gradients are summed in ascending chunk
+    order, so no temporary grows with the batch.
     """
     if not masks:
         raise ValueError("batch_gradients needs at least one user")
-    K, Vt = keys_values(V, params)
-    V, S_T = np.asarray(V), np.ascontiguousarray(params.S.T)
+    forward = Forward(params, V, cfg)
     losses = []
     for lo in range(0, len(masks), CHUNK):
-        chunk, loss = _chunk_gradients(R, masks, lo, K, Vt, V, S_T, params, cfg)
+        users = slice(lo, lo + CHUNK)
+        chunk, loss = _chunk_gradients(R[users], forward(masks[users], lo), forward)
         if lo == 0:
             grads = chunk
         else:
@@ -206,9 +239,8 @@ def batch_gradients(R, masks, params, V, cfg):
     return grads, np.concatenate(losses)
 
 
-def _chunk_gradients(R, masks, lo, K, Vt, V, S_T, params, cfg):
-    """batch_gradients on the users lo to lo + CHUNK, with the keys K, the
-    values Vt and ``S_T`` computed once for the whole batch.
+def _chunk_gradients(R, result, forward):
+    """The gradients and losses of the clean rows ``R`` from their forward ``result``.
 
     BLAS sees only products whose bytes do not depend on the BLAS thread
     count: one GEMM per user, and GEMMs whose inner dimension runs over the
@@ -217,14 +249,12 @@ def _chunk_gradients(R, masks, lo, K, Vt, V, S_T, params, cfg):
     as one ``(d, n) @ (n, h)`` GEMM per user. Sums over the observed items
     run in numpy (reduceat, einsum), whose order is fixed.
     """
-    R, segs = R[lo:lo + CHUNK], Segments.of(masks[lo:lo + CHUNK], first=lo)
-    K_obs, Vt_obs, V_obs = K[segs.obs], Vt[segs.obs], V[segs.obs]
-    A = attend(K_obs, params.Q, segs, cfg.kappa)
-    U = encode(A, Vt_obs, segs, params.B)
-    scores, mode_of = decode_maxout(U, S_T)
+    segs, A, U, scores, mode_of = result
+    params, cfg = forward.params, forward.cfg
+    K_obs, Vt_obs, V_obs = forward.K[segs.obs], forward.Vt[segs.obs], forward.V[segs.obs]
     nb, d, h = U.shape
     g = R - scores                         # the error, then d(loss)/d(scores)
-    del scores
+    del result, scores   # the caller holds no other reference: this frees the scores
     c_obs = confidence_weights(1.0, cfg.alpha)   # the weight of a binary row's 1s; its 0s get 1
     c = np.where(R != 0, c_obs, 1.0)
     losses = np.einsum("bj,bj,bj->b", c, g, g)
@@ -281,10 +311,12 @@ def _sidecar_config(sidecar, path, dims):
     """The AmaConfig and embedding recipe of a model sidecar whose layout and
     dims hold: a JSON object with the header's dims, a string
     ``item_index_hash``, an optional ``embedding`` object of integer recipe
-    values whose ``h``, recorded or not, is the model's, and a ``config``
-    object holding every AmaConfig field, as a finite number of its type,
-    with the header's h, d and kappa. Any other sidecar raises a ValueError
-    naming the file and the field."""
+    values whose ``h``, if recorded, is the model's, and a ``config`` object
+    holding every AmaConfig field, as a finite number of its type, with the
+    header's h, d and kappa. Any other sidecar raises a ValueError naming the
+    file and the field. A recipe key the sidecar does not record resolves as
+    ``train`` sets it: ``h`` and ``seed`` from the config, ``gamma`` from
+    RECIPE_DEFAULTS."""
     where = f"model sidecar {path}.json"
     if not isinstance(sidecar, dict):
         raise ValueError(f"{where} is not a JSON object")
@@ -317,8 +349,7 @@ def _sidecar_config(sidecar, path, dims):
         cfg = AmaConfig(**config)
     except ValueError as exc:
         raise ValueError(f"{where}: config: {exc}") from None
-    # a sidecar without a recipe comes from a model trained with the default one
-    recorded = sidecar.get("embedding", {"h": cfg.h, "seed": cfg.seed})
+    recorded = sidecar.get("embedding", {})
     for key, value in recorded.items():
         if key in RECIPE_DEFAULTS and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValueError(f"{where} records the embedding setting {key}={value!r}, "
@@ -329,7 +360,8 @@ def _sidecar_config(sidecar, path, dims):
         if key == "h" and value != cfg.h:
             raise ValueError(f"{where} records the embedding setting h={value}, "
                              f"but the model file has h={cfg.h}")
-    defaults = {**RECIPE_DEFAULTS, "h": cfg.h}   # the embeddings are the model's size
+    # a key the sidecar does not record takes the value train gives it
+    defaults = {**RECIPE_DEFAULTS, "h": cfg.h, "seed": cfg.seed}
     return cfg, {key: recorded.get(key, value) for key, value in defaults.items()}
 
 

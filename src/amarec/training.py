@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from amarec.model import PARAM_NAMES, AmaConfig, batch_gradients, corrupt, init_params
+from amarec.model import PARAM_NAMES, AmaConfig, _integer, batch_gradients, corrupt, init_params
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,7 @@ class TrainConfig:
     batch_size: int = 512
 
     def __post_init__(self):
+        object.__setattr__(self, "batch_size", _integer("batch_size", self.batch_size))
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be > 0 and finite")
         if self.batch_size < 1:

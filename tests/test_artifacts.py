@@ -406,7 +406,10 @@ class TestDamagedFiles:
         (lambda sc: sc.update(embedding={"h": 3, "gamma": 2, "seed": 5, "oversample": 10,
                                          "scale": "none"}), {"h": 3, "gamma": 2, "seed": 5}),
         (lambda sc: sc.update(embedding={"gamma": 4}), {"h": 3, "gamma": 4, "seed": 0}),
-    ], ids=["no-recipe", "no-recipe-seed-7", "retired-keys", "recipe-without-h"])
+        (lambda sc: (sc["config"].update(seed=7), sc.update(embedding={"gamma": 4})),
+         {"h": 3, "gamma": 4, "seed": 7}),
+    ], ids=["no-recipe", "no-recipe-seed-7", "retired-keys", "recipe-without-h",
+            "recipe-without-seed"])
     def test_load_model_returns_the_complete_recipe(self, model_path, edit, recipe):
         sidecar_path = model_path.parent / "m.bin.json"
         sidecar = json.loads(sidecar_path.read_text())

@@ -15,11 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from amarec import model
 from amarec.baselines import ama_scorer
-from amarec.explain import explain_user
+from amarec.evaluation import BLOCK, evaluate
+from amarec.explain import explain_user, mode_top_items, mode_usage
 from amarec.model import (AmaConfig, DegenerateUser, PARAM_NAMES, Segments, attend,
                           batch_gradients, corrupt, decode_maxout, encode, keys_values)
 from conftest import synthetic_events, write_movielens_file
 from oracles import forward_oracle, gradients_oracle
+from test_metrics import make_split
 from test_model import random_params, recording_decode
 
 
@@ -176,6 +178,27 @@ def test_empty_batch_rejected():
     cfg, V, params, _, _, _ = batch_case(4, 5, 2, 2, 2, 2, 0.0, False)
     with pytest.raises(ValueError, match="at least one user"):
         batch_gradients(np.zeros((0, 5)), [], params, V, cfg)
+
+
+def test_item_tables_built_once_per_call(monkeypatch):
+    # every caller runs model.Forward, which builds the keys and values once:
+    # one keys_values call per batch_gradients call, however many chunks it
+    # runs, per evaluate, however many blocks it ranks, and per report
+    calls = []
+    monkeypatch.setattr(model, "keys_values", lambda *a: calls.append(1) or keys_values(*a))
+    cfg, V, params, rows, masks, _ = batch_case(5, 9, 3, 3, 2, 7, 0.0, False)
+    with chunked(3):
+        batch_gradients(np.array(rows), masks, params, V, cfg)
+    assert len(calls) == 1
+    rng = np.random.default_rng(0)
+    train = [rng.choice(9, size=3, replace=False).tolist() for _ in range(2 * BLOCK + 5)]
+    data = make_split(train, [[] for _ in train], [[(row[0] + 1) % 9] for row in train], 9)
+    evaluate(ama_scorer(params, V, cfg), data)
+    assert len(calls) == 2
+    explain_user(params, V, cfg, data.train[0].indices, 0, k=3)
+    mode_usage(params, V, cfg, data, k=3)
+    mode_top_items(params, V, cfg, data, n_top=3)
+    assert len(calls) == 5
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):

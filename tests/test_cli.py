@@ -1,6 +1,9 @@
 import json
 import os
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +300,23 @@ class TestTrainEvaluateExplain:
         rc = main(["evaluate", "--baseline", "pop", "--ks", "5"])
         assert rc == 0
 
+    def test_model_and_baseline_together_rejected(self, tmp_path, prepped, capsys):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--data", str(prepped), "--model", str(tmp_path / "m.bin"),
+                  "--baseline", "pop", "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert "argument --baseline: not allowed with argument --model" in (
+            capsys.readouterr().err)
+
+    def test_dot_without_user_rejected_before_the_split_is_read(self, tmp_path, capsys):
+        dot = tmp_path / "x.dot"
+        rc = main(["explain", "--data", str(tmp_path / "no-split"), "--model",
+                   str(tmp_path / "m.bin"), "--histogram", "--dot", str(dot)])
+        assert rc == 1 and not dot.exists()
+        assert "--dot draws the per-user report; pass --user with it" in (
+            capsys.readouterr().err)
+
     def test_unknown_user_explain(self, tmp_path, prepped, capsys):
         model = tmp_path / "model.bin"
         main(["train", "--data", str(prepped), "--out", str(model),
@@ -319,11 +339,46 @@ def _glibc():
         return False
 
 
+_REUSE_PROBE = """
+import resource, sys
+import numpy as np
+if sys.argv[1]:
+    import amarec.training
+
+
+def allocate():   # 27 touched arrays of 3 MiB, below numpy's huge-page size
+    arrays = [np.ones(3 << 17) for _ in range(27)]
+    del arrays
+
+
+allocate()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+allocate()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator setting applies to glibc only")
+def test_importing_the_library_keeps_freed_memory_for_reuse():
+    # a script that trains through the library, not the CLI, gets the same
+    # allocator policy; the probe without the import shows the fault it avoids
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+    def faults(imported):
+        run = subprocess.run([sys.executable, "-c", _REUSE_PROBE, "1" if imported else ""],
+                             env=env, capture_output=True, text=True, check=True, timeout=60)
+        return int(run.stdout)
+
+    assert faults(imported=True) < 1000 < faults(imported=False)
+
+
 @pytest.mark.skipif(not _glibc(), reason="the allocator setting applies to glibc only")
 def test_main_keeps_freed_memory_for_reuse(tmp_path, capsys):
     # about 81 MB freed at the top of the heap is more than glibc's adaptive
-    # trim threshold (at most 64 MB) would keep, so without main's setting the
-    # second round faults every page in again (about 20,000 faults)
+    # trim threshold (at most 64 MB) would keep, so without the setting that
+    # importing amarec applies, the second round faults every page in again
+    # (about 20,000 faults)
     main(["prep", "--input", str(tmp_path / "nope.dat"), "--format", "movielens-dat",
           "--out", str(tmp_path / "o")])
 

@@ -456,6 +456,25 @@ def test_out_of_range_index_names_file_and_line(tmp_path, tiny_split, row):
     assert str(path) in str(exc.value) and row in str(exc.value)
 
 
+@pytest.mark.parametrize("name", ["train", "test"])
+@pytest.mark.parametrize("repeat, line", [
+    (lambda lines: lines.insert(3, lines[2]), 4),           # one row more than counts records
+    (lambda lines: lines.__setitem__(4, lines[2]), 5),      # as many rows as counts records
+], ids=["inserted", "replacing"])
+def test_repeated_row_names_file_and_both_lines(tmp_path, tiny_split, name, repeat, line):
+    save_split(tiny_split, tmp_path / "out", threshold=2)
+    path = tmp_path / "out" / f"{name}.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) > 5
+    row = lines[2].strip()
+    repeat(lines)   # line 3's row again
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError) as exc:
+        load_split(tmp_path / "out")
+    assert exc.value.line_number == line
+    assert str(exc.value) == f"line {line}: {path}: row {row} repeats line 3"
+
+
 @pytest.mark.parametrize("edit", [lambda text: text.replace("\r\n", "\n"),
                                   lambda text: text.rstrip("\r\n")],
                          ids=["lf-endings", "no-final-line-break"])

@@ -1,11 +1,17 @@
-"""Each narrative walkthrough under demos/ runs to completion."""
+"""Each narrative walkthrough under demos/, and the README's library tour,
+runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from amarec import AmaConfig, TrainConfig, embed_items
+from test_model import random_params
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,3 +23,21 @@ def test_demo_exits_0(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_runs(tiny_split):
+    # the first python block is the API sketch, which needs ML-1M and 300
+    # epochs: its imports run, and a tiny split with a drawn model stands in
+    # for the rest. Every later block runs as written, so none can drift.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch, *tour = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(tour) >= 3
+    ns = {}
+    exec(sketch.split("\n\n")[0], ns)
+    cfg = TrainConfig(model=AmaConfig(h=4, d=2, kappa=2))
+    ns.update(data=tiny_split, cfg=cfg, V=embed_items(tiny_split.train, h=4, gamma=2),
+              params=random_params(tiny_split.shape[1], cfg.model, seed=1))
+    for block in tour:
+        exec(compile(block, "README.md", "exec"), ns)
+    assert ns["scores"].shape == ns["mode_of"].shape == (3, tiny_split.shape[1])
+    assert np.array_equal(ns["per_mode"].max(axis=1), ns["scores"])

@@ -16,8 +16,11 @@ from amarec.model import (
     corrupt,
     decode_maxout,
     encode,
+    init_params,
     keys_values,
+    load_model,
     parameter_count,
+    save_model,
 )
 from oracles import forward_oracle, loss_oracle
 
@@ -102,6 +105,19 @@ class TestConfig:
     def test_non_finite_weight_rejected(self, key, value):
         with pytest.raises(ValueError, match="alpha and lam must be >= 0 and finite"):
             AmaConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", ["h", "d", "kappa", "epochs", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+    def test_non_integer_field_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+            AmaConfig(**{key: value})
+
+    def test_numpy_integer_field_becomes_an_int(self, tmp_path):
+        cfg = AmaConfig(h=np.int64(3), d=2, kappa=2, seed=np.int32(7))
+        assert cfg == AmaConfig(h=3, d=2, kappa=2, seed=7)
+        assert type(cfg.h) is int and type(cfg.seed) is int
+        save_model(init_params(5, cfg), cfg, tmp_path / "m.bin")   # the sidecar holds ints
+        assert load_model(tmp_path / "m.bin")[1] == cfg
 
     def test_parameter_count_formula(self):
         cfg = AmaConfig(h=4, d=2, kappa=3)

@@ -65,6 +65,11 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, "8"])
+    def test_non_integer_batch_size_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^batch_size must be an integer, got {value!r}$"):
+            TrainConfig(batch_size=value)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_learning_rate_rejected(self, value):
         with pytest.raises(ValueError, match="learning_rate must be > 0 and finite"):
