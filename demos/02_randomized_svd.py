@@ -1,8 +1,9 @@
 """Randomized truncated SVD: accuracy, power iterations, determinism.
 
-Shows how the Gaussian range-finder with QR'd power iterations converges to
-the exact spectrum of a sparse binary matrix, and why the fixed seed plus
-the sign convention make embeddings reproducible.
+Shows how the Gaussian range-finder with power iterations (one QR each,
+after a whole R R^T product) converges to the exact spectrum of a sparse
+binary matrix, and why the fixed seed plus the sign convention make
+embeddings reproducible.
 
 Run:  python3 demos/02_randomized_svd.py
 """

@@ -81,7 +81,7 @@ def _coerce(key, value, where):
     try:
         if key in _FLOAT_KEYS and math.isfinite(float(value)):   # not nan, inf or -inf
             return float(value)
-        if key in _INT_KEYS:
+        if key in _INT_KEYS and int(value) >= 0:
             return int(value)
     except ValueError:
         pass

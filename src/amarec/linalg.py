@@ -2,8 +2,9 @@
 
 The item embedding matrix is the right factor of a rank-h randomized SVD of
 the (train) interaction matrix: Gaussian range finding, a configurable
-number of power iterations with QR re-orthonormalization after every pass,
-and a deterministic sign convention so embeddings reproduce across runs.
+number of power iterations, each applying R R^T whole and ending in one QR
+of the m x k range iterate, and a deterministic sign convention so
+embeddings reproduce across runs.
 """
 
 from __future__ import annotations
@@ -30,8 +31,12 @@ def randomized_svd(R, rank, power_iters=10, seed=0):
     """Rank-``rank`` randomized SVD of a (sparse or dense) m x n matrix.
 
     Deterministic for a fixed seed. The range finder draws 10 oversampling
-    columns beyond ``rank``. Each power iteration re-orthonormalizes via QR
-    to avoid losing the small singular directions.
+    columns beyond ``rank`` and spans ``(R R^T)^power_iters R Omega``
+    (Halko, Martinsson & Tropp 2011). Each power iteration applies ``R R^T``
+    whole and re-orthonormalizes once, by a QR of the m x k iterate. Since
+    the QR comes after the squared operator, a direction whose singular
+    value is below about 1e-8 of the largest (sqrt of machine epsilon) is
+    not resolved; a QR after each half-step would keep it.
     """
     m, n = R.shape
     if not 1 <= rank <= min(m, n):
@@ -46,8 +51,7 @@ def randomized_svd(R, rank, power_iters=10, seed=0):
     # np.asarray turns a sparse product's np.matrix into an ndarray
     Q, _ = np.linalg.qr(np.asarray(R @ omega))
     for _ in range(power_iters):
-        Z, _ = np.linalg.qr(np.asarray(R.T @ Q))
-        Q, _ = np.linalg.qr(np.asarray(R @ Z))
+        Q, _ = np.linalg.qr(np.asarray(R @ (R.T @ Q)))
 
     B = np.asarray(R.T @ Q).T     # k x n
     Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
@@ -110,11 +114,16 @@ def load_embeddings(path):
 
 
 def matrix_hash(mat):
-    """Stable hash of a sparse matrix's pattern; ties embeddings to their source."""
-    coo = mat.tocoo()
+    """Stable hash of a sparse matrix's pattern; ties embeddings to their source.
+
+    SHA-256 over the shape, then the int64 row and column of every stored
+    entry of the CSR form in (row, column) order, duplicates included."""
+    csr = mat.tocsr()
+    if not csr.has_sorted_indices:
+        csr = csr.copy()
+        csr.sort_indices()
     h = hashlib.sha256()
     h.update(struct.pack("<QQ", *mat.shape))
-    order = np.lexsort((coo.col, coo.row))
-    h.update(coo.row[order].astype(np.int64).tobytes())
-    h.update(coo.col[order].astype(np.int64).tobytes())
+    h.update(np.repeat(np.arange(csr.shape[0], dtype=np.int64), np.diff(csr.indptr)).tobytes())
+    h.update(csr.indices.astype(np.int64).tobytes())
     return h.hexdigest()

@@ -54,8 +54,9 @@ class AmaConfig:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
         if not (0 <= self.alpha < math.inf and 0 <= self.lam < math.inf):
             raise ValueError("alpha and lam must be >= 0 and finite")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -351,9 +352,10 @@ def _sidecar_config(sidecar, path, dims):
         raise ValueError(f"{where}: config: {exc}") from None
     recorded = sidecar.get("embedding", {})
     for key, value in recorded.items():
-        if key in RECIPE_DEFAULTS and (isinstance(value, bool) or not isinstance(value, int)):
+        if key in RECIPE_DEFAULTS and (isinstance(value, bool) or not isinstance(value, int)
+                                       or value < 0):
             raise ValueError(f"{where} records the embedding setting {key}={value!r}, "
-                             "which is not an integer")
+                             "which is not an integer >= 0")
         if key not in RECIPE_DEFAULTS and (key, value) not in _RETIRED_RECIPE.items():
             raise ValueError(f"{where} records the embedding setting {key}={value}, "
                              "which this version cannot rebuild")

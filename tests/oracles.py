@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,36 @@ def jacobi_singular_values(A, max_sweeps=100, tol=1e-13):
             break
     sv = np.sqrt((U * U).sum(axis=0))
     return np.sort(sv)[::-1]
+
+
+def randomized_svd_oracle(R, rank, power_iters=10, seed=0):
+    """Randomized SVD with a QR after each half of every power iteration,
+    on the tall side too: (U, s, V) under the library's sign convention."""
+    m, n = R.shape
+    k = min(rank + 10, min(m, n))
+    omega = np.random.default_rng(seed).standard_normal((n, k))
+    Q, _ = np.linalg.qr(np.asarray(R @ omega))
+    for _ in range(power_iters):
+        Z, _ = np.linalg.qr(np.asarray(R.T @ Q))
+        Q, _ = np.linalg.qr(np.asarray(R @ Z))
+    Ub, s, Vt = np.linalg.svd(np.asarray(R.T @ Q).T, full_matrices=False)
+    U, s, V = (Q @ Ub)[:, :rank], s[:rank], Vt[:rank].T.copy()
+    for j in range(rank):
+        if V[np.argmax(np.abs(V[:, j])), j] < 0:
+            V[:, j] = -V[:, j]
+            U[:, j] = -U[:, j]
+    return U, s, V
+
+
+def matrix_hash_oracle(mat):
+    """SHA-256 of the shape and the lexsorted (row, col) of every stored entry."""
+    coo = mat.tocoo()
+    h = hashlib.sha256()
+    h.update(struct.pack("<QQ", *mat.shape))
+    order = np.lexsort((coo.col, coo.row))
+    h.update(coo.row[order].astype(np.int64).tobytes())
+    h.update(coo.col[order].astype(np.int64).tobytes())
+    return h.hexdigest()
 
 
 def loss_oracle(r, mask_obs, params, V, cfg):

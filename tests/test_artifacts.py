@@ -367,6 +367,11 @@ class TestDamagedFiles:
          "records the embedding setting h=3.0, which is not an integer"),
         (lambda sc: sc.update(embedding={"h": True}),
          "records the embedding setting h=True, which is not an integer"),
+        (lambda sc: sc.update(embedding={"h": 3, "seed": -1}),
+         "records the embedding setting seed=-1, which is not an integer >= 0"),
+        (lambda sc: sc.update(embedding={"h": 3, "gamma": -2}),
+         "records the embedding setting gamma=-2, which is not an integer >= 0"),
+        (lambda sc: sc["config"].update(seed=-1), "config: seed must be >= 0, got -1"),
         (lambda sc: sc.update(embedding={"h": 3, "power_iters": 2}),
          "records the embedding setting power_iters=2, which this version cannot rebuild"),
         (lambda sc: sc.update(embedding={"h": 3, "oversample": 3}),
@@ -377,7 +382,8 @@ class TestDamagedFiles:
          "records the embedding setting h=5, but the model file has h=3"),
     ], ids=["config-kappa", "config-h", "unknown-key", "missing-key", "string-h", "bool-d",
             "nan-lam", "rho-range", "config-list", "embedding-string", "no-hash", "int-hash",
-            "recipe-string-h", "recipe-float-h", "recipe-bool-h", "recipe-power-iters",
+            "recipe-string-h", "recipe-float-h", "recipe-bool-h", "recipe-negative-seed",
+            "recipe-negative-gamma", "config-negative-seed", "recipe-power-iters",
             "recipe-oversample-3", "recipe-scale", "recipe-other-h"])
     def test_malformed_sidecar_rejected_naming_file_and_field(self, model_path, edit, field):
         sidecar_path = model_path.parent / "m.bin.json"

@@ -201,6 +201,23 @@ class TestTrainEvaluateExplain:
         assert rc == 1 and svds == []
         assert "bad value '4.7' for rank" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["embed", "--out", "emb.bin"],
+                                      ["evaluate", "--baseline", "puresvd"],
+                                      ["train", "--out", "m.bin"]])
+    @pytest.mark.parametrize("setting", ["seed=-1", "gamma=-1", "rank=-3", "epochs=-1"])
+    def test_negative_integer_rejected_before_any_svd(self, tmp_path, prepped, capsys,
+                                                      monkeypatch, argv, setting):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the randomized SVD ran")
+
+        monkeypatch.setattr(linalg, "embed_items", no_svd)
+        monkeypatch.setattr(baselines, "randomized_svd", no_svd)
+        argv = [str(tmp_path / a) if a.endswith(".bin") else a for a in argv]
+        rc = main([*argv, "--data", str(prepped), "--set", setting])
+        assert rc == 1 and not list(tmp_path.glob("*.bin"))
+        key, value = setting.split("=")
+        assert f"error: --set: bad value {value!r} for {key}" in capsys.readouterr().err
+
     def test_unknown_split_nonzero(self, prepped, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--data", str(prepped), "--baseline", "pop",

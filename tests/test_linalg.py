@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 from amarec.linalg import (
     load_embeddings,
@@ -8,7 +14,7 @@ from amarec.linalg import (
     randomized_svd,
     save_embeddings,
 )
-from oracles import jacobi_singular_values
+from oracles import jacobi_singular_values, matrix_hash_oracle, randomized_svd_oracle
 
 
 def random_binary(m, n, density=0.4, seed=0):
@@ -90,6 +96,65 @@ class TestRandomizedSvd:
         with pytest.raises(ValueError):
             randomized_svd(np.eye(3), rank=0)
 
+    def test_negative_power_iters_rejected(self):
+        with pytest.raises(ValueError, match="power_iters must be >= 0"):
+            randomized_svd(np.eye(3), rank=2, power_iters=-1)
+
+
+class TestAgainstTwoQrOracle:
+    """The one-QR-per-iteration SVD against the oracle that runs a QR after
+    each half of every power iteration: both span (R R^T)^p R Omega."""
+
+    @pytest.mark.parametrize("shape", [(30, 80), (80, 30), (50, 50), (60, 400), (400, 60)])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("power_iters", range(4))
+    def test_matches_oracle(self, shape, sparse, power_iters):
+        m, n = shape
+        R = random_binary(m, n, density=0.15, seed=m * n + power_iters)
+        rank = min(m, n) // 3
+        A = sp.csr_matrix(R) if sparse else R
+        res = randomized_svd(A, rank, power_iters, seed=3)
+        U, s, V = randomized_svd_oracle(A, rank, power_iters, seed=3)
+        if power_iters == 0:   # the range finder alone is unchanged, bit for bit
+            np.testing.assert_array_equal(res.right, V)
+            np.testing.assert_array_equal(res.singular_values, s)
+        np.testing.assert_allclose(res.singular_values, s, rtol=1e-10, atol=0)
+        # a column is pinned down only where the exact spectrum has a wide gap
+        exact = np.linalg.svd(R, compute_uv=False)
+        gap = np.minimum(np.abs(np.diff(exact, prepend=np.inf))[:rank],
+                         np.abs(np.diff(exact))[:rank]) / exact[0]
+        wide = gap > 1e-3
+        assert wide.any()
+        np.testing.assert_allclose(res.right[:, wide], V[:, wide], atol=1e-8, rtol=0)
+        np.testing.assert_allclose(res.left[:, wide], U[:, wide], atol=1e-8, rtol=0)
+        top = np.abs(res.right).argmax(axis=0)
+        assert (res.right[top, np.arange(rank)] > 0).all()
+
+
+@pytest.mark.parametrize("shape", [(300, 3000), (3000, 300)], ids=["wide", "tall"])
+def test_right_factor_does_not_depend_on_blas_threads(shape):
+    # both orientations: the QR'd m x k iterate is the short side of a wide
+    # matrix and the long side of a tall one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import hashlib, numpy as np, scipy.sparse as sp\n"
+        "from amarec.linalg import embed_items\n"
+        f"m, n = {shape}\n"
+        "R = sp.random(m, n, density=0.02, random_state=np.random.default_rng(9),"
+        " format='csr', data_rvs=np.ones)\n"
+        "print(hashlib.sha256(embed_items(R, h=40, gamma=4, seed=2).tobytes()).hexdigest())\n"
+    )
+
+    def digest(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert digest(1) == digest(2)
+
 
 def test_embedding_save_load_roundtrip(tmp_path):
     V = np.random.default_rng(0).standard_normal((7, 4))
@@ -111,3 +176,23 @@ def test_matrix_hash_distinguishes_patterns():
     b = sp.csr_matrix(np.fliplr(np.eye(3)))
     assert matrix_hash(a) != matrix_hash(b)
     assert matrix_hash(a) == matrix_hash(sp.csr_matrix(np.eye(3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(0, 12), n=st.integers(1, 10),
+       max_row=st.integers(0, 8), shuffle=st.booleans())
+@example(seed=0, m=4, n=3, max_row=0, shuffle=False)   # no stored entry at all
+def test_matrix_hash_matches_lexsort_oracle(seed, m, n, max_row, shuffle):
+    # rows drawn with replacement hold duplicates; shuffled rows are unsorted;
+    # a row drawing 0 entries is empty
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, max_row + 1, size=m)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    rows = [np.sort(rng.integers(0, n, size=c)) for c in counts]
+    if shuffle:
+        rows = [rng.permutation(r) for r in rows]
+    indices = np.concatenate([np.zeros(0, np.int32), *rows]).astype(np.int32)
+    mat = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(m, n))
+    before = mat.indices.copy()
+    assert matrix_hash(mat) == matrix_hash_oracle(mat)
+    np.testing.assert_array_equal(mat.indices, before)   # the input is left as it was

@@ -112,6 +112,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
             AmaConfig(**{key: value})
 
+    @pytest.mark.parametrize("key", ["epochs", "seed"])
+    def test_negative_count_or_seed_rejected(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -1$"):
+            AmaConfig(**{key: -1})
+
     def test_numpy_integer_field_becomes_an_int(self, tmp_path):
         cfg = AmaConfig(h=np.int64(3), d=2, kappa=2, seed=np.int32(7))
         assert cfg == AmaConfig(h=3, d=2, kappa=2, seed=7)
