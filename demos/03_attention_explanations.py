@@ -37,13 +37,12 @@ def main():
     params, _ = train(data, V, cfg)
 
     u = 0
-    obs = data.train[u].indices
-    exp = explain_user(params, V, cfg.model, obs, u, k=5)
+    exp = explain_user(params, V, cfg.model, data.train[u], u, k=5)
 
     print(f"== user {data.user_ids[u]}: top attended items per mode ==")
     for l, row in enumerate(exp.attention):
         top = np.argsort(-row)[:5]
-        pairs = ", ".join(f"{data.item_ids[obs[t]]}:{row[t]:.2f}" for t in top)
+        pairs = ", ".join(f"{data.item_ids[exp.observed[t]]}:{row[t]:.2f}" for t in top)
         print(f"mode {l}: {pairs}")
 
     print("\n== recommendations with source-mode attribution ==")

@@ -48,8 +48,7 @@ def ama_scorer(params, V, cfg):
         scores = np.zeros(rows.shape)
         full = np.flatnonzero(np.diff(rows.indptr))
         if full.size:
-            rows = rows[full]
-            scores[full] = forward(np.split(rows.indices, rows.indptr[1:-1]))[3]
+            scores[full] = forward(rows[full])[3]
         return scores
 
     return score

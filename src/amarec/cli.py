@@ -272,7 +272,7 @@ def cmd_explain(args):
         u = data.user_index.get(args.user)
         if u is None:
             raise CliError(f"unknown user id {args.user!r}")
-        exp = explain_mod.explain_user(params, V, mcfg, data.train[u].indices, u, k=args.k)
+        exp = explain_mod.explain_user(params, V, mcfg, data.train[u], u, k=args.k)
         out = args.out or f"user_{args.user}.json"
         with atomic_open(out, "w", encoding="utf-8") as fh:
             fh.write(exp.to_json(item_ids=item_ids))

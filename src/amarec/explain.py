@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from amarec.evaluation import BLOCK, rank_keys, top_k
 from amarec.fileio import atomic_open
@@ -48,20 +47,18 @@ class UserExplanation:
 def explain_user(params, V, cfg, train_row, user, k=10):
     """Attention weights and mode attribution for one user's top-k list.
 
-    Attention uses the full uncorrupted train row as the mask; the top-k
-    list excludes train items.
+    ``train_row`` is the user's one-row CSR slice of the train matrix; the
+    full uncorrupted row masks attention, and the top-k list excludes it.
     """
-    obs = np.asarray(train_row, dtype=np.intp)
-    if obs.size == 0:
+    if train_row.nnz == 0:
         raise ValueError(f"user {user} has an empty interaction history")
     forward = Forward(params, V, cfg)
-    _, A, U, scores, mode_of = forward([obs])
-    keys, length = rank_keys(scores, sp.csr_matrix((np.ones(obs.size), obs, [0, obs.size]),
-                                                   shape=scores.shape))
+    segs, A, U, scores, mode_of = forward(train_row)
+    keys, length = rank_keys(scores, train_row)
     per_mode = np.matmul(U, forward.S_T)[0]   # the decode's own GEMM
     recs = [(int(j), int(mode_of[0, j]), per_mode[:, j].copy())
             for j in top_k(keys, k)[0, :length[0]]]
-    return UserExplanation(user=user, attention=A.T, observed=obs, recommendations=recs)
+    return UserExplanation(user=user, attention=A.T, observed=segs.obs, recommendations=recs)
 
 
 def mode_usage(params, V, cfg, data, k=10):
@@ -78,7 +75,7 @@ def mode_usage(params, V, cfg, data, k=10):
     hist = np.zeros(d + 1, dtype=np.int64)
     for start in range(0, users.size, BLOCK):
         rows = train[users[start:start + BLOCK]]
-        *_, scores, mode_of = forward(np.split(rows.indices, rows.indptr[1:-1]))
+        *_, scores, mode_of = forward(rows)
         keys, length = rank_keys(scores, rows)
         modes = np.take_along_axis(mode_of, top_k(keys, k), axis=1)
         modes[np.arange(modes.shape[1]) >= length[:, None]] = -1   # past the ranked list
@@ -98,8 +95,8 @@ def mode_top_items(params, V, cfg, data, n_top=10):
     d = params.Q.shape[0]
     n = train.shape[1]
     agg = np.zeros((d, n))
-    rows = [obs for obs in np.split(train.indices, train.indptr[1:-1]) if obs.size]
-    if rows:   # one attend call over all users; each item's sum runs in user order
+    rows = train[np.flatnonzero(np.diff(train.indptr))]
+    if rows.nnz:   # one attend call over all users; each item's sum runs in user order
         segs, A = Forward(params, V, cfg).attention(rows)
         np.add.at(agg, (slice(None), segs.obs), A.T)
 

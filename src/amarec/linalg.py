@@ -76,6 +76,9 @@ def embed_items(train, *, h=40, gamma=10, seed=0):
     rank-h randomized SVD. The keyword arguments are the embedding recipe; a
     model is correct only with the V it was trained on, so every caller builds
     V here and these are the recipe's only defaults."""
+    if not 1 <= h <= min(train.shape):
+        raise ValueError(f"h={h} out of range: the embedding size must lie in [1, "
+                         f"{min(train.shape)}] for a {'x'.join(map(str, train.shape))} matrix")
     return randomized_svd(train, rank=h, power_iters=gamma, seed=seed).right
 
 

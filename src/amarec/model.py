@@ -21,6 +21,7 @@ import struct
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
+import scipy.sparse as sp
 
 from amarec.fileio import atomic_open
 from amarec.linalg import RECIPE_DEFAULTS
@@ -115,9 +116,9 @@ class DegenerateUser(ValueError):
 
 @dataclass(frozen=True)
 class Segments:
-    """A batch of attention masks laid end to end: ``obs`` holds user 0's item
-    indices, then user 1's, and so on; user b's run starts at ``starts[b]``,
-    and ``seg[i]`` is the user of entry i."""
+    """A CSR block's attention masks laid end to end: ``obs`` holds row 0's item
+    indices, then row 1's, and so on (the block's ``indices``); row b's run
+    starts at ``starts[b]``, and ``seg[i]`` is the row of entry i."""
 
     obs: np.ndarray
     starts: np.ndarray
@@ -125,13 +126,13 @@ class Segments:
 
     @classmethod
     def of(cls, masks, first=0):
-        """``first`` is the index of ``masks[0]`` in the caller's batch, for
-        the message that names an empty mask."""
-        lens = np.array([np.size(mk) for mk in masks])
+        """``first`` is the index of the block's row 0 in the caller's batch,
+        for the message that names an empty mask."""
+        lens = np.diff(masks.indptr)
         if lens.min() == 0:   # reduceat would return garbage for an empty run
             raise DegenerateUser(f"mask {first + int(lens.argmin())} has no observed entries")
-        obs = np.concatenate(masks).astype(np.intp)
-        return cls(obs, np.cumsum(lens) - lens, np.repeat(np.arange(lens.size), lens))
+        return cls(masks.indices.astype(np.intp), masks.indptr[:-1],
+                   np.repeat(np.arange(lens.size), lens))
 
 
 def attend(K_obs, Q, segs, kappa):
@@ -176,13 +177,13 @@ def confidence_weights(r, alpha):
     return 1.0 + alpha * np.log1p(np.asarray(r, dtype=np.float64))
 
 
-def corrupt(obs, rho, rng):
-    """Drop each observed index independently with probability rho."""
-    obs = np.asarray(obs, dtype=np.intp)
-    if rho <= 0.0:
-        return obs.copy()
-    keep = rng.random(obs.size) >= rho
-    return obs[keep]
+def corrupt(rows, rho, rng):
+    """The CSR block ``rows`` with each stored entry dropped independently
+    with probability rho: one ``rng.random`` draw per entry, in CSR order, so
+    an empty row draws nothing."""
+    keep = rng.random(rows.nnz) >= rho
+    return sp.csr_matrix((rows.data[keep], rows.indices[keep],
+                          np.cumsum(np.r_[0, keep])[rows.indptr]), shape=rows.shape)
 
 
 class Forward:
@@ -197,13 +198,13 @@ class Forward:
         self.S_T = np.ascontiguousarray(params.S.T)
 
     def attention(self, masks, first=0):
-        """(segs, A): the masks laid end to end and their N_obs x d attention."""
+        """(segs, A): the CSR block ``masks`` laid end to end, and its attention."""
         segs = Segments.of(masks, first)
         return segs, attend(self.K[segs.obs], self.params.Q, segs, self.cfg.kappa)
 
     def __call__(self, masks, first=0):
-        """(segs, A, U, scores, mode_of): the attention, the B x d x h modes,
-        and the B x n maxout scores with each item's mode."""
+        """(segs, A, U, scores, mode_of) of the CSR block ``masks``: the attention,
+        the B x d x h modes, and the B x n maxout scores with each item's mode."""
         segs, A = self.attention(masks, first)
         U = encode(A, self.Vt[segs.obs], segs, self.params.B)
         return (segs, A, U, *decode_maxout(U, self.S_T))
@@ -217,20 +218,20 @@ CHUNK = 32
 def batch_gradients(R, masks, params, V, cfg):
     """Forward and exact backward pass of the data term for a batch of users.
 
-    ``R`` holds the clean binary rows (B x n, the targets) and ``masks[b]``
-    the item indices row b attends over. Returns the gradients summed over the
-    batch (keyed by PARAM_NAMES; the caller adds the decoder penalty's) and
-    the per-user data losses. One ``Forward`` serves the whole call; the users
-    run in chunks of CHUNK, whose gradients are summed in ascending chunk
-    order, so no temporary grows with the batch.
+    ``R`` and ``masks`` are CSR blocks of B rows: user b's clean binary row
+    (the target) and the items it attends over. Returns the gradients summed
+    over the batch (keyed by PARAM_NAMES; the caller adds the decoder
+    penalty's) and the per-user data losses. One ``Forward`` serves the whole
+    call; the users run in chunks of CHUNK, each densifying only its rows of
+    ``R``, summed in ascending chunk order, so no temporary grows with the batch.
     """
-    if not masks:
+    if masks.shape[0] == 0:
         raise ValueError("batch_gradients needs at least one user")
     forward = Forward(params, V, cfg)
     losses = []
-    for lo in range(0, len(masks), CHUNK):
+    for lo in range(0, masks.shape[0], CHUNK):
         users = slice(lo, lo + CHUNK)
-        chunk, loss = _chunk_gradients(R[users], forward(masks[users], lo), forward)
+        chunk, loss = _chunk_gradients(R[users].toarray(), forward(masks[users], lo), forward)
         if lo == 0:
             grads = chunk
         else:
@@ -241,7 +242,7 @@ def batch_gradients(R, masks, params, V, cfg):
 
 
 def _chunk_gradients(R, result, forward):
-    """The gradients and losses of the clean rows ``R`` from their forward ``result``.
+    """The gradients and losses of the dense clean rows ``R`` from their ``result``.
 
     BLAS sees only products whose bytes do not depend on the BLAS thread
     count: one GEMM per user, and GEMMs whose inner dimension runs over the

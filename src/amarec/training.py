@@ -1,9 +1,10 @@
 """Epoch loop: per-epoch corruption resampling, one adam step per batch.
 
 Users are shuffled with an epoch-indexed RNG and their corrupted rows are
-redrawn every epoch, in ascending user order within each batch. Every step
-makes one model.batch_gradients call for the whole batch, whose result does
-not depend on the BLAS thread count. Item embeddings are fixed, never updated.
+redrawn every epoch: a batch is the CSR block of its users' train rows, in
+ascending user order, corrupted in one draw. Every step makes one
+model.batch_gradients call for the whole batch, whose result does not
+depend on the BLAS thread count. Item embeddings are fixed, never updated.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def train(data, V, cfg, params=None, callback=None):
     Returns the AmaParameters and the log: one ``{"epoch", "objective",
     "seconds"}`` dict per epoch. Users whose corrupted row is empty
     are skipped for that epoch. ``callback(epoch, params)`` runs after each
-    epoch when given (used for checkpoints and validation-based selection).
+    epoch when given (the CLI saves checkpoints through it).
     """
     mcfg = cfg.model
     train_mat = data.train
@@ -90,8 +91,6 @@ def train(data, V, cfg, params=None, callback=None):
         params = init_params(n, mcfg, np.random.default_rng(mcfg.seed))
     state = AdamState(params)
 
-    rows = [train_mat.indices[train_mat.indptr[i]:train_mat.indptr[i + 1]] for i in range(m)]
-
     log = []
     for epoch in range(mcfg.epochs):
         t0 = time.perf_counter()
@@ -99,19 +98,17 @@ def train(data, V, cfg, params=None, callback=None):
         order = rng.permutation(m)
         total, counted = 0.0, 0
         for b, start in enumerate(range(0, m, cfg.batch_size)):
-            batch = np.sort(order[start:start + cfg.batch_size])
-            R, masks = np.zeros((batch.size, n)), []
-            for u in batch:
-                mask = corrupt(rows[u], mcfg.rho, rng) if rows[u].size else rows[u]
-                if mask.size:
-                    R[len(masks), rows[u]] = 1.0
-                    masks.append(mask)
-            if not masks:
+            clean = train_mat[np.sort(order[start:start + cfg.batch_size])]
+            masks = corrupt(clean, mcfg.rho, rng)
+            used = np.flatnonzero(np.diff(masks.indptr))
+            if not used.size:
                 continue
-            grads, losses = batch_gradients(R[:len(masks)], masks, params, V, mcfg)
+            if used.size < masks.shape[0]:   # drop the rows corruption emptied
+                clean, masks = clean[used], masks[used]
+            grads, losses = batch_gradients(clean, masks, params, V, mcfg)
             for value in losses.tolist():   # one by one in ascending user order, not pairwise
                 total += value
-            counted += len(masks)
+            counted += used.size
             if not np.isfinite(total):   # earlier batches were finite: this one is not
                 raise NonFiniteObjective(epoch, b, total)
             grads["S"] += 2.0 * mcfg.lam * params.S   # regularizer once per step

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -21,6 +22,16 @@ def synthetic_events(m=30, n=20, per_user=12, seed=7):
             columns["rating"].append(float(rng.integers(1, 6)))
             columns["timestamp"].append(1_000_000 + 100 * t + int(rng.integers(0, 50)))
     return Ratings(**columns)
+
+
+def csr_rows(rows, n):
+    """The CSR block of n columns whose row b stores the item indices
+    ``rows[b]``, in their order, each with value 1: the batch format of
+    ``Forward``, ``corrupt`` and ``batch_gradients``."""
+    rows = [np.asarray(r, dtype=np.intp) for r in rows]
+    indptr = np.cumsum([0] + [r.size for r in rows])
+    indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
+    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(len(rows), n))
 
 
 @pytest.fixture(scope="session")

@@ -129,6 +129,18 @@ def forward_oracle(mask_obs, params, V, kappa):
             "scores": per_mode.max(axis=0), "mode_of": per_mode.argmax(axis=0)}
 
 
+def corrupt_oracle(rows, rho, rng):
+    """Denoising corruption as a per-user loop over a list of item-index
+    arrays: each row, in order, draws one uniform per item and keeps the items
+    whose draw is >= rho; an empty row draws nothing. Every rho draws, 0
+    included, so the stream after the loop does not depend on rho."""
+    kept = []
+    for obs in rows:
+        obs = np.asarray(obs, dtype=np.intp)
+        kept.append(obs[rng.random(obs.size) >= rho] if obs.size else obs)
+    return kept
+
+
 def gradients_oracle(r, mask_obs, params, V, cfg):
     """Per-user forward and exact backward pass of the data term, in plain numpy.
 

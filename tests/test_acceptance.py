@@ -30,7 +30,7 @@ from amarec.model import (
     parameter_count,
 )
 from amarec.training import TrainConfig, train
-from conftest import synthetic_events, write_movielens_file
+from conftest import csr_rows, synthetic_events, write_movielens_file
 from oracles import enumerate_metrics, finite_difference, jacobi_singular_values
 from test_gradients import well_separated_instance
 from test_metrics import metrics_of
@@ -118,7 +118,7 @@ def test_criterion_5_attention_suite():
     rng = np.random.default_rng(0)
     for trial in range(20):
         cfg, V, params, r, obs = small_instance(trial + 300)
-        segs = Segments.of([obs])
+        segs = Segments.of(csr_rows([obs], V.shape[0]))
         K, Vt = keys_values(V, params)
         A = attend(K[obs], params.Q, segs, cfg.kappa)   # n_obs x d
         # normalization to 1 +/- 1e-9 over observed items

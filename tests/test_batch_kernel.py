@@ -10,7 +10,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from amarec import model
@@ -19,7 +18,7 @@ from amarec.evaluation import BLOCK, evaluate
 from amarec.explain import explain_user, mode_top_items, mode_usage
 from amarec.model import (AmaConfig, DegenerateUser, PARAM_NAMES, Segments, attend,
                           batch_gradients, corrupt, decode_maxout, encode, keys_values)
-from conftest import synthetic_events, write_movielens_file
+from conftest import csr_rows, synthetic_events, write_movielens_file
 from oracles import forward_oracle, gradients_oracle
 from test_metrics import make_split
 from test_model import random_params, recording_decode
@@ -48,7 +47,7 @@ def batch_case(seed, n, h, d, kappa, users, rho, tied):
     rows, masks, dropped = [], [], 0
     for _ in range(users):
         row = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-        mask = corrupt(row, rho, rng)
+        mask = corrupt(csr_rows([row], n), rho, rng).indices
         if mask.size == 0:
             dropped += 1
             continue
@@ -57,6 +56,11 @@ def batch_case(seed, n, h, d, kappa, users, rho, tied):
         rows.append(r)
         masks.append(mask)
     return cfg, V, params, rows, masks, dropped
+
+
+def clean_block(rows):
+    """The dense binary rows of ``batch_case`` as a CSR block."""
+    return csr_rows([np.flatnonzero(r) for r in rows], len(rows[0]))
 
 
 # chunks of 2 or 3 users split most batches into several chunks, the last ragged
@@ -77,7 +81,7 @@ def test_batch_equals_sum_of_per_user_oracle(seed, n, h, d, kappa, users, rho, t
     if not masks:
         return
     with chunked(chunk), recording_decode() as calls:
-        grads, losses = batch_gradients(np.array(rows), masks, params, V, cfg)
+        grads, losses = batch_gradients(clean_block(rows), csr_rows(masks, n), params, V, cfg)
     assert len(calls) == -(-len(masks) // chunk)
     _, scores, mode_of = decoded(calls)
     per_user = [gradients_oracle(r, mk, params, V, cfg) for r, mk in zip(rows, masks)]
@@ -120,11 +124,11 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
         U = encode(A, Vt[segs.obs], segs, params.B)
         return A, U, *decode_maxout(U, S_T)
 
-    A, U, scores, mode_of = stages(masks)
-    seg = Segments.of(masks).seg
+    A, U, scores, mode_of = stages(csr_rows(masks, n))
+    seg = Segments.of(csr_rows(masks, n)).seg
     for b, mk in enumerate(masks):
         # the batch equals each user run alone, bitwise
-        A1, U1, scores1, mode_of1 = stages([mk])
+        A1, U1, scores1, mode_of1 = stages(csr_rows([mk], n))
         assert np.array_equal(A[seg == b], A1) and np.array_equal(U[b], U1[0])
         assert np.array_equal(scores[b], scores1[0])
         assert np.array_equal(mode_of[b], mode_of1[0])
@@ -144,18 +148,17 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
         assert not mode_of.any()
 
     # scoring and explanation return what training's decode returns, bitwise
-    clean = [np.flatnonzero(r) for r in rows]
+    block = clean_block(rows)
     with chunked(chunk), recording_decode() as calls:
-        batch_gradients(np.array(rows), clean, params, V, cfg)
-    assert len(calls) == -(-len(clean) // chunk)
+        batch_gradients(block, block, params, V, cfg)
+    assert len(calls) == -(-len(rows) // chunk)
     trained_U, trained_scores, trained_modes = decoded(calls)
     trained_per_mode = np.matmul(trained_U, S_T)
     score = ama_scorer(params, V, cfg)
-    block = sp.csr_matrix(np.array(rows))
     assert np.array_equal(score(block, np.arange(len(rows))), trained_scores)
-    for b, obs in enumerate(clean):
+    for b in range(len(rows)):
         assert np.array_equal(score(block[b], np.array([b]))[0], trained_scores[b])
-        for j, mode, per_mode in explain_user(params, V, cfg, obs, b, k=n).recommendations:
+        for j, mode, per_mode in explain_user(params, V, cfg, block[b], b, k=n).recommendations:
             assert mode == trained_modes[b, j]
             assert np.array_equal(per_mode, trained_per_mode[b, :, j])
 
@@ -171,13 +174,14 @@ def test_examples_cover_the_degenerate_cases():
 def test_empty_mask_is_degenerate(chunk):
     cfg, V, params, rows, masks, _ = batch_case(4, 5, 2, 2, 2, 2, 0.0, False)
     with chunked(chunk), pytest.raises(DegenerateUser, match="^mask 1 has no observed"):
-        batch_gradients(np.array(rows), [masks[0], masks[0][:0]], params, V, cfg)
+        batch_gradients(clean_block(rows), csr_rows([masks[0], masks[0][:0]], 5), params, V,
+                        cfg)
 
 
 def test_empty_batch_rejected():
     cfg, V, params, _, _, _ = batch_case(4, 5, 2, 2, 2, 2, 0.0, False)
     with pytest.raises(ValueError, match="at least one user"):
-        batch_gradients(np.zeros((0, 5)), [], params, V, cfg)
+        batch_gradients(csr_rows([], 5), csr_rows([], 5), params, V, cfg)
 
 
 def test_item_tables_built_once_per_call(monkeypatch):
@@ -188,14 +192,14 @@ def test_item_tables_built_once_per_call(monkeypatch):
     monkeypatch.setattr(model, "keys_values", lambda *a: calls.append(1) or keys_values(*a))
     cfg, V, params, rows, masks, _ = batch_case(5, 9, 3, 3, 2, 7, 0.0, False)
     with chunked(3):
-        batch_gradients(np.array(rows), masks, params, V, cfg)
+        batch_gradients(clean_block(rows), csr_rows(masks, 9), params, V, cfg)
     assert len(calls) == 1
     rng = np.random.default_rng(0)
     train = [rng.choice(9, size=3, replace=False).tolist() for _ in range(2 * BLOCK + 5)]
     data = make_split(train, [[] for _ in train], [[(row[0] + 1) % 9] for row in train], 9)
     evaluate(ama_scorer(params, V, cfg), data)
     assert len(calls) == 2
-    explain_user(params, V, cfg, data.train[0].indices, 0, k=3)
+    explain_user(params, V, cfg, data.train[0], 0, k=3)
     mode_usage(params, V, cfg, data, k=3)
     mode_top_items(params, V, cfg, data, n_top=3)
     assert len(calls) == 5
@@ -255,16 +259,13 @@ def step_peak(nb, n, d, h):
     rng = np.random.default_rng(3)
     V = rng.standard_normal((n, h))
     params = random_params(n, cfg, seed=4)
-    masks = [np.sort(rng.choice(n, size=5, replace=False)) for _ in range(nb)]
-    R = np.zeros((nb, n))
-    for b, mk in enumerate(masks):
-        R[b, mk] = 1.0
+    masks = csr_rows([np.sort(rng.choice(n, size=5, replace=False)) for _ in range(nb)], n)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        batch_gradients(R, masks, params, V, cfg)
+        batch_gradients(masks, masks, params, V, cfg)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:

@@ -129,7 +129,7 @@ def test_mode_usage_matches_per_user_loop(seed, m, n, d, k, tied):
         obs = data.train[u].indices
         if not obs.size:
             continue
-        segs = Segments.of([obs])
+        segs = Segments.of(data.train[u])
         scores, mode_of = decode_maxout(encode(attend(K[obs], params.Q, segs, cfg.kappa),
                                                Vt[obs], segs, params.B), S_T)
         top = reference_ranked(scores[0], set(obs.tolist()))[:k]

@@ -218,6 +218,23 @@ class TestTrainEvaluateExplain:
         key, value = setting.split("=")
         assert f"error: --set: bad value {value!r} for {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, h", [(["embed", "--out", "emb.bin"], 5000),
+                                         (["embed", "--out", "emb.bin"], 0),
+                                         (["train", "--out", "m.bin"], 5000)])
+    def test_embedding_size_out_of_range_names_h(self, tmp_path, prepped, capsys, argv, h):
+        argv = [str(tmp_path / a) if a.endswith(".bin") else a for a in argv]
+        rc = main([*argv, "--data", str(prepped), "--set", f"h={h}"])
+        assert rc == 1 and not list(tmp_path.glob("*.bin"))
+        err = capsys.readouterr().err
+        assert f"error: h={h} out of range: the embedding size must lie in [1, " in err
+        assert "rank" not in err
+
+    def test_puresvd_rank_zero_names_rank(self, prepped, capsys):
+        rc = main(["evaluate", "--data", str(prepped), "--baseline", "puresvd",
+                   "--set", "rank=0"])
+        assert rc == 1
+        assert "error: rank 0 out of range" in capsys.readouterr().err
+
     def test_unknown_split_nonzero(self, prepped, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--data", str(prepped), "--baseline", "pop",

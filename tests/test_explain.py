@@ -10,6 +10,7 @@ from amarec.explain import (
     user_explanation_dot,
 )
 from amarec.model import AmaConfig, keys_values
+from conftest import csr_rows
 from oracles import forward_oracle
 from test_metrics import make_split
 from test_model import attend_one, random_params
@@ -29,19 +30,18 @@ def toy_model(m=3, n=6, d=2, h=3, kappa=2, seed=0):
 class TestExplainUser:
     def test_single_mode_attribution(self):
         cfg, V, params, data = toy_model(d=1)
-        obs = data.train[0].indices
-        exp = explain_user(params, V, cfg, obs, 0, k=4)
+        exp = explain_user(params, V, cfg, data.train[0], 0, k=4)
         assert all(mode == 0 for _, mode, _ in exp.recommendations)
 
     def test_single_observed_item_full_weight(self):
         cfg, V, params, _ = toy_model()
-        exp = explain_user(params, V, cfg, np.array([3]), 0, k=2)
+        exp = explain_user(params, V, cfg, csr_rows([[3]], V.shape[0]), 0, k=2)
         np.testing.assert_array_equal(exp.attention, np.ones((cfg.d, 1)))
 
     def test_attribution_matches_hand_recompute(self):
         cfg, V, params, data = toy_model(seed=5)
         obs = data.train[1].indices
-        exp = explain_user(params, V, cfg, obs, 1, k=3)
+        exp = explain_user(params, V, cfg, data.train[1], 1, k=3)
         U = forward_oracle(obs, params, V, cfg.kappa)["U"]
         for j, mode, per_mode in exp.recommendations:
             scores = np.array([U[l] @ params.S[j] for l in range(cfg.d)])
@@ -52,19 +52,18 @@ class TestExplainUser:
     def test_recommendations_exclude_train(self):
         cfg, V, params, data = toy_model()
         obs = data.train[0].indices
-        exp = explain_user(params, V, cfg, obs, 0, k=6)
+        exp = explain_user(params, V, cfg, data.train[0], 0, k=6)
         rec_items = {j for j, _, _ in exp.recommendations}
         assert not rec_items & set(obs.tolist())
 
     def test_empty_history_error(self):
         cfg, V, params, _ = toy_model()
         with pytest.raises(ValueError):
-            explain_user(params, V, cfg, np.array([], dtype=np.intp), 0)
+            explain_user(params, V, cfg, csr_rows([[]], V.shape[0]), 0)
 
     def test_json_output(self):
         cfg, V, params, data = toy_model()
-        obs = data.train[0].indices
-        exp = explain_user(params, V, cfg, obs, 0, k=2)
+        exp = explain_user(params, V, cfg, data.train[0], 0, k=2)
         text = exp.to_json(item_ids=[f"i{j}" for j in range(V.shape[0])])
         assert '"recommendations"' in text and '"modes"' in text
 
@@ -88,8 +87,7 @@ class TestModeUsage:
         hist = mode_usage(params, V, cfg, data, k=k)
         brute = np.zeros(cfg.d, dtype=int)
         for u in range(5):
-            obs = data.train[u].indices
-            exp = explain_user(params, V, cfg, obs, u, k=k)
+            exp = explain_user(params, V, cfg, data.train[u], u, k=k)
             brute[len({m for _, m, _ in exp.recommendations}) - 1] += 1
         assert hist.tolist() == brute.tolist()
         assert hist.sum() == 5
@@ -159,8 +157,7 @@ def test_csv_and_dot_outputs(tmp_path):
     header = (tmp_path / "modes.csv").read_text().splitlines()[0]
     assert header == "mode,rank,item_id,aggregated_attention,popularity_rank,popularity_count"
 
-    obs = data.train[0].indices
-    exp = explain_user(params, V, cfg, obs, 0, k=2)
+    exp = explain_user(params, V, cfg, data.train[0], 0, k=2)
     dot = user_explanation_dot(exp, item_ids)
     assert dot.startswith("digraph") and "mode_0" in dot
 
@@ -175,7 +172,7 @@ def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monk
     agg = np.zeros((cfg.d, n))
     for u in range(m):
         obs = data.train[u].indices
-        exp = explain_user(params, V, cfg, obs, u, k=3)
+        exp = explain_user(params, V, cfg, data.train[u], u, k=3)
         hist[len({mode for _, mode, _ in exp.recommendations}) - 1] += 1
         np.add.at(agg, (slice(None), obs), attend_one(keys_values(V, params)[0], params.Q, obs,
                                                       cfg.kappa))

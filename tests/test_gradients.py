@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from amarec.model import PARAM_NAMES, batch_gradients
+from conftest import csr_rows
 from oracles import finite_difference, forward_oracle, loss_oracle
 from test_model import small_instance, user_objective
 
@@ -81,11 +82,9 @@ def test_regularizer_gradient_alone():
     n = 5
     params = random_params(n, cfg, seed=4)
     V = np.random.default_rng(2).standard_normal((n, 2))
-    r = np.zeros(n)
-    r[0] = 1.0
-    kernel = batch_gradients(r[None], [np.array([0])], params, V, cfg)[0]
-    unpenalized = batch_gradients(r[None], [np.array([0])], params, V,
-                                  dataclasses.replace(cfg, lam=0.0))[0]
+    r = csr_rows([[0]], n)
+    kernel = batch_gradients(r, r, params, V, cfg)[0]
+    unpenalized = batch_gradients(r, r, params, V, dataclasses.replace(cfg, lam=0.0))[0]
     for name in PARAM_NAMES:
         np.testing.assert_array_equal(kernel[name], unpenalized[name])
 

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amarec.model import (
     AmaConfig,
@@ -22,7 +23,8 @@ from amarec.model import (
     parameter_count,
     save_model,
 )
-from oracles import forward_oracle, loss_oracle
+from conftest import csr_rows
+from oracles import corrupt_oracle, forward_oracle, loss_oracle
 
 
 def random_params(n, cfg, seed=0, scale=1.0):
@@ -39,12 +41,13 @@ def random_params(n, cfg, seed=0, scale=1.0):
 def attend_one(K, Q, obs, kappa):
     """The batched attend stage on a batch of one user, as d x n_obs."""
     obs = np.asarray(obs, dtype=np.intp)
-    return attend(K[obs], Q, Segments.of([obs]), kappa).T
+    return attend(K[obs], Q, Segments.of(csr_rows([obs], K.shape[0])), kappa).T
 
 
 def encode_one(A, Vt_obs, B):
     """The batched encode stage on one user's d x n_obs attention, as d x h."""
-    return encode(A.T, Vt_obs, Segments.of([np.arange(A.shape[1])]), B)[0]
+    return encode(A.T, Vt_obs, Segments.of(csr_rows([np.arange(A.shape[1])], A.shape[1])),
+                  B)[0]
 
 
 def decode_one(U, S):
@@ -84,7 +87,8 @@ def user_objective(r, obs, params, V, cfg):
     """One user's objective, gradients and scores: ``batch_gradients`` on a
     batch of one, plus the decoder penalty lam ||S||^2 and its gradient."""
     with recording_decode() as calls:
-        grads, losses = batch_gradients(np.asarray(r)[None], [obs], params, V, cfg)
+        grads, losses = batch_gradients(csr_rows([np.flatnonzero(r)], len(r)),
+                                        csr_rows([obs], len(r)), params, V, cfg)
     grads["S"] += 2.0 * cfg.lam * params.S
     objective = float(losses[0]) + cfg.lam * float(np.sum(params.S * params.S))
     (_, scores, _), = calls
@@ -267,24 +271,44 @@ class TestConfidenceWeights:
 class TestCorrupt:
     def test_rho_zero_identity(self):
         obs = np.array([1, 4, 7])
-        out = corrupt(obs, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, obs)
+        out = corrupt(csr_rows([obs], 8), 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(out.indices, obs)
 
     def test_rho_one_empties(self):
-        out = corrupt(np.arange(50), 1.0, np.random.default_rng(0))
-        assert out.size == 0
+        out = corrupt(csr_rows([np.arange(50)], 50), 1.0, np.random.default_rng(0))
+        assert out.nnz == 0
 
     def test_binomial_concentration(self):
         rng = np.random.default_rng(123)
         obs = np.arange(10_000)
-        kept = corrupt(obs, 0.3, rng)
-        assert abs(kept.size / 10_000 - 0.70) < 0.02
+        kept = corrupt(csr_rows([obs], obs.size), 0.3, rng)
+        assert abs(kept.nnz / 10_000 - 0.70) < 0.02
 
     def test_unobserved_untouched(self):
         # corrupt only ever returns a subset of the observed indices
         obs = np.array([3, 5, 9])
-        out = corrupt(obs, 0.5, np.random.default_rng(2))
-        assert set(out.tolist()) <= set(obs.tolist())
+        out = corrupt(csr_rows([obs], 10), 0.5, np.random.default_rng(2))
+        assert set(out.indices.tolist()) <= set(obs.tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 9),
+       sizes=st.lists(st.sampled_from([0, 0, 1, 1, 2, 5, 9]), min_size=1, max_size=8),
+       rho=st.sampled_from([0.0, 0.3, 1.0]))
+def test_corrupt_equals_per_user_oracle(seed, n, sizes, rho):
+    # random CSR blocks with empty and one-entry rows: the one draw over the
+    # block keeps what the per-user loop keeps, empties the same rows, and
+    # leaves the stream where the loop leaves it
+    rng = np.random.default_rng(seed)
+    rows = [np.sort(rng.choice(n, size=min(k, n), replace=False)) for k in sizes]
+    mine, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    out = corrupt(csr_rows(rows, n), rho, mine)
+    ref = corrupt_oracle(rows, rho, theirs)
+    assert out.shape == (len(rows), n)
+    assert np.array_equal(out.indices, np.concatenate(ref))
+    assert np.array_equal(np.diff(out.indptr), [kept.size for kept in ref])
+    assert np.array_equal(out.data, np.ones(out.nnz))
+    assert mine.random() == theirs.random()
 
 
 class TestLoss:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from amarec.linalg import randomized_svd
-from amarec.model import AmaConfig, PARAM_NAMES, init_params
+from amarec.model import AmaConfig, PARAM_NAMES, batch_gradients, init_params
 from amarec.training import AdamState, TrainConfig, adam_step, train
+from conftest import csr_rows
+from oracles import corrupt_oracle
 
 
 def embeddings_for(data, cfg):
@@ -142,6 +144,38 @@ class TestTrainLoop:
         seen = []
         train(tiny_split, V, cfg, callback=lambda e, p: seen.append(e))
         assert seen == [0, 1, 2]
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 1.0])
+def test_batches_match_the_per_user_loop(tiny_split, rho):
+    # train's CSR batches against a per-user loop: each batch's users in
+    # ascending order, corrupted one by one from the epoch's stream, those
+    # left empty dropped; the parameters agree bitwise
+    cfg = tiny_train_config(model={"epochs": 2, "rho": rho})
+    mcfg, T = cfg.model, tiny_split.train
+    m, n = T.shape
+    V = embeddings_for(tiny_split, mcfg)
+    params, _ = train(tiny_split, V, cfg)
+    ref = init_params(n, mcfg, np.random.default_rng(mcfg.seed))
+    state, dropped = AdamState(ref), 0
+    rows = [T.indices[T.indptr[u]:T.indptr[u + 1]] for u in range(m)]
+    for epoch in range(mcfg.epochs):
+        rng = np.random.default_rng([mcfg.seed, epoch])
+        order = rng.permutation(m)
+        for start in range(0, m, cfg.batch_size):
+            batch = np.sort(order[start:start + cfg.batch_size])
+            masks = corrupt_oracle([rows[u] for u in batch], mcfg.rho, rng)
+            used = [b for b, mask in enumerate(masks) if mask.size]
+            dropped += batch.size - len(used)
+            if used:
+                grads, _ = batch_gradients(csr_rows([rows[batch[b]] for b in used], n),
+                                           csr_rows([masks[b] for b in used], n), ref, V, mcfg)
+                grads["S"] += 2.0 * mcfg.lam * ref.S
+                ref = adam_step(ref, grads, state, cfg.learning_rate)
+    for k in PARAM_NAMES:
+        np.testing.assert_array_equal(getattr(params, k), getattr(ref, k))
+    if rho == 0.9:   # batches that lose some users and keep others
+        assert 0 < dropped < mcfg.epochs * m
 
 
 def test_non_finite_objective_stops_at_its_batch(tiny_split):
