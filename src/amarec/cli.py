@@ -231,14 +231,18 @@ def _scorer_for(args, data, cfg):
 
 
 def _cutoffs(flag, text):
-    """The comma-separated cutoffs given to ``flag``; each must be an integer >= 1."""
+    """The comma-separated cutoffs given to ``flag``; each must be an integer
+    >= 1, and none may repeat."""
     try:
         values = tuple(int(v) for v in str(text).split(","))
-        if min(values) >= 1:
-            return values
+        positive = min(values) >= 1
     except ValueError:
-        pass
-    raise CliError(f"{flag} takes integers >= 1, got {text}")
+        positive = False
+    if not positive:
+        raise CliError(f"{flag} takes integers >= 1, got {text}")
+    if len(set(values)) < len(values):
+        raise CliError(f"{flag} repeats a cutoff, got {text}")
+    return values
 
 
 def cmd_evaluate(args):

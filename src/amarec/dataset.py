@@ -178,8 +178,8 @@ def _csv_rows(fh):
 
 def binarize(ratings, threshold):
     """Keep ratings strictly above ``threshold``; set them to 1."""
-    if not math.isfinite(threshold) and threshold > 0:
-        raise ConfigError("threshold must not be +inf")
+    if math.isnan(threshold) or threshold == math.inf:
+        raise ConfigError(f"threshold must be a number below +inf, got {threshold}")
     keep = ratings.rating > threshold
     return Ratings(ratings.user[keep], ratings.item[keep], np.ones(np.count_nonzero(keep)),
                    ratings.timestamp[keep])

@@ -75,34 +75,32 @@ def top_k(keys, k):
 def hit_ranks(keys, relevant):
     """The 0-based rank of each entry of the CSR block ``relevant``, in CSR
     order, within its row of ``keys`` ordered as ``top_k`` orders it: the
-    count of items with a smaller key plus the count tied with it at a
-    smaller index. An excluded (+inf) entry is not ranked and reads n."""
+    count of items with a smaller key, read off one sort of the block, plus
+    the count tied with it at a smaller index, read off one comparison of the
+    row with its distinct tied keys, at (distinct tied keys) x n operations;
+    POP rows at full ML-1M shape hold a median of 21 and at most 32 of them.
+    An excluded (+inf) entry is not ranked and reads n."""
     nb, n = keys.shape
     ptr, items = relevant.indptr, relevant.indices
     owner = np.repeat(np.arange(nb), np.diff(ptr))
     key = keys[owner, items]
     ordered = np.sort(keys, axis=1)
-    first = np.empty(items.size, dtype=np.intp)   # items with a smaller key
-    ties = np.empty(items.size, dtype=np.intp)    # items with an equal key, itself included
+    first, last = np.empty((2, items.size), dtype=np.intp)   # items with a key <, <= it
     for b in range(nb):
         span = slice(ptr[b], ptr[b + 1])
         first[span] = np.searchsorted(ordered[b], key[span], "left")
-        ties[span] = np.searchsorted(ordered[b], key[span], "right") - first[span]
-    # an unstable argsort of each row with a tie lists every tie group at
-    # positions first .. first + ties - 1; sort each distinct group's members
-    # by item index once, then count the members below each tied item
-    tied = np.flatnonzero(ties > 1)
-    rows, row = np.unique(owner[tied], return_inverse=True)
-    order = np.argsort(keys[rows], axis=1).ravel()
-    groups, pick, group = np.unique(row * n + first[tied], return_index=True,
-                                    return_inverse=True)
-    size = ties[tied][pick]
-    start = np.cumsum(size) - size   # of each group in ``member``
-    at = np.repeat(groups - start, size) + np.arange(size.sum())
-    member = np.sort(np.repeat(np.arange(groups.size) * n, size) + order[at])
-    rank = first
-    rank[tied] += np.searchsorted(member, group * n + items[tied]) - start[group]
-    rank[np.isposinf(key)] = n
+        last[span] = np.searchsorted(ordered[b], key[span], "right")
+    # ``groups`` codes each tie group as row * n + first, its key's index in
+    # ``ordered``; comparing a row with its groups' keys lists the members as
+    # group * n + item in (group, item) order, so earlier members list first
+    tied = np.flatnonzero((last - first > 1) & (key < np.inf))
+    groups, group = np.unique(owner[tied] * n + first[tied], return_inverse=True)
+    rows, lo = np.unique(groups // n, return_index=True)
+    member = np.concatenate([np.empty(0, np.intp)] + [
+        np.flatnonzero(keys[b] == ordered.ravel()[groups[i:j], None]) + i * n
+        for b, i, j in zip(rows, lo, np.append(lo[1:], groups.size))])
+    rank = np.where(key < np.inf, first, n)
+    rank[tied] += np.searchsorted(member, group * n + items[tied]) - np.searchsorted(member, group * n)
     return rank
 
 
@@ -141,6 +139,8 @@ def metric_rows(scorer, data, split="test", ks=(5, 10, 20)):
         raise ValueError(f"unknown split {split!r}")
     target = data.test if split == "test" else data.validation
     ks = tuple(sorted(ks))
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"repeated cutoff in ks {ks}")
     names = ["R-Precision", "NDCG"] + [f"{m}@{k}" for m in ("MAP", "Precision", "Recall")
                                        for k in ks]
     n = target.shape[1]

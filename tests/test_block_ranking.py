@@ -29,19 +29,26 @@ def random_rows(rng, m, n):
 
 
 def reference_ranked(scores, exclude):
+    """One row's ranked items; an item scored -inf is not ranked, as in ``rank_keys``."""
     n = scores.size
-    return [j for j in np.lexsort((np.arange(n), -scores)).tolist() if j not in exclude]
+    return [j for j in np.lexsort((np.arange(n), -scores)).tolist()
+            if j not in exclude and scores[j] > -np.inf]
 
 
 def signed_scores(rng, m, n, levels):
     """Continuous scores when ``levels`` is 0, else scores on ``levels``
-    levels around 0; about half of the zeros are -0.0, which ties with 0.0."""
+    levels around 0; about half of the zeros are -0.0, which ties with 0.0.
+    About one cell in twenty scores +inf (ranked first, ties by index) and
+    one in twenty -inf (not ranked)."""
     if levels:
         scores = rng.integers(0, levels, size=(m, n)) - levels // 2.0
     else:
         scores = rng.standard_normal((m, n))
         scores[rng.random((m, n)) < 0.1] = 0.0
     scores[(scores == 0) & (rng.random((m, n)) < 0.5)] = -0.0
+    cells = rng.random((m, n))
+    scores[cells < 0.05] = np.inf
+    scores[cells >= 0.95] = -np.inf
     return scores
 
 
@@ -50,6 +57,9 @@ def signed_scores(rng, m, n, levels):
        levels=st.integers(0, 4), k=st.integers(1, 220))
 @example(seed=1, m=9, n=200, levels=1, k=200)
 @example(seed=2, m=9, n=150, levels=2, k=10)
+# shaped like a bench POP block: large tie groups in every row, and relevant
+# items excluded at +inf
+@example(seed=7, m=2 * BLOCK + 5, n=300, levels=3, k=10)
 def test_top_k_and_hit_ranks_match_lexsort(seed, m, n, levels, k):
     rng = np.random.default_rng(seed)
     scores = signed_scores(rng, m, n, levels)

@@ -84,6 +84,13 @@ class TestPrep:
         assert rc != 0
         assert "empty dataset" in capsys.readouterr().err
 
+    def test_nan_threshold_rejected(self, tmp_path, ratings_file, capsys):
+        out = tmp_path / "o"
+        rc = main(["prep", "--input", str(ratings_file), "--format", "movielens-dat",
+                   "--threshold", "nan", "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert "threshold must be a number below +inf, got nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fractions, message", [
         ("a,0.2,0.3", "--fractions takes numbers, got 'a,0.2,0.3'"),
         ("nan,0.2,0.3", "bad fractions (nan, 0.2, 0.3)"),
@@ -328,6 +335,14 @@ class TestTrainEvaluateExplain:
         rc = main([*command, f"{flag}={value}", "--data", str(prepped), "--out", str(out)])
         assert rc == 1 and not out.exists()
         assert f"{flag} takes integers >= 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["5,5", "10,5,10"])
+    def test_repeated_cutoff_rejected(self, tmp_path, prepped, capsys, value):
+        out = tmp_path / "out"
+        rc = main(["evaluate", "--baseline", "pop", f"--ks={value}", "--data", str(prepped),
+                   "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert f"--ks repeats a cutoff, got {value}" in capsys.readouterr().err
 
     def test_data_dir_from_env(self, tmp_path, prepped, monkeypatch):
         monkeypatch.setenv("AMAREC_DATA_DIR", str(prepped))

@@ -169,6 +169,12 @@ class TestBinarize:
         assert out.item.tolist() == ["b", "c"]
         assert out.rating.tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("threshold", [math.inf, math.nan])
+    def test_inf_and_nan_rejected(self, threshold):
+        with pytest.raises(ConfigError, match=f"threshold must be a number below \\+inf, "
+                                              f"got {threshold}"):
+            binarize(log(("u", "a", 1.0)), threshold)
+
     def test_minus_inf_keeps_all(self):
         assert len(binarize(log(("u", "a", 1.0), ("u", "b", 5.0)), -math.inf)) == 2
 

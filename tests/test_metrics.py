@@ -216,6 +216,12 @@ class TestEvaluate:
                             split="test", ks=(1,))
         assert report_t.metrics["Precision@1"]["mean"] == 1.0
 
+    def test_repeated_cutoff_rejected(self):
+        # each cutoff names its own metric columns; a repeat would collapse them
+        data = make_split([[0]], [[]], [[1]], n=3)
+        with pytest.raises(ValueError, match=r"repeated cutoff in ks \(5, 5, 10\)"):
+            metric_rows(lambda rows, users: np.zeros((len(users), 3)), data, ks=(5, 10, 5))
+
     def test_report_serialization(self):
         data = make_split([[0]], [[]], [[1]], n=3)
         report = evaluate(lambda rows, users: np.tile(np.arange(3.0), (len(users), 1)), data,
