@@ -61,7 +61,7 @@ def main():
     scorers = {
         "POP": pop_scorer(data.train),
         "PureSVD": puresvd_scorer(data.train, rank=8, iters=10, seed=0),
-        "AMA": ama_scorer(params, V, cfg.model),
+        "AMA": ama_scorer(params, V),
     }
     cols = ["R-Precision", "NDCG", "Precision@5", "Recall@5", "MAP@5"]
     print(f"{'model':>8s} " + " ".join(f"{c:>12s}" for c in cols))

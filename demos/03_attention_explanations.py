@@ -37,7 +37,7 @@ def main():
     params, _ = train(data, V, cfg)
 
     u = 0
-    exp = explain_user(params, V, cfg.model, data.train[u], u, k=5)
+    exp = explain_user(params, V, data.train[u], u, k=5)
 
     print(f"== user {data.user_ids[u]}: top attended items per mode ==")
     for l, row in enumerate(exp.attention):
@@ -51,13 +51,13 @@ def main():
               f"(per-mode scores {np.round(per_mode, 3)})")
 
     print("\n== mode-usage histogram over users (top-10 lists) ==")
-    hist = mode_usage(params, V, cfg.model, data, k=10)
+    hist = mode_usage(params, V, data, k=10)
     for c, count in enumerate(hist.tolist(), start=1):
         print(f"users drawing from exactly {c} mode(s): {count}")
     print(f"share using >= 2 modes: {100 * hist[1:].sum() / hist.sum():.1f}%")
 
     print("\n== corpus-level top attended items per mode ==")
-    for l, rows in enumerate(mode_top_items(params, V, cfg.model, data, n_top=5)):
+    for l, rows in enumerate(mode_top_items(params, V, data, n_top=5)):
         print(f"mode {l}:")
         for rank, (j, score, prank, pcount) in enumerate(rows, start=1):
             print(f"  {rank}. {data.item_ids[j]}  attention={score:.2f}  "

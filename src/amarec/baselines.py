@@ -39,10 +39,11 @@ def puresvd_scorer(train, rank=50, iters=10, seed=0):
     return score
 
 
-def ama_scorer(params, V, cfg):
-    """Score with a trained model; the clean train row masks attention, and
+def ama_scorer(params, V):
+    """Score with a trained model's parameters and item embeddings ``V``, whose
+    shapes give the model's sizes; the clean train row masks attention, and
     a user with an empty row scores zeros."""
-    forward = Forward(params, V, cfg)
+    forward = Forward(params, V)
 
     def score(rows, users):
         scores = np.zeros(rows.shape)

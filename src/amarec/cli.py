@@ -60,7 +60,8 @@ _PURESVD_KEYS = {"rank": "rank", "gamma": "iters", "seed": "seed"}
 
 
 def parse_config_text(text, source="<config>"):
-    cfg = {}
+    """The ``key=value`` lines of ``text``; a key may be set only once."""
+    cfg, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -68,6 +69,9 @@ def parse_config_text(text, source="<config>"):
         if "=" not in line:
             raise CliError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key in first:
+            raise CliError(f"{source}:{lineno}: {key} is set again, first at line {first[key]}")
+        first[key] = lineno
         cfg[key] = _coerce(key, value, f"{source}:{lineno}")
     return cfg
 
@@ -154,6 +158,8 @@ def cmd_prep(args):
         raise CliError(f"--fractions takes numbers, got {args.fractions!r}") from None
     ratings = dataset.parse_ratings(args.input, args.format,
                                     amazon_columns=args.amazon_columns)
+    if not len(ratings):
+        raise CliError(f"empty dataset: {args.input} holds no ratings")
     ratings = dataset.binarize(ratings, args.threshold)
     if not len(ratings):
         raise CliError("empty dataset: no ratings exceed the threshold")
@@ -199,10 +205,10 @@ def cmd_train(args):
 
 
 def _load_ama(path, data, cfg):
-    """(params, V, AmaConfig) of a model file, with V rebuilt from the recipe
+    """(params, V) of a model file, with V rebuilt from the recipe
     ``load_model`` resolves. Rejects configured recipe keys that disagree with
     that recipe and a split other than the one the model was trained on."""
-    params, mcfg, recipe, trained_on = load_model(path)
+    params, _, recipe, trained_on = load_model(path)
     for key, given in _pick(cfg, _RECIPE_KEYS).items():
         if given != recipe[key]:
             raise CliError(f"{path} was trained with {key}={recipe[key]}, "
@@ -212,7 +218,7 @@ def _load_ama(path, data, cfg):
                        f"but the split has {data.shape[1]}")
     if trained_on and trained_on != linalg.matrix_hash(data.train):
         raise CliError(f"{path} was trained on a different train matrix")
-    return params, linalg.embed_items(data.train, **recipe), mcfg
+    return params, linalg.embed_items(data.train, **recipe)
 
 
 def _scorer_for(args, data, cfg):
@@ -270,13 +276,13 @@ def cmd_explain(args):
     _require_ama(cfg, "explain")
     if args.user is None and not args.histogram and not args.modes:
         raise CliError("pass one of --user, --histogram, --modes")
-    params, V, mcfg = _load_ama(args.model, data, cfg)
+    params, V = _load_ama(args.model, data, cfg)
     item_ids = list(data.item_ids)
     if args.user is not None:
         u = data.user_index.get(args.user)
         if u is None:
             raise CliError(f"unknown user id {args.user!r}")
-        exp = explain_mod.explain_user(params, V, mcfg, data.train[u], u, k=args.k)
+        exp = explain_mod.explain_user(params, V, data.train[u], u, k=args.k)
         out = args.out or f"user_{args.user}.json"
         with atomic_open(out, "w", encoding="utf-8") as fh:
             fh.write(exp.to_json(item_ids=item_ids))
@@ -285,12 +291,12 @@ def cmd_explain(args):
                 fh.write(explain_mod.user_explanation_dot(exp, item_ids=item_ids))
         print(f"user explanation written to {out}")
     if args.histogram:
-        hist = explain_mod.mode_usage(params, V, mcfg, data, k=args.k)
+        hist = explain_mod.mode_usage(params, V, data, k=args.k)
         out = args.out or "mode_usage.csv"
         explain_mod.save_histogram_csv(hist, out)
         print(f"mode-usage histogram written to {out}")
     if args.modes:
-        top = explain_mod.mode_top_items(params, V, mcfg, data, n_top=args.n)
+        top = explain_mod.mode_top_items(params, V, data, n_top=args.n)
         out = args.out or "mode_top_items.csv"
         explain_mod.save_mode_top_items_csv(top, out, item_ids=item_ids)
         print(f"per-mode top items written to {out}")

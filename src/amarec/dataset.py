@@ -124,8 +124,9 @@ def _fields(path, amazon):
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line for line in fh.read().split("\n") if line]
         sizes = {c + 1 for c in set(map(str.count, lines, repeat("::")))}
-        # "::" never spans a "\n": each line splits as str.split would, no list per line
-        fields = "\n".join(lines).replace("::", "\n").split("\n")
+        # "::" never spans a "\n": each line splits as str.split would, no list per line;
+        # a file with no such line has no field, not the one "".split gives
+        fields = "\n".join(lines).replace("::", "\n").split("\n") if lines else []
     if not sizes <= {4}:
         raise ValueError("a line without 4 fields")
     return fields
@@ -328,7 +329,7 @@ def _is_count(value):
 def _read_split_meta(path):
     """The split.json at ``path``, checked to be an object with integer
     ``num_users`` and ``num_items``, ``user_ids`` and ``item_ids`` lists of
-    that many strings and an integer ``counts`` entry per split; a
+    that many distinct strings and an integer ``counts`` entry per split; a
     ConfigError names the file and the first key that is not."""
     with open(path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -342,6 +343,11 @@ def _read_split_meta(path):
             raise ConfigError(f"{path}: {key} must be a list of id strings")
         if len(ids) != meta[size]:
             raise ConfigError(f"{path}: {key} lists {len(ids)} ids, but {size} is {meta[size]}")
+        seen = set()
+        for i in ids:
+            if i in seen:
+                raise ConfigError(f"{path}: {key} repeats the id {i!r}")
+            seen.add(i)
     counts = meta.get("counts")
     for name in _SPLITS:
         if not (isinstance(counts, dict) and _is_count(counts.get(name))):

@@ -3,7 +3,9 @@
 Three views: per-user attention weights with recommendation-to-mode
 attribution, a histogram of how many distinct preference modes each user's
 top-K recommendations draw from, and the corpus-level top items per mode
-ranked by aggregated attention mass.
+ranked by aggregated attention mass. Each takes the model's parameters and
+item embeddings, as ``model.Forward`` does, and no config: the arrays' shapes
+are the model's sizes.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class UserExplanation:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def explain_user(params, V, cfg, train_row, user, k=10):
+def explain_user(params, V, train_row, user, k=10):
     """Attention weights and mode attribution for one user's top-k list.
 
     ``train_row`` is the user's one-row CSR slice of the train matrix; the
@@ -52,7 +54,7 @@ def explain_user(params, V, cfg, train_row, user, k=10):
     """
     if train_row.nnz == 0:
         raise ValueError(f"user {user} has an empty interaction history")
-    forward = Forward(params, V, cfg)
+    forward = Forward(params, V)
     segs, A, U, scores, mode_of = forward(train_row)
     keys, length = rank_keys(scores, train_row)
     per_mode = np.matmul(U, forward.S_T)[0]   # the decode's own GEMM
@@ -61,7 +63,7 @@ def explain_user(params, V, cfg, train_row, user, k=10):
     return UserExplanation(user=user, attention=A.T, observed=segs.obs, recommendations=recs)
 
 
-def mode_usage(params, V, cfg, data, k=10):
+def mode_usage(params, V, data, k=10):
     """Histogram over users of distinct argmax modes among top-k recommendations.
 
     Returns a length-d array; entry c-1 counts users whose top-k list draws
@@ -70,7 +72,7 @@ def mode_usage(params, V, cfg, data, k=10):
     """
     train = data.train
     d = params.Q.shape[0]
-    forward = Forward(params, V, cfg)
+    forward = Forward(params, V)
     users = np.flatnonzero(np.diff(train.indptr))
     hist = np.zeros(d + 1, dtype=np.int64)
     for start in range(0, users.size, BLOCK):
@@ -84,7 +86,7 @@ def mode_usage(params, V, cfg, data, k=10):
     return hist[1:]
 
 
-def mode_top_items(params, V, cfg, data, n_top=10):
+def mode_top_items(params, V, data, n_top=10):
     """Top items per mode by attention mass summed over users.
 
     Returns, per mode, a list of (item, aggregated attention, popularity
@@ -97,7 +99,7 @@ def mode_top_items(params, V, cfg, data, n_top=10):
     agg = np.zeros((d, n))
     rows = train[np.flatnonzero(np.diff(train.indptr))]
     if rows.nnz:   # one attend call over all users; each item's sum runs in user order
-        segs, A = Forward(params, V, cfg).attention(rows)
+        segs, A = Forward(params, V).attention(rows)
         np.add.at(agg, (slice(None), segs.obs), A.T)
 
     counts = np.asarray(train.sum(axis=0)).ravel().astype(np.int64)

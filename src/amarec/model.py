@@ -135,14 +135,14 @@ class Segments:
                    np.repeat(np.arange(lens.size), lens))
 
 
-def attend(K_obs, Q, segs, kappa):
+def attend(K_obs, Q, segs):
     """Masked scaled dot-product attention of a batch of users, N_obs x d.
 
     ``K_obs`` holds the keys of the items in ``segs.obs``, in that order.
-    Column l of user b's rows is the softmax of q_l . k_j / sqrt(kappa) over
-    b's observed items only (max-subtracted for numerical stability).
+    Column l of user b's rows is the softmax over b's observed items only of
+    q_l . k_j / sqrt(kappa), kappa being ``Q``'s column count (max-subtracted).
     """
-    logits = np.einsum("jk,lk->jl", K_obs, Q) / math.sqrt(kappa)
+    logits = np.einsum("jk,lk->jl", K_obs, Q) / math.sqrt(Q.shape[1])
     w = np.exp(logits - np.maximum.reduceat(logits, segs.starts)[segs.seg])
     return w / np.add.reduceat(w, segs.starts)[segs.seg]
 
@@ -187,20 +187,20 @@ def corrupt(rows, rho, rng):
 
 
 class Forward:
-    """The forward pass that training, scoring and explanation share, with its
-    item tables built once: keys and values over the whole catalog (``V[obs] @
-    W`` gives other bytes than ``(V @ W)[obs]``) and ``S_T``, a C-order copy of
-    ``S.T`` (the transposed view gives other bytes)."""
+    """The forward pass that training, scoring and explanation share, sized by
+    the arrays alone, with its item tables built once: keys and values over the
+    whole catalog (``V[obs] @ W`` gives other bytes than ``(V @ W)[obs]``) and
+    ``S_T``, a C-order copy of ``S.T`` (the transposed view gives other bytes)."""
 
-    def __init__(self, params, V, cfg):
-        self.params, self.cfg, self.V = params, cfg, np.asarray(V)
+    def __init__(self, params, V):
+        self.params, self.V = params, np.asarray(V)
         self.K, self.Vt = keys_values(self.V, params)
         self.S_T = np.ascontiguousarray(params.S.T)
 
     def attention(self, masks, first=0):
         """(segs, A): the CSR block ``masks`` laid end to end, and its attention."""
         segs = Segments.of(masks, first)
-        return segs, attend(self.K[segs.obs], self.params.Q, segs, self.cfg.kappa)
+        return segs, attend(self.K[segs.obs], self.params.Q, segs)
 
     def __call__(self, masks, first=0):
         """(segs, A, U, scores, mode_of) of the CSR block ``masks``: the attention,
@@ -218,20 +218,20 @@ CHUNK = 32
 def batch_gradients(R, masks, params, V, cfg):
     """Forward and exact backward pass of the data term for a batch of users.
 
-    ``R`` and ``masks`` are CSR blocks of B rows: user b's clean binary row
-    (the target) and the items it attends over. Returns the gradients summed
-    over the batch (keyed by PARAM_NAMES; the caller adds the decoder
-    penalty's) and the per-user data losses. One ``Forward`` serves the whole
-    call; the users run in chunks of CHUNK, each densifying only its rows of
-    ``R``, summed in ascending chunk order, so no temporary grows with the batch.
+    ``R`` and ``masks`` are CSR blocks of B rows: user b's clean binary row (the
+    target) and the items it attends over; ``cfg`` gives only ``alpha``. Returns
+    the gradients summed over the batch (keyed by PARAM_NAMES; the caller adds the
+    decoder penalty's) and the per-user data losses. One ``Forward`` serves the
+    whole call; the users run in chunks of CHUNK, each densifying only its rows
+    of ``R``, summed in ascending chunk order, so no temporary grows with the batch.
     """
     if masks.shape[0] == 0:
         raise ValueError("batch_gradients needs at least one user")
-    forward = Forward(params, V, cfg)
+    forward = Forward(params, V)
     losses = []
     for lo in range(0, masks.shape[0], CHUNK):
-        users = slice(lo, lo + CHUNK)
-        chunk, loss = _chunk_gradients(R[users].toarray(), forward(masks[users], lo), forward)
+        rows = slice(lo, lo + CHUNK)
+        chunk, loss = _chunk_gradients(R[rows].toarray(), forward(masks[rows], lo), forward, cfg.alpha)
         if lo == 0:
             grads = chunk
         else:
@@ -241,7 +241,7 @@ def batch_gradients(R, masks, params, V, cfg):
     return grads, np.concatenate(losses)
 
 
-def _chunk_gradients(R, result, forward):
+def _chunk_gradients(R, result, forward, alpha):
     """The gradients and losses of the dense clean rows ``R`` from their ``result``.
 
     BLAS sees only products whose bytes do not depend on the BLAS thread
@@ -252,12 +252,12 @@ def _chunk_gradients(R, result, forward):
     run in numpy (reduceat, einsum), whose order is fixed.
     """
     segs, A, U, scores, mode_of = result
-    params, cfg = forward.params, forward.cfg
+    params = forward.params
     K_obs, Vt_obs, V_obs = forward.K[segs.obs], forward.Vt[segs.obs], forward.V[segs.obs]
     nb, d, h = U.shape
     g = R - scores                         # the error, then d(loss)/d(scores)
     del result, scores   # the caller holds no other reference: this frees the scores
-    c_obs = confidence_weights(1.0, cfg.alpha)   # the weight of a binary row's 1s; its 0s get 1
+    c_obs = confidence_weights(1.0, alpha)   # the weight of a binary row's 1s; its 0s get 1
     c = np.where(R != 0, c_obs, 1.0)
     losses = np.einsum("bj,bj,bj->b", c, g, g)
     c *= -2.0
@@ -271,7 +271,7 @@ def _chunk_gradients(R, result, forward):
     dA = np.einsum("jlh,jh->jl", dU[segs.seg], Vt_obs)
     dLogit = A * (dA - np.add.reduceat(A * dA, segs.starts)[segs.seg])
     Z = np.add.reduceat(A[:, :, None] * V_obs[:, None], segs.starts)   # the modes before W_v
-    sk = math.sqrt(cfg.kappa)
+    sk = math.sqrt(params.Q.shape[1])
     grads = {"W_k": np.einsum("ja,jl->al", V_obs, dLogit) @ params.Q / sk,
              "W_v": Z.reshape(nb * d, h).T @ dU.reshape(nb * d, h),
              "Q": np.einsum("jl,jk->lk", dLogit, K_obs) / sk, "B": dU.sum(axis=0), "S": dS}
@@ -284,9 +284,14 @@ _MDL_MAGIC = b"AMAMDL01"
 def save_model(params, cfg, path, item_index_hash="", embedding=None):
     """Binary container: magic, version, dims (n,h,d,kappa), then the five
     parameter matrices row-major float64. A JSON sidecar carries the config,
-    the train matrix hash and the embedding recipe, when given."""
+    the train matrix hash and the embedding recipe, when given. A config whose
+    h, d or kappa differs from the parameters' raises before either file opens."""
     n, h = params.S.shape
     d, kappa = params.Q.shape
+    for key, value in (("h", h), ("d", d), ("kappa", kappa)):   # what load_model checks
+        if getattr(cfg, key) != value:
+            raise ValueError(f"the config gives {key}={getattr(cfg, key)}, "
+                             f"but the parameters have {key}={value}")
     sidecar = {"config": asdict(cfg), "item_index_hash": item_index_hash,
                "n": n, "h": h, "d": d, "kappa": kappa}
     if embedding is not None:

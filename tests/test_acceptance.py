@@ -84,7 +84,7 @@ def test_criterion_2_pop_rprecision_ml1m(ml1m_split):
 
 def test_criterion_3_ama_ml1m_desk_scale(ml1m_split, ml1m_model):
     params, V, cfg = ml1m_model
-    ama_report = evaluate(ama_scorer(params, V, cfg.model), ml1m_split, split="test")
+    ama_report = evaluate(ama_scorer(params, V), ml1m_split, split="test")
     pop_report = evaluate(pop_scorer(ml1m_split.train), ml1m_split, split="test")
     rp = ama_report.metrics["R-Precision"]["mean"]
     nd = ama_report.metrics["NDCG"]["mean"]
@@ -120,7 +120,7 @@ def test_criterion_5_attention_suite():
         cfg, V, params, r, obs = small_instance(trial + 300)
         segs = Segments.of(csr_rows([obs], V.shape[0]))
         K, Vt = keys_values(V, params)
-        A = attend(K[obs], params.Q, segs, cfg.kappa)   # n_obs x d
+        A = attend(K[obs], params.Q, segs)   # n_obs x d
         # normalization to 1 +/- 1e-9 over observed items
         assert np.abs(A.sum(axis=0) - 1.0).max() <= 1e-9
         assert np.all(A >= 0)
@@ -132,7 +132,7 @@ def test_criterion_5_attention_suite():
         outside = np.setdiff1d(np.arange(V.shape[0]), obs)
         V2[outside] = rng.standard_normal((outside.size, V.shape[1])) * 50
         K2, Vt2 = keys_values(V2, params)
-        A2 = attend(K2[obs], params.Q, segs, cfg.kappa)
+        A2 = attend(K2[obs], params.Q, segs)
         U2 = encode(A2, Vt2[obs], segs, params.B)
         assert np.array_equal(U1, U2)
     passed(5, "normalization 1e-9, exact off-mask zeros, mask sufficiency bit-exact")
@@ -233,7 +233,7 @@ def test_criterion_9_thread_count_reproducibility(tmp_path):
 
 def test_criterion_10_mode_usage_sanity(ml1m_split, ml1m_model):
     params, V, cfg = ml1m_model
-    hist = mode_usage(params, V, cfg.model, ml1m_split, k=10)
+    hist = mode_usage(params, V, ml1m_split, k=10)
     multi = hist[1:].sum() / hist.sum()
     assert multi > 0.50, f"only {100 * multi:.1f}% of users use >= 2 modes"
     passed(10, f"{100 * multi:.1f}% of users draw top-10 from >= 2 modes")

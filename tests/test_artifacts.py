@@ -14,6 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from amarec import cli, fileio, linalg, training
+from amarec import model as model_module
 from amarec.cli import main
 from amarec.dataset import binarize, save_split, temporal_split
 from amarec.linalg import RECIPE_DEFAULTS, load_embeddings, save_embeddings
@@ -508,6 +509,21 @@ class TestAtomicWrites:
                        item_index_hash="new")
         assert self.snapshot(tmp_path) == before
         load_model(path)
+
+    @pytest.mark.parametrize("key", ["h", "d", "kappa"])
+    def test_save_with_a_config_other_than_the_arrays_refused_before_any_open(
+            self, tmp_path, monkeypatch, key):
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        path = tmp_path / "m.bin"
+        save_model(init_params(5, cfg), cfg, path, item_index_hash="old")
+        before = self.snapshot(tmp_path)
+        opened = []
+        monkeypatch.setattr(model_module, "atomic_open", lambda *a, **kw: opened.append(a))
+        with pytest.raises(ValueError, match=f"^the config gives {key}=5, but the parameters "
+                                             f"have {key}={getattr(cfg, key)}$"):
+            save_model(init_params(5, cfg, np.random.default_rng(1)),
+                       dataclasses.replace(cfg, **{key: 5}), path, item_index_hash="new")
+        assert opened == [] and self.snapshot(tmp_path) == before
 
     def test_embeddings_write_failing_mid_payload_keeps_previous(self, tmp_path, monkeypatch):
         path = tmp_path / "items.emb"

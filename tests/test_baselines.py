@@ -101,9 +101,9 @@ class TestAmaScorer:
         from amarec.model import keys_values
 
         cfg, V, params, r, obs = small_instance(4)
-        score = ama_scorer(params, V, cfg)
+        score = ama_scorer(params, V)
         K, Vt = keys_values(V, params)
-        A = attend_one(K, params.Q, obs, cfg.kappa)
+        A = attend_one(K, params.Q, obs)
         expected = decode_one(encode_one(A, Vt[obs], params.B), params.S)[0]
         np.testing.assert_array_equal(one(score, obs, 0, V.shape[0]), expected)
 
@@ -111,7 +111,7 @@ class TestAmaScorer:
         from test_model import small_instance
 
         cfg, V, params, r, obs = small_instance(5)
-        score = ama_scorer(params, V, cfg)
+        score = ama_scorer(params, V)
         np.testing.assert_array_equal(one(score, [], 0, V.shape[0]), np.zeros(V.shape[0]))
 
 
@@ -137,7 +137,7 @@ class TestBlockContract:
         else:
             cfg = AmaConfig(h=6, d=3, kappa=2)
             V = np.random.default_rng(4).standard_normal((n, cfg.h))
-            score = ama_scorer(random_params(n, cfg, seed=5), V, cfg)
+            score = ama_scorer(random_params(n, cfg, seed=5), V)
         users = np.arange(m)
         block = score(train, users)
         assert block.shape == (m, n)

@@ -120,7 +120,7 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
 
     def stages(mks):
         segs = Segments.of(mks)
-        A = attend(K[segs.obs], params.Q, segs, cfg.kappa)
+        A = attend(K[segs.obs], params.Q, segs)
         U = encode(A, Vt[segs.obs], segs, params.B)
         return A, U, *decode_maxout(U, S_T)
 
@@ -154,11 +154,11 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
     assert len(calls) == -(-len(rows) // chunk)
     trained_U, trained_scores, trained_modes = decoded(calls)
     trained_per_mode = np.matmul(trained_U, S_T)
-    score = ama_scorer(params, V, cfg)
+    score = ama_scorer(params, V)
     assert np.array_equal(score(block, np.arange(len(rows))), trained_scores)
     for b in range(len(rows)):
         assert np.array_equal(score(block[b], np.array([b]))[0], trained_scores[b])
-        for j, mode, per_mode in explain_user(params, V, cfg, block[b], b, k=n).recommendations:
+        for j, mode, per_mode in explain_user(params, V, block[b], b, k=n).recommendations:
             assert mode == trained_modes[b, j]
             assert np.array_equal(per_mode, trained_per_mode[b, :, j])
 
@@ -197,11 +197,11 @@ def test_item_tables_built_once_per_call(monkeypatch):
     rng = np.random.default_rng(0)
     train = [rng.choice(9, size=3, replace=False).tolist() for _ in range(2 * BLOCK + 5)]
     data = make_split(train, [[] for _ in train], [[(row[0] + 1) % 9] for row in train], 9)
-    evaluate(ama_scorer(params, V, cfg), data)
+    evaluate(ama_scorer(params, V), data)
     assert len(calls) == 2
-    explain_user(params, V, cfg, data.train[0], 0, k=3)
-    mode_usage(params, V, cfg, data, k=3)
-    mode_top_items(params, V, cfg, data, n_top=3)
+    explain_user(params, V, data.train[0], 0, k=3)
+    mode_usage(params, V, data, k=3)
+    mode_top_items(params, V, data, n_top=3)
     assert len(calls) == 5
 
 

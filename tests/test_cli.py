@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from amarec import baselines, linalg
-from amarec.cli import CliError, load_preset, main, parse_config_text
+from amarec.cli import CliError, _gather_config, load_preset, main, parse_config_text
 from conftest import synthetic_events, write_movielens_file
 
 
@@ -41,6 +42,25 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(CliError):
             parse_config_text("bogus=1")
+
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(CliError, match=r"^run\.conf:4: h is set again, first at line 1$"):
+            parse_config_text("h=4\nd=3\n\n h = 6\n", source="run.conf")
+
+    def test_repeated_key_in_a_config_file_exits_1_before_training(self, tmp_path, prepped,
+                                                                    capsys):
+        conf, model = tmp_path / "run.conf", tmp_path / "model.bin"
+        conf.write_text("epochs=2\nd=2\nepochs=3\n")
+        rc = main(["train", "--data", str(prepped), "--config", str(conf), "--out", str(model)])
+        assert rc == 1 and not model.exists()
+        assert f"{conf}:3: epochs is set again, first at line 1" in capsys.readouterr().err
+
+    def test_set_overrides_a_file_key_and_the_last_set_wins(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("h=4\nd=2\n")
+        args = argparse.Namespace(preset="ml1m-ama", config=str(conf), set=["h=6", "h=8"])
+        cfg = _gather_config(args)
+        assert (cfg["h"], cfg["d"], cfg["epochs"]) == (8, 2, 300)
 
     def test_bad_value(self):
         with pytest.raises(CliError):
@@ -83,6 +103,15 @@ class TestPrep:
                    "--threshold", "5", "--out", str(tmp_path / "o")])
         assert rc != 0
         assert "empty dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("format", ["movielens-dat", "amazon-csv"])
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_empty_input_exit_1_naming_it(self, tmp_path, capsys, format, text):
+        path, out = tmp_path / "ratings", tmp_path / "o"
+        path.write_text(text)
+        rc = main(["prep", "--input", str(path), "--format", format, "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert f"error: empty dataset: {path} holds no ratings" in capsys.readouterr().err
 
     def test_nan_threshold_rejected(self, tmp_path, ratings_file, capsys):
         out = tmp_path / "o"
@@ -365,6 +394,19 @@ class TestTrainEvaluateExplain:
         assert rc == 1 and not dot.exists()
         assert "--dot draws the per-user report; pass --user with it" in (
             capsys.readouterr().err)
+
+    def test_split_repeating_a_user_id_rejected_by_explain(self, tmp_path, prepped, capsys):
+        model, out = tmp_path / "model.bin", tmp_path / "user.json"
+        assert main(["train", "--data", str(prepped), "--out", str(model),
+                     *fast_overrides(), "--set", "epochs=0"]) == 0
+        path = prepped / "split.json"
+        meta = json.loads(path.read_text())
+        user = meta["user_ids"][1] = meta["user_ids"][0]
+        path.write_text(json.dumps(meta))
+        rc = main(["explain", "--data", str(prepped), "--model", str(model), "--user", user,
+                   "--out", str(out), *fast_overrides()])
+        assert rc == 1 and not out.exists()
+        assert f"{path}: user_ids repeats the id {user!r}" in capsys.readouterr().err
 
     def test_unknown_user_explain(self, tmp_path, prepped, capsys):
         model = tmp_path / "model.bin"

@@ -56,6 +56,16 @@ class TestParseRatings:
         assert all(type(v) is str for v in [*ratings.user, *ratings.item])
         assert ratings.rating.dtype == np.float64 and ratings.timestamp.dtype == np.int64
 
+    @pytest.mark.parametrize("format", ["movielens-dat", "amazon-csv"])
+    @pytest.mark.parametrize("text", ["", "\n", "\n\r\n\n"], ids=["empty", "newline", "blank"])
+    def test_empty_or_blank_file_holds_no_ratings(self, tmp_path, format, text):
+        p = tmp_path / "ratings"
+        p.write_bytes(text.encode())
+        ratings = parse_ratings(p, format)
+        assert len(ratings) == 0 and rows_of(ratings) == []
+        assert ratings.rating.dtype == np.float64 and ratings.timestamp.dtype == np.int64
+        assert len(oracles.parse_ratings_oracle(p, format)) == 0
+
     def test_columns_must_have_equal_length(self):
         with pytest.raises(ValueError, match="length"):
             Ratings(["u"], ["a", "b"], [1.0], [0])
@@ -410,6 +420,15 @@ FAULTS = {   # column -> faulty values; each is a fault the list oracle reports 
 }
 
 
+@pytest.mark.parametrize("format", FORMATS)
+@pytest.mark.parametrize("text", ["", "\r\n\n"], ids=["empty", "blank"])
+def test_empty_file_matches_the_list_oracle(tmp_path, format, text):
+    (tmp_path / "ratings").write_bytes(text.encode())
+    new, old = prep_both(tmp_path / "ratings", format, COLUMN_ORDERS[0], (0.5, 0.2, 0.3),
+                         tmp_path)
+    assert new == old == ("ConfigError", None, "empty event list")
+
+
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 100_000), format=st.sampled_from(FORMATS),
        columns=st.sampled_from(COLUMN_ORDERS), faults=st.integers(1, 3))
@@ -522,9 +541,13 @@ def test_malformed_row_names_file_and_line(tmp_path, tiny_split, name, row):
     (lambda meta: meta["counts"].pop("test"), "counts must give an integer >= 0 for test"),
     (lambda meta: meta["counts"].update(validation=2.0),
      "counts must give an integer >= 0 for validation"),
+    (lambda meta: meta["user_ids"].__setitem__(2, meta["user_ids"][1]),
+     "user_ids repeats the id {u1!r}"),
+    (lambda meta: meta["item_ids"].__setitem__(-1, meta["item_ids"][0]),
+     "item_ids repeats the id {i0!r}"),
 ], ids=["short-item-ids", "short-user-ids", "int-user-id", "string-item-ids",
         "string-num-users", "negative-num-items", "no-counts", "no-test-count",
-        "float-count"])
+        "float-count", "repeated-user-id", "repeated-item-id"])
 def test_malformed_split_json_rejected_before_any_csv(tmp_path, tiny_split, edit, message):
     save_split(tiny_split, tmp_path / "out", threshold=2)
     path = tmp_path / "out" / "split.json"
@@ -536,7 +559,9 @@ def test_malformed_split_json_rejected_before_any_csv(tmp_path, tiny_split, edit
     m, n = tiny_split.shape
     with pytest.raises(ConfigError) as exc:
         load_split(tmp_path / "out")
-    assert str(exc.value) == f"{path}: " + message.format(m=m, n=n, m_1=m - 1, n_1=n - 1)
+    assert str(exc.value) == f"{path}: " + message.format(m=m, n=n, m_1=m - 1, n_1=n - 1,
+                                                          u1=tiny_split.user_ids[1],
+                                                          i0=tiny_split.item_ids[0])
 
 
 def test_split_json_that_is_not_an_object_rejected(tmp_path, tiny_split):

@@ -1,6 +1,9 @@
 """Each narrative walkthrough under demos/, and the README's library tour,
 runs to completion."""
 
+import ast
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -41,3 +44,29 @@ def test_readme_library_tour_runs(tiny_split):
         exec(compile(block, "README.md", "exec"), ns)
     assert ns["scores"].shape == ns["mode_of"].shape == (3, tiny_split.shape[1])
     assert np.array_equal(ns["per_mode"].max(axis=1), ns["scores"])
+
+
+def test_readme_api_sketch_calls_bind_to_the_library():
+    # the sketch runs only its imports (above), so each call of a name it
+    # imports from amarec must at least bind to that callable's signature
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch = re.findall(r"```python\n(.*?)```", readme, re.S)[0]
+    offset = readme[:readme.index(sketch)].count("\n")
+    tree = ast.parse(sketch)
+    imported = {alias.asname or alias.name:
+                getattr(importlib.import_module(node.module), alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "amarec"
+                for alias in node.names}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in imported]
+    assert len(calls) >= 9
+    for call in calls:
+        where = f"README.md:{offset + call.lineno}: {ast.unparse(call)}"
+        assert not any(isinstance(a, ast.Starred) for a in call.args), where
+        assert all(k.arg for k in call.keywords), where
+        try:
+            inspect.signature(imported[call.func.id]).bind(
+                *call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            pytest.fail(f"{where}: {exc}")

@@ -30,18 +30,18 @@ def toy_model(m=3, n=6, d=2, h=3, kappa=2, seed=0):
 class TestExplainUser:
     def test_single_mode_attribution(self):
         cfg, V, params, data = toy_model(d=1)
-        exp = explain_user(params, V, cfg, data.train[0], 0, k=4)
+        exp = explain_user(params, V, data.train[0], 0, k=4)
         assert all(mode == 0 for _, mode, _ in exp.recommendations)
 
     def test_single_observed_item_full_weight(self):
         cfg, V, params, _ = toy_model()
-        exp = explain_user(params, V, cfg, csr_rows([[3]], V.shape[0]), 0, k=2)
+        exp = explain_user(params, V, csr_rows([[3]], V.shape[0]), 0, k=2)
         np.testing.assert_array_equal(exp.attention, np.ones((cfg.d, 1)))
 
     def test_attribution_matches_hand_recompute(self):
         cfg, V, params, data = toy_model(seed=5)
         obs = data.train[1].indices
-        exp = explain_user(params, V, cfg, data.train[1], 1, k=3)
+        exp = explain_user(params, V, data.train[1], 1, k=3)
         U = forward_oracle(obs, params, V, cfg.kappa)["U"]
         for j, mode, per_mode in exp.recommendations:
             scores = np.array([U[l] @ params.S[j] for l in range(cfg.d)])
@@ -52,18 +52,18 @@ class TestExplainUser:
     def test_recommendations_exclude_train(self):
         cfg, V, params, data = toy_model()
         obs = data.train[0].indices
-        exp = explain_user(params, V, cfg, data.train[0], 0, k=6)
+        exp = explain_user(params, V, data.train[0], 0, k=6)
         rec_items = {j for j, _, _ in exp.recommendations}
         assert not rec_items & set(obs.tolist())
 
     def test_empty_history_error(self):
         cfg, V, params, _ = toy_model()
         with pytest.raises(ValueError):
-            explain_user(params, V, cfg, csr_rows([[]], V.shape[0]), 0)
+            explain_user(params, V, csr_rows([[]], V.shape[0]), 0)
 
     def test_json_output(self):
         cfg, V, params, data = toy_model()
-        exp = explain_user(params, V, cfg, data.train[0], 0, k=2)
+        exp = explain_user(params, V, data.train[0], 0, k=2)
         text = exp.to_json(item_ids=[f"i{j}" for j in range(V.shape[0])])
         assert '"recommendations"' in text and '"modes"' in text
 
@@ -71,23 +71,23 @@ class TestExplainUser:
 class TestModeUsage:
     def test_single_mode_all_bucket_one(self):
         cfg, V, params, data = toy_model(d=1)
-        hist = mode_usage(params, V, cfg, data, k=4)
+        hist = mode_usage(params, V, data, k=4)
         assert hist.tolist() == [data.train.shape[0]]
 
     def test_degenerate_equal_modes_bucket_one(self):
         cfg, V, params, data = toy_model(d=3)
         params.Q[:] = params.Q[0]   # identical queries -> identical modes
         params.B[:] = params.B[0]
-        hist = mode_usage(params, V, cfg, data, k=4)
+        hist = mode_usage(params, V, data, k=4)
         assert hist.tolist() == [data.train.shape[0], 0, 0]
 
     def test_matches_brute_force(self):
         cfg, V, params, data = toy_model(m=5, seed=8)
         k = 3
-        hist = mode_usage(params, V, cfg, data, k=k)
+        hist = mode_usage(params, V, data, k=k)
         brute = np.zeros(cfg.d, dtype=int)
         for u in range(5):
-            exp = explain_user(params, V, cfg, data.train[u], u, k=k)
+            exp = explain_user(params, V, data.train[u], u, k=k)
             brute[len({m for _, m, _ in exp.recommendations}) - 1] += 1
         assert hist.tolist() == brute.tolist()
         assert hist.sum() == 5
@@ -95,12 +95,12 @@ class TestModeUsage:
     def test_user_covering_the_catalog_not_counted(self):
         cfg, V, params, _ = toy_model(n=4, d=3)
         data = make_split([[0, 1, 2, 3], [1, 2]], [[], []], [[], []], 4)
-        hist = mode_usage(params, V, cfg, data, k=2)
+        hist = mode_usage(params, V, data, k=2)
         assert hist.sum() == 1   # user 0 has nothing left to recommend
 
     def test_buckets_bounded_by_min_d_k(self):
         cfg, V, params, data = toy_model(d=2, m=6, seed=2)
-        hist = mode_usage(params, V, cfg, data, k=1)
+        hist = mode_usage(params, V, data, k=1)
         assert hist[1:].sum() == 0  # k=1 can only ever use one mode
 
 
@@ -108,7 +108,7 @@ class TestModeTopItems:
     def test_single_user_single_item(self):
         cfg, V, params, _ = toy_model(n=4)
         data = make_split([[2]], [[]], [[]], 4)
-        top = mode_top_items(params, V, cfg, data, n_top=2)
+        top = mode_top_items(params, V, data, n_top=2)
         for rows in top:
             item, score, prank, pcount = rows[0]
             assert item == 2 and score == pytest.approx(1.0)
@@ -117,14 +117,14 @@ class TestModeTopItems:
     def test_disjoint_singletons_tiebreak(self):
         cfg, V, params, _ = toy_model(n=4)
         data = make_split([[1], [3]], [[], []], [[], []], 4)
-        top = mode_top_items(params, V, cfg, data, n_top=4)
+        top = mode_top_items(params, V, data, n_top=4)
         for rows in top:
             assert [r[0] for r in rows[:2]] == [1, 3]  # ascending index on ties
             assert rows[0][1] == pytest.approx(1.0)
 
     def test_matches_double_loop_oracle(self):
         cfg, V, params, data = toy_model(m=4, n=5, seed=9)
-        top = mode_top_items(params, V, cfg, data, n_top=5)
+        top = mode_top_items(params, V, data, n_top=5)
         agg = np.zeros((cfg.d, 5))
         for u in range(4):
             obs = data.train[u].indices
@@ -140,24 +140,24 @@ class TestModeTopItems:
 
     def test_total_attention_mass_is_d_per_user(self):
         cfg, V, params, data = toy_model(m=4, seed=3)
-        top = mode_top_items(params, V, cfg, data, n_top=data.train.shape[1])
+        top = mode_top_items(params, V, data, n_top=data.train.shape[1])
         total = sum(score for rows in top for _, score, _, _ in rows)
         assert total == pytest.approx(cfg.d * data.train.shape[0])
 
 
 def test_csv_and_dot_outputs(tmp_path):
     cfg, V, params, data = toy_model()
-    hist = mode_usage(params, V, cfg, data, k=3)
+    hist = mode_usage(params, V, data, k=3)
     save_histogram_csv(hist, tmp_path / "hist.csv")
     assert (tmp_path / "hist.csv").read_text().startswith("modes_used,num_users")
 
-    top = mode_top_items(params, V, cfg, data, n_top=2)
+    top = mode_top_items(params, V, data, n_top=2)
     item_ids = [f"i{j}" for j in range(V.shape[0])]
     save_mode_top_items_csv(top, tmp_path / "modes.csv", item_ids)
     header = (tmp_path / "modes.csv").read_text().splitlines()[0]
     assert header == "mode,rank,item_id,aggregated_attention,popularity_rank,popularity_count"
 
-    exp = explain_user(params, V, cfg, data.train[0], 0, k=2)
+    exp = explain_user(params, V, data.train[0], 0, k=2)
     dot = user_explanation_dot(exp, item_ids)
     assert dot.startswith("digraph") and "mode_0" in dot
 
@@ -172,10 +172,9 @@ def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monk
     agg = np.zeros((cfg.d, n))
     for u in range(m):
         obs = data.train[u].indices
-        exp = explain_user(params, V, cfg, data.train[u], u, k=3)
+        exp = explain_user(params, V, data.train[u], u, k=3)
         hist[len({mode for _, mode, _ in exp.recommendations}) - 1] += 1
-        np.add.at(agg, (slice(None), obs), attend_one(keys_values(V, params)[0], params.Q, obs,
-                                                      cfg.kappa))
+        np.add.at(agg, (slice(None), obs), attend_one(keys_values(V, params)[0], params.Q, obs))
     counts = np.asarray(data.train.sum(axis=0)).ravel().astype(np.int64)
     pop_rank = np.empty(n, dtype=np.int64)
     pop_rank[np.lexsort((np.arange(n), -counts))] = np.arange(1, n + 1)
@@ -186,8 +185,8 @@ def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monk
 
     calls = []
     monkeypatch.setattr(model, "keys_values", lambda *a: calls.append(1) or keys_values(*a))
-    save_histogram_csv(mode_usage(params, V, cfg, data, k=3), tmp_path / "hist.csv")
-    save_mode_top_items_csv(mode_top_items(params, V, cfg, data, n_top=4),
+    save_histogram_csv(mode_usage(params, V, data, k=3), tmp_path / "hist.csv")
+    save_mode_top_items_csv(mode_top_items(params, V, data, n_top=4),
                             tmp_path / "modes.csv", range(n))
     assert len(calls) == 2   # once per report, not once per user
     for name in ("hist", "modes"):

@@ -42,7 +42,7 @@ def test_ama_beats_pop_on_structured_data(genre_world):
     params, log = train(data, V, cfg)
     assert log[-1]["objective"] < log[0]["objective"]
 
-    ama = evaluate(ama_scorer(params, V, cfg.model), data, split="test")
+    ama = evaluate(ama_scorer(params, V), data, split="test")
     pop = evaluate(pop_scorer(data.train), data, split="test")
     for name in ("R-Precision", "NDCG", "Precision@5", "Precision@10"):
         assert ama.metrics[name]["mean"] > pop.metrics[name]["mean"], name

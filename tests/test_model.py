@@ -38,10 +38,10 @@ def random_params(n, cfg, seed=0, scale=1.0):
     )
 
 
-def attend_one(K, Q, obs, kappa):
+def attend_one(K, Q, obs):
     """The batched attend stage on a batch of one user, as d x n_obs."""
     obs = np.asarray(obs, dtype=np.intp)
-    return attend(K[obs], Q, Segments.of(csr_rows([obs], K.shape[0])), kappa).T
+    return attend(K[obs], Q, Segments.of(csr_rows([obs], K.shape[0]))).T
 
 
 def encode_one(A, Vt_obs, B):
@@ -167,13 +167,13 @@ class TestAttend:
     def test_singleton_weight_one(self):
         K = np.random.default_rng(0).standard_normal((5, 2))
         Q = np.random.default_rng(1).standard_normal((3, 2))
-        A = attend_one(K, Q, [2], kappa=2)
+        A = attend_one(K, Q, [2])
         np.testing.assert_array_equal(A, np.ones((3, 1)))
 
     def test_equal_logits_uniform(self):
         K = np.zeros((4, 2))
         Q = np.random.default_rng(0).standard_normal((2, 2))
-        A = attend_one(K, Q, [0, 3], kappa=2)
+        A = attend_one(K, Q, [0, 3])
         np.testing.assert_allclose(A, 0.5, atol=1e-15)
 
     def test_log3_gap_quarter_three_quarters(self):
@@ -182,20 +182,20 @@ class TestAttend:
         K = np.array([[0.0], [math.log(3.0) * math.sqrt(kappa)]])
         K = np.hstack([K, np.zeros((2, kappa - 1))])
         Q = np.array([[1.0] + [0.0] * (kappa - 1)])
-        A = attend_one(K, Q, [0, 1], kappa=kappa)
+        A = attend_one(K, Q, [0, 1])
         np.testing.assert_allclose(A, [[0.25, 0.75]], atol=1e-12)
 
     def test_rows_normalized(self):
         rng = np.random.default_rng(3)
         K = rng.standard_normal((9, 3))
         Q = rng.standard_normal((4, 3))
-        A = attend_one(K, Q, [1, 4, 6, 8], kappa=3)
+        A = attend_one(K, Q, [1, 4, 6, 8])
         np.testing.assert_allclose(A.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(A >= 0)
 
     def test_empty_obs_raises(self):
         with pytest.raises(ValueError):
-            attend_one(np.zeros((3, 2)), np.zeros((1, 2)), [], kappa=2)
+            attend_one(np.zeros((3, 2)), np.zeros((1, 2)), [])
 
 
 class TestEncode:
@@ -357,7 +357,7 @@ class TestMaskSufficiency:
 
         def encoding(Vmat):
             K, Vt = keys_values(Vmat, params)
-            return encode_one(attend_one(K, params.Q, obs, cfg.kappa), Vt[obs], params.B)
+            return encode_one(attend_one(K, params.Q, obs), Vt[obs], params.B)
 
         U1 = encoding(V)
         V2 = V.copy()
