@@ -19,9 +19,11 @@ symbol in parentheses:
   algorithm     scorer: ama | pop | puresvd; train and explain need ama
 
 Unset keys take the library defaults. h, gamma and seed make the embedding
-recipe, which train records next to the model: with --model, the embeddings
-come from that record, and a configured recipe key must equal it. Without
---model or --baseline, evaluate scores `algorithm`.
+recipe. train records it next to the model and stores the embeddings it
+trained with beside the model file, as MODEL.emb; with --model, evaluate and
+explain read those embeddings (a model saved without them has them rebuilt
+from the recorded recipe), and a configured recipe key must equal the
+record. Without --model or --baseline, evaluate scores `algorithm`.
 
 The default data directory comes from $AMAREC_DATA_DIR when --data is
 omitted.
@@ -188,7 +190,8 @@ def cmd_train(args):
     _require_ama(cfg, "train")
     recipe, tcfg = _train_configs(cfg)
     V = linalg.embed_items(data.train, **recipe)
-    provenance = {"item_index_hash": linalg.matrix_hash(data.train), "embedding": recipe}
+    provenance = {"item_index_hash": linalg.matrix_hash(data.train), "embedding": recipe,
+                  "V": V}
 
     def checkpoint(epoch, params):
         if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
@@ -205,10 +208,11 @@ def cmd_train(args):
 
 
 def _load_ama(path, data, cfg):
-    """(params, V) of a model file, with V rebuilt from the recipe
-    ``load_model`` resolves. Rejects configured recipe keys that disagree with
-    that recipe and a split other than the one the model was trained on."""
-    params, _, recipe, trained_on = load_model(path)
+    """(params, V) of a model file: the V stored beside it, or for a model
+    saved without one, V rebuilt from the recipe ``load_model`` resolves.
+    Rejects configured recipe keys that disagree with that recipe and a split
+    other than the one the model was trained on."""
+    params, _, recipe, trained_on, V = load_model(path)
     for key, given in _pick(cfg, _RECIPE_KEYS).items():
         if given != recipe[key]:
             raise CliError(f"{path} was trained with {key}={recipe[key]}, "
@@ -218,7 +222,7 @@ def _load_ama(path, data, cfg):
                        f"but the split has {data.shape[1]}")
     if trained_on and trained_on != linalg.matrix_hash(data.train):
         raise CliError(f"{path} was trained on a different train matrix")
-    return params, linalg.embed_items(data.train, **recipe)
+    return params, V if V is not None else linalg.embed_items(data.train, **recipe)
 
 
 def _scorer_for(args, data, cfg):

@@ -93,27 +93,39 @@ _EMB_MAGIC = b"AMAEMB01"
 def save_embeddings(V, path, meta):
     """Binary embedding file: magic, uint64 dims, row-major float64 payload,
     and ``meta`` as a JSON sidecar next to it."""
-    V = np.ascontiguousarray(V, dtype=np.float64)
     # both files are complete before either replaces its predecessor
     with atomic_open(path, "wb") as fh, \
             atomic_open(str(path) + ".json", "w", encoding="utf-8") as js:
-        fh.write(_EMB_MAGIC)
-        fh.write(struct.pack("<QQ", V.shape[0], V.shape[1]))
-        fh.write(V.tobytes())
-        json.dump(meta, js, indent=2, sort_keys=True)
-        js.write("\n")
+        write_embeddings(fh, js, V, meta)
+
+
+def write_embeddings(fh, js, V, meta):
+    """Writes V's AMAEMB01 bytes to the binary file ``fh`` and ``meta`` to ``js``."""
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    fh.write(_EMB_MAGIC)
+    fh.write(struct.pack("<QQ", V.shape[0], V.shape[1]))
+    fh.write(V.tobytes())
+    json.dump(meta, js, indent=2, sort_keys=True)
+    js.write("\n")
 
 
 def load_embeddings(path):
+    """The V of an AMAEMB01 file. Rejects a truncated header, a length other
+    than its header's dims imply and a NaN or an infinity, naming the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != _EMB_MAGIC:
         raise ValueError(f"bad magic bytes in {path}")
-    rows, cols = struct.unpack_from("<QQ", raw, 8) if len(raw) >= 24 else (0, 0)
+    if len(raw) < 24:
+        raise ValueError(f"damaged embedding file {path}: header truncated at {len(raw)} bytes")
+    rows, cols = struct.unpack_from("<QQ", raw, 8)
     if len(raw) != 24 + rows * cols * 8:
         raise ValueError(f"damaged embedding file {path}: {len(raw)} bytes, "
                          f"expected {24 + rows * cols * 8} for {rows}x{cols}")
-    return np.frombuffer(raw, dtype=np.float64, offset=24).reshape(rows, cols).copy()
+    V = np.frombuffer(raw, dtype=np.float64, offset=24).reshape(rows, cols).copy()
+    if not np.isfinite(V).all():
+        raise ValueError(f"damaged embedding file {path}: it holds a non-finite value")
+    return V
 
 
 def matrix_hash(mat):

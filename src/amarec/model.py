@@ -14,9 +14,12 @@ ties) and the softmax Jacobian restricted to observed items.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import math
 import numbers
+import re
 import struct
 from dataclasses import dataclass, asdict, fields
 
@@ -24,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from amarec.fileio import atomic_open
-from amarec.linalg import RECIPE_DEFAULTS
+from amarec.linalg import RECIPE_DEFAULTS, load_embeddings, write_embeddings
 
 
 def _integer(name, value):
@@ -281,11 +284,14 @@ def _chunk_gradients(R, result, forward, alpha):
 _MDL_MAGIC = b"AMAMDL01"
 
 
-def save_model(params, cfg, path, item_index_hash="", embedding=None):
+def save_model(params, cfg, path, item_index_hash="", embedding=None, V=None):
     """Binary container: magic, version, dims (n,h,d,kappa), then the five
     parameter matrices row-major float64. A JSON sidecar carries the config,
-    the train matrix hash and the embedding recipe, when given. A config whose
-    h, d or kappa differs from the parameters' raises before either file opens."""
+    the train matrix hash and the embedding recipe, when given. A V, when
+    given, goes beside them as ``<path>.emb`` and ``<path>.emb.json``, laid out
+    as ``embed`` writes it (AMAEMB01, the recipe and ``source_hash`` as meta),
+    and the sidecar records its SHA-256. A config whose h, d or kappa differs
+    from the parameters', or a V that is not n x h, raises before any file opens."""
     n, h = params.S.shape
     d, kappa = params.Q.shape
     for key, value in (("h", h), ("d", d), ("kappa", kappa)):   # what load_model checks
@@ -296,15 +302,33 @@ def save_model(params, cfg, path, item_index_hash="", embedding=None):
                "n": n, "h": h, "d": d, "kappa": kappa}
     if embedding is not None:
         sidecar["embedding"] = embedding
-    # both files are complete before either replaces its predecessor
-    with atomic_open(path, "wb") as fh, \
-            atomic_open(str(path) + ".json", "w", encoding="utf-8") as js:
+    if V is not None:
+        V = np.ascontiguousarray(V, dtype=np.float64)
+        if V.shape != (n, h):
+            raise ValueError(f"the embedding is {'x'.join(map(str, V.shape))}, "
+                             f"but the parameters have n={n} h={h}")
+        sidecar["embedding_sha256"] = _sha256(V)
+    # every file is complete before any replaces its predecessor; the sidecar,
+    # which decides whether the V pair is read, is replaced after that pair
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(atomic_open(path, "wb"))
+        js = files.enter_context(atomic_open(str(path) + ".json", "w", encoding="utf-8"))
+        if V is not None:
+            write_embeddings(files.enter_context(atomic_open(str(path) + ".emb", "wb")),
+                             files.enter_context(atomic_open(str(path) + ".emb.json", "w",
+                                                             encoding="utf-8")),
+                             V, {**(embedding or {}), "source_hash": item_index_hash})
         fh.write(_MDL_MAGIC)
         fh.write(struct.pack("<IQQQQ", 1, n, h, d, kappa))
         for name in PARAM_NAMES:
             fh.write(np.ascontiguousarray(getattr(params, name), dtype=np.float64).tobytes())
         json.dump(sidecar, js, indent=2, sort_keys=True)
         js.write("\n")
+
+
+def _sha256(V):
+    """The hex SHA-256 of a C-order float64 V's bytes, the payload of its AMAEMB01 file."""
+    return hashlib.sha256(V).hexdigest()
 
 
 # each AmaConfig field and the JSON types its sidecar value may take
@@ -374,13 +398,15 @@ def _sidecar_config(sidecar, path, dims):
 
 
 def load_model(path):
-    """Returns (AmaParameters, AmaConfig, recipe, item_index_hash): the
+    """Returns (AmaParameters, AmaConfig, recipe, item_index_hash, V): the
     ``embed_items`` keywords that rebuild the V the model was trained with,
-    and its train matrix's hash, ``""`` when unknown. The sidecar must exist.
+    its train matrix's hash, ``""`` when unknown, and the V stored beside it,
+    ``None`` when the sidecar records none. The sidecar must exist.
 
     Rejects a file whose length differs from what its header's dims imply, a
-    parameter holding a NaN or an infinity, and a sidecar that is malformed
-    or disagrees with the header (see ``_sidecar_config``).
+    parameter holding a NaN or an infinity, a sidecar that is malformed or
+    disagrees with the header (see ``_sidecar_config``), and a recorded V
+    whose file is missing or damaged, is not n x h or has another SHA-256.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -408,4 +434,29 @@ def load_model(path):
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     cfg, recipe = _sidecar_config(sidecar, path, {"n": n, "h": h, "d": d, "kappa": kappa})
-    return AmaParameters(**arrays), cfg, recipe, sidecar["item_index_hash"]
+    V = _stored_embedding(sidecar, path, n, h)
+    return AmaParameters(**arrays), cfg, recipe, sidecar["item_index_hash"], V
+
+
+def _stored_embedding(sidecar, path, n, h):
+    """The n x h V that the sidecar's ``embedding_sha256`` records in ``<path>.emb``,
+    or None when it records none."""
+    if "embedding_sha256" not in sidecar:
+        return None
+    recorded = sidecar["embedding_sha256"]
+    where = f"model sidecar {path}.json"
+    if not (isinstance(recorded, str) and re.fullmatch("[0-9a-f]{64}", recorded)):
+        raise ValueError(f"{where}: embedding_sha256 must be 64 lowercase hex digits, "
+                         f"got {recorded!r}")
+    try:
+        V = load_embeddings(f"{path}.emb")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{where} records an embedding, but {path}.emb is unreadable: "
+                         f"{exc}") from None
+    if V.shape != (n, h):
+        raise ValueError(f"{where} records an embedding, but {path}.emb is "
+                         f"{V.shape[0]}x{V.shape[1]}, not n={n} x h={h}")
+    if _sha256(V) != recorded:
+        raise ValueError(f"{path}.emb is not the embedding {where} records: "
+                         "its SHA-256 differs")
+    return V

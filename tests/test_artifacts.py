@@ -3,6 +3,7 @@ files, and the CLI's documented keys and shipped presets stay in step."""
 
 import builtins
 import dataclasses
+import hashlib
 import json
 import re
 import struct
@@ -45,6 +46,17 @@ def trained(tmp_path_factory):
     return tmp, data, model
 
 
+def without_stored_v(model, path, edit=lambda sidecar: None):
+    """A copy of ``model`` at ``path`` as if saved without V, its sidecar
+    changed by ``edit``."""
+    sidecar = json.loads(model.with_name(model.name + ".json").read_text())
+    del sidecar["embedding_sha256"]
+    edit(sidecar)
+    path.write_bytes(model.read_bytes())
+    path.with_name(path.name + ".json").write_text(json.dumps(sidecar))
+    return path
+
+
 def evaluate(data, model, *extra):
     return main(["evaluate", "--data", str(data), "--model", str(model), "--ks", "5",
                  *extra])
@@ -79,6 +91,7 @@ class TestModelDecidesEmbeddings:
         sidecar = json.loads((tmp_path / "ckpt.bin.json").read_text())
         assert sidecar["embedding"] == {**RECIPE_DEFAULTS, "h": 4, "gamma": 3}
         assert len(sidecar["item_index_hash"]) == 64
+        assert load_model(model)[4] is not None   # the checkpoint stores its V
 
     def test_embed_records_full_recipe(self, trained):
         tmp, data, _ = trained
@@ -113,12 +126,9 @@ class TestModelDecidesEmbeddings:
 
     @staticmethod
     def with_recorded(model, path, **embedding):
-        """A copy of ``model`` at ``path`` whose sidecar also records ``embedding``."""
-        sidecar = json.loads(model.with_name(model.name + ".json").read_text())
-        sidecar["embedding"].update(embedding)
-        path.write_bytes(model.read_bytes())
-        path.with_name(path.name + ".json").write_text(json.dumps(sidecar))
-        return path
+        """A copy of ``model`` at ``path``, saved without its V, whose sidecar
+        also records ``embedding``: its commands rebuild V from the recipe."""
+        return without_stored_v(model, path, lambda sc: sc["embedding"].update(embedding))
 
     def test_older_sidecar_keys_load_at_the_value_they_were_written_with(self, trained,
                                                                           tmp_path):
@@ -165,11 +175,7 @@ class TestModelDecidesEmbeddings:
 
     def test_recipe_recorded_without_h_rebuilds_at_the_models_h(self, trained, tmp_path):
         _, data, model = trained
-        sidecar = json.loads(model.with_name(model.name + ".json").read_text())
-        del sidecar["embedding"]["h"]
-        bare = tmp_path / "bare.bin"
-        bare.write_bytes(model.read_bytes())
-        bare.with_name(bare.name + ".json").write_text(json.dumps(sidecar))
+        bare = without_stored_v(model, tmp_path / "bare.bin", lambda sc: sc["embedding"].pop("h"))
         reports = tmp_path / "model.json", tmp_path / "bare.json"
         assert evaluate(data, model, "--out", str(reports[0])) == 0
         assert evaluate(data, bare, "--out", str(reports[1])) == 0
@@ -225,6 +231,80 @@ class TestModelDecidesEmbeddings:
                    "--user", "ghost", "--set", "h=4", *SMALL])
         assert rc == 1
         assert "unknown user" in capsys.readouterr().err
+
+
+class TestStoredEmbedding:
+    """train stores its V beside the model; evaluate and explain read it."""
+
+    @staticmethod
+    def reports(data, model, out):
+        """Runs evaluate on both splits and every explain report on ``model``,
+        writing into the directory ``out``; returns each output's bytes."""
+        out.mkdir()
+        uid = json.loads((data / "split.json").read_text())["user_ids"][0]
+        runs = [["evaluate", "--ks", "5", "--out", str(out / "test.json")],
+                ["evaluate", "--ks", "5", "--split", "validation",
+                 "--out", str(out / "validation.json")],
+                ["explain", "--histogram", "--k", "5", "--out", str(out / "hist.csv")],
+                ["explain", "--modes", "--n", "3", "--out", str(out / "modes.csv")],
+                ["explain", "--user", uid, "--k", "5", "--out", str(out / "user.json"),
+                 "--dot", str(out / "user.dot")]]
+        for argv in runs:
+            assert main([*argv, "--data", str(data), "--model", str(model)]) == 0, argv
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_train_writes_the_v_pair_embed_writes(self, tmp_path):
+        data = prep(tmp_path, "data", seed=4)
+        flags = ["--data", str(data), "--preset", "ml1m-ama", "--set", "h=4",
+                 "--set", "gamma=3", "--set", "seed=2"]
+        assert main(["train", *flags, *SMALL, "--out", str(tmp_path / "m")]) == 0
+        assert main(["embed", *flags, "--out", str(tmp_path / "items.emb")]) == 0
+        for suffix in ("", ".json"):
+            assert (tmp_path / f"m.emb{suffix}").read_bytes() == \
+                (tmp_path / f"items.emb{suffix}").read_bytes(), suffix
+        payload = (tmp_path / "m.emb").read_bytes()[24:]
+        sidecar = json.loads((tmp_path / "m.json").read_text())
+        assert sidecar["embedding_sha256"] == hashlib.sha256(payload).hexdigest()
+
+    def test_commands_on_a_trained_model_run_no_svd(self, trained, tmp_path, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the randomized SVD ran")
+
+        _, data, model = trained
+        monkeypatch.setattr(linalg, "embed_items", no_svd)
+        monkeypatch.setattr(linalg, "randomized_svd", no_svd)
+        assert len(self.reports(data, model, tmp_path / "out")) == 6
+
+    def test_stored_and_rebuilt_v_give_identical_outputs(self, trained, tmp_path):
+        _, data, model = trained
+        params, cfg, recipe, trained_on, V = load_model(model)
+        assert V is not None
+        bare = tmp_path / "bare.bin"
+        save_model(params, cfg, bare, item_index_hash=trained_on, embedding=recipe)
+        assert load_model(bare)[4] is None and not (tmp_path / "bare.bin.emb").exists()
+        stored = self.reports(data, model, tmp_path / "stored")
+        assert stored == self.reports(data, bare, tmp_path / "rebuilt")
+
+    def test_nan_in_the_stored_v_stops_explain(self, trained, tmp_path, capsys):
+        _, data, model = trained
+        copy = tmp_path / "nan.bin"
+        for suffix in ("", ".emb", ".emb.json"):
+            (tmp_path / f"nan.bin{suffix}").write_bytes(
+                model.with_name(model.name + suffix).read_bytes())
+        emb = tmp_path / "nan.bin.emb"
+        raw = bytearray(emb.read_bytes())
+        raw[-8:] = struct.pack("<d", float("nan"))
+        emb.write_bytes(bytes(raw))
+        sidecar = json.loads(model.with_name(model.name + ".json").read_text())
+        sidecar["embedding_sha256"] = hashlib.sha256(raw[24:]).hexdigest()
+        (tmp_path / "nan.bin.json").write_text(json.dumps(sidecar))
+        out = tmp_path / "modes.csv"
+        assert main(["explain", "--data", str(data), "--model", str(copy), "--modes",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"damaged embedding file {emb}: it holds a non-finite value" in err
+        assert f"model sidecar {copy}.json" in err
 
 
 class TestAlgorithmKey:
@@ -321,7 +401,7 @@ class TestDamagedFiles:
     @pytest.mark.parametrize("name", ["W_k", "S"])
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_non_finite_parameter_rejected(self, model_path, name, value):
-        params, cfg, _, _ = load_model(model_path)
+        params, cfg, *_ = load_model(model_path)
         getattr(params, name)[-1, -1] = value
         save_model(params, cfg, model_path)
         with pytest.raises(ValueError, match=f"parameter {name} holds a non-finite value"):
@@ -329,7 +409,7 @@ class TestDamagedFiles:
 
     def test_non_finite_parameter_stops_evaluate_and_explain(self, trained, tmp_path, capsys):
         _, data, model = trained
-        params, cfg, _, _ = load_model(model)
+        params, cfg, *_ = load_model(model)
         params.S[0, 0] = np.nan
         bad = tmp_path / "nan.bin"
         save_model(params, cfg, bad)
@@ -422,7 +502,7 @@ class TestDamagedFiles:
         sidecar = json.loads(sidecar_path.read_text())
         edit(sidecar)
         sidecar_path.write_text(json.dumps(sidecar))
-        assert load_model(model_path)[2:] == (recipe, "")
+        assert load_model(model_path)[2:] == (recipe, "", None)
 
     def test_config_disagreeing_with_header_stops_evaluate_and_explain(self, trained,
                                                                        tmp_path, capsys):
@@ -438,6 +518,80 @@ class TestDamagedFiles:
             assert not out.exists()
             assert "gives config.kappa=12, but the model file has kappa=2" in (
                 capsys.readouterr().err)
+
+    @pytest.fixture()
+    def with_v(self, tmp_path):
+        """A model saved with V, and that V."""
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        V = np.random.default_rng(2).standard_normal((5, 3))
+        path = tmp_path / "v.bin"
+        save_model(init_params(5, cfg), cfg, path, item_index_hash="abc",
+                   embedding={"h": 3}, V=V)
+        return path, V
+
+    @staticmethod
+    def record(path, value):
+        sidecar_path = path.with_name(path.name + ".json")
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["embedding_sha256"] = value
+        sidecar_path.write_text(json.dumps(sidecar))
+
+    @pytest.mark.parametrize("value", ["abc", "g" * 64, "A" * 64, 7, None])
+    def test_malformed_recorded_hash_rejected(self, with_v, value):
+        path, _ = with_v
+        self.record(path, value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"model sidecar {path}.json: embedding_sha256 must be 64 lowercase hex "
+                f"digits, got {value!r}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage", [lambda emb: emb.unlink(),
+                                        lambda emb: emb.write_bytes(emb.read_bytes()[:-8]),
+                                        lambda emb: emb.write_bytes(b"AMAEMB01\0")],
+                             ids=["missing", "truncated", "header-truncated"])
+    def test_missing_or_damaged_stored_v_rejected(self, with_v, damage):
+        path, _ = with_v
+        damage(path.with_name(path.name + ".emb"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"model sidecar {path}.json records an embedding, but {path}.emb is "
+                "unreadable")):
+            load_model(path)
+
+    def test_stored_v_of_another_shape_rejected(self, with_v):
+        path, V = with_v
+        wide = np.hstack([V, V[:, :1]])
+        save_embeddings(wide, f"{path}.emb", meta={})
+        self.record(path, hashlib.sha256(wide.tobytes()).hexdigest())
+        with pytest.raises(ValueError, match=re.escape(
+                f"model sidecar {path}.json records an embedding, but {path}.emb is 5x4, "
+                "not n=5 x h=3")):
+            load_model(path)
+
+    def test_stored_v_other_than_recorded_rejected(self, with_v):
+        path, V = with_v
+        save_embeddings(V + 1.0, f"{path}.emb", meta={})
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}.emb is not the embedding model sidecar {path}.json records: "
+                "its SHA-256 differs")):
+            load_model(path)
+
+    def test_embeddings_header_truncated_rejected(self, tmp_path):
+        path = tmp_path / "e.bin"
+        save_embeddings(np.ones((4, 3)), path, meta={"h": 3})
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError, match=re.escape(
+                f"damaged embedding file {path}: header truncated at 10 bytes")):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_embedding_rejected(self, tmp_path, value):
+        path = tmp_path / "e.bin"
+        V = np.ones((4, 3))
+        V[2, 1] = value
+        save_embeddings(V, path, meta={"h": 3})
+        with pytest.raises(ValueError, match=re.escape(
+                f"damaged embedding file {path}: it holds a non-finite value")):
+            load_embeddings(path)
 
     @pytest.mark.parametrize("cut", [-8, 1])
     def test_embeddings_wrong_length_rejected(self, tmp_path, cut):
@@ -524,6 +678,53 @@ class TestAtomicWrites:
             save_model(init_params(5, cfg, np.random.default_rng(1)),
                        dataclasses.replace(cfg, **{key: 5}), path, item_index_hash="new")
         assert opened == [] and self.snapshot(tmp_path) == before
+
+    def test_model_with_v_layout(self, tmp_path):
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        params = init_params(5, cfg, np.random.default_rng(3))
+        V = np.random.default_rng(4).standard_normal((5, 3))
+        save_model(params, cfg, tmp_path / "bare.bin", item_index_hash="abc")
+        save_model(params, cfg, tmp_path / "m.bin", item_index_hash="abc",
+                   embedding={"h": 3, "gamma": 1, "seed": 0}, V=V)
+        files = self.snapshot(tmp_path)
+        assert sorted(files) == ["bare.bin", "bare.bin.json", "m.bin", "m.bin.emb",
+                                 "m.bin.emb.json", "m.bin.json"]
+        assert files["m.bin"] == files["bare.bin"]   # AMAMDL01 is unchanged
+        assert files["m.bin.emb"] == b"AMAEMB01" + struct.pack("<QQ", 5, 3) + V.tobytes()
+        assert json.loads(files["m.bin.emb.json"]) == {"h": 3, "gamma": 1, "seed": 0,
+                                                       "source_hash": "abc"}
+        sidecar = json.loads(files["m.bin.json"])
+        assert sidecar.pop("embedding_sha256") == hashlib.sha256(V.tobytes()).hexdigest()
+        assert sidecar == {**json.loads(files["bare.bin.json"]),
+                           "embedding": {"h": 3, "gamma": 1, "seed": 0}}
+
+    def test_save_with_v_of_another_shape_refused_before_any_open(self, tmp_path,
+                                                                  monkeypatch):
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        opened = []
+        monkeypatch.setattr(model_module, "atomic_open", lambda *a, **kw: opened.append(a))
+        for shape in ((5, 4), (6, 3), (15,)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the embedding is {'x'.join(map(str, shape))}, but the parameters "
+                    "have n=5 h=3")):
+                save_model(init_params(5, cfg), cfg, tmp_path / "m.bin", V=np.ones(shape))
+        assert opened == [] and self.snapshot(tmp_path) == {}
+
+    @pytest.mark.parametrize("name", ["m.bin", "m.bin.json", "m.bin.emb", "m.bin.emb.json"])
+    def test_model_with_v_failing_in_any_file_keeps_all_four(self, tmp_path, monkeypatch,
+                                                             name):
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        path = tmp_path / "m.bin"
+        save_model(init_params(5, cfg), cfg, path, item_index_hash="old", V=np.ones((5, 3)))
+        before = self.snapshot(tmp_path)
+        # a temporary file is named <file>.<pid>.tmp
+        self.fail_after(monkeypatch, 5, failing=lambda path, mode:
+                        path.rsplit(".", 2)[0] == str(tmp_path / name))
+        with pytest.raises(OSError):
+            save_model(init_params(5, cfg, np.random.default_rng(1)), cfg, path,
+                       item_index_hash="new", V=np.zeros((5, 3)))
+        assert self.snapshot(tmp_path) == before
+        np.testing.assert_array_equal(load_model(path)[4], np.ones((5, 3)))
 
     def test_embeddings_write_failing_mid_payload_keeps_previous(self, tmp_path, monkeypatch):
         path = tmp_path / "items.emb"

@@ -245,8 +245,9 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         # without --out, each report goes to its default file name
         run(threads, "explain", "--data", data, "--model", "model.bin", "--user", "u000",
             "--dot", "user.dot", "--histogram", "--modes", *fast)
-    names = ["model.bin", "chunked.bin", "report.json", "pop.json", "puresvd.json",
-             "user_u000.json", "user.dot", "mode_usage.csv", "mode_top_items.csv"]
+    names = ["model.bin", "model.bin.emb", "model.bin.emb.json", "chunked.bin", "report.json",
+             "pop.json", "puresvd.json", "user_u000.json", "user.dot", "mode_usage.csv",
+             "mode_top_items.csv"]
     for name in names:
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), \
             name

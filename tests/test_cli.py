@@ -410,11 +410,13 @@ class TestTrainEvaluateExplain:
 
     def test_unknown_user_explain(self, tmp_path, prepped, capsys):
         model = tmp_path / "model.bin"
-        main(["train", "--data", str(prepped), "--out", str(model),
-              "--set", "epochs=0", *fast_overrides()[2:]])
+        assert main(["train", "--data", str(prepped), "--out", str(model),
+                     *fast_overrides(), "--set", "epochs=0"]) == 0
+        capsys.readouterr()
         rc = main(["explain", "--data", str(prepped), "--model", str(model),
                    "--user", "ghost", *fast_overrides()])
         assert rc == 1
+        assert "unknown user id 'ghost'" in capsys.readouterr().err
 
 
 def test_unknown_split_raises_systemexit_guard():

@@ -373,8 +373,10 @@ def test_model_save_load_roundtrip(tmp_path):
 
     path = tmp_path / "model.bin"
     save_model(params, cfg, path, item_index_hash="abc")
-    loaded, loaded_cfg, _, trained_on = load_model(path)
-    assert trained_on == "abc"
+    loaded, loaded_cfg, _, trained_on, stored = load_model(path)
+    assert trained_on == "abc" and stored is None
     assert loaded_cfg == cfg
     for name in ("W_k", "W_v", "Q", "B", "S"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
+    save_model(params, cfg, path, item_index_hash="abc", V=V)
+    np.testing.assert_array_equal(load_model(path)[4], V)
