@@ -49,7 +49,7 @@ def ama_scorer(params, V):
         scores = np.zeros(rows.shape)
         full = np.flatnonzero(np.diff(rows.indptr))
         if full.size:
-            scores[full] = forward(rows[full])[3]
+            scores[full] = forward(rows[full])[4]
         return scores
 
     return score

@@ -55,7 +55,7 @@ def explain_user(params, V, train_row, user, k=10):
     if train_row.nnz == 0:
         raise ValueError(f"user {user} has an empty interaction history")
     forward = Forward(params, V)
-    segs, A, U, scores, mode_of = forward(train_row)
+    segs, A, _, U, scores, mode_of = forward(train_row)
     keys, length = rank_keys(scores, train_row)
     per_mode = np.matmul(U, forward.S_T)[0]   # the decode's own GEMM
     recs = [(int(j), int(mode_of[0, j]), per_mode[:, j].copy())

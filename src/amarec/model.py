@@ -9,7 +9,10 @@ row, plus a Frobenius penalty on the decoder only.
 
 All functions are pure in (parameters, inputs); gradients are exact
 backpropagation with maxout routing to the argmax mode (lowest index on
-ties) and the softmax Jacobian restricted to observed items.
+ties) and the softmax Jacobian restricted to observed items. Each mode is
+(sum_j a_jl v_j) W_v + b_l, so no catalog-wide value table is built. The
+backward pass computes the decoder gradient on one helper thread; only
+numpy and BLAS work runs there, never a public function of this package.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import re
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -104,13 +109,15 @@ def init_params(n, cfg, rng=None):
 
 
 def keys_values(V, params):
-    """Per-item keys and values: row j of K is v_j W_k, of Vt is v_j W_v."""
+    """The per-item keys K, n x kappa: row j is v_j W_k. The values v_j W_v
+    need no table, because ``encode`` applies W_v to each mode after the
+    attention sum; the name stays, as ``bench/tracing.py`` hooks it."""
     V = np.asarray(V)
     if V.shape[1] != params.W_k.shape[0]:
         raise ValueError(
             f"embedding size {V.shape[1]} does not match W_k rows {params.W_k.shape[0]}"
         )
-    return V @ params.W_k, V @ params.W_v
+    return V @ params.W_k
 
 
 class DegenerateUser(ValueError):
@@ -150,10 +157,14 @@ def attend(K_obs, Q, segs):
     return w / np.add.reduceat(w, segs.starts)[segs.seg]
 
 
-def encode(A, Vt_obs, segs, B):
-    """Mode matrices U, B x d x h: row l of user b's is the attention-weighted
-    sum of b's values (``Vt_obs`` in the order of ``segs.obs``) plus b_l."""
-    return np.add.reduceat(A[:, :, None] * Vt_obs[:, None], segs.starts) + B
+def encode(A, V_obs, segs, W_v, B):
+    """(Z, U), each B x d x h: row l of user b's Z is the attention-weighted
+    sum of b's embeddings (``V_obs`` in the order of ``segs.obs``), and of U,
+    the mode Z_l W_v + b_l. W_v is linear and shared, so U_l is the weighted
+    sum of b's values v_j W_v plus b_l, with no catalog-wide value table; BLAS
+    sees one (d, h) @ (h, h) GEMM per user."""
+    Z = np.add.reduceat(A[:, :, None] * V_obs[:, None], segs.starts)
+    return Z, np.matmul(Z, W_v) + B
 
 
 def decode_maxout(U, S_T):
@@ -191,13 +202,13 @@ def corrupt(rows, rho, rng):
 
 class Forward:
     """The forward pass that training, scoring and explanation share, sized by
-    the arrays alone, with its item tables built once: keys and values over the
-    whole catalog (``V[obs] @ W`` gives other bytes than ``(V @ W)[obs]``) and
+    the arrays alone, with its item tables built once: the keys over the whole
+    catalog (``V[obs] @ W_k`` gives other bytes than ``(V @ W_k)[obs]``) and
     ``S_T``, a C-order copy of ``S.T`` (the transposed view gives other bytes)."""
 
     def __init__(self, params, V):
         self.params, self.V = params, np.asarray(V)
-        self.K, self.Vt = keys_values(self.V, params)
+        self.K = keys_values(self.V, params)
         self.S_T = np.ascontiguousarray(params.S.T)
 
     def attention(self, masks, first=0):
@@ -206,11 +217,12 @@ class Forward:
         return segs, attend(self.K[segs.obs], self.params.Q, segs)
 
     def __call__(self, masks, first=0):
-        """(segs, A, U, scores, mode_of) of the CSR block ``masks``: the attention,
-        the B x d x h modes, and the B x n maxout scores with each item's mode."""
+        """(segs, A, Z, U, scores, mode_of) of the CSR block ``masks``: the
+        attention, the B x d x h modes before W_v and the modes themselves (see
+        ``encode``), and the B x n maxout scores with each item's mode."""
         segs, A = self.attention(masks, first)
-        U = encode(A, self.Vt[segs.obs], segs, self.params.B)
-        return (segs, A, U, *decode_maxout(U, self.S_T))
+        Z, U = encode(A, self.V[segs.obs], segs, self.params.W_v, self.params.B)
+        return (segs, A, Z, U, *decode_maxout(U, self.S_T))
 
 
 # users per forward/backward pass of batch_gradients: a fixed constant, not a
@@ -252,11 +264,19 @@ def _chunk_gradients(R, result, forward, alpha):
     chunk's B_c*d modes. A GEMM with B_c*d rows and inner dimension n can
     split its sums differently under different thread counts, so ``dU`` runs
     as one ``(d, n) @ (n, h)`` GEMM per user. Sums over the observed items
-    run in numpy (reduceat, einsum), whose order is fixed.
+    run in numpy (reduceat, einsum), whose order is fixed. The forward's Z
+    gives the W_v gradient, and the attention gradient reads the embeddings
+    through ``dU W_v^T``, so no value table is needed.
+
+    The decoder gradient dS = G^T U reads only the routed error G and the
+    modes U, so it runs on the helper thread while this thread runs the rest;
+    the same GEMMs run, so the bytes are those of a serial run. Only numpy and
+    BLAS calls may run there, never a public amarec function: the bench's
+    tracer keeps one span stack and would misattribute a span from another thread.
     """
-    segs, A, U, scores, mode_of = result
+    segs, A, Z, U, scores, mode_of = result
     params = forward.params
-    K_obs, Vt_obs, V_obs = forward.K[segs.obs], forward.Vt[segs.obs], forward.V[segs.obs]
+    K_obs, V_obs = forward.K[segs.obs], forward.V[segs.obs]
     nb, d, h = U.shape
     g = R - scores                         # the error, then d(loss)/d(scores)
     del result, scores   # the caller holds no other reference: this frees the scores
@@ -268,17 +288,31 @@ def _chunk_gradients(R, result, forward, alpha):
     # routed gradients: G[b, l] is user b's error on the items that take mode l
     G = g[:, None] * (mode_of[:, None] == np.arange(d)[:, None])
     del g, mode_of
-    dS = G.reshape(nb * d, -1).T @ U.reshape(nb * d, h)   # one GEMM, inner dimension B_c*d
-    dU = np.matmul(G, params.S)                           # one GEMM per user
-    del G
-    dA = np.einsum("jlh,jh->jl", dU[segs.seg], Vt_obs)
-    dLogit = A * (dA - np.add.reduceat(A * dA, segs.starts)[segs.seg])
-    Z = np.add.reduceat(A[:, :, None] * V_obs[:, None], segs.starts)   # the modes before W_v
-    sk = math.sqrt(params.Q.shape[1])
-    grads = {"W_k": np.einsum("ja,jl->al", V_obs, dLogit) @ params.Q / sk,
-             "W_v": Z.reshape(nb * d, h).T @ dU.reshape(nb * d, h),
-             "Q": np.einsum("jl,jk->lk", dLogit, K_obs) / sk, "B": dU.sum(axis=0), "S": dS}
+    # one GEMM, inner dimension B_c*d, on the helper thread
+    dS = _HELPER.submit(np.matmul, G.reshape(nb * d, -1).T, U.reshape(nb * d, h))
+    try:
+        dU = np.matmul(G, params.S)                           # one GEMM per user
+        dA = np.einsum("jlh,jh->jl", np.matmul(dU, params.W_v.T)[segs.seg], V_obs)
+        dLogit = A * (dA - np.add.reduceat(A * dA, segs.starts)[segs.seg])
+        sk = math.sqrt(params.Q.shape[1])
+        grads = {"W_k": np.einsum("ja,jl->al", V_obs, dLogit) @ params.Q / sk,
+                 "W_v": Z.reshape(nb * d, h).T @ dU.reshape(nb * d, h),
+                 "Q": np.einsum("jl,jk->lk", dLogit, K_obs) / sk, "B": dU.sum(axis=0)}
+    finally:
+        dS = dS.result()   # read even when this thread raised: no task outlives the call
+    grads["S"] = dS
     return grads, losses
+
+
+def _new_helper():
+    """The helper thread of ``_chunk_gradients``: the executor starts it at
+    the first submit, so importing this module starts no thread."""
+    return ThreadPoolExecutor(1, thread_name_prefix="amarec-dS")
+
+
+_HELPER = _new_helper()
+# a forked child inherits the executor but not its thread: it gets its own
+os.register_at_fork(after_in_child=lambda: globals().update(_HELPER=_new_helper()))
 
 
 _MDL_MAGIC = b"AMAMDL01"
@@ -290,8 +324,10 @@ def save_model(params, cfg, path, item_index_hash="", embedding=None, V=None):
     the train matrix hash and the embedding recipe, when given. A V, when
     given, goes beside them as ``<path>.emb`` and ``<path>.emb.json``, laid out
     as ``embed`` writes it (AMAEMB01, the recipe and ``source_hash`` as meta),
-    and the sidecar records its SHA-256. A config whose h, d or kappa differs
-    from the parameters', or a V that is not n x h, raises before any file opens."""
+    and the sidecar records its SHA-256; without a V, a pair an earlier save
+    left at ``path`` is removed once the new sidecar is in place. A config whose
+    h, d or kappa differs from the parameters', or a V that is not n x h, raises
+    before any file opens."""
     n, h = params.S.shape
     d, kappa = params.Q.shape
     for key, value in (("h", h), ("d", d), ("kappa", kappa)):   # what load_model checks
@@ -324,6 +360,10 @@ def save_model(params, cfg, path, item_index_hash="", embedding=None, V=None):
             fh.write(np.ascontiguousarray(getattr(params, name), dtype=np.float64).tobytes())
         json.dump(sidecar, js, indent=2, sort_keys=True)
         js.write("\n")
+    if V is None:   # an earlier save's pair would look like this model's V
+        for stale in (f"{path}.emb", f"{path}.emb.json"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(stale)
 
 
 def _sha256(V):

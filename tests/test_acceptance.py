@@ -119,7 +119,7 @@ def test_criterion_5_attention_suite():
     for trial in range(20):
         cfg, V, params, r, obs = small_instance(trial + 300)
         segs = Segments.of(csr_rows([obs], V.shape[0]))
-        K, Vt = keys_values(V, params)
+        K = keys_values(V, params)
         A = attend(K[obs], params.Q, segs)   # n_obs x d
         # normalization to 1 +/- 1e-9 over observed items
         assert np.abs(A.sum(axis=0) - 1.0).max() <= 1e-9
@@ -127,13 +127,13 @@ def test_criterion_5_attention_suite():
         # mask sufficiency: off-mask embedding perturbations leave the
         # encoding bit-identical (off-mask weights are exact zeros by
         # construction: unobserved items never enter the computation)
-        U1 = encode(A, Vt[obs], segs, params.B)
+        U1 = encode(A, V[obs], segs, params.W_v, params.B)[1]
         V2 = V.copy()
         outside = np.setdiff1d(np.arange(V.shape[0]), obs)
         V2[outside] = rng.standard_normal((outside.size, V.shape[1])) * 50
-        K2, Vt2 = keys_values(V2, params)
+        K2 = keys_values(V2, params)
         A2 = attend(K2[obs], params.Q, segs)
-        U2 = encode(A2, Vt2[obs], segs, params.B)
+        U2 = encode(A2, V2[obs], segs, params.W_v, params.B)[1]
         assert np.array_equal(U1, U2)
     passed(5, "normalization 1e-9, exact off-mask zeros, mask sufficiency bit-exact")
 

@@ -285,6 +285,16 @@ class TestStoredEmbedding:
         stored = self.reports(data, model, tmp_path / "stored")
         assert stored == self.reports(data, bare, tmp_path / "rebuilt")
 
+    def test_a_save_without_v_removes_the_pair_an_earlier_save_left(self, trained, tmp_path):
+        _, _, model = trained
+        params, cfg, recipe, trained_on, V = load_model(model)
+        path = tmp_path / "m.bin"
+        save_model(params, cfg, path, item_index_hash=trained_on, embedding=recipe, V=V)
+        assert (tmp_path / "m.bin.emb").exists() and (tmp_path / "m.bin.emb.json").exists()
+        save_model(params, cfg, path, item_index_hash=trained_on, embedding=recipe)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m.bin.json"]
+        assert load_model(path)[4] is None
+
     def test_nan_in_the_stored_v_stops_explain(self, trained, tmp_path, capsys):
         _, data, model = trained
         copy = tmp_path / "nan.bin"

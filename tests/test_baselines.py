@@ -102,9 +102,8 @@ class TestAmaScorer:
 
         cfg, V, params, r, obs = small_instance(4)
         score = ama_scorer(params, V)
-        K, Vt = keys_values(V, params)
-        A = attend_one(K, params.Q, obs)
-        expected = decode_one(encode_one(A, Vt[obs], params.B), params.S)[0]
+        A = attend_one(keys_values(V, params), params.Q, obs)
+        expected = decode_one(encode_one(A, V[obs], params.W_v, params.B), params.S)[0]
         np.testing.assert_array_equal(one(score, obs, 0, V.shape[0]), expected)
 
     def test_empty_history_zero_scores(self):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -115,13 +116,13 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
     cfg, V, params, rows, masks, _ = batch_case(seed, n, h, d, kappa, users, rho, tied)
     if not masks:
         return
-    K, Vt = keys_values(V, params)
+    K = keys_values(V, params)
     S_T = np.ascontiguousarray(params.S.T)
 
     def stages(mks):
         segs = Segments.of(mks)
         A = attend(K[segs.obs], params.Q, segs)
-        U = encode(A, Vt[segs.obs], segs, params.B)
+        U = encode(A, V[segs.obs], segs, params.W_v, params.B)[1]
         return A, U, *decode_maxout(U, S_T)
 
     A, U, scores, mode_of = stages(csr_rows(masks, n))
@@ -137,10 +138,11 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
         # maxout: the strict scan keeps the lowest of the tied modes
         assert np.array_equal(scores1[0], per_mode.max(axis=0))
         assert np.array_equal(mode_of1[0], per_mode.argmax(axis=0))
-        # and the per-user oracle to 1e-12
+        # and the per-user oracle to 1e-12; its modes sum the values v_j W_v
         ref = forward_oracle(mk, params, V, cfg.kappa)
         np.testing.assert_allclose(A1.T, ref["A"], rtol=1e-12, atol=0)
-        within(U1[0], ref["U"], np.abs(ref["A"]) @ np.abs(Vt[mk]) + np.abs(params.B))
+        within(U1[0], ref["U"],
+               np.abs(ref["A"]) @ np.abs(V[mk]) @ np.abs(params.W_v) + np.abs(params.B))
         scale = np.abs(ref["U"]) @ np.abs(params.S).T
         within(per_mode, ref["per_mode"], scale)
         within(ref["per_mode"][mode_of1[0], np.arange(n)], ref["scores"], scale.max(axis=0))
@@ -185,7 +187,7 @@ def test_empty_batch_rejected():
 
 
 def test_item_tables_built_once_per_call(monkeypatch):
-    # every caller runs model.Forward, which builds the keys and values once:
+    # every caller runs model.Forward, which builds the keys once:
     # one keys_values call per batch_gradients call, however many chunks it
     # runs, per evaluate, however many blocks it ranks, and per report
     calls = []
@@ -205,15 +207,60 @@ def test_item_tables_built_once_per_call(monkeypatch):
     assert len(calls) == 5
 
 
+class InlineHelper:
+    """An executor that runs each task at submit, on the calling thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class CountingHelper(ThreadPoolExecutor):
+    """The helper thread, counting the tasks it is given."""
+
+    submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return super().submit(fn, *args)
+
+
+@pytest.mark.parametrize("users", [model.CHUNK - 7, 2 * model.CHUNK + 9])
+def test_helper_thread_changes_no_bytes(users, monkeypatch):
+    # dS runs on the helper thread while the calling thread runs the rest of
+    # the backward; the same GEMMs run, so computing dS inline gives the same
+    # bytes, at a batch inside one chunk and at one spanning three
+    cfg = AmaConfig(h=6, d=3, kappa=2, alpha=1.5)
+    rng = np.random.default_rng(users)
+    n = 200
+    V = rng.standard_normal((n, cfg.h))
+    params = random_params(n, cfg, seed=users + 1)
+    rows = csr_rows([np.sort(rng.choice(n, size=int(rng.integers(1, 30)), replace=False))
+                     for _ in range(users)], n)
+    masks = corrupt(rows, 0.0, rng)
+    helper = CountingHelper(1)
+    monkeypatch.setattr(model, "_HELPER", helper)
+    threaded, threaded_losses = batch_gradients(rows, masks, params, V, cfg)
+    helper.shutdown()
+    assert helper.submitted == -(-users // model.CHUNK)   # one dS per chunk
+    monkeypatch.setattr(model, "_HELPER", InlineHelper())
+    inline, inline_losses = batch_gradients(rows, masks, params, V, cfg)
+    assert threaded_losses.tobytes() == inline_losses.tobytes()
+    for name in PARAM_NAMES:
+        assert threaded[name].tobytes() == inline[name].tobytes(), name
+
+
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # At this size a batch-wide score GEMM, (B*d, h) @ (h, n), or a batch-wide
     # (B*d, n) @ (n, h) GEMM for the mode gradients gives different bytes under
     # 1 and 2 OpenBLAS threads on a 2-core x86-64 host. What training runs
-    # instead keeps its bytes there: one (d, h) @ (h, n) and one (d, n) @ (n, h)
-    # GEMM per user, and the (n, B_c*d) @ (B_c*d, h) and (h, B_c*d) @ (B_c*d, h)
-    # GEMMs for dS and the W_v gradient, whose inner dimension is a chunk's
-    # modes. A batch of 70 users runs as chunks of 32, 32 and at most 6 users,
-    # summed across chunks.
+    # instead keeps its bytes there: one (d, h) @ (h, h), one (d, h) @ (h, n)
+    # and one (d, n) @ (n, h) GEMM per user, and the (n, B_c*d) @ (B_c*d, h)
+    # and (h, B_c*d) @ (B_c*d, h) GEMMs for dS and the W_v gradient, whose
+    # inner dimension is a chunk's modes; dS runs on the helper thread, beside
+    # the calling thread's GEMMs. A batch of 70 users runs as chunks of 32, 32
+    # and at most 6 users, summed across chunks.
     ratings = tmp_path / "ratings.dat"
     write_movielens_file(ratings, synthetic_events(m=100, n=2000, per_user=100, seed=5))
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -30,6 +30,7 @@ def run_tiny(workload, trace, copy):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, result
+    return result
 
 
 @pytest.mark.parametrize("workload", ["ml1m-train", "ml1m-rank"])
@@ -39,5 +40,11 @@ def test_bench_tiny_run_is_correct(workload, tmp_path):
 
 @pytest.mark.parametrize("workload", ["ml1m-train", "ml1m-rank"])
 def test_bench_tiny_traced_run_is_correct(workload, tmp_path):
-    """The same checks with the tracer's wrappers and hooks around amarec."""
-    run_tiny(workload, "1", tmp_path)
+    """The same checks with the tracer's wrappers and hooks around amarec. No
+    per-layer self time is negative: a negative one means spans from two
+    threads interleaved on the tracer's one stack."""
+    metrics = run_tiny(workload, "1", tmp_path)["metrics"]
+    times = {name: m["value"] for name, m in metrics.items()
+             if name.endswith((".s", ".self_s"))}
+    assert times and min(times.values()) >= -1e-9, \
+        {name: t for name, t in times.items() if t < -1e-9}

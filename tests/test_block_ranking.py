@@ -132,7 +132,7 @@ def test_mode_usage_matches_per_user_loop(seed, m, n, d, k, tied):
         params.S[:] = 0.0
     data = make_split(random_rows(rng, m, n), [[]] * m, [[]] * m, n)
 
-    K, Vt = keys_values(V, params)
+    K = keys_values(V, params)
     S_T = np.ascontiguousarray(params.S.T)
     expected = np.zeros(d, dtype=np.int64)
     for u in range(m):
@@ -140,8 +140,8 @@ def test_mode_usage_matches_per_user_loop(seed, m, n, d, k, tied):
         if not obs.size:
             continue
         segs = Segments.of(data.train[u])
-        scores, mode_of = decode_maxout(encode(attend(K[obs], params.Q, segs),
-                                               Vt[obs], segs, params.B), S_T)
+        scores, mode_of = decode_maxout(encode(attend(K[obs], params.Q, segs), V[obs],
+                                               segs, params.W_v, params.B)[1], S_T)
         top = reference_ranked(scores[0], set(obs.tolist()))[:k]
         used = len({int(mode_of[0, j]) for j in top})
         if used:

@@ -14,6 +14,7 @@ from amarec.dataset import (
     ConfigError,
     ParseError,
     Ratings,
+    _sorted_unique,
     binarize,
     load_split,
     parse_ratings,
@@ -412,6 +413,18 @@ def test_split_files_match_the_list_oracle(seed, format, columns, fractions):
         new, old = prep_both(tmp / "ratings", format, columns, fractions, tmp)
     assert new[0] != "ParseError"
     assert new == old
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.integers(0, 40), max_size=60))
+@example(cells=[])                  # an empty part
+@example(cells=[7, 7, 7])           # one cell, repeated
+def test_split_cells_dedupe_as_np_unique(cells):
+    # temporal_split dedupes each part's cell codes (row * n + column) with
+    # _sorted_unique; codes drawn from a small range repeat often
+    cells = np.array(cells, dtype=np.int64)
+    got, want = _sorted_unique(cells), np.unique(cells)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 FAULTS = {   # column -> faulty values; each is a fault the list oracle reports too

@@ -167,14 +167,14 @@ def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monk
 
     cfg, V, params, data = toy_model(m=12, n=9, d=3, seed=11)
     m, n = data.train.shape
-    # the per-user path: every user's keys and values computed afresh
+    # the per-user path: every user's keys computed afresh
     hist = np.zeros(cfg.d, dtype=np.int64)
     agg = np.zeros((cfg.d, n))
     for u in range(m):
         obs = data.train[u].indices
         exp = explain_user(params, V, data.train[u], u, k=3)
         hist[len({mode for _, mode, _ in exp.recommendations}) - 1] += 1
-        np.add.at(agg, (slice(None), obs), attend_one(keys_values(V, params)[0], params.Q, obs))
+        np.add.at(agg, (slice(None), obs), attend_one(keys_values(V, params), params.Q, obs))
     counts = np.asarray(data.train.sum(axis=0)).ravel().astype(np.int64)
     pop_rank = np.empty(n, dtype=np.int64)
     pop_rank[np.lexsort((np.arange(n), -counts))] = np.arange(1, n + 1)

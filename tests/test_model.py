@@ -44,10 +44,10 @@ def attend_one(K, Q, obs):
     return attend(K[obs], Q, Segments.of(csr_rows([obs], K.shape[0]))).T
 
 
-def encode_one(A, Vt_obs, B):
-    """The batched encode stage on one user's d x n_obs attention, as d x h."""
-    return encode(A.T, Vt_obs, Segments.of(csr_rows([np.arange(A.shape[1])], A.shape[1])),
-                  B)[0]
+def encode_one(A, V_obs, W_v, B):
+    """The modes of the batched encode stage on one user's d x n_obs attention, as d x h."""
+    return encode(A.T, V_obs, Segments.of(csr_rows([np.arange(A.shape[1])], A.shape[1])),
+                  W_v, B)[1][0]
 
 
 def decode_one(U, S):
@@ -139,21 +139,20 @@ class TestKeysValues:
         params = random_params(5, cfg)
         params.W_k = np.eye(3)
         V = np.random.default_rng(0).standard_normal((5, 3))
-        K, _ = keys_values(V, params)
+        K = keys_values(V, params)
         np.testing.assert_array_equal(K, V)
 
     def test_zero_embedding(self):
         cfg = AmaConfig(h=3, d=1, kappa=2)
         params = random_params(4, cfg)
         V = np.zeros((4, 3))
-        K, Vt = keys_values(V, params)
-        assert not K.any() and not Vt.any()
+        assert not keys_values(V, params).any()
 
     def test_hand_arithmetic(self):
         cfg = AmaConfig(h=2, d=1, kappa=1)
         params = random_params(1, cfg)
         params.W_k = np.array([[3.0], [4.0]])
-        K, _ = keys_values(np.array([[1.0, 2.0]]), params)
+        K = keys_values(np.array([[1.0, 2.0]]), params)
         assert K[0, 0] == 11.0
 
     def test_dim_mismatch(self):
@@ -200,20 +199,29 @@ class TestAttend:
 
 class TestEncode:
     def test_single_item_no_bias(self):
-        Vt_obs = np.array([[1.0, 2.0, 3.0]])
+        V_obs = np.array([[1.0, 2.0, 3.0]])
         A = np.ones((2, 1))
-        U = encode_one(A, Vt_obs, np.zeros((2, 3)))
-        np.testing.assert_array_equal(U, np.tile(Vt_obs, (2, 1)))
+        U = encode_one(A, V_obs, np.eye(3), np.zeros((2, 3)))
+        np.testing.assert_array_equal(U, np.tile(V_obs, (2, 1)))
 
     def test_uniform_midpoint_plus_bias(self):
-        Vt_obs = np.array([[0.0, 2.0], [4.0, 0.0]])
+        V_obs = np.array([[0.0, 2.0], [4.0, 0.0]])
         A = np.full((1, 2), 0.5)
         B = np.array([[1.0, 1.0]])
-        np.testing.assert_array_equal(encode_one(A, Vt_obs, B), [[3.0, 2.0]])
+        np.testing.assert_array_equal(encode_one(A, V_obs, np.eye(2), B), [[3.0, 2.0]])
+
+    def test_w_v_applies_after_the_attention_sum(self):
+        V_obs = np.eye(2)
+        W_v = np.array([[1.0, 2.0], [3.0, 4.0]])
+        B = np.array([[1.0, -1.0]])
+        segs = Segments.of(csr_rows([[0, 1]], 2))
+        Z, U = encode(np.full((2, 1), 0.5), V_obs, segs, W_v, B)
+        np.testing.assert_array_equal(Z, [[[0.5, 0.5]]])
+        np.testing.assert_array_equal(U, [[[3.0, 2.0]]])   # Z W_v + B
 
     def test_zero_values_gives_bias(self):
         B = np.random.default_rng(0).standard_normal((3, 4))
-        U = encode_one(np.full((3, 2), 0.5), np.zeros((2, 4)), B)
+        U = encode_one(np.full((3, 2), 0.5), np.zeros((2, 4)), np.eye(4), B)
         np.testing.assert_array_equal(U, B)
 
 
@@ -356,8 +364,8 @@ class TestMaskSufficiency:
         cfg, V, params, r, obs = small_instance(3)
 
         def encoding(Vmat):
-            K, Vt = keys_values(Vmat, params)
-            return encode_one(attend_one(K, params.Q, obs), Vt[obs], params.B)
+            return encode_one(attend_one(keys_values(Vmat, params), params.Q, obs), Vmat[obs],
+                              params.W_v, params.B)
 
         U1 = encoding(V)
         V2 = V.copy()
