@@ -15,7 +15,7 @@ from amarec.dataset import Ratings, binarize, temporal_split
 from amarec.evaluation import evaluate
 from amarec.linalg import embed_items
 from amarec.model import AmaConfig, parameter_count
-from amarec.training import TrainConfig, train
+from amarec.training import train
 
 
 def make_events(m=120, n=60, seed=0):
@@ -47,12 +47,9 @@ def main():
           f"{np.allclose(V.T @ V, np.eye(V.shape[1]))}")
 
     print("\n== training (2 preference modes, denoising corruption 0.3) ==")
-    cfg = TrainConfig(
-        model=AmaConfig(h=8, d=2, kappa=3, alpha=1.0, lam=1e-5, rho=0.3,
-                        epochs=120, seed=0),
-        batch_size=64,
-    )
-    print(f"trainable parameters: {parameter_count(n, cfg.model)}")
+    cfg = AmaConfig(h=8, d=2, kappa=3, alpha=1.0, lam=1e-5, rho=0.3, epochs=120, seed=0,
+                    batch_size=64)   # every setting of the run, in one config
+    print(f"trainable parameters: {parameter_count(n, cfg)}")
     params, log = train(data, V, cfg)
     print(f"objective: epoch 0 = {log[0]['objective']:.3f}, "
           f"epoch {log[-1]['epoch']} = {log[-1]['objective']:.3f}")

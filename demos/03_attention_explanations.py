@@ -14,7 +14,7 @@ import numpy as np
 from amarec.explain import explain_user, mode_top_items, mode_usage, user_explanation_dot
 from amarec.linalg import embed_items
 from amarec.model import AmaConfig
-from amarec.training import TrainConfig, train
+from amarec.training import train
 
 from importlib import import_module
 import pathlib
@@ -28,11 +28,8 @@ from amarec.dataset import binarize, temporal_split
 
 def main():
     data = temporal_split(binarize(make_events(), threshold=3.0))
-    cfg = TrainConfig(
-        model=AmaConfig(h=8, d=2, kappa=3, alpha=1.0, lam=1e-5, rho=0.3,
-                        epochs=120, seed=0),
-        batch_size=64,
-    )
+    cfg = AmaConfig(h=8, d=2, kappa=3, alpha=1.0, lam=1e-5, rho=0.3, epochs=120, seed=0,
+                    batch_size=64)
     V = embed_items(data.train, h=8, gamma=10, seed=0)
     params, _ = train(data, V, cfg)
 

@@ -64,7 +64,7 @@ from amarec.model import (
     corrupt,
     parameter_count,
 )
-from amarec.training import TrainConfig, train
+from amarec.training import train
 from amarec.baselines import pop_scorer, puresvd_scorer
 from amarec.evaluation import RankingReport, evaluate
 from amarec.explain import explain_user, mode_usage, mode_top_items

@@ -42,7 +42,6 @@ import sys
 from amarec import baselines, dataset, evaluation, explain as explain_mod, linalg, training
 from amarec.fileio import atomic_open
 from amarec.model import AmaConfig, load_model, save_model
-from amarec.training import TrainConfig
 
 
 class CliError(Exception):
@@ -56,8 +55,9 @@ _STR_KEYS = _CHOICES.keys()
 
 # config key -> keyword argument, for each consumer of the configuration
 _RECIPE_KEYS = {k: k for k in linalg.RECIPE_DEFAULTS}
-_MODEL_KEYS = {**{k: k for k in ("d", "kappa", "alpha", "rho", "epochs")}, "lambda": "lam"}
-_TRAIN_KEYS = {k: k for k in ("learning_rate", "batch_size")}
+# the AmaConfig fields but h and seed, which come from the recipe
+_RUN_KEYS = {**{k: k for k in ("d", "kappa", "alpha", "rho", "epochs", "learning_rate",
+                               "batch_size")}, "lambda": "lam"}
 _PURESVD_KEYS = {"rank": "rank", "gamma": "iters", "seed": "seed"}
 
 
@@ -138,10 +138,9 @@ def _require_ama(cfg, command):
 
 
 def _train_configs(cfg):
-    """The embedding recipe and the TrainConfig that ``train`` uses."""
+    """The embedding recipe and the AmaConfig that ``train`` uses."""
     recipe = _recipe(cfg)
-    model = AmaConfig(h=recipe["h"], seed=recipe["seed"], **_pick(cfg, _MODEL_KEYS))
-    return recipe, TrainConfig(model=model, **_pick(cfg, _TRAIN_KEYS))
+    return recipe, AmaConfig(h=recipe["h"], seed=recipe["seed"], **_pick(cfg, _RUN_KEYS))
 
 
 def _data_dir(args):
@@ -188,22 +187,22 @@ def cmd_train(args):
     data = dataset.load_split(_data_dir(args))
     cfg = _gather_config(args)
     _require_ama(cfg, "train")
-    recipe, tcfg = _train_configs(cfg)
+    recipe, run = _train_configs(cfg)
     V = linalg.embed_items(data.train, **recipe)
     provenance = {"item_index_hash": linalg.matrix_hash(data.train), "embedding": recipe,
                   "V": V}
 
     def checkpoint(epoch, params):
         if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
-            save_model(params, tcfg.model, args.out, **provenance)
+            save_model(params, run, args.out, **provenance)
 
-    params, log = training.train(data, V, tcfg, callback=checkpoint)
-    save_model(params, tcfg.model, args.out, **provenance)
+    params, log = training.train(data, V, run, callback=checkpoint)
+    save_model(params, run, args.out, **provenance)
     if args.log_prefix:
         with atomic_open(args.log_prefix + ".json", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(log, indent=2) + "\n")
     last = log[-1]["objective"] if log else float("nan")
-    print(f"trained {tcfg.model.epochs} epochs; final mean objective {last:.6g}; "
+    print(f"trained {run.epochs} epochs; final mean objective {last:.6g}; "
           f"model written to {args.out}")
 
 
@@ -212,7 +211,7 @@ def _load_ama(path, data, cfg):
     saved without one, V rebuilt from the recipe ``load_model`` resolves.
     Rejects configured recipe keys that disagree with that recipe and a split
     other than the one the model was trained on."""
-    params, _, recipe, trained_on, V = load_model(path)
+    params, recipe, trained_on, V = load_model(path)
     for key, given in _pick(cfg, _RECIPE_KEYS).items():
         if given != recipe[key]:
             raise CliError(f"{path} was trained with {key}={recipe[key]}, "

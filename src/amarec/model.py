@@ -45,6 +45,8 @@ def _integer(name, value):
 
 @dataclass(frozen=True)
 class AmaConfig:
+    """Every setting of a training run; ``save_model`` records it whole."""
+
     h: int = 40            # embedding size
     d: int = 3             # preference-mode count
     kappa: int = 3         # key/query size
@@ -53,19 +55,22 @@ class AmaConfig:
     rho: float = 0.3       # corruption rate
     epochs: int = 300
     seed: int = 0
+    learning_rate: float = 1e-3   # adam step size
+    batch_size: int = 512         # users per adam step
 
     def __post_init__(self):
-        for name in ("h", "d", "kappa", "epochs", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.h < 1 or self.d < 1 or self.kappa < 1:
-            raise ValueError("h, d and kappa must be >= 1")
+        for name, least in {"h": 1, "d": 1, "kappa": 1, "epochs": 0, "seed": 0,
+                            "batch_size": 1}.items():
+            value = _integer(name, getattr(self, name))
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be > 0 and finite")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
         if not (0 <= self.alpha < math.inf and 0 <= self.lam < math.inf):
             raise ValueError("alpha and lam must be >= 0 and finite")
-        for name in ("epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -230,11 +235,12 @@ class Forward:
 CHUNK = 32
 
 
-def batch_gradients(R, masks, params, V, cfg):
+def batch_gradients(R, masks, params, V, alpha):
     """Forward and exact backward pass of the data term for a batch of users.
 
     ``R`` and ``masks`` are CSR blocks of B rows: user b's clean binary row (the
-    target) and the items it attends over; ``cfg`` gives only ``alpha``. Returns
+    target) and the items it attends over; ``alpha`` is the confidence weight
+    on the row's observed entries. Returns
     the gradients summed over the batch (keyed by PARAM_NAMES; the caller adds the
     decoder penalty's) and the per-user data losses. One ``Forward`` serves the
     whole call; the users run in chunks of CHUNK, each densifying only its rows
@@ -246,7 +252,7 @@ def batch_gradients(R, masks, params, V, cfg):
     losses = []
     for lo in range(0, masks.shape[0], CHUNK):
         rows = slice(lo, lo + CHUNK)
-        chunk, loss = _chunk_gradients(R[rows].toarray(), forward(masks[rows], lo), forward, cfg.alpha)
+        chunk, loss = _chunk_gradients(R[rows].toarray(), forward(masks[rows], lo), forward, alpha)
         if lo == 0:
             grads = chunk
         else:
@@ -318,6 +324,16 @@ os.register_at_fork(after_in_child=lambda: globals().update(_HELPER=_new_helper(
 _MDL_MAGIC = b"AMAMDL01"
 
 
+def _sizes(params, cfg):
+    """The parameters' (n, h, d, kappa); a config whose h, d or kappa differs raises."""
+    (n, h), (d, kappa) = params.S.shape, params.Q.shape
+    for key, value in (("h", h), ("d", d), ("kappa", kappa)):
+        if getattr(cfg, key) != value:
+            raise ValueError(f"the config gives {key}={getattr(cfg, key)}, "
+                             f"but the parameters have {key}={value}")
+    return n, h, d, kappa
+
+
 def save_model(params, cfg, path, item_index_hash="", embedding=None, V=None):
     """Binary container: magic, version, dims (n,h,d,kappa), then the five
     parameter matrices row-major float64. A JSON sidecar carries the config,
@@ -328,12 +344,7 @@ def save_model(params, cfg, path, item_index_hash="", embedding=None, V=None):
     left at ``path`` is removed once the new sidecar is in place. A config whose
     h, d or kappa differs from the parameters', or a V that is not n x h, raises
     before any file opens."""
-    n, h = params.S.shape
-    d, kappa = params.Q.shape
-    for key, value in (("h", h), ("d", d), ("kappa", kappa)):   # what load_model checks
-        if getattr(cfg, key) != value:
-            raise ValueError(f"the config gives {key}={getattr(cfg, key)}, "
-                             f"but the parameters have {key}={value}")
+    n, h, d, kappa = _sizes(params, cfg)   # load_model checks the config's sizes too
     sidecar = {"config": asdict(cfg), "item_index_hash": item_index_hash,
                "n": n, "h": h, "d": d, "kappa": kappa}
     if embedding is not None:
@@ -379,15 +390,15 @@ _RETIRED_RECIPE = {"oversample": 10, "scale": "none"}
 
 
 def _sidecar_config(sidecar, path, dims):
-    """The AmaConfig and embedding recipe of a model sidecar whose layout and
-    dims hold: a JSON object with the header's dims, a string
-    ``item_index_hash``, an optional ``embedding`` object of integer recipe
-    values whose ``h``, if recorded, is the model's, and a ``config`` object
-    holding every AmaConfig field, as a finite number of its type, with the
-    header's h, d and kappa. Any other sidecar raises a ValueError naming the
-    file and the field. A recipe key the sidecar does not record resolves as
-    ``train`` sets it: ``h`` and ``seed`` from the config, ``gamma`` from
-    RECIPE_DEFAULTS."""
+    """The embedding recipe of a model sidecar whose layout and dims hold: a
+    JSON object with the header's dims, a string ``item_index_hash``, an
+    optional ``embedding`` object of integer recipe values whose ``h``, if
+    recorded, is the model's, and a ``config`` object holding every AmaConfig
+    field (``learning_rate`` and ``batch_size`` may be absent), each a finite
+    number of its type that AmaConfig accepts, with the header's h, d and kappa.
+    Any other sidecar raises a ValueError naming the file and the field. A
+    recipe key the sidecar does not record resolves as ``train`` sets it:
+    ``h`` and ``seed`` from the config, ``gamma`` from RECIPE_DEFAULTS."""
     where = f"model sidecar {path}.json"
     if not isinstance(sidecar, dict):
         raise ValueError(f"{where} is not a JSON object")
@@ -405,7 +416,8 @@ def _sidecar_config(sidecar, path, dims):
     unknown = sorted(config.keys() - _CONFIG_TYPES.keys())
     if unknown:
         raise ValueError(f"{where}: unknown config key {unknown[0]!r}")
-    missing = sorted(_CONFIG_TYPES.keys() - config.keys())
+    # sidecars written before the optimizer settings were recorded lack them
+    missing = sorted(_CONFIG_TYPES.keys() - config.keys() - {"learning_rate", "batch_size"})
     if missing:
         raise ValueError(f"{where}: config lacks the key {missing[0]!r}")
     for key, value in config.items():
@@ -434,14 +446,14 @@ def _sidecar_config(sidecar, path, dims):
                              f"but the model file has h={cfg.h}")
     # a key the sidecar does not record takes the value train gives it
     defaults = {**RECIPE_DEFAULTS, "h": cfg.h, "seed": cfg.seed}
-    return cfg, {key: recorded.get(key, value) for key, value in defaults.items()}
+    return {key: recorded.get(key, value) for key, value in defaults.items()}
 
 
 def load_model(path):
-    """Returns (AmaParameters, AmaConfig, recipe, item_index_hash, V): the
-    ``embed_items`` keywords that rebuild the V the model was trained with,
-    its train matrix's hash, ``""`` when unknown, and the V stored beside it,
-    ``None`` when the sidecar records none. The sidecar must exist.
+    """Returns (AmaParameters, recipe, item_index_hash, V): the ``embed_items``
+    keywords that rebuild the V the model was trained with, its train
+    matrix's hash, ``""`` when unknown, and the V stored beside it, ``None``
+    when the sidecar records none. The sidecar must exist; its config is checked.
 
     Rejects a file whose length differs from what its header's dims imply, a
     parameter holding a NaN or an infinity, a sidecar that is malformed or
@@ -473,9 +485,9 @@ def load_model(path):
                              "non-finite value")
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    cfg, recipe = _sidecar_config(sidecar, path, {"n": n, "h": h, "d": d, "kappa": kappa})
+    recipe = _sidecar_config(sidecar, path, {"n": n, "h": h, "d": d, "kappa": kappa})
     V = _stored_embedding(sidecar, path, n, h)
-    return AmaParameters(**arrays), cfg, recipe, sidecar["item_index_hash"], V
+    return AmaParameters(**arrays), recipe, sidecar["item_index_hash"], V
 
 
 def _stored_embedding(sidecar, path, n, h):

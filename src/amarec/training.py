@@ -9,27 +9,11 @@ depend on the BLAS thread count. Item embeddings are fixed, never updated.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from amarec.model import PARAM_NAMES, AmaConfig, _integer, batch_gradients, corrupt, init_params
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    model: AmaConfig = field(default_factory=AmaConfig)
-    learning_rate: float = 1e-3
-    batch_size: int = 512
-
-    def __post_init__(self):
-        object.__setattr__(self, "batch_size", _integer("batch_size", self.batch_size))
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be > 0 and finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+from amarec.model import PARAM_NAMES, _sizes, batch_gradients, corrupt, init_params
 
 
 class AdamState:
@@ -74,46 +58,49 @@ class NonFiniteObjective(ValueError):
 
 
 def train(data, V, cfg, params=None, callback=None):
-    """Train on data.train with fixed item embeddings V.
+    """Train on data.train with fixed item embeddings V under the AmaConfig ``cfg``.
 
     Returns the AmaParameters and the log: one ``{"epoch", "objective",
     "seconds"}`` dict per epoch. Users whose corrupted row is empty
     are skipped for that epoch. ``callback(epoch, params)`` runs after each
-    epoch when given (the CLI saves checkpoints through it).
+    epoch when given (the CLI saves checkpoints through it). ``params`` is
+    updated in place; it or V not sized for ``cfg`` and n raises before epoch 0.
     """
-    mcfg = cfg.model
     train_mat = data.train
     m, n = train_mat.shape
-    if V.shape != (n, mcfg.h):
-        raise ValueError(f"embeddings shape {V.shape} != ({n}, {mcfg.h})")
+    if V.shape != (n, cfg.h):
+        raise ValueError(f"embeddings shape {V.shape} != ({n}, {cfg.h})")
 
     if params is None:
-        params = init_params(n, mcfg, np.random.default_rng(mcfg.seed))
+        params = init_params(n, cfg, np.random.default_rng(cfg.seed))
+    if _sizes(params, cfg)[0] != n:
+        raise ValueError(f"the parameters score {params.S.shape[0]} items, "
+                         f"but the catalog has {n}")
     state = AdamState(params)
 
     log = []
-    for epoch in range(mcfg.epochs):
+    for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        rng = np.random.default_rng([mcfg.seed, epoch])
+        rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(m)
         total, counted = 0.0, 0
         for b, start in enumerate(range(0, m, cfg.batch_size)):
             clean = train_mat[np.sort(order[start:start + cfg.batch_size])]
-            masks = corrupt(clean, mcfg.rho, rng)
+            masks = corrupt(clean, cfg.rho, rng)
             used = np.flatnonzero(np.diff(masks.indptr))
             if not used.size:
                 continue
             if used.size < masks.shape[0]:   # drop the rows corruption emptied
                 clean, masks = clean[used], masks[used]
-            grads, losses = batch_gradients(clean, masks, params, V, mcfg)
+            grads, losses = batch_gradients(clean, masks, params, V, cfg.alpha)
             for value in losses.tolist():   # one by one in ascending user order, not pairwise
                 total += value
             counted += used.size
             if not np.isfinite(total):   # earlier batches were finite: this one is not
                 raise NonFiniteObjective(epoch, b, total)
-            grads["S"] += 2.0 * mcfg.lam * params.S   # regularizer once per step
+            grads["S"] += 2.0 * cfg.lam * params.S   # regularizer once per step
             params = adam_step(params, grads, state, cfg.learning_rate)
-        objective = (total / counted if counted else 0.0) + mcfg.lam * float(
+        objective = (total / counted if counted else 0.0) + cfg.lam * float(
             np.sum(params.S * params.S)
         )
         if not np.isfinite(objective):   # the last update overflowed S

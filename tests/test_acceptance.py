@@ -29,7 +29,7 @@ from amarec.model import (
     keys_values,
     parameter_count,
 )
-from amarec.training import TrainConfig, train
+from amarec.training import train
 from conftest import csr_rows, synthetic_events, write_movielens_file
 from oracles import enumerate_metrics, finite_difference, jacobi_singular_values
 from test_gradients import well_separated_instance
@@ -54,10 +54,7 @@ def ml1m_split(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def ml1m_model(ml1m_split):
-    cfg = TrainConfig(
-        model=AmaConfig(h=40, d=3, kappa=3, alpha=1.0, lam=1e-5, rho=0.3,
-                        epochs=300, seed=0),
-    )
+    cfg = AmaConfig(h=40, d=3, kappa=3, alpha=1.0, lam=1e-5, rho=0.3, epochs=300, seed=0)
     V = embed_items(ml1m_split.train, h=40, gamma=10, seed=0)
     params, _ = train(ml1m_split, V, cfg)
     return params, V, cfg

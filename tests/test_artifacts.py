@@ -57,6 +57,11 @@ def without_stored_v(model, path, edit=lambda sidecar: None):
     return path
 
 
+def run_config(model):
+    """The AmaConfig that ``model``'s sidecar records."""
+    return AmaConfig(**json.loads(model.with_name(model.name + ".json").read_text())["config"])
+
+
 def evaluate(data, model, *extra):
     return main(["evaluate", "--data", str(data), "--model", str(model), "--ks", "5",
                  *extra])
@@ -91,7 +96,15 @@ class TestModelDecidesEmbeddings:
         sidecar = json.loads((tmp_path / "ckpt.bin.json").read_text())
         assert sidecar["embedding"] == {**RECIPE_DEFAULTS, "h": 4, "gamma": 3}
         assert len(sidecar["item_index_hash"]) == 64
-        assert load_model(model)[4] is not None   # the checkpoint stores its V
+        assert load_model(model)[3] is not None   # the checkpoint stores its V
+
+    def test_sidecar_records_the_optimizer_settings(self, tmp_path):
+        data, model = prep(tmp_path, "data", seed=4), tmp_path / "m.bin"
+        assert main(["train", "--data", str(data), "--out", str(model), "--set", "h=4",
+                     *SMALL, "--set", "learning_rate=0.01", "--set", "batch_size=7"]) == 0
+        config = json.loads((tmp_path / "m.bin.json").read_text())["config"]
+        assert (config["learning_rate"], config["batch_size"]) == (0.01, 7)
+        assert config == dataclasses.asdict(run_config(model))
 
     def test_embed_records_full_recipe(self, trained):
         tmp, data, _ = trained
@@ -277,23 +290,39 @@ class TestStoredEmbedding:
 
     def test_stored_and_rebuilt_v_give_identical_outputs(self, trained, tmp_path):
         _, data, model = trained
-        params, cfg, recipe, trained_on, V = load_model(model)
+        params, recipe, trained_on, V = load_model(model)
         assert V is not None
         bare = tmp_path / "bare.bin"
-        save_model(params, cfg, bare, item_index_hash=trained_on, embedding=recipe)
-        assert load_model(bare)[4] is None and not (tmp_path / "bare.bin.emb").exists()
+        save_model(params, run_config(model), bare, item_index_hash=trained_on, embedding=recipe)
+        assert load_model(bare)[3] is None and not (tmp_path / "bare.bin.emb").exists()
         stored = self.reports(data, model, tmp_path / "stored")
         assert stored == self.reports(data, bare, tmp_path / "rebuilt")
 
     def test_a_save_without_v_removes_the_pair_an_earlier_save_left(self, trained, tmp_path):
         _, _, model = trained
-        params, cfg, recipe, trained_on, V = load_model(model)
-        path = tmp_path / "m.bin"
+        params, recipe, trained_on, V = load_model(model)
+        cfg, path = run_config(model), tmp_path / "m.bin"
         save_model(params, cfg, path, item_index_hash=trained_on, embedding=recipe, V=V)
         assert (tmp_path / "m.bin.emb").exists() and (tmp_path / "m.bin.emb.json").exists()
         save_model(params, cfg, path, item_index_hash=trained_on, embedding=recipe)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m.bin.json"]
-        assert load_model(path)[4] is None
+        assert load_model(path)[3] is None
+
+    def test_a_sidecar_without_the_optimizer_settings_loads_and_reports_the_same(
+            self, trained, tmp_path):
+        # sidecars written before learning_rate and batch_size were recorded lack them
+        _, data, model = trained
+        older = tmp_path / "older.bin"
+        for suffix in ("", ".emb", ".emb.json"):
+            (tmp_path / f"older.bin{suffix}").write_bytes(
+                model.with_name(model.name + suffix).read_bytes())
+        sidecar = json.loads(model.with_name(model.name + ".json").read_text())
+        sidecar["config"].pop("learning_rate")
+        sidecar["config"].pop("batch_size")
+        (tmp_path / "older.bin.json").write_text(json.dumps(sidecar))
+        assert load_model(older)[3] is not None
+        assert self.reports(data, older, tmp_path / "older") == \
+            self.reports(data, model, tmp_path / "now")
 
     def test_nan_in_the_stored_v_stops_explain(self, trained, tmp_path, capsys):
         _, data, model = trained
@@ -362,9 +391,22 @@ class TestDrift:
         assert documented == cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS
 
     def test_every_parsed_key_reaches_a_consumer(self):
-        consumed = {"algorithm"}.union(cli._RECIPE_KEYS, cli._MODEL_KEYS, cli._TRAIN_KEYS,
-                                       cli._PURESVD_KEYS)
+        consumed = {"algorithm"}.union(cli._RECIPE_KEYS, cli._RUN_KEYS, cli._PURESVD_KEYS)
         assert cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS == consumed
+
+    def test_every_config_field_is_set_by_one_key(self):
+        # h and seed come from the recipe, lam as lambda and every other field
+        # through the run-key map, so a field added without a key, or a key
+        # that names no field, fails here
+        fields = sorted(f.name for f in dataclasses.fields(AmaConfig))
+        assert sorted([*cli._RUN_KEYS.values(), "h", "seed"]) == fields
+        assert {"h", "seed"} <= cli._RECIPE_KEYS.keys() and cli._RUN_KEYS["lambda"] == "lam"
+        keys = ["h", "seed", *cli._RUN_KEYS]
+        cfg = cli.parse_config_text("\n".join(
+            f"{key}={i + 2 if key in cli._INT_KEYS else 1 / (i + 2)}"
+            for i, key in enumerate(keys)))
+        _, run = cli._train_configs(cfg)
+        assert {key: getattr(run, cli._RUN_KEYS.get(key, key)) for key in keys} == cfg
 
     def test_every_preset_builds(self):
         presets = importlib.resources.files("amarec").joinpath("presets")
@@ -376,9 +418,9 @@ class TestDrift:
         for name in names:
             cfg = cli.load_preset(name)
             if cfg["algorithm"] == "ama":
-                recipe, tcfg = cli._train_configs(cfg)
-                assert tcfg.model.h == recipe["h"] == cfg["h"]
-                assert tcfg.model.lam == cfg["lambda"] and tcfg.model.d == cfg["d"]
+                recipe, run = cli._train_configs(cfg)
+                assert run.h == recipe["h"] == cfg["h"]
+                assert run.lam == cfg["lambda"] and run.d == cfg["d"]
             else:
                 args = types.SimpleNamespace(model=None, baseline=None)
                 scores = cli._scorer_for(args, data, cfg)(train[:1], np.array([0]))
@@ -411,7 +453,7 @@ class TestDamagedFiles:
     @pytest.mark.parametrize("name", ["W_k", "S"])
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_non_finite_parameter_rejected(self, model_path, name, value):
-        params, cfg, *_ = load_model(model_path)
+        params, cfg = load_model(model_path)[0], run_config(model_path)
         getattr(params, name)[-1, -1] = value
         save_model(params, cfg, model_path)
         with pytest.raises(ValueError, match=f"parameter {name} holds a non-finite value"):
@@ -419,7 +461,7 @@ class TestDamagedFiles:
 
     def test_non_finite_parameter_stops_evaluate_and_explain(self, trained, tmp_path, capsys):
         _, data, model = trained
-        params, cfg, *_ = load_model(model)
+        params, cfg = load_model(model)[0], run_config(model)
         params.S[0, 0] = np.nan
         bad = tmp_path / "nan.bin"
         save_model(params, cfg, bad)
@@ -471,11 +513,20 @@ class TestDamagedFiles:
          "records the embedding setting scale=sqrt-sigma, which this version cannot rebuild"),
         (lambda sc: sc.update(embedding={"h": 5, "gamma": 4}),
          "records the embedding setting h=5, but the model file has h=3"),
+        (lambda sc: sc["config"].update(learning_rate=0),
+         "config: learning_rate must be > 0 and finite"),
+        (lambda sc: sc["config"].update(learning_rate=float("nan")),
+         "config.learning_rate must be a finite float, got nan"),
+        (lambda sc: sc["config"].update(batch_size=1.5),
+         "config.batch_size must be a finite int, got 1.5"),
+        (lambda sc: sc["config"].update(batch_size=True),
+         "config.batch_size must be a finite int, got True"),
     ], ids=["config-kappa", "config-h", "unknown-key", "missing-key", "string-h", "bool-d",
             "nan-lam", "rho-range", "config-list", "embedding-string", "no-hash", "int-hash",
             "recipe-string-h", "recipe-float-h", "recipe-bool-h", "recipe-negative-seed",
             "recipe-negative-gamma", "config-negative-seed", "recipe-power-iters",
-            "recipe-oversample-3", "recipe-scale", "recipe-other-h"])
+            "recipe-oversample-3", "recipe-scale", "recipe-other-h", "zero-learning-rate",
+            "nan-learning-rate", "float-batch-size", "bool-batch-size"])
     def test_malformed_sidecar_rejected_naming_file_and_field(self, model_path, edit, field):
         sidecar_path = model_path.parent / "m.bin.json"
         sidecar = json.loads(sidecar_path.read_text())
@@ -495,7 +546,8 @@ class TestDamagedFiles:
     def test_sidecar_without_recipe_or_hash_loads(self, model_path):
         sidecar = json.loads((model_path.parent / "m.bin.json").read_text())
         assert "embedding" not in sidecar and sidecar["item_index_hash"] == ""
-        assert load_model(model_path)[1] == AmaConfig(h=3, d=2, kappa=2)
+        assert sidecar["config"] == dataclasses.asdict(AmaConfig(h=3, d=2, kappa=2))
+        load_model(model_path)
 
     @pytest.mark.parametrize("edit, recipe", [
         (lambda sc: None, {"h": 3, "gamma": 10, "seed": 0}),
@@ -512,7 +564,7 @@ class TestDamagedFiles:
         sidecar = json.loads(sidecar_path.read_text())
         edit(sidecar)
         sidecar_path.write_text(json.dumps(sidecar))
-        assert load_model(model_path)[2:] == (recipe, "", None)
+        assert load_model(model_path)[1:] == (recipe, "", None)
 
     def test_config_disagreeing_with_header_stops_evaluate_and_explain(self, trained,
                                                                        tmp_path, capsys):
@@ -734,7 +786,7 @@ class TestAtomicWrites:
             save_model(init_params(5, cfg, np.random.default_rng(1)), cfg, path,
                        item_index_hash="new", V=np.zeros((5, 3)))
         assert self.snapshot(tmp_path) == before
-        np.testing.assert_array_equal(load_model(path)[4], np.ones((5, 3)))
+        np.testing.assert_array_equal(load_model(path)[3], np.ones((5, 3)))
 
     def test_embeddings_write_failing_mid_payload_keeps_previous(self, tmp_path, monkeypatch):
         path = tmp_path / "items.emb"

@@ -82,7 +82,8 @@ def test_batch_equals_sum_of_per_user_oracle(seed, n, h, d, kappa, users, rho, t
     if not masks:
         return
     with chunked(chunk), recording_decode() as calls:
-        grads, losses = batch_gradients(clean_block(rows), csr_rows(masks, n), params, V, cfg)
+        grads, losses = batch_gradients(clean_block(rows), csr_rows(masks, n), params, V,
+                                        cfg.alpha)
     assert len(calls) == -(-len(masks) // chunk)
     _, scores, mode_of = decoded(calls)
     per_user = [gradients_oracle(r, mk, params, V, cfg) for r, mk in zip(rows, masks)]
@@ -152,7 +153,7 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
     # scoring and explanation return what training's decode returns, bitwise
     block = clean_block(rows)
     with chunked(chunk), recording_decode() as calls:
-        batch_gradients(block, block, params, V, cfg)
+        batch_gradients(block, block, params, V, cfg.alpha)
     assert len(calls) == -(-len(rows) // chunk)
     trained_U, trained_scores, trained_modes = decoded(calls)
     trained_per_mode = np.matmul(trained_U, S_T)
@@ -177,13 +178,13 @@ def test_empty_mask_is_degenerate(chunk):
     cfg, V, params, rows, masks, _ = batch_case(4, 5, 2, 2, 2, 2, 0.0, False)
     with chunked(chunk), pytest.raises(DegenerateUser, match="^mask 1 has no observed"):
         batch_gradients(clean_block(rows), csr_rows([masks[0], masks[0][:0]], 5), params, V,
-                        cfg)
+                        cfg.alpha)
 
 
 def test_empty_batch_rejected():
     cfg, V, params, _, _, _ = batch_case(4, 5, 2, 2, 2, 2, 0.0, False)
     with pytest.raises(ValueError, match="at least one user"):
-        batch_gradients(csr_rows([], 5), csr_rows([], 5), params, V, cfg)
+        batch_gradients(csr_rows([], 5), csr_rows([], 5), params, V, cfg.alpha)
 
 
 def test_item_tables_built_once_per_call(monkeypatch):
@@ -194,7 +195,7 @@ def test_item_tables_built_once_per_call(monkeypatch):
     monkeypatch.setattr(model, "keys_values", lambda *a: calls.append(1) or keys_values(*a))
     cfg, V, params, rows, masks, _ = batch_case(5, 9, 3, 3, 2, 7, 0.0, False)
     with chunked(3):
-        batch_gradients(clean_block(rows), csr_rows(masks, 9), params, V, cfg)
+        batch_gradients(clean_block(rows), csr_rows(masks, 9), params, V, cfg.alpha)
     assert len(calls) == 1
     rng = np.random.default_rng(0)
     train = [rng.choice(9, size=3, replace=False).tolist() for _ in range(2 * BLOCK + 5)]
@@ -241,11 +242,11 @@ def test_helper_thread_changes_no_bytes(users, monkeypatch):
     masks = corrupt(rows, 0.0, rng)
     helper = CountingHelper(1)
     monkeypatch.setattr(model, "_HELPER", helper)
-    threaded, threaded_losses = batch_gradients(rows, masks, params, V, cfg)
+    threaded, threaded_losses = batch_gradients(rows, masks, params, V, cfg.alpha)
     helper.shutdown()
     assert helper.submitted == -(-users // model.CHUNK)   # one dS per chunk
     monkeypatch.setattr(model, "_HELPER", InlineHelper())
-    inline, inline_losses = batch_gradients(rows, masks, params, V, cfg)
+    inline, inline_losses = batch_gradients(rows, masks, params, V, cfg.alpha)
     assert threaded_losses.tobytes() == inline_losses.tobytes()
     for name in PARAM_NAMES:
         assert threaded[name].tobytes() == inline[name].tobytes(), name
@@ -313,7 +314,7 @@ def step_peak(nb, n, d, h):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        batch_gradients(masks, masks, params, V, cfg)
+        batch_gradients(masks, masks, params, V, cfg.alpha)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:

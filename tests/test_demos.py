@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amarec import AmaConfig, TrainConfig, embed_items
+from amarec import AmaConfig, embed_items
 from test_model import random_params
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,9 +37,9 @@ def test_readme_library_tour_runs(tiny_split):
     assert len(tour) >= 3
     ns = {}
     exec(sketch.split("\n\n")[0], ns)
-    cfg = TrainConfig(model=AmaConfig(h=4, d=2, kappa=2))
+    cfg = AmaConfig(h=4, d=2, kappa=2)
     ns.update(data=tiny_split, cfg=cfg, V=embed_items(tiny_split.train, h=4, gamma=2),
-              params=random_params(tiny_split.shape[1], cfg.model, seed=1))
+              params=random_params(tiny_split.shape[1], cfg, seed=1))
     for block in tour:
         exec(compile(block, "README.md", "exec"), ns)
     assert ns["scores"].shape == ns["mode_of"].shape == (3, tiny_split.shape[1])

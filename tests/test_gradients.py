@@ -1,12 +1,9 @@
 """Analytic gradients vs central finite differences on random small instances."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from amarec.model import PARAM_NAMES, batch_gradients
-from conftest import csr_rows
+from amarec.model import PARAM_NAMES
 from oracles import finite_difference, forward_oracle, loss_oracle
 from test_model import small_instance, user_objective
 
@@ -70,23 +67,6 @@ def test_zero_gradient_at_perfect_fit():
     g = user_objective(r, obs, params, V, cfg)[1]
     for name in PARAM_NAMES:
         assert np.abs(g[name]).max() < 1e-10
-
-
-def test_regularizer_gradient_alone():
-    # the kernel leaves the decoder penalty to its caller (train adds 2 lam S
-    # once per step), so its gradients do not depend on lam
-    from test_model import random_params
-    from amarec.model import AmaConfig
-
-    cfg = AmaConfig(h=2, d=2, kappa=2, alpha=0.0, lam=0.7, rho=0.0)
-    n = 5
-    params = random_params(n, cfg, seed=4)
-    V = np.random.default_rng(2).standard_normal((n, 2))
-    r = csr_rows([[0]], n)
-    kernel = batch_gradients(r, r, params, V, cfg)[0]
-    unpenalized = batch_gradients(r, r, params, V, dataclasses.replace(cfg, lam=0.0))[0]
-    for name in PARAM_NAMES:
-        np.testing.assert_array_equal(kernel[name], unpenalized[name])
 
 
 def test_gradient_loss_value_matches_loss():

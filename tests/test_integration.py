@@ -9,7 +9,7 @@ from amarec.dataset import Ratings, binarize, temporal_split
 from amarec.evaluation import evaluate
 from amarec.linalg import randomized_svd
 from amarec.model import AmaConfig
-from amarec.training import TrainConfig, train
+from amarec.training import train
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +33,8 @@ def genre_world():
 
 def test_ama_beats_pop_on_structured_data(genre_world):
     data = genre_world
-    cfg = TrainConfig(
-        model=AmaConfig(h=8, d=2, kappa=3, alpha=1.0, lam=1e-5, rho=0.3,
-                        epochs=120, seed=0),
-        batch_size=64,
-    )
+    cfg = AmaConfig(h=8, d=2, kappa=3, alpha=1.0, lam=1e-5, rho=0.3, epochs=120, seed=0,
+                    batch_size=64)
     V = randomized_svd(data.train, rank=8, power_iters=10, seed=0).right
     params, log = train(data, V, cfg)
     assert log[-1]["objective"] < log[0]["objective"]

@@ -1,5 +1,7 @@
 import contextlib
+import json
 import math
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -88,7 +90,7 @@ def user_objective(r, obs, params, V, cfg):
     batch of one, plus the decoder penalty lam ||S||^2 and its gradient."""
     with recording_decode() as calls:
         grads, losses = batch_gradients(csr_rows([np.flatnonzero(r)], len(r)),
-                                        csr_rows([obs], len(r)), params, V, cfg)
+                                        csr_rows([obs], len(r)), params, V, cfg.alpha)
     grads["S"] += 2.0 * cfg.lam * params.S
     objective = float(losses[0]) + cfg.lam * float(np.sum(params.S * params.S))
     (_, scores, _), = calls
@@ -121,12 +123,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -1$"):
             AmaConfig(**{key: -1})
 
+    @pytest.mark.parametrize("key", ["h", "d", "kappa", "batch_size"])
+    def test_zero_size_rejected_naming_the_field(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$"):
+            AmaConfig(**{key: 0})
+
     def test_numpy_integer_field_becomes_an_int(self, tmp_path):
         cfg = AmaConfig(h=np.int64(3), d=2, kappa=2, seed=np.int32(7))
         assert cfg == AmaConfig(h=3, d=2, kappa=2, seed=7)
         assert type(cfg.h) is int and type(cfg.seed) is int
         save_model(init_params(5, cfg), cfg, tmp_path / "m.bin")   # the sidecar holds ints
-        assert load_model(tmp_path / "m.bin")[1] == cfg
+        load_model(tmp_path / "m.bin")
+        assert json.loads((tmp_path / "m.bin.json").read_text())["config"] == asdict(cfg)
 
     def test_parameter_count_formula(self):
         cfg = AmaConfig(h=4, d=2, kappa=3)
@@ -381,10 +389,10 @@ def test_model_save_load_roundtrip(tmp_path):
 
     path = tmp_path / "model.bin"
     save_model(params, cfg, path, item_index_hash="abc")
-    loaded, loaded_cfg, _, trained_on, stored = load_model(path)
+    loaded, _, trained_on, stored = load_model(path)
     assert trained_on == "abc" and stored is None
-    assert loaded_cfg == cfg
+    assert json.loads((tmp_path / "model.bin.json").read_text())["config"] == asdict(cfg)
     for name in ("W_k", "W_v", "Q", "B", "S"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
     save_model(params, cfg, path, item_index_hash="abc", V=V)
-    np.testing.assert_array_equal(load_model(path)[4], V)
+    np.testing.assert_array_equal(load_model(path)[3], V)

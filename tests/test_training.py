@@ -5,7 +5,7 @@ import pytest
 
 from amarec.linalg import randomized_svd
 from amarec.model import AmaConfig, PARAM_NAMES, batch_gradients, init_params
-from amarec.training import AdamState, TrainConfig, adam_step, train
+from amarec.training import AdamState, adam_step, train
 from conftest import csr_rows
 from oracles import corrupt_oracle
 
@@ -15,9 +15,8 @@ def embeddings_for(data, cfg):
 
 
 def tiny_train_config(**kw):
-    model_kw = dict(h=4, d=2, kappa=2, alpha=1.0, lam=1e-4, rho=0.3, epochs=5, seed=1)
-    model_kw.update(kw.pop("model", {}))
-    return TrainConfig(model=AmaConfig(**model_kw), batch_size=8, **kw)
+    return AmaConfig(**{**dict(h=4, d=2, kappa=2, alpha=1.0, lam=1e-4, rho=0.3, epochs=5,
+                               seed=1, batch_size=8), **kw})
 
 
 class TestOptimizers:
@@ -63,84 +62,82 @@ class TestOptimizers:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0)
+            AmaConfig(learning_rate=0)
         with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
+            AmaConfig(batch_size=0)
 
     @pytest.mark.parametrize("value", [2.5, 8.0, True, "8"])
     def test_non_integer_batch_size_rejected(self, value):
         with pytest.raises(ValueError, match=f"^batch_size must be an integer, got {value!r}$"):
-            TrainConfig(batch_size=value)
+            AmaConfig(batch_size=value)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_learning_rate_rejected(self, value):
         with pytest.raises(ValueError, match="learning_rate must be > 0 and finite"):
-            TrainConfig(learning_rate=value)
+            AmaConfig(learning_rate=value)
 
 
 class TestTrainLoop:
     def test_zero_epochs_identity(self, tiny_split):
-        cfg = tiny_train_config(model={"epochs": 0})
-        V = embeddings_for(tiny_split, cfg.model)
-        init = init_params(tiny_split.shape[1], cfg.model,
-                           np.random.default_rng(cfg.model.seed))
+        cfg = tiny_train_config(epochs=0)
+        V = embeddings_for(tiny_split, cfg)
+        init = init_params(tiny_split.shape[1], cfg, np.random.default_rng(cfg.seed))
         params, log = train(tiny_split, V, cfg)
         assert log == []
         for k in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(params, k), getattr(init, k))
 
     def test_objective_decreases(self, tiny_split):
-        cfg = tiny_train_config(model={"epochs": 50})
-        V = embeddings_for(tiny_split, cfg.model)
+        cfg = tiny_train_config(epochs=50)
+        V = embeddings_for(tiny_split, cfg)
         params, log = train(tiny_split, V, cfg)
         objectives = [record["objective"] for record in log]
         assert objectives[49] < objectives[0]
 
     def test_large_lambda_shrinks_decoder(self, tiny_split):
-        warm = tiny_train_config(model={"epochs": 20, "lam": 0.0})
-        V = embeddings_for(tiny_split, warm.model)
+        warm = tiny_train_config(epochs=20, lam=0.0)
+        V = embeddings_for(tiny_split, warm)
         params, _ = train(tiny_split, V, warm)
         norm_before = np.linalg.norm(params.S)
         assert norm_before > 0
-        heavy = tiny_train_config(model={"epochs": 60, "lam": 1e6})
+        heavy = tiny_train_config(epochs=60, lam=1e6)
         params, _ = train(tiny_split, V, heavy, params=params)
         assert np.linalg.norm(params.S) < 1e-3 * norm_before
 
     def test_reproducible_bitwise(self, tiny_split):
-        cfg = tiny_train_config(model={"epochs": 4})
-        V = embeddings_for(tiny_split, cfg.model)
+        cfg = tiny_train_config(epochs=4)
+        V = embeddings_for(tiny_split, cfg)
         a, _ = train(tiny_split, V, cfg)
         b, _ = train(tiny_split, V, cfg)
         for k in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(a, k), getattr(b, k))
 
     def test_embeddings_never_modified(self, tiny_split):
-        cfg = tiny_train_config(model={"epochs": 3})
-        V = embeddings_for(tiny_split, cfg.model)
+        cfg = tiny_train_config(epochs=3)
+        V = embeddings_for(tiny_split, cfg)
         snapshot = V.copy()
         train(tiny_split, V, cfg)
         np.testing.assert_array_equal(V, snapshot)
 
     def test_rho_one_skips_everyone(self, tiny_split):
-        cfg = tiny_train_config(model={"epochs": 2, "rho": 1.0})
-        V = embeddings_for(tiny_split, cfg.model)
-        init = init_params(tiny_split.shape[1], cfg.model,
-                           np.random.default_rng(cfg.model.seed))
+        cfg = tiny_train_config(epochs=2, rho=1.0)
+        V = embeddings_for(tiny_split, cfg)
+        init = init_params(tiny_split.shape[1], cfg, np.random.default_rng(cfg.seed))
         params, log = train(tiny_split, V, cfg)
         for k in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(params, k), getattr(init, k))
 
     def test_log_files(self, tiny_split):
-        cfg = tiny_train_config(model={"epochs": 2})
-        V = embeddings_for(tiny_split, cfg.model)
+        cfg = tiny_train_config(epochs=2)
+        V = embeddings_for(tiny_split, cfg)
         _, log = train(tiny_split, V, cfg)
         assert [list(record) for record in log] == [["epoch", "objective", "seconds"]] * 2
         assert [record["epoch"] for record in log] == [0, 1]
         assert json.loads(json.dumps(log)) == log   # what train --log-prefix writes
 
     def test_callback_sees_every_epoch(self, tiny_split):
-        cfg = tiny_train_config(model={"epochs": 3})
-        V = embeddings_for(tiny_split, cfg.model)
+        cfg = tiny_train_config(epochs=3)
+        V = embeddings_for(tiny_split, cfg)
         seen = []
         train(tiny_split, V, cfg, callback=lambda e, p: seen.append(e))
         assert seen == [0, 1, 2]
@@ -151,31 +148,32 @@ def test_batches_match_the_per_user_loop(tiny_split, rho):
     # train's CSR batches against a per-user loop: each batch's users in
     # ascending order, corrupted one by one from the epoch's stream, those
     # left empty dropped; the parameters agree bitwise
-    cfg = tiny_train_config(model={"epochs": 2, "rho": rho})
-    mcfg, T = cfg.model, tiny_split.train
+    cfg = tiny_train_config(epochs=2, rho=rho)
+    T = tiny_split.train
     m, n = T.shape
-    V = embeddings_for(tiny_split, mcfg)
+    V = embeddings_for(tiny_split, cfg)
     params, _ = train(tiny_split, V, cfg)
-    ref = init_params(n, mcfg, np.random.default_rng(mcfg.seed))
+    ref = init_params(n, cfg, np.random.default_rng(cfg.seed))
     state, dropped = AdamState(ref), 0
     rows = [T.indices[T.indptr[u]:T.indptr[u + 1]] for u in range(m)]
-    for epoch in range(mcfg.epochs):
-        rng = np.random.default_rng([mcfg.seed, epoch])
+    for epoch in range(cfg.epochs):
+        rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(m)
         for start in range(0, m, cfg.batch_size):
             batch = np.sort(order[start:start + cfg.batch_size])
-            masks = corrupt_oracle([rows[u] for u in batch], mcfg.rho, rng)
+            masks = corrupt_oracle([rows[u] for u in batch], cfg.rho, rng)
             used = [b for b, mask in enumerate(masks) if mask.size]
             dropped += batch.size - len(used)
             if used:
                 grads, _ = batch_gradients(csr_rows([rows[batch[b]] for b in used], n),
-                                           csr_rows([masks[b] for b in used], n), ref, V, mcfg)
-                grads["S"] += 2.0 * mcfg.lam * ref.S
+                                           csr_rows([masks[b] for b in used], n), ref, V,
+                                           cfg.alpha)
+                grads["S"] += 2.0 * cfg.lam * ref.S
                 ref = adam_step(ref, grads, state, cfg.learning_rate)
     for k in PARAM_NAMES:
         np.testing.assert_array_equal(getattr(params, k), getattr(ref, k))
     if rho == 0.9:   # batches that lose some users and keep others
-        assert 0 < dropped < mcfg.epochs * m
+        assert 0 < dropped < cfg.epochs * m
 
 
 def test_non_finite_objective_stops_at_its_batch(tiny_split):
@@ -183,9 +181,27 @@ def test_non_finite_objective_stops_at_its_batch(tiny_split):
 
     cfg = tiny_train_config()
     assert tiny_split.shape[0] >= 3 * cfg.batch_size
-    V = embeddings_for(tiny_split, cfg.model)
-    params = init_params(tiny_split.shape[1], cfg.model)
+    V = embeddings_for(tiny_split, cfg)
+    params = init_params(tiny_split.shape[1], cfg)
     params.S[0, 0] = np.nan
     with pytest.raises(NonFiniteObjective) as exc:
         train(tiny_split, V, cfg, params=params)
     assert (exc.value.epoch, exc.value.batch) == (0, 0)
+
+
+@pytest.mark.parametrize("sizes, n_more, message", [
+    (dict(d=2), 0, "the config gives d=3, but the parameters have d=2"),
+    (dict(kappa=2), 0, "the config gives kappa=3, but the parameters have kappa=2"),
+    (dict(h=5), 0, "the config gives h=4, but the parameters have h=5"),
+    ({}, 1, "the parameters score {n_plus} items, but the catalog has {n}"),
+], ids=["d", "kappa", "h", "items"])
+def test_params_that_disagree_with_the_config_stop_train_before_epoch_0(
+        tiny_split, sizes, n_more, message):
+    cfg = tiny_train_config(d=3, kappa=3, epochs=2)
+    n = tiny_split.shape[1]
+    params = init_params(n + n_more, tiny_train_config(**{"d": 3, "kappa": 3, **sizes}))
+    seen = []
+    with pytest.raises(ValueError, match=f"^{message.format(n=n, n_plus=n + 1)}$"):
+        train(tiny_split, embeddings_for(tiny_split, cfg), cfg, params=params,
+              callback=lambda epoch, p: seen.append(epoch))
+    assert seen == []
