@@ -22,8 +22,10 @@ Unset keys take the library defaults. h, gamma and seed make the embedding
 recipe. train records it next to the model and stores the embeddings it
 trained with beside the model file, as MODEL.emb; with --model, evaluate and
 explain read those embeddings (a model saved without them has them rebuilt
-from the recorded recipe), and a configured recipe key must equal the
-record. Without --model or --baseline, evaluate scores `algorithm`.
+from the recorded recipe), and a configured recipe key, d or kappa must
+equal the model's. evaluate and explain do not read the training-only keys
+epochs, learning_rate, batch_size, alpha, lambda and rho. Without --model
+or --baseline, evaluate scores `algorithm`.
 
 The default data directory comes from $AMAREC_DATA_DIR when --data is
 omitted.
@@ -209,12 +211,13 @@ def cmd_train(args):
 def _load_ama(path, data, cfg):
     """(params, V) of a model file: the V stored beside it, or for a model
     saved without one, V rebuilt from the recipe ``load_model`` resolves.
-    Rejects configured recipe keys that disagree with that recipe and a split
-    other than the one the model was trained on."""
+    Rejects a configured recipe key, ``d`` or ``kappa`` that disagrees with
+    the model, and a split other than the one the model was trained on."""
     params, recipe, trained_on, V = load_model(path)
-    for key, given in _pick(cfg, _RECIPE_KEYS).items():
-        if given != recipe[key]:
-            raise CliError(f"{path} was trained with {key}={recipe[key]}, "
+    model = {**recipe, "d": params.Q.shape[0], "kappa": params.Q.shape[1]}
+    for key, given in _pick(cfg, {key: key for key in model}).items():
+        if given != model[key]:
+            raise CliError(f"{path} was trained with {key}={model[key]}, "
                            f"but the configuration gives {key}={given}")
     if data.shape[1] != params.S.shape[0]:
         raise CliError(f"{path} scores {params.S.shape[0]} items, "

@@ -15,10 +15,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from amarec.fileio import atomic_open
 
@@ -92,7 +93,8 @@ def parse_ratings(path, format, amazon_columns="item,user,rating,timestamp"):
     ``movielens-dat`` lines look like ``user::item::rating::timestamp``;
     ``amazon-csv`` is header-less with the column order given by
     ``amazon_columns`` (default ``item,user,rating,timestamp``). Blank lines
-    are skipped. Timestamps are integers from 0 to the int64 maximum. The
+    are skipped. Timestamps are integers from 0 to the int64 maximum. A
+    movielens-dat log's id columns hold one ``str`` per distinct id. The
     first faulty line in file order raises a ParseError."""
     if format not in _FORMATS:
         raise ConfigError(f"unknown format {format!r}, expected one of {_FORMATS}")
@@ -102,9 +104,13 @@ def parse_ratings(path, format, amazon_columns="item,user,rating,timestamp"):
         raise ConfigError(f"bad amazon column order {amazon_columns!r}")
     pick = [cols.index(name) for name in _COLUMNS]
     try:
-        fields = _fields(path, amazon)
-        user, item, rating, timestamp = (fields[k::4] for k in pick)
-        ratings = Ratings(user, item, list(map(float, rating)), list(map(int, timestamp)))
+        if amazon:
+            fields = _csv_fields(path)
+            user, item, rating, timestamp = (fields[k::4] for k in pick)
+            ratings = Ratings(user, item, list(map(float, rating)), list(map(int, timestamp)))
+        else:
+            with open(path, "rb") as fh:
+                ratings = _parse_dat(fh.read())
         if not (np.isfinite(ratings.rating).all() and (ratings.timestamp >= 0).all()):
             raise ValueError("a non-finite rating or a negative timestamp")
         return ratings
@@ -113,23 +119,107 @@ def parse_ratings(path, format, amazon_columns="item,user,rating,timestamp"):
         raise
 
 
-def _fields(path, amazon):
-    """Every field of the non-blank lines, flat and in file order; a
-    ValueError if one of those lines does not have 4 fields."""
-    if amazon:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        sizes, fields = set(map(len, rows)), list(chain.from_iterable(rows))
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh.read().split("\n") if line]
-        sizes = {c + 1 for c in set(map(str.count, lines, repeat("::")))}
-        # "::" never spans a "\n": each line splits as str.split would, no list per line;
-        # a file with no such line has no field, not the one "".split gives
-        fields = "\n".join(lines).replace("::", "\n").split("\n") if lines else []
-    if not sizes <= {4}:
+def _csv_fields(path):
+    """Every field of a CSV file's non-empty records, flat and in file order;
+    a ValueError if one of those records does not have 4 fields."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not set(map(len, rows)) <= {4}:
+        raise ValueError("a record without 4 fields")
+    return list(chain.from_iterable(rows))
+
+
+def _parse_dat(raw):
+    """Ratings from the bytes of a movielens-dat log; a ValueError or an
+    OverflowError if a line is faulty.
+
+    Lines end at \\n, \\r\\n or a lone \\r, as text mode reads them, and a
+    line's fields lie between its leftmost non-overlapping "::", as str.split
+    finds them, so an id ":b" stays whole."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    brk = np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
+    start, end = np.append(0, brk + 1), np.append(brk, buf.size)
+    filled = end > start   # a "\r\n" leaves a blank line between its two bytes
+    start, end = start[filled], end[filled]
+    colon = buf == ord(":")
+    pair = np.flatnonzero(colon[:-1] & colon[1:])   # each "::", overlapping ones too
+    run = np.ones(pair.size, dtype=bool)            # a pair not overlapping the one before
+    run[1:] = pair[1:] - pair[:-1] != 1
+    k = np.arange(pair.size)
+    # str.split takes the 1st, 3rd, 5th ... pair of each run of overlapping pairs
+    sep = pair[(k - np.maximum.accumulate(np.where(run, k, 0))) % 2 == 0]
+    # 3 per line in all, with line k holding separators 3k to 3k + 2, means
+    # that every line holds exactly 3
+    if sep.size != 3 * start.size or ((sep[::3] < start) | (sep[2::3] >= end)).any():
         raise ValueError("a line without 4 fields")
-    return fields
+    sep = sep.reshape(-1, 3).T
+    lo, hi = (start, *sep + 2), (*sep, end)   # where each field starts and ends
+    return Ratings(_ids(buf, lo[0], hi[0]), _ids(buf, lo[1], hi[1]),
+                   _numbers(buf, lo[2], hi[2], float, 15),   # exact in a float64
+                   _numbers(buf, lo[3], hi[3], int, 18))     # below the int64 maximum
+
+
+def _by_width(buf, lo, hi):
+    """(at, text) for each length of the spans ``buf[lo:hi]``: the indices
+    of the spans of that length and their bytes, one row per span."""
+    size = hi - lo
+    for width in np.flatnonzero(np.bincount(size)).tolist():
+        at = np.flatnonzero(size == width)
+        yield at, sliding_window_view(buf, width)[lo[at]]
+
+
+def _ids(buf, lo, hi):
+    """The spans ``buf[lo:hi]`` as ``str`` in an object array that holds one
+    ``str`` per distinct span. A span's key is its length and then its bytes,
+    4 at a time; each distinct span is decoded from UTF-8 once."""
+    names, code = [], np.empty(lo.size, dtype=np.intp)
+    for at, text in _by_width(buf, lo, hi):
+        width = text.shape[1]
+        words = np.zeros((at.size, 4 * max(1, -(-width // 4))), dtype=np.uint8)
+        words[:, :width] = text
+        words = words.view(np.uint32)
+        key = words[:, 0]
+        for word in words.T[1:]:   # rank the bytes so far, then add 4 more
+            key = (_rank(key)[0].astype(np.uint64) << 32) | word
+        rank, first = _rank(key)
+        lines = np.full((first.size, width + 1), ord("\n"), dtype=np.uint8)
+        lines[:, :width] = text[first]   # no span holds a "\n"
+        code[at] = len(names) + rank
+        names += lines.tobytes().decode("utf-8").split("\n")[:-1]
+    return np.array(names, dtype=object)[code]
+
+
+def _rank(key):
+    """Each key's rank among the distinct keys, and the index of one key of each rank."""
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    rank = np.empty(key.size, dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return rank, order[new]
+
+
+def _numbers(buf, lo, hi, convert, digits):
+    """``convert`` (float or int) of each span ``buf[lo:hi]``. A span of 1 to
+    ``digits`` ASCII digits is read from its bytes; any other goes through
+    ``convert`` of its decoded text on its own, so it converts or fails as
+    ``convert`` does."""
+    value, plain = np.zeros(lo.size, dtype=np.int64), np.zeros(lo.size, dtype=bool)
+    for at, text in _by_width(buf, lo, hi):
+        if 1 <= text.shape[1] <= digits:
+            # one row per digit position; a byte below "0" wraps above 9
+            digit = np.subtract(text.T, np.uint8(ord("0")), order="C")
+            plain[at] = (digit <= 9).all(axis=0)
+            number = np.zeros(at.size, dtype=np.int64)
+            for column in digit:
+                number = 10 * number + column
+            value[at] = number
+    if convert is float:
+        value = value.astype(np.float64)
+    for k in np.flatnonzero(~plain).tolist():   # beyond int64: an OverflowError
+        value[k] = convert(buf[lo[k]:hi[k]].tobytes().decode("utf-8"))
+    return value
 
 
 def _raise_first_fault(path, amazon, pick):
@@ -260,28 +350,45 @@ def save_split(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
     complete before any of them replaces its predecessor.
     """
     os.makedirs(out_dir, exist_ok=True)
-    pairs, digest = {}, hashlib.sha256()
+    csv_bytes, digest = {}, hashlib.sha256()
     for name in _SPLITS:
         mat = getattr(data, name)
-        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)).tolist()
-        pairs[name] = [f"{u},{j}" for u, j in zip(rows, mat.indices.tolist())]
-        digest.update("".join(f"{name},{p}\n" for p in pairs[name]).encode())
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        csv_bytes[name] = b"user_idx,item_idx\r\n" + _lines(b"", rows, mat.indices, b"\r\n")
+        digest.update(_lines(f"{name},".encode(), rows, mat.indices, b"\n"))
     sidecar = {
         "num_users": data.shape[0], "num_items": data.shape[1],
         "user_ids": list(data.user_ids), "item_ids": list(data.item_ids),
         "threshold": threshold, "fractions": list(fractions),
-        "counts": {name: len(pairs[name]) for name in _SPLITS},
+        "counts": {name: getattr(data, name).nnz for name in _SPLITS},
         "content_hash": digest.hexdigest(),
     }
     with contextlib.ExitStack() as files:
         for name in _SPLITS:
-            fh = files.enter_context(atomic_open(os.path.join(out_dir, f"{name}.csv"), "w",
-                                                 encoding="utf-8", newline=""))
-            fh.write("\r\n".join(["user_idx,item_idx", *pairs[name], ""]))
+            fh = files.enter_context(atomic_open(os.path.join(out_dir, f"{name}.csv"), "wb"))
+            fh.write(csv_bytes[name])
         fh = files.enter_context(atomic_open(os.path.join(out_dir, "split.json"), "w",
                                              encoding="utf-8"))
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")   # dump writes in pieces
+
+
+def _lines(head, rows, cols, tail):
+    """The bytes of ``f"{head}{row},{col}{tail}"`` for each (row, col) pair of
+    integers >= 0, from numpy digit arithmetic: a byte matrix with one column
+    per character position, numbers right-aligned and their leading zeros
+    masked out."""
+    columns = []   # (bytes, kept) of each position, per line or for all lines
+    for part in (head, rows, b",", cols, tail):
+        if isinstance(part, bytes):
+            columns += [(byte, True) for byte in part]
+        else:
+            for k in reversed(range(len(str(part.max(initial=0))))):
+                columns.append((ord("0") + part // 10**k % 10, part >= 10**k if k else True))
+    text = np.empty((rows.size, len(columns)), dtype=np.uint8)
+    kept = np.empty(text.shape, dtype=bool)
+    for j, (chars, keep) in enumerate(columns):
+        text[:, j], kept[:, j] = chars, keep
+    return text[kept].tobytes()
 
 
 def _read_pairs(path, m, n):

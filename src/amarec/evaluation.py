@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -138,6 +139,9 @@ def metric_rows(scorer, data, split="test", ks=(5, 10, 20)):
     if split not in ("test", "validation"):
         raise ValueError(f"unknown split {split!r}")
     target = data.test if split == "test" else data.validation
+    for k in ks:
+        if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1):
+            raise ValueError(f"cutoff {k!r} in ks is not an integer >= 1")
     ks = tuple(sorted(ks))
     if len(set(ks)) < len(ks):
         raise ValueError(f"repeated cutoff in ks {ks}")
@@ -159,8 +163,8 @@ def metric_rows(scorer, data, split="test", ks=(5, 10, 20)):
 
 def evaluate(scorer, data, split="test", ks=(5, 10, 20)):
     """Average ``metric_rows`` over the users, reduced in ascending user index."""
-    ks = tuple(sorted(ks))
     names, _, rows = metric_rows(scorer, data, split, ks)
+    ks = tuple(sorted(ks))
     metrics = {}
     for name, col in zip(names, rows.T):
         mean = float(col.mean()) if col.size else 0.0

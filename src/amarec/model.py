@@ -144,6 +144,8 @@ class Segments:
         """``first`` is the index of the block's row 0 in the caller's batch,
         for the message that names an empty mask."""
         lens = np.diff(masks.indptr)
+        if not lens.size:
+            raise ValueError("the block has no users")
         if lens.min() == 0:   # reduceat would return garbage for an empty run
             raise DegenerateUser(f"mask {first + int(lens.argmin())} has no observed entries")
         return cls(masks.indices.astype(np.intp), masks.indptr[:-1],

@@ -137,6 +137,30 @@ class TestModelDecidesEmbeddings:
                         "--set", "gamma=10", "--set", "seed=0") == 0
         assert bare.read_bytes() == flagged.read_bytes()
 
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    @pytest.mark.parametrize("key,given,recorded", [("d", "5", "2"), ("kappa", "3", "2")])
+    def test_size_key_that_disagrees_with_the_arrays_rejected(self, trained, capsys, command,
+                                                              key, given, recorded):
+        _, data, model = trained
+        what = ["--ks", "5"] if command == "evaluate" else ["--histogram"]
+        rc = main([command, "--data", str(data), "--model", str(model), *what,
+                   "--set", f"{key}={given}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{key}={recorded}" in err and f"{key}={given}" in err
+
+    def test_training_only_keys_not_read(self, trained):
+        # the model was trained with epochs=2, batch_size=8 and the default
+        # learning rate, alpha, lambda and rho; evaluate reads none of them
+        tmp, data, model = trained
+        bare, flagged = tmp / "bare-run.json", tmp / "flagged-run.json"
+        assert evaluate(data, model, "--out", str(bare)) == 0
+        assert evaluate(data, model, "--out", str(flagged), "--set", "epochs=9",
+                        "--set", "batch_size=3", "--set", "learning_rate=0.5",
+                        "--set", "alpha=7", "--set", "lambda=0.2", "--set", "rho=0.9",
+                        "--set", "d=2", "--set", "kappa=2") == 0
+        assert bare.read_bytes() == flagged.read_bytes()
+
     @staticmethod
     def with_recorded(model, path, **embedding):
         """A copy of ``model`` at ``path``, saved without its V, whose sidecar

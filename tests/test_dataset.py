@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +467,143 @@ def test_faults_match_the_list_oracle(seed, format, columns, faults):
         new, old = prep_both(tmp / "ratings", format, columns, (0.5, 0.2, 0.3), tmp)
     assert new[0] == "ParseError"
     assert new == old
+
+
+# ------------------------------------------- the movielens-dat byte parser
+# parse_ratings reads a movielens-dat log from its bytes; the list oracle
+# reads it in text mode with str.split("::"). Each case compares the two.
+
+
+def parse_both(path):
+    """The library's and the list oracle's parse of a movielens-dat file, as
+    rows or as the error each raises."""
+    def oracle():
+        events = oracles.parse_ratings_oracle(path, "movielens-dat")
+        return [(e.user_id, e.item_id, e.rating, e.timestamp) for e in events]
+
+    return outcome(lambda: rows_of(parse_ratings(path, "movielens-dat"))), outcome(oracle)
+
+
+def write_dat(tmp_path, data):
+    path = tmp_path / "r.dat"
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    return path
+
+
+@pytest.mark.parametrize("text", [
+    "1::a::5::3\r2::b::4::4\r",                # a lone \r ends a line
+    "1::a::5::3\r\r\n2::b::4::4\r\r\n",        # \r\r\n: a line, then a blank one
+    "\r\r\n\n1::a::5::3\n\r2::b::4::4",        # blank lines first, no final break
+    "1::a::5::3\r\r\n\r2::b::x::4\r\n",        # a fault on line 4, counted as text mode does
+    "1::a::5::3\r\r2::b::4\r\n",               # a line with 3 fields after lone \r
+])
+def test_line_endings_match_the_oracle(tmp_path, text):
+    new, old = parse_both(write_dat(tmp_path, text))
+    assert new == old
+
+
+@pytest.mark.parametrize("line", [
+    "a:::b::5::3",       # ["a", ":b", "5", "3"]
+    ":a::b::5::3",       # a user ":a"
+    "::b::5::3",         # an empty user
+    "a::::b::5::3",      # an empty field, then 5 fields
+    "a:::::b::5::3",     # 5 colons: "a", "", ":b", ...
+    "a::b:::5::3",       # rating ":5"
+    "a::b::5:::3",       # timestamp ":3"
+    "a::b::5::3:::",     # 5 fields, the last ":"
+    "::::::",            # 4 empty fields
+    ":::::::",           # 7 colons: "", "", "", ":"
+    "a::b::5::3::",      # 5 fields
+])
+def test_colon_runs_split_as_str_split(tmp_path, line):
+    new, old = parse_both(write_dat(tmp_path, f"1::x::4::1\n{line}\n"))
+    assert new == old
+
+
+def test_ids_of_every_width_match_and_share_one_str(tmp_path):
+    # ids of 1 to 20 bytes, pairs alike but for a byte in their 2nd or 5th
+    # 4-byte word, non-ASCII ids and ids ending in NUL
+    ids = ["a" * k for k in range(1, 21)] + ["b" * k + "\x00" for k in range(0, 20)]
+    ids += ["x" * 19 + c for c in "yz"] + ["xxxx" + c + "x" * 10 for c in "yz"]
+    ids += ["é" * k for k in range(1, 11)] + ["É\x00", "É", "\U0001f600x"]
+    rng = np.random.default_rng(0)
+    lines = [f"{ids[u]}::{ids[i]}::5::{t}" for t, (u, i) in
+             enumerate(rng.integers(len(ids), size=(400, 2)).tolist())]
+    path = write_dat(tmp_path, "\n".join(lines))
+    new, old = parse_both(path)
+    assert new == old and new[0] == "ok"
+    ratings = parse_ratings(path, "movielens-dat")
+    for column in (ratings.user, ratings.item):
+        assert len({id(v) for v in column}) == len(set(column.tolist()))
+
+
+RATING_NUMERALS = ["5", " 5 ", "5.", "+5", "1_0", "٣", "-0", "0000000000000000005", "4.5",
+                   "5e0", ".5"]
+TIMESTAMP_NUMERALS = ["3", " 3 ", "3.", "+3", "1_0", "٣", "-0", "007", "999999999999999999",
+                      "9223372036854775807", "9223372036854775808", "000000000000000000001"]
+
+
+@pytest.mark.parametrize("rating, timestamp", [(r, "3") for r in RATING_NUMERALS]
+                         + [("5", t) for t in TIMESTAMP_NUMERALS])
+def test_numerals_that_float_or_int_read_match(tmp_path, rating, timestamp):
+    new, old = parse_both(write_dat(tmp_path, f"1::a::4::2\nu::i::{rating}::{timestamp}\n"))
+    if timestamp == "9223372036854775808":   # beyond int64, which the oracle does not check
+        assert new[:2] == ("ParseError", 2) and "beyond int64" in new[2]
+    else:
+        assert new == old
+
+
+@pytest.mark.parametrize("line, byte", [
+    (b"2::b\xff::4::4", "0xff"), (b"2\xc3::b::4::4", "0xc3"),   # an id; a cut sequence
+    (b"2::b::4\xff::4", "0xff"), (b"2::b::4::4\xe2\x82", "0xe2"),
+])
+def test_non_utf8_byte_in_any_field_names_its_line(tmp_path, line, byte):
+    # the list oracle reads text, so it cannot hold such a file
+    path = write_dat(tmp_path, b"1::a::5::3\n" + line + b"\n")
+    with pytest.raises(ParseError, match=f"^line 2: invalid UTF-8 byte {byte}$"):
+        parse_ratings(path, "movielens-dat")
+
+
+@settings(max_examples=150, deadline=None)
+@given(pieces=st.lists(st.sampled_from(["::", ":", "1", "5", "a", "é", "\x00", " ", "\r",
+                                         "\n", "\r\n"]), max_size=40))
+def test_any_text_of_separators_and_breaks_matches_the_oracle(pieces):
+    text = "".join(pieces)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = parse_both(write_dat(Path(tmp), text))
+    assert new == old
+
+
+ID_TEXT = st.lists(st.sampled_from([":", "a", "é", "\x00", " ", "1", "::"]),
+                   max_size=3).map("".join)
+NUMERALS = ["5", "12", " 5", "5.", "+5", "1_0", "٣", "-3", "", ":5", "x", "0" * 19 + "7"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(st.tuples(ID_TEXT, ID_TEXT, st.sampled_from(NUMERALS),
+                                st.sampled_from(NUMERALS),
+                                st.sampled_from(["\n", "\r\n", "\r", "\r\r\n", ""])),
+                      max_size=8))
+def test_random_logs_match_the_oracle(lines):
+    # a line ending "" runs the line into the next one
+    text = "".join("::".join(fields) + end for *fields, end in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = parse_both(write_dat(Path(tmp), text))
+    assert new == old
+
+
+def test_bench_tiny_log_split_matches_the_list_oracle(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    tiny = replace(gen.ML1M, users=60, items=300, mean_extra=20.0, singletons=3,
+                   late_items=4)   # the bench's self-test shape
+    gen.write_movielens(tmp_path / "ratings.dat", tiny, 3)
+    new, old = prep_both(tmp_path / "ratings.dat", "movielens-dat", COLUMN_ORDERS[0],
+                         (0.5, 0.2, 0.3), tmp_path)
+    assert new[0] == "ok" and new == old
 
 
 def test_save_load_roundtrip(tmp_path, tiny_split):

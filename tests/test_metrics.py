@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,22 @@ class TestEvaluate:
         data = make_split([[0]], [[]], [[1]], n=3)
         with pytest.raises(ValueError, match=r"repeated cutoff in ks \(5, 5, 10\)"):
             metric_rows(lambda rows, users: np.zeros((len(users), 3)), data, ks=(5, 10, 5))
+
+    @pytest.mark.parametrize("ks,bad", [((0, 5), "0"), ((5, -1), "-1"), ((2.0,), "2.0"),
+                                        ((True,), "True"), (("5",), "'5'"), ((5, "a"), "'a'")])
+    @pytest.mark.parametrize("run", [metric_rows, evaluate])
+    def test_cutoff_below_one_or_not_integer_rejected(self, ks, bad, run):
+        # a cutoff of 0 would divide by zero in MAP@0 and Precision@0
+        data = make_split([[0]], [[]], [[1]], n=3)
+        with pytest.raises(ValueError, match=rf"cutoff {re.escape(bad)} in ks is not an "
+                                             r"integer >= 1"):
+            run(lambda rows, users: np.zeros((len(users), 3)), data, ks=ks)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        data = make_split([[0]], [[]], [[1]], n=3)
+        names, _, _ = metric_rows(lambda rows, users: np.zeros((len(users), 3)), data,
+                                  ks=(np.int64(2),))
+        assert "MAP@2" in names
 
     def test_report_serialization(self):
         data = make_split([[0]], [[]], [[1]], n=3)

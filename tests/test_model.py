@@ -12,6 +12,7 @@ from amarec.model import (
     AmaConfig,
     AmaParameters,
     DegenerateUser,
+    Forward,
     Segments,
     attend,
     batch_gradients,
@@ -203,6 +204,12 @@ class TestAttend:
     def test_empty_obs_raises(self):
         with pytest.raises(ValueError):
             attend_one(np.zeros((3, 2)), np.zeros((1, 2)), [])
+
+    def test_block_without_users_named(self):
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        V = np.random.default_rng(0).standard_normal((4, 3))
+        with pytest.raises(ValueError, match="the block has no users"):
+            Forward(random_params(4, cfg), V)(csr_rows([], 4))
 
 
 class TestEncode:
