@@ -60,6 +60,7 @@ from amarec.model import (
     attend,
     encode,
     decode_maxout,
+    argmax_mode,
     confidence_weights,
     corrupt,
     parameter_count,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from amarec.dataset import _rows
 from amarec.linalg import randomized_svd
 from amarec.model import Forward
 
@@ -46,10 +47,12 @@ def ama_scorer(params, V):
     forward = Forward(params, V)
 
     def score(rows, users):
-        scores = np.zeros(rows.shape)
         full = np.flatnonzero(np.diff(rows.indptr))
+        if 0 < full.size == rows.shape[0]:   # no empty row: the block as it is
+            return forward(rows)[4]
+        scores = np.zeros(rows.shape)
         if full.size:
-            scores[full] = forward(rows[full])[4]
+            scores[full] = forward(_rows(rows, full))[4]
         return scores
 
     return score

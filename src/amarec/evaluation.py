@@ -5,7 +5,9 @@ items go by descending score, ties to the smaller item index, and the
 user's excluded items (train, and validation at test time) come last. No
 report reads a whole ranked row, so none is built: ``top_k`` gives the
 first k items of each row, and ``hit_ranks`` the exact rank of each
-relevant item, from which ``metric_rows`` reads every metric.
+relevant item, from which ``metric_rows`` reads every metric. A block's
+rows of each split are cut from the CSR arrays (``dataset._rows``), and a
+scorer is asked only for scores: ranking reads no mode attribution.
 
 Metrics follow the usual binary-relevance definitions: Precision@K,
 Recall@K, MAP@K normalized by min(K, |relevant|), R-Precision, and
@@ -22,6 +24,8 @@ import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from amarec.dataset import _rows
 
 BLOCK = 32   # users per scorer call; an AMA block holds B x d x n per-mode scores
 
@@ -86,15 +90,16 @@ def hit_ranks(keys, relevant):
     owner = np.repeat(np.arange(nb), np.diff(ptr))
     key = keys[owner, items]
     ordered = np.sort(keys, axis=1)
-    first, last = np.empty((2, items.size), dtype=np.intp)   # items with a key <, <= it
+    first = np.empty(items.size, dtype=np.intp)   # items with a smaller key
     for b in range(nb):
         span = slice(ptr[b], ptr[b + 1])
-        first[span] = np.searchsorted(ordered[b], key[span], "left")
-        last[span] = np.searchsorted(ordered[b], key[span], "right")
+        first[span] = np.searchsorted(ordered[b], key[span])
+    # an entry is tied exactly when the key after its first place is its own
+    tied = (first + 1 < n) & (ordered[owner, np.minimum(first + 1, n - 1)] == key)
     # ``groups`` codes each tie group as row * n + first, its key's index in
     # ``ordered``; comparing a row with its groups' keys lists the members as
     # group * n + item in (group, item) order, so earlier members list first
-    tied = np.flatnonzero((last - first > 1) & (key < np.inf))
+    tied = np.flatnonzero(tied & (key < np.inf))
     groups, group = np.unique(owner[tied] * n + first[tied], return_inverse=True)
     rows, lo = np.unique(groups // n, return_index=True)
     member = np.concatenate([np.empty(0, np.intp)] + [
@@ -153,10 +158,10 @@ def metric_rows(scorer, data, split="test", ks=(5, 10, 20)):
     rows = [np.zeros((0, len(names)))]
     for start in range(0, users.size, BLOCK):
         block = users[start:start + BLOCK]
-        history = data.train[block]
-        exclude = (history, data.validation[block]) if split == "test" else (history,)
+        history = _rows(data.train, block)
+        exclude = (history, _rows(data.validation, block)) if split == "test" else (history,)
         keys, length = rank_keys(scorer(history, block), *exclude)
-        relevant = target[block]
+        relevant = _rows(target, block)
         rows.append(_block_metrics(hit_ranks(keys, relevant), length, relevant, ks, discount))
     return names, users, np.concatenate(rows)
 

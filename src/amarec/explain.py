@@ -5,7 +5,8 @@ attribution, a histogram of how many distinct preference modes each user's
 top-K recommendations draw from, and the corpus-level top items per mode
 ranked by aggregated attention mass. Each takes the model's parameters and
 item embeddings, as ``model.Forward`` does, and no config: the arrays' shapes
-are the model's sizes.
+are the model's sizes. The first two attribute only the items they list
+(``model.argmax_mode`` at those items), from one decode per block.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from amarec.dataset import _rows
 from amarec.evaluation import BLOCK, rank_keys, top_k
 from amarec.fileio import atomic_open
-from amarec.model import Forward
+from amarec.model import Forward, argmax_mode
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,11 @@ def explain_user(params, V, train_row, user, k=10):
     """
     if train_row.nnz == 0:
         raise ValueError(f"user {user} has an empty interaction history")
-    forward = Forward(params, V)
-    segs, A, _, U, scores, mode_of = forward(train_row)
+    segs, A, _, _, scores, per_mode = Forward(params, V)(train_row)
     keys, length = rank_keys(scores, train_row)
-    per_mode = np.matmul(U, forward.S_T)[0]   # the decode's own GEMM
-    recs = [(int(j), int(mode_of[0, j]), per_mode[:, j].copy())
-            for j in top_k(keys, k)[0, :length[0]]]
+    top = top_k(keys, k)[0, :length[0]]
+    modes = argmax_mode(per_mode[:, :, top], scores[:, top])[0]
+    recs = [(int(j), int(l), per_mode[0, :, j].copy()) for j, l in zip(top, modes)]
     return UserExplanation(user=user, attention=A.T, observed=segs.obs, recommendations=recs)
 
 
@@ -76,10 +77,12 @@ def mode_usage(params, V, data, k=10):
     users = np.flatnonzero(np.diff(train.indptr))
     hist = np.zeros(d + 1, dtype=np.int64)
     for start in range(0, users.size, BLOCK):
-        rows = train[users[start:start + BLOCK]]
-        *_, scores, mode_of = forward(rows)
+        rows = _rows(train, users[start:start + BLOCK])
+        *_, scores, per_mode = forward(rows)
         keys, length = rank_keys(scores, rows)
-        modes = np.take_along_axis(mode_of, top_k(keys, k), axis=1)
+        top = top_k(keys, k)   # the modes of the listed items only
+        modes = argmax_mode(np.take_along_axis(per_mode, top[:, None], axis=2),
+                            np.take_along_axis(scores, top, axis=1))
         modes[np.arange(modes.shape[1]) >= length[:, None]] = -1   # past the ranked list
         used = sum((modes == l).any(axis=1) for l in range(d))
         hist += np.bincount(used, minlength=d + 1)
@@ -97,10 +100,11 @@ def mode_top_items(params, V, data, n_top=10):
     d = params.Q.shape[0]
     n = train.shape[1]
     agg = np.zeros((d, n))
-    rows = train[np.flatnonzero(np.diff(train.indptr))]
+    rows = _rows(train, np.flatnonzero(np.diff(train.indptr)))
     if rows.nnz:   # one attend call over all users; each item's sum runs in user order
         segs, A = Forward(params, V).attention(rows)
-        np.add.at(agg, (slice(None), segs.obs), A.T)
+        for l in range(d):
+            agg[l] = np.bincount(segs.obs, weights=A[:, l], minlength=n)
 
     counts = np.asarray(train.sum(axis=0)).ravel().astype(np.int64)
     pop_order = np.lexsort((np.arange(n), -counts))

@@ -3,9 +3,12 @@
 A user's observed items attend (scaled dot-product, masked to the observed
 set) into d preference-mode vectors; each item's score is the maximum of
 the per-mode dot products against a shared decoder row, and the maximizing
-mode attributes the recommendation. Training minimizes a confidence-weighted
-squared error between the clean row and the reconstruction from a corrupted
-row, plus a Frobenius penalty on the decoder only.
+mode attributes the recommendation. The decode yields the scores and the
+per-mode scores; the attribution (``argmax_mode``) runs only where it is
+read: for every item in training, and for the listed items in explanations.
+Training minimizes a confidence-weighted squared error between the clean
+row and the reconstruction from a corrupted row, plus a Frobenius penalty
+on the decoder only.
 
 All functions are pure in (parameters, inputs); gradients are exact
 backpropagation with maxout routing to the argmax mode (lowest index on
@@ -169,28 +172,41 @@ def encode(A, V_obs, segs, W_v, B):
     sum of b's embeddings (``V_obs`` in the order of ``segs.obs``), and of U,
     the mode Z_l W_v + b_l. W_v is linear and shared, so U_l is the weighted
     sum of b's values v_j W_v plus b_l, with no catalog-wide value table; BLAS
-    sees one (d, h) @ (h, h) GEMM per user."""
-    Z = np.add.reduceat(A[:, :, None] * V_obs[:, None], segs.starts)
+    sees one (d, h) @ (h, h) GEMM per user. Z is summed one mode at a time,
+    each an N_obs x h product reduced over every user's run, so no
+    N_obs x d x h product is built; the sums run in the same order."""
+    Z = np.empty((segs.starts.size, A.shape[1], V_obs.shape[1]), np.result_type(A, V_obs))
+    for l in range(A.shape[1]):
+        Z[:, l] = np.add.reduceat(A[:, l, None] * V_obs, segs.starts)
     return Z, np.matmul(Z, W_v) + B
 
 
 def decode_maxout(U, S_T):
-    """Per-item maxout over modes of u_l . s_j for each user of U (B x d x h):
-    the B x n scores and each item's argmax mode, lowest on ties.
+    """(scores, per_mode) of the modes U (B x d x h): ``per_mode`` holds the
+    B x d x n per-mode scores u_l . s_j and ``scores`` their B x n maxout.
+    NaN propagates to the score. Which mode attains the max is
+    ``argmax_mode``'s step, run only by a caller that reads it.
 
     ``S_T`` is ``Forward.S_T``. BLAS sees one (d, h) @ (h, n) GEMM per user,
-    whose bytes do not depend on the batch or the BLAS thread count;
-    ``np.matmul(U, S_T)`` gives the per-mode scores it maximizes over.
+    whose bytes do not depend on the batch or the BLAS thread count.
     """
-    per_mode = np.matmul(U, S_T)   # B x d x n, freed on return
-    scores = per_mode.max(axis=1)   # NaN propagates; such an item gets mode 0
+    per_mode = np.matmul(U, S_T)
+    return per_mode.max(axis=1), per_mode
+
+
+def argmax_mode(per_mode, scores):
+    """Each item's maxout mode, B x k: the lowest mode whose per-mode score
+    equals the item's score (-0.0 equals 0.0), and mode 0 for a NaN score.
+    ``per_mode`` (B x d x k) and ``scores`` (B x k) are ``decode_maxout``'s
+    two results, or both taken at the same k items, which gives the full
+    result's modes at those items."""
     # the lowest maximizing mode is the number of leading modes below the max
     below = per_mode[:, 0] < scores
     mode_of = below.astype(np.intp)
-    for l in range(1, U.shape[1] - 1):
+    for l in range(1, per_mode.shape[1] - 1):
         below &= per_mode[:, l] < scores
         mode_of += below
-    return scores, mode_of
+    return mode_of
 
 
 def confidence_weights(r, alpha):
@@ -224,9 +240,10 @@ class Forward:
         return segs, attend(self.K[segs.obs], self.params.Q, segs)
 
     def __call__(self, masks, first=0):
-        """(segs, A, Z, U, scores, mode_of) of the CSR block ``masks``: the
+        """(segs, A, Z, U, scores, per_mode) of the CSR block ``masks``: the
         attention, the B x d x h modes before W_v and the modes themselves (see
-        ``encode``), and the B x n maxout scores with each item's mode."""
+        ``encode``), and the B x n maxout scores with the B x d x n per-mode
+        scores they maximize over (see ``decode_maxout``)."""
         segs, A = self.attention(masks, first)
         Z, U = encode(A, self.V[segs.obs], segs, self.params.W_v, self.params.B)
         return (segs, A, Z, U, *decode_maxout(U, self.S_T))
@@ -282,12 +299,14 @@ def _chunk_gradients(R, result, forward, alpha):
     BLAS calls may run there, never a public amarec function: the bench's
     tracer keeps one span stack and would misattribute a span from another thread.
     """
-    segs, A, Z, U, scores, mode_of = result
+    segs, A, Z, U, scores, per_mode = result
+    mode_of = argmax_mode(per_mode, scores)   # every item's mode routes its error
+    del result, per_mode   # no other reference is left: this frees the per-mode scores
     params = forward.params
     K_obs, V_obs = forward.K[segs.obs], forward.V[segs.obs]
     nb, d, h = U.shape
     g = R - scores                         # the error, then d(loss)/d(scores)
-    del result, scores   # the caller holds no other reference: this frees the scores
+    del scores
     c_obs = confidence_weights(1.0, alpha)   # the weight of a binary row's 1s; its 0s get 1
     c = np.where(R != 0, c_obs, 1.0)
     losses = np.einsum("bj,bj,bj->b", c, g, g)

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from amarec.dataset import _rows
 from amarec.model import PARAM_NAMES, _sizes, batch_gradients, corrupt, init_params
 
 
@@ -85,13 +86,13 @@ def train(data, V, cfg, params=None, callback=None):
         order = rng.permutation(m)
         total, counted = 0.0, 0
         for b, start in enumerate(range(0, m, cfg.batch_size)):
-            clean = train_mat[np.sort(order[start:start + cfg.batch_size])]
+            clean = _rows(train_mat, np.sort(order[start:start + cfg.batch_size]))
             masks = corrupt(clean, cfg.rho, rng)
             used = np.flatnonzero(np.diff(masks.indptr))
             if not used.size:
                 continue
             if used.size < masks.shape[0]:   # drop the rows corruption emptied
-                clean, masks = clean[used], masks[used]
+                clean, masks = _rows(clean, used), _rows(masks, used)
             grads, losses = batch_gradients(clean, masks, params, V, cfg.alpha)
             for value in losses.tolist():   # one by one in ascending user order, not pairwise
                 total += value

@@ -23,6 +23,7 @@ from amarec.model import (
     AmaConfig,
     PARAM_NAMES,
     Segments,
+    argmax_mode,
     attend,
     decode_maxout,
     encode,
@@ -142,8 +143,10 @@ def test_criterion_6_maxout_suite():
         U = rng.standard_normal((1, d, h))
         S = rng.standard_normal((n, h))
         S_T = np.ascontiguousarray(S.T)
-        scores, mode_of = (x[0] for x in decode_maxout(U, S_T))
+        decoded, per_modes = decode_maxout(U, S_T)
+        scores, mode_of = decoded[0], argmax_mode(per_modes, decoded)[0]
         per_mode = np.matmul(U, S_T)[0]   # the GEMM the decode maximizes over
+        assert np.array_equal(per_modes[0], per_mode)
         np.testing.assert_allclose(per_mode, U[0] @ S.T, rtol=1e-12, atol=0)
         assert np.all(scores[None, :] >= per_mode - 1e-15)
         for j in range(n):
@@ -155,7 +158,8 @@ def test_criterion_6_maxout_suite():
     np.testing.assert_array_equal(decode_maxout(U, S_T)[0][0], U[0, 0] @ S_T)
     # deterministic lowest-index tie-break
     U_tie = np.array([[[2.0, 0.0], [2.0, 0.0]]])
-    assert decode_maxout(U_tie, np.array([[1.0], [5.0]]))[1][0, 0] == 0
+    decoded, per_modes = decode_maxout(U_tie, np.array([[1.0], [5.0]]))
+    assert argmax_mode(per_modes, decoded)[0, 0] == 0
     passed(6, "dominance, d=1 dot-product reduction, deterministic tie-break")
 
 

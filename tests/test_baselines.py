@@ -113,6 +113,27 @@ class TestAmaScorer:
         score = ama_scorer(params, V)
         np.testing.assert_array_equal(one(score, [], 0, V.shape[0]), np.zeros(V.shape[0]))
 
+    @pytest.mark.parametrize("empty", [[], [0], [5, 17], [31], list(range(32))],
+                             ids=["none", "first", "two", "last", "all"])
+    def test_block_equals_the_nonempty_rows_scored_apart(self, empty):
+        # a block with no empty row is scored as it is; one with empty rows
+        # scores the others as their own block, and the empty rows zeros
+        from test_model import random_params
+        from amarec.model import AmaConfig, Forward
+
+        cfg = AmaConfig(h=5, d=3, kappa=2)
+        rng = np.random.default_rng(len(empty))
+        V = rng.standard_normal((60, cfg.h))
+        params = random_params(60, cfg, seed=7)
+        rows = csr([[] if u in empty else rng.choice(60, 4, replace=False).tolist()
+                    for u in range(32)], 60)
+        expected = np.zeros(rows.shape)
+        full = np.flatnonzero(np.diff(rows.indptr))
+        if full.size:
+            expected[full] = Forward(params, V)(rows[full])[4]
+        got = ama_scorer(params, V)(rows, np.arange(32))
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
 
 class TestBlockContract:
     @staticmethod

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from amarec import model
+from amarec import explain, model
 from amarec.baselines import ama_scorer
 from amarec.evaluation import BLOCK, evaluate
 from amarec.explain import explain_user, mode_top_items, mode_usage
-from amarec.model import (AmaConfig, DegenerateUser, PARAM_NAMES, Segments, attend,
-                          batch_gradients, corrupt, decode_maxout, encode, keys_values)
+from amarec.model import (AmaConfig, DegenerateUser, PARAM_NAMES, Segments, argmax_mode,
+                          attend, batch_gradients, corrupt, decode_maxout, encode,
+                          keys_values)
 from conftest import csr_rows, synthetic_events, write_movielens_file
 from oracles import forward_oracle, gradients_oracle
 from test_metrics import make_split
@@ -124,7 +125,8 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
         segs = Segments.of(mks)
         A = attend(K[segs.obs], params.Q, segs)
         U = encode(A, V[segs.obs], segs, params.W_v, params.B)[1]
-        return A, U, *decode_maxout(U, S_T)
+        scores, per_mode = decode_maxout(U, S_T)
+        return A, U, scores, argmax_mode(per_mode, scores)
 
     A, U, scores, mode_of = stages(csr_rows(masks, n))
     seg = Segments.of(csr_rows(masks, n)).seg
@@ -206,6 +208,28 @@ def test_item_tables_built_once_per_call(monkeypatch):
     mode_usage(params, V, data, k=3)
     mode_top_items(params, V, data, n_top=3)
     assert len(calls) == 5
+
+
+def test_attribution_runs_only_where_it_is_read(monkeypatch):
+    # ranking reads only the scores; the histogram attributes the k items it
+    # lists per user, and training every item of the catalog
+    widths = []
+
+    def counting(per_mode, scores):
+        widths.append(per_mode.shape[2])
+        return argmax_mode(per_mode, scores)
+
+    monkeypatch.setattr(model, "argmax_mode", counting)
+    monkeypatch.setattr(explain, "argmax_mode", counting)
+    cfg, V, params, rows, masks, _ = batch_case(5, 9, 3, 3, 2, 7, 0.0, False)
+    train = [[u % 9, (u + 4) % 9] for u in range(BLOCK + 5)]
+    data = make_split(train, [[] for _ in train], [[(u + 1) % 9] for u in range(len(train))], 9)
+    evaluate(ama_scorer(params, V), data)
+    assert widths == []
+    mode_usage(params, V, data, k=3)
+    assert widths == [3, 3]   # two blocks
+    batch_gradients(clean_block(rows), csr_rows(masks, 9), params, V, cfg.alpha)
+    assert widths[2:] == [9]
 
 
 class InlineHelper:

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from amarec.evaluation import BLOCK, hit_ranks, metric_rows, rank_keys, top_k
 from amarec.explain import mode_usage
-from amarec.model import AmaConfig, Segments, attend, decode_maxout, encode, keys_values
+from amarec.model import (AmaConfig, Segments, argmax_mode, attend, decode_maxout, encode,
+                          keys_values)
 from oracles import enumerate_metrics
 from test_metrics import make_split
 from test_model import random_params
@@ -140,8 +141,9 @@ def test_mode_usage_matches_per_user_loop(seed, m, n, d, k, tied):
         if not obs.size:
             continue
         segs = Segments.of(data.train[u])
-        scores, mode_of = decode_maxout(encode(attend(K[obs], params.Q, segs), V[obs],
-                                               segs, params.W_v, params.B)[1], S_T)
+        scores, per_mode = decode_maxout(encode(attend(K[obs], params.Q, segs), V[obs],
+                                                segs, params.W_v, params.B)[1], S_T)
+        mode_of = argmax_mode(per_mode, scores)   # every item's mode
         top = reference_ranked(scores[0], set(obs.tolist()))[:k]
         used = len({int(mode_of[0, j]) for j in top})
         if used:

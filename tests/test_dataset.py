@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
@@ -16,6 +17,7 @@ from amarec.dataset import (
     ConfigError,
     ParseError,
     Ratings,
+    _rows,
     _sorted_unique,
     binarize,
     load_split,
@@ -427,6 +429,36 @@ def test_split_cells_dedupe_as_np_unique(cells):
     cells = np.array(cells, dtype=np.int64)
     got, want = _sorted_unique(cells), np.unique(cells)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def row_blocks(draw):
+    """A CSR matrix, about a third of whose rows are empty, with unsorted
+    indices and distinct data values, and an index array of its rows: any
+    order, repeats allowed."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    rows = [draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+            if draw(st.integers(0, 2)) else [] for _ in range(m)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([j for r in rows for j in r], dtype=np.int32)
+    mat = sp.csr_matrix((np.arange(1.0, indices.size + 1), indices, indptr), shape=(m, n))
+    users = draw(st.one_of(st.lists(st.integers(0, m - 1), max_size=2 * m),
+                           st.just(list(range(m)))))
+    return mat, np.array(users, dtype=np.intp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=row_blocks())
+@example(case=(sp.csr_matrix((2, 3)), np.array([1], dtype=np.intp)))   # one empty row
+@example(case=(sp.csr_matrix(np.eye(3)), np.array([2], dtype=np.intp)))   # one user
+@example(case=(sp.csr_matrix(np.eye(3)), np.array([], dtype=np.intp)))   # no user
+def test_row_cut_equals_scipy_indexing(case):
+    # evaluate, explain and training cut their blocks with _rows
+    mat, users = case
+    got, want = _rows(mat, users), mat[users]
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 FAULTS = {   # column -> faulty values; each is a fault the list oracle reports too

@@ -192,3 +192,20 @@ def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monk
     for name in ("hist", "modes"):
         assert (tmp_path / f"{name}.csv").read_bytes() == \
             (tmp_path / f"{name}_ref.csv").read_bytes()
+
+
+def test_aggregated_attention_sums_in_user_order_bitwise():
+    # each item's mass is its users' attention added in ascending user order,
+    # as np.add.at adds it; 80 users over 7 items give sums whose last bits
+    # depend on that order
+    cfg, V, params, data = toy_model(m=80, n=7, d=3, seed=5)
+    n = data.train.shape[1]
+    agg = np.zeros((cfg.d, n))
+    for u in range(data.train.shape[0]):
+        obs = data.train[u].indices
+        np.add.at(agg, (slice(None), obs), attend_one(keys_values(V, params), params.Q, obs))
+    top = mode_top_items(params, V, data, n_top=n)
+    assert [sorted(j for j, *_ in rows) for rows in top] == [list(range(n))] * cfg.d
+    for l, rows in enumerate(top):
+        for j, mass, _, _ in rows:
+            assert mass == agg[l, j], (l, j)

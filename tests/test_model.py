@@ -14,6 +14,7 @@ from amarec.model import (
     DegenerateUser,
     Forward,
     Segments,
+    argmax_mode,
     attend,
     batch_gradients,
     confidence_weights,
@@ -54,21 +55,22 @@ def encode_one(A, V_obs, W_v, B):
 
 
 def decode_one(U, S):
-    """The batched maxout decoder on one user's d x h modes: (scores, mode_of)."""
-    scores, mode_of = decode_maxout(U[None], np.ascontiguousarray(S.T))
-    return scores[0], mode_of[0]
+    """The batched maxout decoder on one user's d x h modes, with its
+    attribution: (scores, mode_of)."""
+    scores, per_mode = decode_maxout(U[None], np.ascontiguousarray(S.T))
+    return scores[0], argmax_mode(per_mode, scores)[0]
 
 
 @contextlib.contextmanager
 def recording_decode():
     """Record (U, scores, mode_of) of every decode that ``batch_gradients``
-    makes inside the block."""
+    makes inside the block, with the modes its attribution gives."""
     calls = []
 
     def record(U, S_T):
-        scores, mode_of = decode_maxout(U, S_T)
-        calls.append((U, scores, mode_of))
-        return scores, mode_of
+        scores, per_mode = decode_maxout(U, S_T)
+        calls.append((U, scores, argmax_mode(per_mode, scores)))
+        return scores, per_mode
 
     with mock.patch("amarec.model.decode_maxout", record):
         yield calls
@@ -276,6 +278,37 @@ class TestDecodeMaxout:
         U_tie = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         _, mode_of_tie = decode_one(U_tie, np.array([[1.0, 0.0]]))
         assert mode_of_tie[0] == 0
+
+    def test_decode_returns_the_per_mode_gemm_and_its_max(self):
+        rng = np.random.default_rng(6)
+        U = rng.standard_normal((4, 3, 5))
+        S_T = np.ascontiguousarray(rng.standard_normal((9, 5)).T)
+        scores, per_mode = decode_maxout(U, S_T)
+        assert per_mode.tobytes() == np.matmul(U, S_T).tobytes()
+        assert scores.tobytes() == per_mode.max(axis=1).tobytes()
+
+
+# per-mode scores drawn from few values, so that exact ties, -0.0 against 0.0
+# and NaN scores are common
+PLANTED = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 8)),
+       seed=st.integers(0, 2**32 - 1), picks=st.lists(st.integers(0, 7), max_size=10))
+def test_attribution_at_some_items_equals_the_full_attribution_there(shape, seed, picks):
+    # mode_usage and explain_user attribute only the items they list
+    nb, d, n = shape
+    rng = np.random.default_rng(seed)
+    per_mode = PLANTED[rng.integers(0, PLANTED.size - int(rng.integers(0, 2)), (nb, d, n))]
+    scores = per_mode.max(axis=1)
+    full = argmax_mode(per_mode, scores)
+    # the lowest maximizing mode, with -0.0 == 0.0, and mode 0 for a NaN score
+    lowest = np.where(np.isnan(scores), 0, np.argmax(per_mode == scores[:, None], axis=1))
+    assert np.array_equal(full, lowest)
+    items = np.array([j % n for j in picks], dtype=np.intp)   # any order, repeats too
+    assert np.array_equal(argmax_mode(per_mode[:, :, items], scores[:, items]),
+                          full[:, items])
 
 
 class TestConfidenceWeights:

@@ -60,15 +60,21 @@ def test_public_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
                          f"batch_size={batch}", "--out", str(tmp_path / "m.bin")]) == 0
     helper.shutdown()
     assert helper.submitted > 0   # training ran dS on the helper thread
+    caller = threading.get_ident()
     for argv in (["evaluate", "--out", str(tmp_path / "report.json")],
                  ["explain", "--histogram", "--out", str(tmp_path / "hist.csv")],
                  ["explain", "--user", "u000", "--out", str(tmp_path / "user.json")]):
+        before = len(calls)
         assert cli.main([*argv, "--data", str(data), "--model", str(tmp_path / "m.bin"),
                          *small]) == 0
+        # each scoring command runs every stage of the forward pass itself,
+        # on this thread: a path that skipped a traced stage would fail here
+        stages = {name for name, ident in calls[before:] if ident == caller}
+        assert {"amarec.model.attend", "amarec.model.encode",
+                "amarec.model.decode_maxout"} <= stages, argv
 
     names = {name for name, _ in calls}
     assert {"amarec.model.batch_gradients", "amarec.model.encode", "amarec.model.attend",
             "amarec.model.decode_maxout", "amarec.evaluation.evaluate",
             "amarec.explain.mode_usage", "amarec.explain.explain_user"} <= names
-    caller = threading.get_ident()
     assert sorted({name for name, ident in calls if ident != caller}) == []
