@@ -41,23 +41,55 @@ _COLUMNS = ("user", "item", "rating", "timestamp")
 _SPLITS = ("train", "validation", "test")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Ratings:
-    """A rating log as four equal-length columns in input order: ``user`` and
-    ``item`` ids as Python ``str`` in object arrays (a numpy ``U`` array
-    would drop trailing NUL characters and merge ids), ``rating`` as float64
-    and ``timestamp`` as int64. Sequences passed in become those arrays."""
+    """A rating log as equal-length columns in input order, its ids coded:
+    ``user_ids`` holds distinct user ids as Python ``str`` in ``sorted()``
+    order and ``user_code`` each event's position among them (int64), and
+    ``item_ids`` / ``item_code`` the same for items; ``rating`` is float64 and
+    ``timestamp`` int64. An id list may hold ids that no event names, as
+    ``binarize`` leaves it.
 
-    user: np.ndarray
-    item: np.ndarray
+    ``Ratings(user, item, rating, timestamp)`` builds one from four sequences,
+    coding each id column once. ``user`` and ``item`` read each event's id
+    back as an object array of ``str``, one object per distinct id (a numpy
+    ``U`` array would drop trailing NUL characters and merge ids), built on
+    each read."""
+
+    user_ids: tuple
+    user_code: np.ndarray
+    item_ids: tuple
+    item_code: np.ndarray
     rating: np.ndarray
     timestamp: np.ndarray
 
-    def __post_init__(self):
-        for name, dtype in zip(_COLUMNS, (object, object, np.float64, np.int64)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if len({getattr(self, name).shape for name in _COLUMNS}) != 1:
+    def __init__(self, user, item, rating, timestamp):
+        self._set(*_codes(user), *_codes(item), rating, timestamp)
+
+    @classmethod
+    def coded(cls, user_ids, user_code, item_ids, item_code, rating, timestamp):
+        """Ratings over ids already coded: each code indexes its sorted id list."""
+        ratings = cls.__new__(cls)
+        ratings._set(user_ids, user_code, item_ids, item_code, rating, timestamp)
+        return ratings
+
+    def _set(self, user_ids, user_code, item_ids, item_code, rating, timestamp):
+        fields = {"user_ids": tuple(user_ids), "user_code": np.asarray(user_code, np.int64),
+                  "item_ids": tuple(item_ids), "item_code": np.asarray(item_code, np.int64),
+                  "rating": np.asarray(rating, np.float64),
+                  "timestamp": np.asarray(timestamp, np.int64)}
+        if len({v.shape for v in fields.values() if isinstance(v, np.ndarray)}) != 1:
             raise ValueError("Ratings columns differ in length")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def user(self):
+        return np.array(self.user_ids, dtype=object)[self.user_code]
+
+    @property
+    def item(self):
+        return np.array(self.item_ids, dtype=object)[self.item_code]
 
     def __len__(self):
         return self.rating.size
@@ -94,8 +126,8 @@ def parse_ratings(path, format, amazon_columns="item,user,rating,timestamp"):
     ``amazon-csv`` is header-less with the column order given by
     ``amazon_columns`` (default ``item,user,rating,timestamp``). Blank lines
     are skipped. Timestamps are integers from 0 to the int64 maximum. A
-    movielens-dat log's id columns hold one ``str`` per distinct id. The
-    first faulty line in file order raises a ParseError."""
+    movielens-dat log's ids are coded from their bytes, each distinct id
+    decoded once. The first faulty line in file order raises a ParseError."""
     if format not in _FORMATS:
         raise ConfigError(f"unknown format {format!r}, expected one of {_FORMATS}")
     amazon = format == "amazon-csv"
@@ -154,9 +186,9 @@ def _parse_dat(raw):
         raise ValueError("a line without 4 fields")
     sep = sep.reshape(-1, 3).T
     lo, hi = (start, *sep + 2), (*sep, end)   # where each field starts and ends
-    return Ratings(_ids(buf, lo[0], hi[0]), _ids(buf, lo[1], hi[1]),
-                   _numbers(buf, lo[2], hi[2], float, 15),   # exact in a float64
-                   _numbers(buf, lo[3], hi[3], int, 18))     # below the int64 maximum
+    return Ratings.coded(*_ids(buf, lo[0], hi[0]), *_ids(buf, lo[1], hi[1]),
+                         _numbers(buf, lo[2], hi[2], float, 15),   # exact in a float64
+                         _numbers(buf, lo[3], hi[3], int, 18))     # below the int64 maximum
 
 
 def _by_width(buf, lo, hi):
@@ -169,10 +201,12 @@ def _by_width(buf, lo, hi):
 
 
 def _ids(buf, lo, hi):
-    """The spans ``buf[lo:hi]`` as ``str`` in an object array that holds one
-    ``str`` per distinct span. A span's key is its length and then its bytes,
-    4 at a time; each distinct span is decoded from UTF-8 once."""
-    names, code = [], np.empty(lo.size, dtype=np.intp)
+    """The spans ``buf[lo:hi]`` coded as ``_codes`` codes their text: the
+    distinct spans as ``str`` in ``sorted()`` order, and each span's position
+    among them. A span's key is its length and then its bytes, 4 at a time;
+    each distinct span is decoded from UTF-8 once, and only the distinct ids
+    are sorted as ``str``."""
+    names, code = [], np.empty(lo.size, dtype=np.int64)
     for at, text in _by_width(buf, lo, hi):
         width = text.shape[1]
         words = np.zeros((at.size, 4 * max(1, -(-width // 4))), dtype=np.uint8)
@@ -186,7 +220,10 @@ def _ids(buf, lo, hi):
         lines[:, :width] = text[first]   # no span holds a "\n"
         code[at] = len(names) + rank
         names += lines.tobytes().decode("utf-8").split("\n")[:-1]
-    return np.array(names, dtype=object)[code]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    position = np.empty(len(names), dtype=np.int64)
+    position[order] = np.arange(len(names))
+    return [names[k] for k in order], position[code]
 
 
 def _rank(key):
@@ -271,9 +308,9 @@ def binarize(ratings, threshold):
     """Keep ratings strictly above ``threshold``; set them to 1."""
     if math.isnan(threshold) or threshold == math.inf:
         raise ConfigError(f"threshold must be a number below +inf, got {threshold}")
-    keep = ratings.rating > threshold
-    return Ratings(ratings.user[keep], ratings.item[keep], np.ones(np.count_nonzero(keep)),
-                   ratings.timestamp[keep])
+    keep = np.flatnonzero(ratings.rating > threshold)   # cheaper than a mask per column
+    return Ratings.coded(ratings.user_ids, ratings.user_code[keep], ratings.item_ids,
+                         ratings.item_code[keep], np.ones(keep.size), ratings.timestamp[keep])
 
 
 def _codes(ids):
@@ -299,9 +336,8 @@ def temporal_split(ratings, fractions=(0.5, 0.2, 0.3)):
     if not len(ratings):
         raise ConfigError("empty event list")
 
-    user_ids, user = _codes(ratings.user)
-    item_ids, item = _codes(ratings.item)
-    order = np.lexsort((item, ratings.timestamp, user))
+    user, item = ratings.user_code, ratings.item_code
+    order = _event_order(user, ratings.timestamp, item, len(ratings.item_ids))
     user, item = user[order], item[order]
     start = np.flatnonzero(np.r_[True, user[1:] != user[:-1]])   # each user's run
     count = np.diff(np.r_[start, user.size])
@@ -312,16 +348,28 @@ def temporal_split(ratings, fractions=(0.5, 0.2, 0.3)):
     if not (part == 0).any():
         raise ConfigError("empty dataset: no user retains a train event")
 
-    kept_users = np.bincount(user[part == 0], minlength=len(user_ids)) > 0
-    kept_items = np.bincount(item[part == 0], minlength=len(item_ids)) > 0
+    kept_users = np.bincount(user[part == 0], minlength=len(ratings.user_ids)) > 0
+    kept_items = np.bincount(item[part == 0], minlength=len(ratings.item_ids)) > 0
     shape = (int(kept_users.sum()), int(kept_items.sum()))
     # validation/test events of dropped users or unseen items vanish with them
     keep = kept_users[user] & kept_items[item]
     cells = (np.cumsum(kept_users)[user] - 1) * shape[1] + np.cumsum(kept_items)[item] - 1
     cells = [_sorted_unique(cells[keep & (part == s)]) for s in range(3)]
     return SplitDataset(*(_matrix(c // shape[1], c % shape[1], shape) for c in cells),
-                        user_ids=tuple(compress(user_ids, kept_users)),
-                        item_ids=tuple(compress(item_ids, kept_items)))
+                        user_ids=tuple(compress(ratings.user_ids, kept_users)),
+                        item_ids=tuple(compress(ratings.item_ids, kept_items)))
+
+
+def _event_order(user, timestamp, item, items):
+    """The events' order by (user, timestamp, item code), ties in input order,
+    as ``np.lexsort((item, timestamp, user))`` gives it, from int64 argsorts:
+    the timestamps' dense ranks, then a stable sort of each event's rank and
+    item (codes below ``items``) packed into one int64, then a stable sort of
+    the users. Rank and item each stay below 2**31 for a log under 2**31
+    events, so the packed key fits."""
+    time, _ = _rank(timestamp)
+    by_time_item = np.argsort((time << items.bit_length()) | item, kind="stable")
+    return by_time_item[np.argsort(user[by_time_item], kind="stable")]
 
 
 def _sorted_unique(values):
@@ -368,8 +416,9 @@ def save_split(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
     for name in _SPLITS:
         mat = getattr(data, name)
         rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-        csv_bytes[name] = b"user_idx,item_idx\r\n" + _lines(b"", rows, mat.indices, b"\r\n")
-        digest.update(_lines(f"{name},".encode(), rows, mat.indices, b"\n"))
+        pair = [*_digits(rows), (ord(","), True), *_digits(mat.indices)]
+        csv_bytes[name] = b"user_idx,item_idx\r\n" + _lines(rows.size, b"", pair, b"\r\n")
+        digest.update(_lines(rows.size, f"{name},".encode(), pair, b"\n"))
     sidecar = {
         "num_users": data.shape[0], "num_items": data.shape[1],
         "user_ids": list(data.user_ids), "item_ids": list(data.item_ids),
@@ -386,19 +435,21 @@ def save_split(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
         fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")   # dump writes in pieces
 
 
-def _lines(head, rows, cols, tail):
-    """The bytes of ``f"{head}{row},{col}{tail}"`` for each (row, col) pair of
-    integers >= 0, from numpy digit arithmetic: a byte matrix with one column
-    per character position, numbers right-aligned and their leading zeros
-    masked out."""
-    columns = []   # (bytes, kept) of each position, per line or for all lines
-    for part in (head, rows, b",", cols, tail):
-        if isinstance(part, bytes):
-            columns += [(byte, True) for byte in part]
-        else:
-            for k in reversed(range(len(str(part.max(initial=0))))):
-                columns.append((ord("0") + part // 10**k % 10, part >= 10**k if k else True))
-    text = np.empty((rows.size, len(columns)), dtype=np.uint8)
+def _digits(values):
+    """(byte, kept) of each decimal position of the integers >= 0 ``values``,
+    most significant first: each value's digit there, right-aligned, and
+    whether it is not a leading zero."""
+    return [(ord("0") + values // 10**k % 10, values >= 10**k if k else True)
+            for k in reversed(range(len(str(values.max(initial=0)))))]
+
+
+def _lines(count, head, columns, tail):
+    """The bytes of ``count`` lines, each ``head``, then its characters of the
+    (byte, kept) ``columns``, ``_digits`` positions and fixed ``(byte, True)``
+    ones, then ``tail``: a byte matrix with one column per character position
+    and its leading zeros masked out."""
+    columns = [*((byte, True) for byte in head), *columns, *((byte, True) for byte in tail)]
+    text = np.empty((count, len(columns)), dtype=np.uint8)
     kept = np.empty(text.shape, dtype=bool)
     for j, (chars, keep) in enumerate(columns):
         text[:, j], kept[:, j] = chars, keep

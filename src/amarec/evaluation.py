@@ -18,6 +18,7 @@ carry 95% normal-approximation confidence intervals.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -136,6 +137,16 @@ def _block_metrics(ranks, length, relevant, ks, discount):
     return np.column_stack(cols)
 
 
+@functools.lru_cache(maxsize=8)
+def _discount(n):
+    """The read-only NDCG discounts 1 / log2(rank + 1) of ranks 1 to n, then
+    0 for the padding rank n, built once per catalog size. ``math.log2``
+    stays: ``np.log2`` rounds a few entries differently."""
+    table = np.array([1.0 / math.log2(i + 1) for i in range(1, n + 1)] + [0.0])
+    table.flags.writeable = False
+    return table
+
+
 def metric_rows(scorer, data, split="test", ks=(5, 10, 20)):
     """The metric names, the users with a nonempty relevant set in ascending
     index, and one metric row per such user, scored and ranked in blocks. At
@@ -153,7 +164,7 @@ def metric_rows(scorer, data, split="test", ks=(5, 10, 20)):
     names = ["R-Precision", "NDCG"] + [f"{m}@{k}" for m in ("MAP", "Precision", "Recall")
                                        for k in ks]
     n = target.shape[1]
-    discount = np.array([1.0 / math.log2(i + 1) for i in range(1, n + 1)] + [0.0])
+    discount = _discount(n)
     users = np.flatnonzero(np.diff(target.indptr))
     rows = [np.zeros((0, len(names)))]
     for start in range(0, users.size, BLOCK):

@@ -1,3 +1,4 @@
+import csv
 import sys
 from pathlib import Path
 
@@ -45,3 +46,10 @@ def write_movielens_file(path, ratings):
         for u, i, r, t in zip(ratings.user, ratings.item, ratings.rating.tolist(),
                               ratings.timestamp.tolist()):
             fh.write(f"{u}::{i}::{r:g}::{t}\n")
+
+
+def write_amazon_file(path, ratings):
+    """``ratings`` as a header-less Amazon CSV, item,user,rating,timestamp."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(zip(
+            ratings.item, ratings.user, ratings.rating.tolist(), ratings.timestamp.tolist()))

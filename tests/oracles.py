@@ -350,6 +350,45 @@ def temporal_split_oracle(events, fractions=(0.5, 0.2, 0.3)):
     )
 
 
+def temporal_split_lexsort_oracle(ratings, fractions=(0.5, 0.2, 0.3)):
+    """temporal_split as it read ``str`` ids: each id column coded by a dict
+    over its sorted distinct ids, the events ordered by one ``np.lexsort`` of
+    (user, timestamp, item), every user's run cut at its floor offsets and
+    each part's distinct cells kept by ``np.unique``. Fractions are taken as
+    valid; a log with no train event raises ConfigError."""
+    def codes(ids):
+        distinct = sorted(set(ids))
+        index = {v: j for j, v in enumerate(distinct)}
+        return distinct, np.array([index[v] for v in ids], dtype=np.int64)
+
+    user_ids, user = codes(ratings.user.tolist())
+    item_ids, item = codes(ratings.item.tolist())
+    order = np.lexsort((item, ratings.timestamp, user))
+    user, item = user[order], item[order]
+    start = np.flatnonzero(np.r_[True, user[1:] != user[:-1]])
+    count = np.diff(np.r_[start, user.size])
+    rank = np.arange(user.size) - np.repeat(start, count)
+    f1, f2, _ = fractions
+    part = ((rank >= np.repeat(np.floor(f1 * count), count)).astype(np.int8)
+            + (rank >= np.repeat(np.floor((f1 + f2) * count), count)))
+    if not (part == 0).any():
+        raise ConfigError("empty dataset: no user retains a train event")
+    kept_users = np.bincount(user[part == 0], minlength=len(user_ids)) > 0
+    kept_items = np.bincount(item[part == 0], minlength=len(item_ids)) > 0
+    shape = (int(kept_users.sum()), int(kept_items.sum()))
+    keep = kept_users[user] & kept_items[item]
+    row, col = np.cumsum(kept_users)[user] - 1, np.cumsum(kept_items)[item] - 1
+    mats = []
+    for s in range(3):
+        cells = np.unique(row[keep & (part == s)] * shape[1] + col[keep & (part == s)])
+        mat = sp.csr_matrix((np.ones(cells.size), (cells // shape[1], cells % shape[1])),
+                            shape=shape)
+        mat.sort_indices()
+        mats.append(mat)
+    return SplitDataset(*mats, user_ids=tuple(u for u, k in zip(user_ids, kept_users) if k),
+                        item_ids=tuple(i for i, k in zip(item_ids, kept_items) if k))
+
+
 def build_matrix(events, user_index, item_index):
     """Binary CSR matrix from events; duplicate pairs collapse to a single 1."""
     m, n = len(user_index), len(item_index)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from amarec import cli, dataset
 from amarec.dataset import (
     ConfigError,
     ParseError,
@@ -25,7 +27,7 @@ from amarec.dataset import (
     save_split,
     temporal_split,
 )
-from conftest import synthetic_events
+from conftest import synthetic_events, write_amazon_file, write_movielens_file
 
 SPLIT_FILES = ("train.csv", "validation.csv", "test.csv", "split.json")
 
@@ -636,6 +638,98 @@ def test_bench_tiny_log_split_matches_the_list_oracle(tmp_path):
     new, old = prep_both(tmp_path / "ratings.dat", "movielens-dat", COLUMN_ORDERS[0],
                          (0.5, 0.2, 0.3), tmp_path)
     assert new[0] == "ok" and new == old
+
+
+# ------------------------------------------------- coded ids against lexsort
+# temporal_split reads each event's id codes and orders the events with
+# int64 argsorts; the oracle codes the str ids with a dict and takes one
+# lexsort. A movielens-dat log's codes come from its parser instead.
+
+SPLIT_IDS = ["1", "9", "10", "01", "\u00c9", "\u00fc", "\u65e5\u672c", "a:b", ":b", "a\x00",
+             "a"]
+TIMESTAMPS = st.one_of(st.integers(0, 3), st.sampled_from([2**62, 2**63 - 2, 2**63 - 1]),
+                       st.integers(0, 2**63 - 1))
+
+
+def split_parts(data):
+    return (data.shape, data.user_ids, data.item_ids,
+            *[(m.indptr.tolist(), m.indices.tolist()) for m in
+              (data.train, data.validation, data.test)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=st.lists(st.tuples(st.sampled_from(SPLIT_IDS), st.sampled_from(SPLIT_IDS),
+                                 TIMESTAMPS), min_size=1, max_size=40),
+       fractions=st.sampled_from([(0.5, 0.2, 0.3), (1.0, 0.0, 0.0), (0.3, 0.3, 0.4),
+                                  (0.0, 0.5, 0.5)]))
+@example(events=[("9", "a", 5), ("9", "b", 5), ("9", "a", 5), ("9", "10", 2**63 - 1)],
+         fractions=(0.5, 0.2, 0.3))   # one user; a duplicate event; a timestamp tie
+@example(events=[("10", "x", 1), ("9", "x", 0), ("1", "x", 1), ("10", "x", 0)],
+         fractions=(0.5, 0.2, 0.3))   # one item
+@example(events=[("a", "1", 0)], fractions=(0.5, 0.2, 0.3))   # no train event
+def test_coded_split_matches_the_lexsort_oracle(events, fractions):
+    ratings = log(*[(u, i, 1.0, t) for u, i, t in events])
+    want = outcome(lambda: split_parts(oracles.temporal_split_lexsort_oracle(ratings,
+                                                                             fractions)))
+    assert outcome(lambda: split_parts(temporal_split(ratings, fractions))) == want
+    # the same log from the parser's codes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_dat(Path(tmp), "".join(f"{u}::{i}::5::{t}\n" for u, i, t in events))
+        parsed = parse_ratings(path, "movielens-dat")
+    assert (parsed.user_ids, parsed.item_ids) == (ratings.user_ids, ratings.item_ids)
+    assert parsed.user_code.tolist() == ratings.user_code.tolist()
+    assert parsed.item_code.tolist() == ratings.item_code.tolist()
+    assert outcome(lambda: split_parts(temporal_split(parsed, fractions))) == want
+
+
+# SHA-256 of prep's four files for conftest's synthetic log, written in
+# either format, at the default threshold and fractions, as the str-coding
+# prep wrote them: a change to the files must be made on purpose.
+PREP_GOLDEN = {
+    "train.csv": "e34ba8a5a070f77bd65152ba10a42b9faaedf6fc6b3439c45364ac044cfd4a5d",
+    "validation.csv": "62981579b35bb552eb024bc704b6c4df694a546091504d973f0dd5de8e8e2fb8",
+    "test.csv": "b662bf608f39bfe0fd02161a8b12a030c8193792ecadbb9037791079f49c2d9a",
+    "split.json": "d60314c13a211f754adbe075e7aaed48fe295c1784c393139bc35e4ed539df13",
+}
+
+
+def prep_synthetic_log(tmp_path, format):
+    path = tmp_path / "ratings"
+    writer = write_movielens_file if format == "movielens-dat" else write_amazon_file
+    writer(path, synthetic_events())
+    return lambda: cli.main(["prep", "--input", str(path), "--format", format,
+                             "--out", str(tmp_path / "split")])
+
+
+@pytest.mark.parametrize("format", FORMATS)
+def test_prep_files_keep_their_pinned_hashes(tmp_path, format):
+    assert prep_synthetic_log(tmp_path, format)() == 0
+    digests = {name: hashlib.sha256((tmp_path / "split" / name).read_bytes()).hexdigest()
+               for name in SPLIT_FILES}
+    assert digests == PREP_GOLDEN
+
+
+@pytest.mark.parametrize("format", FORMATS)
+def test_prep_codes_str_ids_only_for_a_csv_log(tmp_path, monkeypatch, format):
+    # a movielens-dat log's ids are coded by its parser; an amazon-csv log's
+    # by one _codes call per id column; no prep stage reads per-event ids
+    prep, events = prep_synthetic_log(tmp_path, format), len(synthetic_events())
+    codes, calls = dataset._codes, []
+
+    def counted(ids):
+        if format == "movielens-dat":
+            raise AssertionError("a movielens-dat prep coded str ids")
+        calls.append(len(ids))
+        return codes(ids)
+
+    def refuse(ratings):
+        raise AssertionError("a prep stage built a per-event id array")
+
+    monkeypatch.setattr(dataset, "_codes", counted)
+    monkeypatch.setattr(Ratings, "user", property(refuse))
+    monkeypatch.setattr(Ratings, "item", property(refuse))
+    assert prep() == 0
+    assert calls == ([] if format == "movielens-dat" else [events] * 2)
 
 
 def test_save_load_roundtrip(tmp_path, tiny_split):

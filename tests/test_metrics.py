@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from amarec.dataset import SplitDataset
-from amarec.evaluation import evaluate, metric_rows, rank_keys, top_k
+from amarec.evaluation import _discount, evaluate, metric_rows, rank_keys, top_k
 from oracles import enumerate_metrics
 
 
@@ -246,3 +246,14 @@ class TestEvaluate:
         text = report.to_json()
         assert '"R-Precision"' in text
         assert "R-Precision" in report.table()
+
+
+@pytest.mark.parametrize("n", [1, 3166, 3706])
+def test_discount_table_is_math_log2_built_once_and_read_only(n):
+    # np.log2 rounds 1 of the 3,166 entries and 2 of the 3,706 differently
+    table = _discount(n)
+    want = [1.0 / math.log2(i + 1) for i in range(1, n + 1)] + [0.0]
+    assert table.tolist() == want
+    assert _discount(n) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 2.0
