@@ -51,10 +51,8 @@ class Ratings:
     ``binarize`` leaves it.
 
     ``Ratings(user, item, rating, timestamp)`` builds one from four sequences,
-    coding each id column once. ``user`` and ``item`` read each event's id
-    back as an object array of ``str``, one object per distinct id (a numpy
-    ``U`` array would drop trailing NUL characters and merge ids), built on
-    each read."""
+    coding each id column once. The ids stay Python ``str``: a numpy ``U``
+    array would drop trailing NUL characters and merge ids."""
 
     user_ids: tuple
     user_code: np.ndarray
@@ -82,14 +80,6 @@ class Ratings:
             raise ValueError("Ratings columns differ in length")
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-
-    @property
-    def user(self):
-        return np.array(self.user_ids, dtype=object)[self.user_code]
-
-    @property
-    def item(self):
-        return np.array(self.item_ids, dtype=object)[self.item_code]
 
     def __len__(self):
         return self.rating.size

@@ -46,9 +46,30 @@ def _integer(name, value):
     return int(value)
 
 
+def _real(name, value):
+    """A config field's value as a float; one that is not a real number, or is
+    a bool, raises. A numpy float becomes a float, which a sidecar can hold; an
+    int too large for a float becomes an infinity, which no bound admits."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+# each float field of AmaConfig, its interval and the interval's test
+_REAL_BOUNDS = {"alpha": ("[0, inf)", lambda x: 0 <= x < math.inf),
+                "lam": ("[0, inf)", lambda x: 0 <= x < math.inf),
+                "rho": ("[0, 1]", lambda x: 0 <= x <= 1),
+                "learning_rate": ("(0, inf)", lambda x: 0 < x < math.inf)}
+
+
 @dataclass(frozen=True)
 class AmaConfig:
-    """Every setting of a training run; ``save_model`` records it whole."""
+    """Every setting of a training run; ``save_model`` records it whole. The
+    one check of a run config: each field takes a number of its type, not a
+    bool, within its bound, and keeps it as a Python int or float."""
 
     h: int = 40            # embedding size
     d: int = 3             # preference-mode count
@@ -68,12 +89,11 @@ class AmaConfig:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
             object.__setattr__(self, name, value)
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be > 0 and finite")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if not (0 <= self.alpha < math.inf and 0 <= self.lam < math.inf):
-            raise ValueError("alpha and lam must be >= 0 and finite")
+        for name, (interval, holds) in _REAL_BOUNDS.items():
+            value = _real(name, getattr(self, name))
+            if not holds(value):   # NaN holds no bound
+                raise ValueError(f"{name} must lie in {interval}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -403,65 +423,51 @@ def _sha256(V):
     return hashlib.sha256(V).hexdigest()
 
 
-# each AmaConfig field and the JSON types its sidecar value may take
-_CONFIG_TYPES = {f.name: (int,) if isinstance(f.default, int) else (int, float)
-                 for f in fields(AmaConfig)}
-# embedding keys that older model sidecars record, with the one value rebuilt today
-_RETIRED_RECIPE = {"oversample": 10, "scale": "none"}
-
-
-def _sidecar_config(sidecar, path, dims):
-    """The embedding recipe of a model sidecar whose layout and dims hold: a
-    JSON object with the header's dims, a string ``item_index_hash``, an
-    optional ``embedding`` object of integer recipe values whose ``h``, if
-    recorded, is the model's, and a ``config`` object holding every AmaConfig
-    field (``learning_rate`` and ``batch_size`` may be absent), each a finite
-    number of its type that AmaConfig accepts, with the header's h, d and kappa.
-    Any other sidecar raises a ValueError naming the file and the field. A
-    recipe key the sidecar does not record resolves as ``train`` sets it:
-    ``h`` and ``seed`` from the config, ``gamma`` from RECIPE_DEFAULTS."""
+def _sidecar_config(sidecar, path, params):
+    """The embedding recipe of a model sidecar that holds what ``save_model``
+    writes for ``params``: a JSON object with the parameters' dims, a string
+    ``item_index_hash``, an optional ``embedding`` object of integer recipe
+    values whose ``h``, if recorded, is the model's, and a ``config`` object
+    holding exactly the AmaConfig fields, which AmaConfig accepts and whose
+    h, d and kappa are the parameters' (``_sizes``). Any other sidecar raises
+    a ValueError naming the file and the field. A recipe key the sidecar does
+    not record resolves as ``train`` sets it: ``h`` and ``seed`` from the
+    config, ``gamma`` from RECIPE_DEFAULTS."""
     where = f"model sidecar {path}.json"
     if not isinstance(sidecar, dict):
         raise ValueError(f"{where} is not a JSON object")
-    for key, value in dims.items():
-        if sidecar.get(key) != value:
-            raise ValueError(f"{where} gives {key}={sidecar.get(key)}, "
-                             f"but the model file has {key}={value}")
     if not isinstance(sidecar.get("item_index_hash"), str):
         raise ValueError(f"{where}: item_index_hash must be a string, "
                          f"got {sidecar.get('item_index_hash')!r}")
     for key in ("config", "embedding"):
         if not isinstance(sidecar.get(key, {}), dict):
             raise ValueError(f"{where}: {key} must be a JSON object")
-    config = sidecar.get("config", {})
-    unknown = sorted(config.keys() - _CONFIG_TYPES.keys())
+    config, names = sidecar.get("config", {}), {f.name for f in fields(AmaConfig)}
+    unknown, missing = sorted(config.keys() - names), sorted(names - config.keys())
     if unknown:
         raise ValueError(f"{where}: unknown config key {unknown[0]!r}")
-    # sidecars written before the optimizer settings were recorded lack them
-    missing = sorted(_CONFIG_TYPES.keys() - config.keys() - {"learning_rate", "batch_size"})
     if missing:
         raise ValueError(f"{where}: config lacks the key {missing[0]!r}")
-    for key, value in config.items():
-        if (isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key])
-                or isinstance(value, float) and not math.isfinite(value)):
-            raise ValueError(f"{where}: config.{key} must be a finite "
-                             f"{_CONFIG_TYPES[key][-1].__name__}, got {value!r}")
-        if dims.get(key, value) != value:
-            raise ValueError(f"{where} gives config.{key}={value}, "
-                             f"but the model file has {key}={dims[key]}")
     try:
         cfg = AmaConfig(**config)
     except ValueError as exc:
         raise ValueError(f"{where}: config: {exc}") from None
+    try:
+        dims = dict(zip(("n", "h", "d", "kappa"), _sizes(params, cfg)))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    for key, value in dims.items():
+        if sidecar.get(key) != value:
+            raise ValueError(f"{where} gives {key}={sidecar.get(key)}, "
+                             f"but the model file has {key}={value}")
     recorded = sidecar.get("embedding", {})
     for key, value in recorded.items():
-        if key in RECIPE_DEFAULTS and (isinstance(value, bool) or not isinstance(value, int)
-                                       or value < 0):
-            raise ValueError(f"{where} records the embedding setting {key}={value!r}, "
-                             "which is not an integer >= 0")
-        if key not in RECIPE_DEFAULTS and (key, value) not in _RETIRED_RECIPE.items():
+        if key not in RECIPE_DEFAULTS:
             raise ValueError(f"{where} records the embedding setting {key}={value}, "
                              "which this version cannot rebuild")
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"{where} records the embedding setting {key}={value!r}, "
+                             "which is not an integer >= 0")
         if key == "h" and value != cfg.h:
             raise ValueError(f"{where} records the embedding setting h={value}, "
                              f"but the model file has h={cfg.h}")
@@ -474,7 +480,8 @@ def load_model(path):
     """Returns (AmaParameters, recipe, item_index_hash, V): the ``embed_items``
     keywords that rebuild the V the model was trained with, its train
     matrix's hash, ``""`` when unknown, and the V stored beside it, ``None``
-    when the sidecar records none. The sidecar must exist; its config is checked.
+    when the sidecar records none. The sidecar must exist and hold what
+    today's ``save_model`` writes; AmaConfig checks its config.
 
     Rejects a file whose length differs from what its header's dims imply, a
     parameter holding a NaN or an infinity, a sidecar that is malformed or
@@ -506,9 +513,9 @@ def load_model(path):
                              "non-finite value")
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    recipe = _sidecar_config(sidecar, path, {"n": n, "h": h, "d": d, "kappa": kappa})
-    V = _stored_embedding(sidecar, path, n, h)
-    return AmaParameters(**arrays), recipe, sidecar["item_index_hash"], V
+    params = AmaParameters(**arrays)
+    recipe = _sidecar_config(sidecar, path, params)
+    return params, recipe, sidecar["item_index_hash"], _stored_embedding(sidecar, path, n, h)
 
 
 def _stored_embedding(sidecar, path, n, h):

@@ -25,6 +25,13 @@ def synthetic_events(m=30, n=20, per_user=12, seed=7):
     return Ratings(**columns)
 
 
+def event_ids(ratings, column):
+    """Each event's ``column`` ("user" or "item") id, read back from the
+    codes as an object array of ``str``, one object per distinct id."""
+    return np.array(getattr(ratings, f"{column}_ids"), dtype=object)[
+        getattr(ratings, f"{column}_code")]
+
+
 def csr_rows(rows, n):
     """The CSR block of n columns whose row b stores the item indices
     ``rows[b]``, in their order, each with value 1: the batch format of
@@ -43,8 +50,8 @@ def tiny_split():
 
 def write_movielens_file(path, ratings):
     with open(path, "w", encoding="utf-8") as fh:
-        for u, i, r, t in zip(ratings.user, ratings.item, ratings.rating.tolist(),
-                              ratings.timestamp.tolist()):
+        for u, i, r, t in zip(event_ids(ratings, "user"), event_ids(ratings, "item"),
+                              ratings.rating.tolist(), ratings.timestamp.tolist()):
             fh.write(f"{u}::{i}::{r:g}::{t}\n")
 
 
@@ -52,4 +59,5 @@ def write_amazon_file(path, ratings):
     """``ratings`` as a header-less Amazon CSV, item,user,rating,timestamp."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(zip(
-            ratings.item, ratings.user, ratings.rating.tolist(), ratings.timestamp.tolist()))
+            event_ids(ratings, "item"), event_ids(ratings, "user"), ratings.rating.tolist(),
+            ratings.timestamp.tolist()))

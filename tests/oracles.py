@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from amarec.dataset import ConfigError, ParseError, SplitDataset
+from conftest import event_ids
 
 
 def jacobi_singular_values(A, max_sweeps=100, tol=1e-13):
@@ -361,8 +362,8 @@ def temporal_split_lexsort_oracle(ratings, fractions=(0.5, 0.2, 0.3)):
         index = {v: j for j, v in enumerate(distinct)}
         return distinct, np.array([index[v] for v in ids], dtype=np.int64)
 
-    user_ids, user = codes(ratings.user.tolist())
-    item_ids, item = codes(ratings.item.tolist())
+    user_ids, user = codes(event_ids(ratings, "user").tolist())
+    item_ids, item = codes(event_ids(ratings, "item").tolist())
     order = np.lexsort((item, ratings.timestamp, user))
     user, item = user[order], item[order]
     start = np.flatnonzero(np.r_[True, user[1:] != user[:-1]])

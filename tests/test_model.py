@@ -1,12 +1,13 @@
 import contextlib
 import json
 import math
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from amarec.model import (
     AmaConfig,
@@ -100,6 +101,18 @@ def user_objective(r, obs, params, V, cfg):
     return objective, grads, scores[0]
 
 
+def config_values(name):
+    """Values to try for the AmaConfig field ``name``: Python and numpy ints
+    and floats (NaN and the infinities among them), bools and strings. The
+    size fields draw small ints, as the parameters are built at those sizes."""
+    ints = st.integers(-2, 5) if name in ("h", "d", "kappa") else st.integers(-2 ** 70, 2 ** 70)
+    return st.one_of(
+        ints, ints.filter(lambda v: abs(v) < 2 ** 31).flatmap(
+            lambda v: st.sampled_from([np.int64(v), np.int32(v)])),
+        st.floats(), st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+        st.booleans(), st.booleans().map(np.bool_), st.text(max_size=3))
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,7 +125,7 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["alpha", "lam"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_weight_rejected(self, key, value):
-        with pytest.raises(ValueError, match="alpha and lam must be >= 0 and finite"):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must lie in [0, inf), got {value}")):
             AmaConfig(**{key: value})
 
     @pytest.mark.parametrize("key", ["h", "d", "kappa", "epochs", "seed"])
@@ -138,6 +151,57 @@ class TestConfig:
         save_model(init_params(5, cfg), cfg, tmp_path / "m.bin")   # the sidecar holds ints
         load_model(tmp_path / "m.bin")
         assert json.loads((tmp_path / "m.bin.json").read_text())["config"] == asdict(cfg)
+
+    @pytest.mark.parametrize("key", ["alpha", "lam", "rho", "learning_rate"])
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0", None])
+    def test_non_real_float_field_rejected_naming_the_field(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a real number, got "
+                                             f"{re.escape(repr(value))}$"):
+            AmaConfig(**{key: value})
+
+    def test_numpy_or_int_float_field_becomes_a_float(self, tmp_path):
+        cfg = AmaConfig(h=3, d=2, kappa=2, alpha=np.float32(1), lam=np.float64(0.5), rho=1,
+                        learning_rate=np.float16(0.25))
+        assert cfg == AmaConfig(h=3, d=2, kappa=2, alpha=1.0, lam=0.5, rho=1.0,
+                                learning_rate=0.25)
+        assert all(type(getattr(cfg, key)) is float
+                   for key in ("alpha", "lam", "rho", "learning_rate"))
+        save_model(init_params(5, cfg), cfg, tmp_path / "m.bin")   # the sidecar holds floats
+        load_model(tmp_path / "m.bin")
+        assert json.loads((tmp_path / "m.bin.json").read_text())["config"] == asdict(cfg)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field_value=st.sampled_from([f.name for f in fields(AmaConfig)]).flatmap(
+        lambda name: st.tuples(st.just(name), config_values(name))))
+    @example(field_value=("rho", True))
+    @example(field_value=("lam", "0"))
+    @example(field_value=("alpha", np.float32(1)))
+    @example(field_value=("alpha", 10 ** 400))
+    @example(field_value=("learning_rate", 0))
+    def test_a_config_that_constructs_loads_back_and_any_other_is_refused_at_load(
+            self, tmp_path, field_value):
+        name, value = field_value
+        path, sizes = tmp_path / "m.bin", {"h": 3, "d": 2, "kappa": 2}
+        sidecar_path = tmp_path / "m.bin.json"
+        try:
+            cfg = AmaConfig(**{**sizes, name: value})
+        except ValueError as exc:
+            assert str(exc).startswith(f"{name} must ")
+            # the same value, as JSON holds it, in a sidecar today's save_model wrote
+            cfg = AmaConfig(**sizes)
+            save_model(init_params(5, cfg), cfg, path)
+            sidecar = json.loads(sidecar_path.read_text())
+            sidecar["config"][name] = value.item() if isinstance(value, np.generic) else value
+            sidecar_path.write_text(json.dumps(sidecar))
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"model sidecar {path}.json: config: {name} must ")):
+                load_model(path)
+        else:
+            assert all(type(getattr(cfg, f.name)) is type(f.default) for f in fields(AmaConfig))
+            save_model(init_params(5, cfg), cfg, path)
+            load_model(path)
+            assert json.loads(sidecar_path.read_text())["config"] == asdict(cfg)
 
     def test_parameter_count_formula(self):
         cfg = AmaConfig(h=4, d=2, kappa=3)

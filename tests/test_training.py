@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,7 +74,8 @@ class TestOptimizers:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_learning_rate_rejected(self, value):
-        with pytest.raises(ValueError, match="learning_rate must be > 0 and finite"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"learning_rate must lie in (0, inf), got {value}")):
             AmaConfig(learning_rate=value)
 
 
