@@ -140,9 +140,15 @@ def _require_ama(cfg, command):
 
 
 def _train_configs(cfg):
-    """The embedding recipe and the AmaConfig that ``train`` uses."""
+    """The embedding recipe and the AmaConfig that ``train`` uses. AmaConfig's
+    messages start with the field, which is renamed to the key that sets it."""
     recipe = _recipe(cfg)
-    return recipe, AmaConfig(h=recipe["h"], seed=recipe["seed"], **_pick(cfg, _RUN_KEYS))
+    try:
+        return recipe, AmaConfig(h=recipe["h"], seed=recipe["seed"], **_pick(cfg, _RUN_KEYS))
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        key = {arg: key for key, arg in _RUN_KEYS.items()}.get(field, field)
+        raise CliError(f"{key} {rest}") from None
 
 
 def _data_dir(args):

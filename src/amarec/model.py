@@ -13,9 +13,7 @@ on the decoder only.
 All functions are pure in (parameters, inputs); gradients are exact
 backpropagation with maxout routing to the argmax mode (lowest index on
 ties) and the softmax Jacobian restricted to observed items. Each mode is
-(sum_j a_jl v_j) W_v + b_l, so no catalog-wide value table is built. The
-backward pass computes the decoder gradient on one helper thread; only
-numpy and BLAS work runs there, never a public function of this package.
+(sum_j a_jl v_j) W_v + b_l, so no catalog-wide value table is built.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import numbers
 import os
 import re
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -312,12 +309,6 @@ def _chunk_gradients(R, result, forward, alpha):
     run in numpy (reduceat, einsum), whose order is fixed. The forward's Z
     gives the W_v gradient, and the attention gradient reads the embeddings
     through ``dU W_v^T``, so no value table is needed.
-
-    The decoder gradient dS = G^T U reads only the routed error G and the
-    modes U, so it runs on the helper thread while this thread runs the rest;
-    the same GEMMs run, so the bytes are those of a serial run. Only numpy and
-    BLAS calls may run there, never a public amarec function: the bench's
-    tracer keeps one span stack and would misattribute a span from another thread.
     """
     segs, A, Z, U, scores, per_mode = result
     mode_of = argmax_mode(per_mode, scores)   # every item's mode routes its error
@@ -335,31 +326,15 @@ def _chunk_gradients(R, result, forward, alpha):
     # routed gradients: G[b, l] is user b's error on the items that take mode l
     G = g[:, None] * (mode_of[:, None] == np.arange(d)[:, None])
     del g, mode_of
-    # one GEMM, inner dimension B_c*d, on the helper thread
-    dS = _HELPER.submit(np.matmul, G.reshape(nb * d, -1).T, U.reshape(nb * d, h))
-    try:
-        dU = np.matmul(G, params.S)                           # one GEMM per user
-        dA = np.einsum("jlh,jh->jl", np.matmul(dU, params.W_v.T)[segs.seg], V_obs)
-        dLogit = A * (dA - np.add.reduceat(A * dA, segs.starts)[segs.seg])
-        sk = math.sqrt(params.Q.shape[1])
-        grads = {"W_k": np.einsum("ja,jl->al", V_obs, dLogit) @ params.Q / sk,
-                 "W_v": Z.reshape(nb * d, h).T @ dU.reshape(nb * d, h),
-                 "Q": np.einsum("jl,jk->lk", dLogit, K_obs) / sk, "B": dU.sum(axis=0)}
-    finally:
-        dS = dS.result()   # read even when this thread raised: no task outlives the call
-    grads["S"] = dS
+    dS = G.reshape(nb * d, -1).T @ U.reshape(nb * d, h)   # one GEMM, inner dimension B_c*d
+    dU = np.matmul(G, params.S)                           # one GEMM per user
+    dA = np.einsum("jlh,jh->jl", np.matmul(dU, params.W_v.T)[segs.seg], V_obs)
+    dLogit = A * (dA - np.add.reduceat(A * dA, segs.starts)[segs.seg])
+    sk = math.sqrt(params.Q.shape[1])
+    grads = {"W_k": np.einsum("ja,jl->al", V_obs, dLogit) @ params.Q / sk,
+             "W_v": Z.reshape(nb * d, h).T @ dU.reshape(nb * d, h),
+             "Q": np.einsum("jl,jk->lk", dLogit, K_obs) / sk, "B": dU.sum(axis=0), "S": dS}
     return grads, losses
-
-
-def _new_helper():
-    """The helper thread of ``_chunk_gradients``: the executor starts it at
-    the first submit, so importing this module starts no thread."""
-    return ThreadPoolExecutor(1, thread_name_prefix="amarec-dS")
-
-
-_HELPER = _new_helper()
-# a forked child inherits the executor but not its thread: it gets its own
-os.register_at_fork(after_in_child=lambda: globals().update(_HELPER=_new_helper()))
 
 
 _MDL_MAGIC = b"AMAMDL01"

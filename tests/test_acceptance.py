@@ -10,6 +10,7 @@ in pure numpy.
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,9 +208,11 @@ def test_criterion_9_thread_count_reproducibility(tmp_path):
     ratings = tmp_path / "ratings.dat"
     write_movielens_file(ratings, synthetic_events(m=30, n=20, per_user=14, seed=13))
     data_dir = tmp_path / "data"
+    src = str(Path(__file__).resolve().parents[1] / "src")
 
     def run(args, threads=1):
-        env = {**os.environ, "PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": str(threads)}
+        env = {**os.environ, "PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         proc = subprocess.run([sys.executable, "-m", "amarec.cli", *args],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr

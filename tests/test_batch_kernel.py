@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -232,30 +231,11 @@ def test_attribution_runs_only_where_it_is_read(monkeypatch):
     assert widths[2:] == [9]
 
 
-class InlineHelper:
-    """An executor that runs each task at submit, on the calling thread."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-class CountingHelper(ThreadPoolExecutor):
-    """The helper thread, counting the tasks it is given."""
-
-    submitted = 0
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        return super().submit(fn, *args)
-
-
-@pytest.mark.parametrize("users", [model.CHUNK - 7, 2 * model.CHUNK + 9])
-def test_helper_thread_changes_no_bytes(users, monkeypatch):
-    # dS runs on the helper thread while the calling thread runs the rest of
-    # the backward; the same GEMMs run, so computing dS inline gives the same
-    # bytes, at a batch inside one chunk and at one spanning three
+@pytest.mark.parametrize("users", [model.CHUNK + 9, 2 * model.CHUNK + 9])
+def test_batch_is_its_chunks_summed_in_order(users):
+    # a batch spanning several chunks gives the bytes of its chunks run one
+    # call each, their gradients added in ascending chunk order and their
+    # losses laid end to end
     cfg = AmaConfig(h=6, d=3, kappa=2, alpha=1.5)
     rng = np.random.default_rng(users)
     n = 200
@@ -264,16 +244,16 @@ def test_helper_thread_changes_no_bytes(users, monkeypatch):
     rows = csr_rows([np.sort(rng.choice(n, size=int(rng.integers(1, 30)), replace=False))
                      for _ in range(users)], n)
     masks = corrupt(rows, 0.0, rng)
-    helper = CountingHelper(1)
-    monkeypatch.setattr(model, "_HELPER", helper)
-    threaded, threaded_losses = batch_gradients(rows, masks, params, V, cfg.alpha)
-    helper.shutdown()
-    assert helper.submitted == -(-users // model.CHUNK)   # one dS per chunk
-    monkeypatch.setattr(model, "_HELPER", InlineHelper())
-    inline, inline_losses = batch_gradients(rows, masks, params, V, cfg.alpha)
-    assert threaded_losses.tobytes() == inline_losses.tobytes()
+    grads, losses = batch_gradients(rows, masks, params, V, cfg.alpha)
+    parts = [batch_gradients(rows[lo:lo + model.CHUNK], masks[lo:lo + model.CHUNK], params, V,
+                             cfg.alpha) for lo in range(0, users, model.CHUNK)]
+    assert len(parts) == -(-users // model.CHUNK) > 1
+    assert losses.tobytes() == np.concatenate([loss for _, loss in parts]).tobytes()
     for name in PARAM_NAMES:
-        assert threaded[name].tobytes() == inline[name].tobytes(), name
+        total = parts[0][0][name].copy()
+        for chunk, _ in parts[1:]:
+            total += chunk[name]
+        assert grads[name].tobytes() == total.tobytes(), name
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
@@ -283,9 +263,8 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # instead keeps its bytes there: one (d, h) @ (h, h), one (d, h) @ (h, n)
     # and one (d, n) @ (n, h) GEMM per user, and the (n, B_c*d) @ (B_c*d, h)
     # and (h, B_c*d) @ (B_c*d, h) GEMMs for dS and the W_v gradient, whose
-    # inner dimension is a chunk's modes; dS runs on the helper thread, beside
-    # the calling thread's GEMMs. A batch of 70 users runs as chunks of 32, 32
-    # and at most 6 users, summed across chunks.
+    # inner dimension is a chunk's modes. A batch of 70 users runs as chunks
+    # of 32, 32 and at most 6 users, summed across chunks.
     ratings = tmp_path / "ratings.dat"
     write_movielens_file(ratings, synthetic_events(m=100, n=2000, per_user=100, seed=5))
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -310,6 +310,13 @@ class TestTrainEvaluateExplain:
         assert rc == 1 and not out.exists()
         assert f"bad value {value!r} for {key}" in capsys.readouterr().err
 
+    def test_out_of_range_setting_named_by_its_config_key(self, tmp_path, prepped, capsys):
+        # the field is AmaConfig's `lam`; the user set the key `lambda`
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--data", str(prepped), "--out", str(out), "--set", "lambda=-1"])
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == "error: lambda must lie in [0, inf), got -1.0\n"
+
     def test_diverging_train_exits_1_without_a_model(self, tmp_path, prepped, capsys):
         out = tmp_path / "m.bin"
         rc = main(["train", "--data", str(prepped), "--out", str(out), *fast_overrides(),

@@ -1,13 +1,12 @@
-"""Every public amarec function runs on the thread that called into amarec.
+"""Every public amarec function runs on the thread that called into amarec,
+and amarec starts no thread of its own.
 
-Training computes the decoder gradient dS on a helper thread, and only
-numpy and BLAS work may run there. ``bench/tracing.py`` wraps every public
-function of amarec's modules and keeps one span stack, so a public function
-called from another thread would nest its span under the wrong parent and
-corrupt the per-layer self times. This test wraps the same functions the way
-that tracer does, rebinding each in every module that imported it, records the
-thread of every call, and runs the commands that reach training, scoring and
-explanation.
+``bench/tracing.py`` wraps every public function of amarec's modules and
+keeps one span stack, so a public function called from another thread would
+nest its span under the wrong parent and corrupt the per-layer self times.
+This test wraps the same functions the way that tracer does, rebinding each
+in every module that imported it, records the thread of every call, and runs
+the commands that reach training, scoring and explanation.
 """
 
 import importlib
@@ -16,9 +15,8 @@ import pkgutil
 import threading
 
 import amarec
-from amarec import cli, model
+from amarec import cli
 from conftest import synthetic_events, write_movielens_file
-from test_batch_kernel import CountingHelper
 
 
 def record_threads(monkeypatch):
@@ -48,8 +46,6 @@ def test_public_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
     ratings, data = tmp_path / "ratings.dat", tmp_path / "data"
     write_movielens_file(ratings, synthetic_events(m=80, n=60, per_user=15, seed=3))
     calls = record_threads(monkeypatch)
-    helper = CountingHelper(1)
-    monkeypatch.setattr(model, "_HELPER", helper)
     small = ["--set", "h=4", "--set", "d=2", "--set", "kappa=2", "--set", "gamma=3",
              "--set", "epochs=1"]
     assert cli.main(["prep", "--input", str(ratings), "--format", "movielens-dat",
@@ -58,8 +54,8 @@ def test_public_functions_run_on_the_calling_thread(tmp_path, monkeypatch):
     for batch in (20, 80):
         assert cli.main(["train", "--data", str(data), *small, "--set",
                          f"batch_size={batch}", "--out", str(tmp_path / "m.bin")]) == 0
-    helper.shutdown()
-    assert helper.submitted > 0   # training ran dS on the helper thread
+    # training left no thread of amarec's behind
+    assert [t.name for t in threading.enumerate() if t.name.startswith("amarec")] == []
     caller = threading.get_ident()
     for argv in (["evaluate", "--out", str(tmp_path / "report.json")],
                  ["explain", "--histogram", "--out", str(tmp_path / "hist.csv")],
