@@ -504,7 +504,10 @@ def _read_split_meta(path):
     that many distinct strings and an integer ``counts`` entry per split; a
     ConfigError names the file and the first key that is not."""
     with open(path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:   # malformed JSON or not UTF-8
+            raise ConfigError(f"{path} is not readable JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ConfigError(f"{path} is not a JSON object")
     for size, key in (("num_users", "user_ids"), ("num_items", "item_ids")):

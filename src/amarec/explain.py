@@ -136,15 +136,20 @@ def save_mode_top_items_csv(top_items, path, item_ids):
 _DOT_MIN_WEIGHT = 0.05   # lighter observed-item -> mode edges are left out of the graph
 
 
+def _dot_quoted(text):
+    """``text`` escaped for the inside of a DOT quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def user_explanation_dot(exp, item_ids):
     """DOT graph of the observed-items / modes / recommendations tripartite layout."""
     lines = ["digraph explanation {", "  rankdir=LR;"]
     for j in exp.observed.tolist():
-        lines.append(f'  "obs_{j}" [label="{item_ids[j]}", shape=box];')
+        lines.append(f'  "obs_{j}" [label="{_dot_quoted(item_ids[j])}", shape=box];')
     for l in range(exp.attention.shape[0]):
         lines.append(f'  "mode_{l}" [label="preference {l}", shape=ellipse];')
     for j, _, _ in exp.recommendations:
-        lines.append(f'  "rec_{j}" [label="{item_ids[j]}", shape=box, style=rounded];')
+        lines.append(f'  "rec_{j}" [label="{_dot_quoted(item_ids[j])}", shape=box, style=rounded];')
     for l, row in enumerate(exp.attention):
         for j, w in zip(exp.observed.tolist(), row):
             if w >= _DOT_MIN_WEIGHT:

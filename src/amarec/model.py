@@ -58,7 +58,7 @@ def _real(name, value):
 # each float field of AmaConfig, its interval and the interval's test
 _REAL_BOUNDS = {"alpha": ("[0, inf)", lambda x: 0 <= x < math.inf),
                 "lam": ("[0, inf)", lambda x: 0 <= x < math.inf),
-                "rho": ("[0, 1]", lambda x: 0 <= x <= 1),
+                "rho": ("[0, 1)", lambda x: 0 <= x < 1),
                 "learning_rate": ("(0, inf)", lambda x: 0 < x < math.inf)}
 
 
@@ -487,7 +487,10 @@ def load_model(path):
             raise ValueError(f"damaged model file {path}: parameter {name} holds a "
                              "non-finite value")
     with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+        try:
+            sidecar = json.load(fh)
+        except ValueError as exc:   # malformed JSON or not UTF-8
+            raise ValueError(f"model sidecar {path}.json is not readable JSON: {exc}") from None
     params = AmaParameters(**arrays)
     recipe = _sidecar_config(sidecar, path, params)
     return params, recipe, sidecar["item_index_hash"], _stored_embedding(sidecar, path, n, h)

@@ -522,7 +522,7 @@ class TestDamagedFiles:
         (lambda sc: sc["config"].update(d=True), "config: d must be an integer, got True"),
         (lambda sc: sc["config"].update(lam=float("nan")),
          "config: lam must lie in [0, inf), got nan"),
-        (lambda sc: sc["config"].update(rho=1.5), "config: rho must lie in [0, 1]"),
+        (lambda sc: sc["config"].update(rho=1.5), "config: rho must lie in [0, 1)"),
         (lambda sc: sc.update(config=[3]), "config must be a JSON object"),
         (lambda sc: sc.update(embedding="svd"), "embedding must be a JSON object"),
         (lambda sc: sc.pop("item_index_hash"), "item_index_hash must be a string, got None"),
@@ -582,6 +582,16 @@ class TestDamagedFiles:
         sidecar_path.write_text("[1, 2]\n")
         with pytest.raises(ValueError, match=re.escape(f"{sidecar_path} is not a JSON object")):
             load_model(model_path)
+
+    @pytest.mark.parametrize("text", [b"{oops", b"\xff{}"], ids=["truncated", "not-utf-8"])
+    def test_unreadable_sidecar_names_the_file(self, trained, tmp_path, capsys, text):
+        _, data, model = trained
+        bad = tmp_path / "m.bin"
+        bad.write_bytes(model.read_bytes())
+        (tmp_path / "m.bin.json").write_bytes(text)
+        assert evaluate(data, bad) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: model sidecar {bad}.json is not readable JSON: ")
 
     def test_sidecar_without_recipe_or_hash_loads(self, model_path):
         sidecar = json.loads((model_path.parent / "m.bin.json").read_text())

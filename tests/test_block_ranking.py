@@ -3,7 +3,7 @@ a lexsort ranking of one user at a time, ``enumerate_metrics`` for the metric
 rows and a plain loop for the mode-usage histogram, compared bit for bit. The
 two ranking primitives, ``top_k`` and ``hit_ranks``, are also compared with
 the lexsort directly at catalog widths where ``np.partition`` and the
-tie-group counts do real work."""
+counts of tied items do real work."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -61,6 +61,10 @@ def signed_scores(rng, m, n, levels):
 # shaped like a bench POP block: large tie groups in every row, and relevant
 # items excluded at +inf
 @example(seed=7, m=2 * BLOCK + 5, n=300, levels=3, k=10)
+# every finite score is 0 or -0.0: each ranked hit counts its equal keys at
+# smaller indices, at index 0, at n - 1 and across long prefixes
+@example(seed=8, m=2 * BLOCK + 5, n=300, levels=1, k=10)
+@example(seed=9, m=BLOCK + 3, n=1000, levels=1, k=10)
 def test_top_k_and_hit_ranks_match_lexsort(seed, m, n, levels, k):
     rng = np.random.default_rng(seed)
     scores = signed_scores(rng, m, n, levels)

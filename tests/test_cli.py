@@ -317,6 +317,13 @@ class TestTrainEvaluateExplain:
         assert rc == 1 and not out.exists()
         assert capsys.readouterr().err == "error: lambda must lie in [0, inf), got -1.0\n"
 
+    def test_rho_one_refused(self, tmp_path, prepped, capsys):
+        # at rho=1 corruption drops every entry, so no user would be trained
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--data", str(prepped), "--out", str(out), "--set", "rho=1"])
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == "error: rho must lie in [0, 1), got 1.0\n"
+
     def test_diverging_train_exits_1_without_a_model(self, tmp_path, prepped, capsys):
         out = tmp_path / "m.bin"
         rc = main(["train", "--data", str(prepped), "--out", str(out), *fast_overrides(),

@@ -845,6 +845,15 @@ def test_split_json_that_is_not_an_object_rejected(tmp_path, tiny_split):
         load_split(tmp_path / "out")
 
 
+@pytest.mark.parametrize("text", [b"{oops", b"\xff{}"], ids=["truncated", "not-utf-8"])
+def test_unreadable_split_json_names_the_file(tmp_path, tiny_split, capsys, text):
+    save_split(tiny_split, tmp_path / "out", threshold=2)
+    path = tmp_path / "out" / "split.json"
+    path.write_bytes(text)
+    assert cli.main(["evaluate", "--data", str(tmp_path / "out"), "--baseline", "pop"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} is not readable JSON: ")
+
+
 def test_empty_file_names_the_file(tmp_path, tiny_split):
     save_split(tiny_split, tmp_path / "out", threshold=2)
     path = tmp_path / "out" / "validation.csv"

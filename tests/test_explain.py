@@ -160,6 +160,11 @@ def test_csv_and_dot_outputs(tmp_path):
     exp = explain_user(params, V, data.train[0], 0, k=2)
     dot = user_explanation_dot(exp, item_ids)
     assert dot.startswith("digraph") and "mode_0" in dot
+    # an id may hold a quote or a backslash; both are escaped in a label
+    j = int(exp.observed[0])
+    item_ids[j] = 'say "hi" \\ bye'
+    assert (f'  "obs_{j}" [label="say \\"hi\\" \\\\ bye", shape=box];'
+            in user_explanation_dot(exp, item_ids).splitlines())
 
 
 def test_reports_compute_keys_values_once_and_match_per_user_path(tmp_path, monkeypatch):

@@ -160,9 +160,9 @@ class TestConfig:
             AmaConfig(**{key: value})
 
     def test_numpy_or_int_float_field_becomes_a_float(self, tmp_path):
-        cfg = AmaConfig(h=3, d=2, kappa=2, alpha=np.float32(1), lam=np.float64(0.5), rho=1,
+        cfg = AmaConfig(h=3, d=2, kappa=2, alpha=np.float32(1), lam=np.float64(0.5), rho=0,
                         learning_rate=np.float16(0.25))
-        assert cfg == AmaConfig(h=3, d=2, kappa=2, alpha=1.0, lam=0.5, rho=1.0,
+        assert cfg == AmaConfig(h=3, d=2, kappa=2, alpha=1.0, lam=0.5, rho=0.0,
                                 learning_rate=0.25)
         assert all(type(getattr(cfg, key)) is float
                    for key in ("alpha", "lam", "rho", "learning_rate"))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -121,8 +122,9 @@ class TestTrainLoop:
         train(tiny_split, V, cfg)
         np.testing.assert_array_equal(V, snapshot)
 
-    def test_rho_one_skips_everyone(self, tiny_split):
-        cfg = tiny_train_config(epochs=2, rho=1.0)
+    def test_rho_just_below_one_skips_everyone(self, tiny_split):
+        # rho=1 is refused; the largest float below 1 still drops every entry here
+        cfg = tiny_train_config(epochs=2, rho=math.nextafter(1.0, 0.0))
         V = embeddings_for(tiny_split, cfg)
         init = init_params(tiny_split.shape[1], cfg, np.random.default_rng(cfg.seed))
         params, log = train(tiny_split, V, cfg)
@@ -145,7 +147,8 @@ class TestTrainLoop:
         assert seen == [0, 1, 2]
 
 
-@pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 1.0])
+# rho=1 is refused; the largest float below 1 drops every entry here
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, math.nextafter(1.0, 0.0)])
 def test_batches_match_the_per_user_loop(tiny_split, rho):
     # train's CSR batches against a per-user loop: each batch's users in
     # ascending order, corrupted one by one from the epoch's stream, those
