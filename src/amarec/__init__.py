@@ -9,6 +9,7 @@ harness, and attention-based explanation reports.
 
 import ctypes
 import os
+from pathlib import Path
 
 
 def _keep_freed_memory():
@@ -39,6 +40,37 @@ def _keep_freed_memory():
 
 
 _keep_freed_memory()
+
+
+def _one_blas_thread():
+    """Set numpy's BLAS to one thread, for the whole process.
+
+    The decode and its backward run one fixed-shape GEMM per CHUNK users
+    (``model._block_matmul``), which gives a user the same bytes anywhere in
+    a block only at one thread. numpy's wheels ship scipy-openblas in
+    ``numpy.libs`` (``numpy/.dylibs`` on macOS); a plain OpenBLAS that numpy
+    links is reached through ``numpy.linalg``'s extension. Another BLAS (MKL,
+    Accelerate) has neither setter and keeps its thread count. Like
+    ``_keep_freed_memory``, it runs once, when ``amarec`` is imported."""
+    import numpy
+    import numpy.linalg._umath_linalg as linalg_ext
+
+    root = Path(numpy.__file__).parent
+    for path in (*sorted(root.parent.glob("numpy.libs/*openblas*")),
+                 *sorted(root.glob(".dylibs/*openblas*")), linalg_ext.__file__):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+                return
+
+
+_one_blas_thread()
 
 from amarec.dataset import (
     Ratings,

@@ -34,6 +34,7 @@ omitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import math
@@ -314,7 +315,10 @@ def cmd_explain(args):
         print(f"per-mode top items written to {out}")
 
 
+@functools.cache
 def build_parser():
+    """The parser of every command, built once per process; ``main`` runs the
+    command through ``cmd_<command>``, looked up when it runs."""
     p = argparse.ArgumentParser(
         prog="amarec",
         description=__doc__,
@@ -337,19 +341,16 @@ def build_parser():
     sp.add_argument("--fractions", default="0.5,0.2,0.3")
     sp.add_argument("--amazon-columns", default="item,user,rating,timestamp")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_prep)
 
     sp = sub.add_parser("embed", help="compute item embeddings from the train split")
     common_cfg(sp)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("train", help="embed and train a model")
     common_cfg(sp)
     sp.add_argument("--out", required=True, help="model output path")
     sp.add_argument("--log-prefix", help="write the train log as PREFIX.json")
     sp.add_argument("--checkpoint-every", type=int, default=0)
-    sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("evaluate", help="rank and score a model or baseline")
     common_cfg(sp)
@@ -359,7 +360,6 @@ def build_parser():
     sp.add_argument("--split", default="test", choices=["validation", "test"])
     sp.add_argument("--ks", default="5,10,20")
     sp.add_argument("--out", help="JSON report path")
-    sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("explain", help="attention-based explanation reports")
     common_cfg(sp)
@@ -373,14 +373,13 @@ def build_parser():
     sp.add_argument("--n", type=int, default=10, help="items per mode listing")
     sp.add_argument("--out", help="output path")
     sp.add_argument("--dot", help="also write a DOT graph (per-user report only)")
-    sp.set_defaults(func=cmd_explain)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        globals()[f"cmd_{args.command}"](args)
     except (CliError, dataset.ConfigError, dataset.ParseError, ValueError,
             KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,11 @@ All functions are pure in (parameters, inputs); gradients are exact
 backpropagation with maxout routing to the argmax mode (lowest index on
 ties) and the softmax Jacobian restricted to observed items. Each mode is
 (sum_j a_jl v_j) W_v + b_l, so no catalog-wide value table is built.
+
+The decode ``U S^T`` and its backward ``dU = G S``, the two largest
+products of a step, run as one zero-padded GEMM per CHUNK users
+(``_block_matmul``); at the one BLAS thread ``import amarec`` sets, a user
+gets the same bytes in training, ranking and explanation.
 """
 
 from __future__ import annotations
@@ -198,17 +203,52 @@ def encode(A, V_obs, segs, W_v, B):
     return Z, np.matmul(Z, W_v) + B
 
 
-def decode_maxout(U, S_T):
-    """(scores, per_mode) of the modes U (B x d x h): ``per_mode`` holds the
-    B x d x n per-mode scores u_l . s_j and ``scores`` their B x n maxout.
-    NaN propagates to the score. Which mode attains the max is
-    ``argmax_mode``'s step, run only by a caller that reads it.
-
-    ``S_T`` is ``Forward.S_T``. BLAS sees one (d, h) @ (h, n) GEMM per user,
-    whose bytes do not depend on the batch or the BLAS thread count.
+def decode_maxout(U, S):
+    """(scores, per_mode) of the modes U (B x d x h) against the decoder S
+    (n x h): ``per_mode`` holds the B x d x n per-mode scores u_l . s_j and
+    ``scores`` their B x n maxout. NaN propagates to the score. Which mode
+    attains the max is ``argmax_mode``'s step, run only by a caller that
+    reads it. A user's bytes do not depend on the users decoded with it
+    (``_block_matmul``).
     """
-    per_mode = np.matmul(U, S_T)
+    users = U.shape[0]
+    padded = _padded(users, *U.shape[1:])
+    padded[:users] = U
+    per_mode = _block_matmul(padded, S.T)[:users]
     return per_mode.max(axis=1), per_mode
+
+
+def _block_users(d):
+    """Users per block GEMM of d modes: CHUNK, rounded up until the GEMM's
+    rows are a multiple of 48. OpenBLAS 0.3.31's SkylakeX dgemm kernel sums
+    rows in tiles of 24 and the rest in narrower tiles, in another order: at
+    CHUNK*d rows, d = 1, 2, 4 or 5, a block's last users got other bytes."""
+    step = 48 // math.gcd(48, d)
+    return -(-CHUNK // step) * step
+
+
+def _padded(users, d, k):
+    """An array for ``users`` users' d x k rows, padded to whole blocks of
+    ``_block_users(d)`` users: the rows past ``users`` are zero, the rest unset."""
+    block = _block_users(d)
+    out = np.empty((-(-users // block) * block, d, k))
+    out[users:] = 0.0
+    return out
+
+
+def _block_matmul(X, Y):
+    """``np.matmul(X, Y)`` for X from ``_padded`` (users x d x k) and Y of
+    k x m, as one fixed-shape GEMM per block of users. At one BLAS thread,
+    which ``import amarec`` sets, it gives a user's rows the same bytes at
+    any place in the block, in a short zero-padded block and alone; without
+    the padding, or at two threads, a short block can give other bytes."""
+    _, d, k = X.shape
+    block = _block_users(d)
+    out = np.empty((X.shape[0], d, Y.shape[1]))
+    for lo in range(0, X.shape[0], block):
+        np.matmul(X[lo:lo + block].reshape(block * d, k), Y,
+                  out=out[lo:lo + block].reshape(block * d, -1))
+    return out
 
 
 def argmax_mode(per_mode, scores):
@@ -242,14 +282,13 @@ def corrupt(rows, rho, rng):
 
 class Forward:
     """The forward pass that training, scoring and explanation share, sized by
-    the arrays alone, with its item tables built once: the keys over the whole
-    catalog (``V[obs] @ W_k`` gives other bytes than ``(V @ W_k)[obs]``) and
-    ``S_T``, a C-order copy of ``S.T`` (the transposed view gives other bytes)."""
+    the arrays alone, with the keys over the whole catalog built once
+    (``V[obs] @ W_k`` gives other bytes than ``(V @ W_k)[obs]``). A call
+    decodes its users in blocks of CHUNK (see ``decode_maxout``)."""
 
     def __init__(self, params, V):
         self.params, self.V = params, np.asarray(V)
         self.K = keys_values(self.V, params)
-        self.S_T = np.ascontiguousarray(params.S.T)
 
     def attention(self, masks, first=0):
         """(segs, A): the CSR block ``masks`` laid end to end, and its attention."""
@@ -263,11 +302,12 @@ class Forward:
         scores they maximize over (see ``decode_maxout``)."""
         segs, A = self.attention(masks, first)
         Z, U = encode(A, self.V[segs.obs], segs, self.params.W_v, self.params.B)
-        return (segs, A, Z, U, *decode_maxout(U, self.S_T))
+        return (segs, A, Z, U, *decode_maxout(U, self.params.S))
 
 
-# users per forward/backward pass of batch_gradients: a fixed constant, not a
-# setting, because it decides which GEMMs run and so the gradients' bytes
+# users per training chunk and per block GEMM of the decode and dU: a fixed
+# constant, not a setting, because it decides which GEMMs run and so the bytes
+# of the gradients and the scores
 CHUNK = 32
 
 
@@ -301,14 +341,13 @@ def batch_gradients(R, masks, params, V, alpha):
 def _chunk_gradients(R, result, forward, alpha):
     """The gradients and losses of the dense clean rows ``R`` from their ``result``.
 
-    BLAS sees only products whose bytes do not depend on the BLAS thread
-    count: one GEMM per user, and GEMMs whose inner dimension runs over the
-    chunk's B_c*d modes. A GEMM with B_c*d rows and inner dimension n can
-    split its sums differently under different thread counts, so ``dU`` runs
-    as one ``(d, n) @ (n, h)`` GEMM per user. Sums over the observed items
-    run in numpy (reduceat, einsum), whose order is fixed. The forward's Z
-    gives the W_v gradient, and the attention gradient reads the embeddings
-    through ``dU W_v^T``, so no value table is needed.
+    The routed error G is built padded to CHUNK users, so ``dU = G S`` runs
+    as one block GEMM (``_block_matmul``), like the decode; ``dS`` and the
+    W_v gradient are GEMMs whose inner dimension runs over the chunk's B_c*d
+    modes. Sums over the observed items run in numpy (reduceat, einsum),
+    whose order is fixed. The forward's Z gives the W_v gradient, and the
+    attention gradient reads the embeddings through ``dU W_v^T``, so no
+    value table is needed.
     """
     segs, A, Z, U, scores, per_mode = result
     mode_of = argmax_mode(per_mode, scores)   # every item's mode routes its error
@@ -324,10 +363,11 @@ def _chunk_gradients(R, result, forward, alpha):
     c *= -2.0
     g *= c
     # routed gradients: G[b, l] is user b's error on the items that take mode l
-    G = g[:, None] * (mode_of[:, None] == np.arange(d)[:, None])
+    G = _padded(nb, d, g.shape[1])
+    np.multiply(g[:, None], mode_of[:, None] == np.arange(d)[:, None], out=G[:nb])
     del g, mode_of
-    dS = G.reshape(nb * d, -1).T @ U.reshape(nb * d, h)   # one GEMM, inner dimension B_c*d
-    dU = np.matmul(G, params.S)                           # one GEMM per user
+    dS = G[:nb].reshape(nb * d, -1).T @ U.reshape(nb * d, h)   # inner dimension B_c*d
+    dU = _block_matmul(G, params.S)[:nb]
     dA = np.einsum("jlh,jh->jl", np.matmul(dU, params.W_v.T)[segs.seg], V_obs)
     dLogit = A * (dA - np.add.reduceat(A * dA, segs.starts)[segs.seg])
     sk = math.sqrt(params.Q.shape[1])

@@ -36,7 +36,7 @@ from conftest import csr_rows, synthetic_events, write_movielens_file
 from oracles import enumerate_metrics, finite_difference, jacobi_singular_values
 from test_gradients import well_separated_instance
 from test_metrics import metrics_of
-from test_model import small_instance, user_objective
+from test_model import padded_gemm, small_instance, user_objective
 
 ML1M_ENV = "AMAREC_ML1M_RATINGS"
 
@@ -143,10 +143,9 @@ def test_criterion_6_maxout_suite():
         d, h, n = int(rng.integers(1, 5)), int(rng.integers(2, 5)), int(rng.integers(3, 9))
         U = rng.standard_normal((1, d, h))
         S = rng.standard_normal((n, h))
-        S_T = np.ascontiguousarray(S.T)
-        decoded, per_modes = decode_maxout(U, S_T)
+        decoded, per_modes = decode_maxout(U, S)
         scores, mode_of = decoded[0], argmax_mode(per_modes, decoded)[0]
-        per_mode = np.matmul(U, S_T)[0]   # the GEMM the decode maximizes over
+        per_mode = padded_gemm(U, S.T)[0]   # the block GEMM the decode maximizes over
         assert np.array_equal(per_modes[0], per_mode)
         np.testing.assert_allclose(per_mode, U[0] @ S.T, rtol=1e-12, atol=0)
         assert np.all(scores[None, :] >= per_mode - 1e-15)
@@ -155,11 +154,11 @@ def test_criterion_6_maxout_suite():
     # d=1 reduces to the plain dot-product decoder
     rng = np.random.default_rng(1)
     U = rng.standard_normal((1, 1, 4))
-    S_T = np.ascontiguousarray(rng.standard_normal((6, 4)).T)
-    np.testing.assert_array_equal(decode_maxout(U, S_T)[0][0], U[0, 0] @ S_T)
+    S = rng.standard_normal((6, 4))
+    np.testing.assert_array_equal(decode_maxout(U, S)[0][0], padded_gemm(U, S.T)[0, 0])
     # deterministic lowest-index tie-break
     U_tie = np.array([[[2.0, 0.0], [2.0, 0.0]]])
-    decoded, per_modes = decode_maxout(U_tie, np.array([[1.0], [5.0]]))
+    decoded, per_modes = decode_maxout(U_tie, np.array([[1.0, 5.0]]))
     assert argmax_mode(per_modes, decoded)[0, 0] == 0
     passed(6, "dominance, d=1 dot-product reduction, deterministic tie-break")
 

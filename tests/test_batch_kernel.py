@@ -22,7 +22,7 @@ from amarec.model import (AmaConfig, DegenerateUser, PARAM_NAMES, Segments, argm
 from conftest import csr_rows, synthetic_events, write_movielens_file
 from oracles import forward_oracle, gradients_oracle
 from test_metrics import make_split
-from test_model import random_params, recording_decode
+from test_model import padded_gemm, random_params, recording_decode
 
 
 def chunked(size):
@@ -118,25 +118,24 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
     if not masks:
         return
     K = keys_values(V, params)
-    S_T = np.ascontiguousarray(params.S.T)
 
     def stages(mks):
         segs = Segments.of(mks)
         A = attend(K[segs.obs], params.Q, segs)
         U = encode(A, V[segs.obs], segs, params.W_v, params.B)[1]
-        scores, per_mode = decode_maxout(U, S_T)
-        return A, U, scores, argmax_mode(per_mode, scores)
+        scores, per_mode = decode_maxout(U, params.S)
+        return A, U, scores, argmax_mode(per_mode, scores), per_mode
 
-    A, U, scores, mode_of = stages(csr_rows(masks, n))
+    A, U, scores, mode_of, per_modes = stages(csr_rows(masks, n))
     seg = Segments.of(csr_rows(masks, n)).seg
     for b, mk in enumerate(masks):
         # the batch equals each user run alone, bitwise
-        A1, U1, scores1, mode_of1 = stages(csr_rows([mk], n))
+        A1, U1, scores1, mode_of1, per_mode1 = stages(csr_rows([mk], n))
         assert np.array_equal(A[seg == b], A1) and np.array_equal(U[b], U1[0])
         assert np.array_equal(scores[b], scores1[0])
         assert np.array_equal(mode_of[b], mode_of1[0])
-        per_mode = np.matmul(U1, S_T)[0]   # the per-user GEMM the decode maximizes over
-        assert np.array_equal(np.matmul(U, S_T)[b], per_mode)
+        per_mode = padded_gemm(U1, params.S.T)[0]   # the block GEMM the decode maximizes over
+        assert np.array_equal(per_modes[b], per_mode) and np.array_equal(per_mode1[0], per_mode)
         # maxout: the strict scan keeps the lowest of the tied modes
         assert np.array_equal(scores1[0], per_mode.max(axis=0))
         assert np.array_equal(mode_of1[0], per_mode.argmax(axis=0))
@@ -157,7 +156,7 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
         batch_gradients(block, block, params, V, cfg.alpha)
     assert len(calls) == -(-len(rows) // chunk)
     trained_U, trained_scores, trained_modes = decoded(calls)
-    trained_per_mode = np.matmul(trained_U, S_T)
+    trained_per_mode = decode_maxout(trained_U, params.S)[1]
     score = ama_scorer(params, V)
     assert np.array_equal(score(block, np.arange(len(rows))), trained_scores)
     for b in range(len(rows)):
@@ -165,6 +164,69 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
         for j, mode, per_mode in explain_user(params, V, block[b], b, k=n).recommendations:
             assert mode == trained_modes[b, j]
             assert np.array_equal(per_mode, trained_per_mode[b, :, j])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([1, 7, 300, 1001, 3706]),
+       h=st.sampled_from([1, 3, 40]), d=st.integers(1, 5), place=st.floats(0, 1),
+       short=st.floats(0, 1))
+@example(seed=0, n=300, h=40, d=1, place=1.0, short=1.0)   # at 32 rows, a narrower tile's
+@example(seed=1, n=3706, h=40, d=3, place=1.0, short=0.5)
+def test_a_users_block_gemm_rows_do_not_depend_on_its_block(seed, n, h, d, place, short):
+    # a user's per-mode scores and dU rows are the same bytes in a full
+    # block, at any place in a short block and alone
+    rng = np.random.default_rng(seed)
+    block = model._block_users(d)
+    b = min(int(place * block), block - 1)
+    users = b + 1 + int(short * (block - b - 1))   # a block of b+1 to block users
+    S = rng.standard_normal((n, h))
+    U = rng.standard_normal((block, d, h))
+    G = rng.standard_normal((block, d, n))
+
+    def dU(rows):
+        padded = model._padded(len(rows), d, n)
+        padded[:len(rows)] = rows
+        return model._block_matmul(padded, S)[:len(rows)]
+
+    for run in (decode_maxout(U, S)[1], decode_maxout(U[:users], S)[1]):
+        assert run[b].tobytes() == decode_maxout(U[b:b + 1], S)[1][0].tobytes()
+    for run in (dU(G), dU(G[:users])):
+        assert run[b].tobytes() == dU(G[b:b + 1])[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [300, 1001, 3706])
+def test_forward_over_many_users_equals_its_chunks(n):
+    # a call on more than CHUNK users runs one block GEMM per CHUNK users
+    cfg = AmaConfig(h=40, d=3, kappa=3)
+    rng = np.random.default_rng(n)
+    V = rng.standard_normal((n, cfg.h))
+    masks = csr_rows([np.sort(rng.choice(n, size=int(rng.integers(1, 40)), replace=False))
+                      for _ in range(70)], n)
+    forward = model.Forward(random_params(n, cfg, seed=n + 1), V)
+    *_, scores, per_mode = forward(masks)
+    for lo in range(0, 70, model.CHUNK):
+        *_, chunk_scores, chunk_per_mode = forward(masks[lo:lo + model.CHUNK])
+        assert scores[lo:lo + model.CHUNK].tobytes() == chunk_scores.tobytes()
+        assert per_mode[lo:lo + model.CHUNK].tobytes() == chunk_per_mode.tobytes()
+
+
+def test_import_sets_one_blas_thread():
+    # the block GEMMs keep a user's bytes only at one BLAS thread, so
+    # importing amarec sets it, whatever OPENBLAS_NUM_THREADS asks for
+    code = ("import ctypes, numpy.linalg._umath_linalg as ext, amarec\n"
+            "lib = ctypes.CDLL(ext.__file__)\n"
+            "get = getattr(lib, 'scipy_openblas_get_num_threads64_', None)"
+            " or getattr(lib, 'openblas_get_num_threads', None)\n"
+            "print(-1 if get is None else get())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "4",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "-1":
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert proc.stdout.strip() == "1"
 
 
 def test_examples_cover_the_degenerate_cases():
@@ -257,14 +319,11 @@ def test_batch_is_its_chunks_summed_in_order(users):
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # At this size a batch-wide score GEMM, (B*d, h) @ (h, n), or a batch-wide
-    # (B*d, n) @ (n, h) GEMM for the mode gradients gives different bytes under
-    # 1 and 2 OpenBLAS threads on a 2-core x86-64 host. What training runs
-    # instead keeps its bytes there: one (d, h) @ (h, h), one (d, h) @ (h, n)
-    # and one (d, n) @ (n, h) GEMM per user, and the (n, B_c*d) @ (B_c*d, h)
-    # and (h, B_c*d) @ (B_c*d, h) GEMMs for dS and the W_v gradient, whose
-    # inner dimension is a chunk's modes. A batch of 70 users runs as chunks
-    # of 32, 32 and at most 6 users, summed across chunks.
+    # At this size the padded block GEMMs of the decode and of dU give a user
+    # other bytes in another block under 2 OpenBLAS threads on a 2-core
+    # x86-64 host; importing amarec pins one thread, so OPENBLAS_NUM_THREADS
+    # must not move any output. A batch of 70 users runs as chunks of 32, 32
+    # and at most 6 users, summed across chunks.
     ratings = tmp_path / "ratings.dat"
     write_movielens_file(ratings, synthetic_events(m=100, n=2000, per_user=100, seed=5))
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -138,7 +138,6 @@ def test_mode_usage_matches_per_user_loop(seed, m, n, d, k, tied):
     data = make_split(random_rows(rng, m, n), [[]] * m, [[]] * m, n)
 
     K = keys_values(V, params)
-    S_T = np.ascontiguousarray(params.S.T)
     expected = np.zeros(d, dtype=np.int64)
     for u in range(m):
         obs = data.train[u].indices
@@ -146,7 +145,7 @@ def test_mode_usage_matches_per_user_loop(seed, m, n, d, k, tied):
             continue
         segs = Segments.of(data.train[u])
         scores, per_mode = decode_maxout(encode(attend(K[obs], params.Q, segs), V[obs],
-                                                segs, params.W_v, params.B)[1], S_T)
+                                                segs, params.W_v, params.B)[1], params.S)
         mode_of = argmax_mode(per_mode, scores)   # every item's mode
         top = reference_ranked(scores[0], set(obs.tolist()))[:k]
         used = len({int(mode_of[0, j]) for j in top})

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amarec import baselines, linalg
+from amarec import baselines, cli, linalg
 from amarec.cli import CliError, _gather_config, load_preset, main, parse_config_text
 from conftest import synthetic_events, write_movielens_file
 
@@ -81,6 +81,17 @@ class TestConfig:
     def test_unknown_preset(self):
         with pytest.raises(CliError, match="available"):
             load_preset("ml1m-deep")
+
+
+def test_parser_is_built_once_and_main_runs_the_bound_command(monkeypatch):
+    # main parses with one parser per process and calls cmd_<command> as the
+    # module binds it when main runs, so a wrapper bound there (as the
+    # bench's tracer binds one) sees the call
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_evaluate", lambda args: seen.append(args.baseline))
+    assert main(["evaluate", "--baseline", "pop"]) == 0
+    assert seen == ["pop"]
 
 
 class TestPrep:

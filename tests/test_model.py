@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from amarec import model
 from amarec.model import (
     AmaConfig,
     AmaParameters,
@@ -58,8 +59,17 @@ def encode_one(A, V_obs, W_v, B):
 def decode_one(U, S):
     """The batched maxout decoder on one user's d x h modes, with its
     attribution: (scores, mode_of)."""
-    scores, per_mode = decode_maxout(U[None], np.ascontiguousarray(S.T))
+    scores, per_mode = decode_maxout(U[None], S)
     return scores[0], argmax_mode(per_mode, scores)[0]
+
+
+def padded_gemm(X, Y):
+    """The block GEMM of the users X (B x d x k) and Y (k x m): X zero-padded
+    to one block of ``_block_users(d)`` users (B at most that), as one GEMM."""
+    users, d, k = X.shape
+    padded = np.zeros((model._block_users(d) * d, k))
+    padded[:users * d] = X.reshape(-1, k)
+    return (padded @ Y)[:users * d].reshape(users, d, -1)
 
 
 @contextlib.contextmanager
@@ -68,8 +78,8 @@ def recording_decode():
     makes inside the block, with the modes its attribution gives."""
     calls = []
 
-    def record(U, S_T):
-        scores, per_mode = decode_maxout(U, S_T)
+    def record(U, S):
+        scores, per_mode = decode_maxout(U, S)
         calls.append((U, scores, argmax_mode(per_mode, scores)))
         return scores, per_mode
 
@@ -346,9 +356,9 @@ class TestDecodeMaxout:
     def test_decode_returns_the_per_mode_gemm_and_its_max(self):
         rng = np.random.default_rng(6)
         U = rng.standard_normal((4, 3, 5))
-        S_T = np.ascontiguousarray(rng.standard_normal((9, 5)).T)
-        scores, per_mode = decode_maxout(U, S_T)
-        assert per_mode.tobytes() == np.matmul(U, S_T).tobytes()
+        S = rng.standard_normal((9, 5))
+        scores, per_mode = decode_maxout(U, S)
+        assert per_mode.tobytes() == padded_gemm(U, S.T).tobytes()
         assert scores.tobytes() == per_mode.max(axis=1).tobytes()
 
 
