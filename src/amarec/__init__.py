@@ -45,7 +45,7 @@ _keep_freed_memory()
 def _one_blas_thread():
     """Set numpy's BLAS to one thread, for the whole process.
 
-    The decode and its backward run one fixed-shape GEMM per CHUNK users
+    The decode and its backward run one fixed-shape GEMM per block of users
     (``model._block_matmul``), which gives a user the same bytes anywhere in
     a block only at one thread. numpy's wheels ship scipy-openblas in
     ``numpy.libs`` (``numpy/.dylibs`` on macOS); a plain OpenBLAS that numpy

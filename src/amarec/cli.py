@@ -380,8 +380,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         globals()[f"cmd_{args.command}"](args)
-    except (CliError, dataset.ConfigError, dataset.ParseError, ValueError,
-            KeyError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -27,8 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from amarec.dataset import _rows
-
-BLOCK = 32   # users per scorer call; an AMA block holds B x d x n per-mode scores
+from amarec.model import BLOCK   # users per scorer call
 
 
 @dataclass(frozen=True)

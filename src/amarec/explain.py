@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from amarec import model
 from amarec.dataset import _rows
-from amarec.evaluation import BLOCK, rank_keys, top_k
+from amarec.evaluation import rank_keys, top_k
 from amarec.fileio import atomic_open
 from amarec.model import Forward, argmax_mode
 
@@ -76,8 +77,9 @@ def mode_usage(params, V, data, k=10):
     forward = Forward(params, V)
     users = np.flatnonzero(np.diff(train.indptr))
     hist = np.zeros(d + 1, dtype=np.int64)
-    for start in range(0, users.size, BLOCK):
-        rows = _rows(train, users[start:start + BLOCK])
+    block = model._block_users(d)
+    for start in range(0, users.size, block):
+        rows = _rows(train, users[start:start + block])
         *_, scores, per_mode = forward(rows)
         keys, length = rank_keys(scores, rows)
         top = top_k(keys, k)   # the modes of the listed items only

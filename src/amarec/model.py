@@ -15,10 +15,10 @@ backpropagation with maxout routing to the argmax mode (lowest index on
 ties) and the softmax Jacobian restricted to observed items. Each mode is
 (sum_j a_jl v_j) W_v + b_l, so no catalog-wide value table is built.
 
-The decode ``U S^T`` and its backward ``dU = G S``, the two largest
-products of a step, run as one zero-padded GEMM per CHUNK users
-(``_block_matmul``); at the one BLAS thread ``import amarec`` sets, a user
-gets the same bytes in training, ranking and explanation.
+The decode ``U S^T`` and its backward ``dU = G S`` run as one zero-padded
+GEMM per block (``_block_matmul``) of 32 users at d = 3, 36 at d = 4 and 48
+at d = 1, 2 and 5; a training chunk is one block. At the one BLAS thread
+``import amarec`` sets, a user gets the same bytes in training, ranking and explanation.
 """
 
 from __future__ import annotations
@@ -218,13 +218,18 @@ def decode_maxout(U, S):
     return per_mode.max(axis=1), per_mode
 
 
+# users per block before ``_block_users`` rounds them up, and per scorer call in
+# ranking, which does not know d; a constant, not a setting: it sets the bytes
+BLOCK = 32
+
+
 def _block_users(d):
-    """Users per block GEMM of d modes: CHUNK, rounded up until the GEMM's
-    rows are a multiple of 48. OpenBLAS 0.3.31's SkylakeX dgemm kernel sums
-    rows in tiles of 24 and the rest in narrower tiles, in another order: at
-    CHUNK*d rows, d = 1, 2, 4 or 5, a block's last users got other bytes."""
+    """Users per block of d modes: BLOCK, rounded up until the GEMM's rows
+    are a multiple of 48. OpenBLAS 0.3.31's SkylakeX dgemm kernel sums rows
+    in tiles of 24 and the rest in narrower tiles, in another order: at
+    BLOCK*d rows, d = 1, 2, 4 or 5, a block's last users got other bytes."""
     step = 48 // math.gcd(48, d)
-    return -(-CHUNK // step) * step
+    return -(-BLOCK // step) * step
 
 
 def _padded(users, d, k):
@@ -284,10 +289,13 @@ class Forward:
     """The forward pass that training, scoring and explanation share, sized by
     the arrays alone, with the keys over the whole catalog built once
     (``V[obs] @ W_k`` gives other bytes than ``(V @ W_k)[obs]``). A call
-    decodes its users in blocks of CHUNK (see ``decode_maxout``)."""
+    decodes its users in blocks (see ``decode_maxout``)."""
 
     def __init__(self, params, V):
         self.params, self.V = params, np.asarray(V)
+        if self.V.shape[0] != params.S.shape[0]:
+            raise ValueError(f"the embedding has {self.V.shape[0]} items, "
+                             f"but the model has {params.S.shape[0]}")
         self.K = keys_values(self.V, params)
 
     def attention(self, masks, first=0):
@@ -305,12 +313,6 @@ class Forward:
         return (segs, A, Z, U, *decode_maxout(U, self.params.S))
 
 
-# users per training chunk and per block GEMM of the decode and dU: a fixed
-# constant, not a setting, because it decides which GEMMs run and so the bytes
-# of the gradients and the scores
-CHUNK = 32
-
-
 def batch_gradients(R, masks, params, V, alpha):
     """Forward and exact backward pass of the data term for a batch of users.
 
@@ -319,15 +321,15 @@ def batch_gradients(R, masks, params, V, alpha):
     on the row's observed entries. Returns
     the gradients summed over the batch (keyed by PARAM_NAMES; the caller adds the
     decoder penalty's) and the per-user data losses. One ``Forward`` serves the
-    whole call; the users run in chunks of CHUNK, each densifying only its rows
-    of ``R``, summed in ascending chunk order, so no temporary grows with the batch.
+    whole call; each chunk is one block (``_block_users``) and densifies only its
+    rows of ``R``; chunks sum in ascending order, so no temporary grows with the batch.
     """
     if masks.shape[0] == 0:
         raise ValueError("batch_gradients needs at least one user")
-    forward = Forward(params, V)
+    forward, block = Forward(params, V), _block_users(params.Q.shape[0])
     losses = []
-    for lo in range(0, masks.shape[0], CHUNK):
-        rows = slice(lo, lo + CHUNK)
+    for lo in range(0, masks.shape[0], block):
+        rows = slice(lo, lo + block)
         chunk, loss = _chunk_gradients(R[rows].toarray(), forward(masks[rows], lo), forward, alpha)
         if lo == 0:
             grads = chunk
@@ -341,7 +343,7 @@ def batch_gradients(R, masks, params, V, alpha):
 def _chunk_gradients(R, result, forward, alpha):
     """The gradients and losses of the dense clean rows ``R`` from their ``result``.
 
-    The routed error G is built padded to CHUNK users, so ``dU = G S`` runs
+    The routed error G is built padded to the block, so ``dU = G S`` runs
     as one block GEMM (``_block_matmul``), like the decode; ``dS`` and the
     W_v gradient are GEMMs whose inner dimension runs over the chunk's B_c*d
     modes. Sums over the observed items run in numpy (reduceat, einsum),

@@ -14,11 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from amarec import explain, model
 from amarec.baselines import ama_scorer
-from amarec.evaluation import BLOCK, evaluate
+from amarec.evaluation import evaluate
 from amarec.explain import explain_user, mode_top_items, mode_usage
-from amarec.model import (AmaConfig, DegenerateUser, PARAM_NAMES, Segments, argmax_mode,
-                          attend, batch_gradients, corrupt, decode_maxout, encode,
-                          keys_values)
+from amarec.model import (BLOCK, AmaConfig, DegenerateUser, PARAM_NAMES, Segments,
+                          argmax_mode, attend, batch_gradients, corrupt, decode_maxout,
+                          encode, keys_values)
 from conftest import csr_rows, synthetic_events, write_movielens_file
 from oracles import forward_oracle, gradients_oracle
 from test_metrics import make_split
@@ -26,8 +26,9 @@ from test_model import padded_gemm, random_params, recording_decode
 
 
 def chunked(size):
-    """Within the block, batch_gradients runs chunks of ``size`` users."""
-    return mock.patch.object(model, "CHUNK", size)
+    """Blocks of ``size`` users at every d: batch_gradients runs chunks of
+    ``size`` users, and the decode, dU and the histogram blocks of that size."""
+    return mock.patch.object(model, "_block_users", lambda d: size)
 
 
 def decoded(calls):
@@ -65,7 +66,7 @@ def clean_block(rows):
 
 
 # chunks of 2 or 3 users split most batches into several chunks, the last ragged
-CHUNKS = st.sampled_from([2, 3, model.CHUNK])
+CHUNKS = st.sampled_from([2, 3, BLOCK])
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,53 +118,58 @@ def test_one_forward_pass_for_training_scoring_and_explanation(seed, n, h, d, ka
     cfg, V, params, rows, masks, _ = batch_case(seed, n, h, d, kappa, users, rho, tied)
     if not masks:
         return
-    K = keys_values(V, params)
+    # every path below runs blocks of ``chunk`` users, so training, scoring
+    # and explanation decode each user in a GEMM of the same shape
+    with chunked(chunk):
+        K = keys_values(V, params)
 
-    def stages(mks):
-        segs = Segments.of(mks)
-        A = attend(K[segs.obs], params.Q, segs)
-        U = encode(A, V[segs.obs], segs, params.W_v, params.B)[1]
-        scores, per_mode = decode_maxout(U, params.S)
-        return A, U, scores, argmax_mode(per_mode, scores), per_mode
+        def stages(mks):
+            segs = Segments.of(mks)
+            A = attend(K[segs.obs], params.Q, segs)
+            U = encode(A, V[segs.obs], segs, params.W_v, params.B)[1]
+            scores, per_mode = decode_maxout(U, params.S)
+            return A, U, scores, argmax_mode(per_mode, scores), per_mode
 
-    A, U, scores, mode_of, per_modes = stages(csr_rows(masks, n))
-    seg = Segments.of(csr_rows(masks, n)).seg
-    for b, mk in enumerate(masks):
-        # the batch equals each user run alone, bitwise
-        A1, U1, scores1, mode_of1, per_mode1 = stages(csr_rows([mk], n))
-        assert np.array_equal(A[seg == b], A1) and np.array_equal(U[b], U1[0])
-        assert np.array_equal(scores[b], scores1[0])
-        assert np.array_equal(mode_of[b], mode_of1[0])
-        per_mode = padded_gemm(U1, params.S.T)[0]   # the block GEMM the decode maximizes over
-        assert np.array_equal(per_modes[b], per_mode) and np.array_equal(per_mode1[0], per_mode)
-        # maxout: the strict scan keeps the lowest of the tied modes
-        assert np.array_equal(scores1[0], per_mode.max(axis=0))
-        assert np.array_equal(mode_of1[0], per_mode.argmax(axis=0))
-        # and the per-user oracle to 1e-12; its modes sum the values v_j W_v
-        ref = forward_oracle(mk, params, V, cfg.kappa)
-        np.testing.assert_allclose(A1.T, ref["A"], rtol=1e-12, atol=0)
-        within(U1[0], ref["U"],
-               np.abs(ref["A"]) @ np.abs(V[mk]) @ np.abs(params.W_v) + np.abs(params.B))
-        scale = np.abs(ref["U"]) @ np.abs(params.S).T
-        within(per_mode, ref["per_mode"], scale)
-        within(ref["per_mode"][mode_of1[0], np.arange(n)], ref["scores"], scale.max(axis=0))
-    if tied:
-        assert not mode_of.any()
+        A, U, scores, mode_of, per_modes = stages(csr_rows(masks, n))
+        seg = Segments.of(csr_rows(masks, n)).seg
+        for b, mk in enumerate(masks):
+            # the batch equals each user run alone, bitwise
+            A1, U1, scores1, mode_of1, per_mode1 = stages(csr_rows([mk], n))
+            assert np.array_equal(A[seg == b], A1) and np.array_equal(U[b], U1[0])
+            assert np.array_equal(scores[b], scores1[0])
+            assert np.array_equal(mode_of[b], mode_of1[0])
+            # the block GEMM the decode maximizes over
+            per_mode = padded_gemm(U1, params.S.T)[0]
+            assert np.array_equal(per_modes[b], per_mode)
+            assert np.array_equal(per_mode1[0], per_mode)
+            # maxout: the strict scan keeps the lowest of the tied modes
+            assert np.array_equal(scores1[0], per_mode.max(axis=0))
+            assert np.array_equal(mode_of1[0], per_mode.argmax(axis=0))
+            # and the per-user oracle to 1e-12; its modes sum the values v_j W_v
+            ref = forward_oracle(mk, params, V, cfg.kappa)
+            np.testing.assert_allclose(A1.T, ref["A"], rtol=1e-12, atol=0)
+            within(U1[0], ref["U"],
+                   np.abs(ref["A"]) @ np.abs(V[mk]) @ np.abs(params.W_v) + np.abs(params.B))
+            scale = np.abs(ref["U"]) @ np.abs(params.S).T
+            within(per_mode, ref["per_mode"], scale)
+            within(ref["per_mode"][mode_of1[0], np.arange(n)], ref["scores"], scale.max(axis=0))
+        if tied:
+            assert not mode_of.any()
 
-    # scoring and explanation return what training's decode returns, bitwise
-    block = clean_block(rows)
-    with chunked(chunk), recording_decode() as calls:
-        batch_gradients(block, block, params, V, cfg.alpha)
-    assert len(calls) == -(-len(rows) // chunk)
-    trained_U, trained_scores, trained_modes = decoded(calls)
-    trained_per_mode = decode_maxout(trained_U, params.S)[1]
-    score = ama_scorer(params, V)
-    assert np.array_equal(score(block, np.arange(len(rows))), trained_scores)
-    for b in range(len(rows)):
-        assert np.array_equal(score(block[b], np.array([b]))[0], trained_scores[b])
-        for j, mode, per_mode in explain_user(params, V, block[b], b, k=n).recommendations:
-            assert mode == trained_modes[b, j]
-            assert np.array_equal(per_mode, trained_per_mode[b, :, j])
+        # scoring and explanation return what training's decode returns, bitwise
+        block = clean_block(rows)
+        with recording_decode() as calls:
+            batch_gradients(block, block, params, V, cfg.alpha)
+        assert len(calls) == -(-len(rows) // chunk)
+        trained_U, trained_scores, trained_modes = decoded(calls)
+        trained_per_mode = decode_maxout(trained_U, params.S)[1]
+        score = ama_scorer(params, V)
+        assert np.array_equal(score(block, np.arange(len(rows))), trained_scores)
+        for b in range(len(rows)):
+            assert np.array_equal(score(block[b], np.array([b]))[0], trained_scores[b])
+            for j, mode, per_mode in explain_user(params, V, block[b], b, k=n).recommendations:
+                assert mode == trained_modes[b, j]
+                assert np.array_equal(per_mode, trained_per_mode[b, :, j])
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,20 +200,22 @@ def test_a_users_block_gemm_rows_do_not_depend_on_its_block(seed, n, h, d, place
         assert run[b].tobytes() == dU(G[b:b + 1])[0].tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 3, 5])
 @pytest.mark.parametrize("n", [300, 1001, 3706])
-def test_forward_over_many_users_equals_its_chunks(n):
-    # a call on more than CHUNK users runs one block GEMM per CHUNK users
-    cfg = AmaConfig(h=40, d=3, kappa=3)
+def test_forward_over_many_users_equals_its_chunks(n, d):
+    # a call on more than one block of users runs one block GEMM per block
+    cfg = AmaConfig(h=40, d=d, kappa=3)
+    block = model._block_users(d)
     rng = np.random.default_rng(n)
     V = rng.standard_normal((n, cfg.h))
     masks = csr_rows([np.sort(rng.choice(n, size=int(rng.integers(1, 40)), replace=False))
                       for _ in range(70)], n)
     forward = model.Forward(random_params(n, cfg, seed=n + 1), V)
     *_, scores, per_mode = forward(masks)
-    for lo in range(0, 70, model.CHUNK):
-        *_, chunk_scores, chunk_per_mode = forward(masks[lo:lo + model.CHUNK])
-        assert scores[lo:lo + model.CHUNK].tobytes() == chunk_scores.tobytes()
-        assert per_mode[lo:lo + model.CHUNK].tobytes() == chunk_per_mode.tobytes()
+    for lo in range(0, 70, block):
+        *_, chunk_scores, chunk_per_mode = forward(masks[lo:lo + block])
+        assert scores[lo:lo + block].tobytes() == chunk_scores.tobytes()
+        assert per_mode[lo:lo + block].tobytes() == chunk_per_mode.tobytes()
 
 
 def test_import_sets_one_blas_thread():
@@ -236,7 +244,7 @@ def test_examples_cover_the_degenerate_cases():
     assert len(batch_case(5, 9, 3, 3, 2, 7, 0.0, False)[4]) == 7   # chunks of 3, 3 and 1
 
 
-@pytest.mark.parametrize("chunk", [1, model.CHUNK])
+@pytest.mark.parametrize("chunk", [1, BLOCK])
 def test_empty_mask_is_degenerate(chunk):
     cfg, V, params, rows, masks, _ = batch_case(4, 5, 2, 2, 2, 2, 0.0, False)
     with chunked(chunk), pytest.raises(DegenerateUser, match="^mask 1 has no observed"):
@@ -293,12 +301,15 @@ def test_attribution_runs_only_where_it_is_read(monkeypatch):
     assert widths[2:] == [9]
 
 
-@pytest.mark.parametrize("users", [model.CHUNK + 9, 2 * model.CHUNK + 9])
-def test_batch_is_its_chunks_summed_in_order(users):
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_batch_is_its_chunks_summed_in_order(blocks, d):
     # a batch spanning several chunks gives the bytes of its chunks run one
     # call each, their gradients added in ascending chunk order and their
     # losses laid end to end
-    cfg = AmaConfig(h=6, d=3, kappa=2, alpha=1.5)
+    cfg = AmaConfig(h=6, d=d, kappa=2, alpha=1.5)
+    block = model._block_users(d)
+    users = blocks * block + 9
     rng = np.random.default_rng(users)
     n = 200
     V = rng.standard_normal((n, cfg.h))
@@ -307,15 +318,30 @@ def test_batch_is_its_chunks_summed_in_order(users):
                      for _ in range(users)], n)
     masks = corrupt(rows, 0.0, rng)
     grads, losses = batch_gradients(rows, masks, params, V, cfg.alpha)
-    parts = [batch_gradients(rows[lo:lo + model.CHUNK], masks[lo:lo + model.CHUNK], params, V,
-                             cfg.alpha) for lo in range(0, users, model.CHUNK)]
-    assert len(parts) == -(-users // model.CHUNK) > 1
+    parts = [batch_gradients(rows[lo:lo + block], masks[lo:lo + block], params, V, cfg.alpha)
+             for lo in range(0, users, block)]
+    assert len(parts) == blocks + 1
     assert losses.tobytes() == np.concatenate([loss for _, loss in parts]).tobytes()
     for name in PARAM_NAMES:
         total = parts[0][0][name].copy()
         for chunk, _ in parts[1:]:
             total += chunk[name]
         assert grads[name].tobytes() == total.tobytes(), name
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_a_training_chunk_is_one_block(d):
+    # batch_gradients decodes whole blocks of _block_users(d) users, so only
+    # the last chunk of a batch runs zero rows
+    cfg = AmaConfig(h=4, d=d, kappa=2)
+    block = model._block_users(d)
+    users, n = 2 * block + 9, 30
+    rng = np.random.default_rng(d)
+    rows = csr_rows([np.sort(rng.choice(n, size=3, replace=False)) for _ in range(users)], n)
+    with recording_decode() as calls:
+        batch_gradients(rows, rows, random_params(n, cfg, seed=d), rng.standard_normal((n, 4)),
+                        cfg.alpha)
+    assert [len(U) for U, *_ in calls] == [block, block, 9]
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
@@ -386,7 +412,7 @@ def step_peak(nb, n, d, h):
 def test_step_memory_stays_below_two_mode_score_arrays():
     # At this shape one B x d x n float64 array dominates every other
     # temporary of the step. Keeping the per-mode scores alive through the
-    # backward pass, next to the routed gradients, would peak near 2.75x.
+    # backward pass, next to the routed gradients, would peak near 2.4x.
     nb, n, d, h = 64, 4000, 5, 8
     peak = step_peak(nb, n, d, h)
     assert peak < 2.0 * nb * d * n * 8, peak / (nb * d * n * 8)
@@ -394,8 +420,9 @@ def test_step_memory_stays_below_two_mode_score_arrays():
 
 def test_step_memory_is_set_by_the_chunk_not_the_batch():
     # Nine chunks, the last ragged. One B x d x n array of the whole batch is
-    # 8.2 chunk arrays, 2.7 times the bound.
+    # 8.1 chunk arrays, 2.7 times the bound.
     n, d, h = 4000, 5, 8
-    chunk_array = model.CHUNK * d * n * 8   # one chunk's per-mode scores, in bytes
-    peak = step_peak(8 * model.CHUNK + 5, n, d, h)
+    block = model._block_users(d)
+    chunk_array = block * d * n * 8   # one chunk's per-mode scores, in bytes
+    peak = step_peak(8 * block + 5, n, d, h)
     assert peak < 3.0 * chunk_array, peak / chunk_array

@@ -8,10 +8,10 @@ counts of tied items do real work."""
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from amarec.evaluation import BLOCK, hit_ranks, metric_rows, rank_keys, top_k
+from amarec.evaluation import hit_ranks, metric_rows, rank_keys, top_k
 from amarec.explain import mode_usage
-from amarec.model import (AmaConfig, Segments, argmax_mode, attend, decode_maxout, encode,
-                          keys_values)
+from amarec.model import (BLOCK, AmaConfig, Segments, argmax_mode, attend, decode_maxout,
+                          encode, keys_values)
 from oracles import enumerate_metrics
 from test_metrics import make_split
 from test_model import random_params

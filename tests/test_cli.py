@@ -94,6 +94,17 @@ def test_parser_is_built_once_and_main_runs_the_bound_command(monkeypatch):
     assert seen == ["pop"]
 
 
+def test_a_programming_error_in_a_command_propagates(monkeypatch):
+    # only the intended errors (CliError, ValueError, OSError) become exit 1;
+    # a KeyError is a bug and keeps its traceback
+    def broken(args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "cmd_evaluate", broken)
+    with pytest.raises(KeyError, match="x"):
+        main(["evaluate", "--baseline", "pop"])
+
+
 class TestPrep:
     def test_writes_splits_and_sidecar(self, prepped):
         for name in ("train.csv", "validation.csv", "test.csv", "split.json"):

@@ -287,6 +287,14 @@ class TestAttend:
         with pytest.raises(ValueError, match="the block has no users"):
             Forward(random_params(4, cfg), V)(csr_rows([], 4))
 
+    @pytest.mark.parametrize("items", [3, 7])
+    def test_embedding_of_another_catalog_rejected(self, items):
+        # a V with more rows would score silently, one with fewer index past its end
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        V = np.random.default_rng(0).standard_normal((items, 3))
+        with pytest.raises(ValueError, match=f"embedding has {items} items, but the model has 5"):
+            Forward(random_params(5, cfg), V)
+
 
 class TestEncode:
     def test_single_item_no_bias(self):
