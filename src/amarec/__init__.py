@@ -46,7 +46,7 @@ def _one_blas_thread():
     """Set numpy's BLAS to one thread, for the whole process.
 
     The decode and its backward run one fixed-shape GEMM per block of users
-    (``model._block_matmul``), which gives a user the same bytes anywhere in
+    (``model.Forward.block``), which gives a user the same bytes anywhere in
     a block only at one thread. numpy's wheels ship scipy-openblas in
     ``numpy.libs`` (``numpy/.dylibs`` on macOS); a plain OpenBLAS that numpy
     links is reached through ``numpy.linalg``'s extension. Another BLAS (MKL,

@@ -113,12 +113,12 @@ def load_preset(name):
 
 def _gather_config(args):
     cfg = {}
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg.update(load_preset(args.preset))
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg.update(parse_config_text(fh.read(), source=args.config))
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise CliError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)

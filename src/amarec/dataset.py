@@ -352,14 +352,15 @@ def temporal_split(ratings, fractions=(0.5, 0.2, 0.3)):
 
 def _event_order(user, timestamp, item, items):
     """The events' order by (user, timestamp, item code), ties in input order,
-    as ``np.lexsort((item, timestamp, user))`` gives it, from int64 argsorts:
-    the timestamps' dense ranks, then a stable sort of each event's rank and
-    item (codes below ``items``) packed into one int64, then a stable sort of
-    the users. Rank and item each stay below 2**31 for a log under 2**31
-    events, so the packed key fits."""
+    as ``np.lexsort((item, timestamp, user))`` gives it, from stable argsorts:
+    of each event's timestamp rank and item (codes below ``items``) packed into
+    one int64, then of the user codes in their narrowest unsigned dtype, which
+    numpy sorts by radix up to 16 bits. Rank and item each stay below 2**31
+    for a log under 2**31 events, so the packed key fits."""
     time, _ = _rank(timestamp)
     by_time_item = np.argsort((time << items.bit_length()) | item, kind="stable")
-    return by_time_item[np.argsort(user[by_time_item], kind="stable")]
+    users = user[by_time_item].astype(np.min_scalar_type(user.max()))
+    return by_time_item[np.argsort(users, kind="stable")]
 
 
 def _sorted_unique(values):

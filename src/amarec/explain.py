@@ -5,8 +5,8 @@ attribution, a histogram of how many distinct preference modes each user's
 top-K recommendations draw from, and the corpus-level top items per mode
 ranked by aggregated attention mass. Each takes the model's parameters and
 item embeddings, as ``model.Forward`` does, and no config: the arrays' shapes
-are the model's sizes. The first two attribute only the items they list
-(``model.argmax_mode`` at those items), from one decode per block.
+are the model's sizes. The first two share one step (``_top_modes``) that
+attributes only the listed items, from one decode per block (``Forward.block``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from amarec import model
 from amarec.dataset import _rows
 from amarec.evaluation import rank_keys, top_k
 from amarec.fileio import atomic_open
@@ -49,6 +48,18 @@ class UserExplanation:
         return json.dumps(payload, indent=2) + "\n"
 
 
+def _top_modes(forward, rows, k):
+    """(segs, A, per_mode) of ``forward`` on the CSR block ``rows``, each row's top-k
+    items ranked against the row, and their modes, -1 past the row's ranked list."""
+    segs, A, _, _, scores, per_mode = forward(rows)
+    keys, length = rank_keys(scores, rows)
+    top = top_k(keys, k)   # the modes of the listed items only
+    modes = argmax_mode(np.take_along_axis(per_mode, top[:, None], axis=2),
+                        np.take_along_axis(scores, top, axis=1))
+    modes[np.arange(modes.shape[1]) >= length[:, None]] = -1   # past the ranked list
+    return segs, A, per_mode, top, modes
+
+
 def explain_user(params, V, train_row, user, k=10):
     """Attention weights and mode attribution for one user's top-k list.
 
@@ -57,11 +68,8 @@ def explain_user(params, V, train_row, user, k=10):
     """
     if train_row.nnz == 0:
         raise ValueError(f"user {user} has an empty interaction history")
-    segs, A, _, _, scores, per_mode = Forward(params, V)(train_row)
-    keys, length = rank_keys(scores, train_row)
-    top = top_k(keys, k)[0, :length[0]]
-    modes = argmax_mode(per_mode[:, :, top], scores[:, top])[0]
-    recs = [(int(j), int(l), per_mode[0, :, j].copy()) for j, l in zip(top, modes)]
+    segs, A, per_mode, top, modes = _top_modes(Forward(params, V), train_row, k)
+    recs = [(int(j), int(l), per_mode[0, :, j].copy()) for j, l in zip(top[0], modes[0]) if l >= 0]
     return UserExplanation(user=user, attention=A.T, observed=segs.obs, recommendations=recs)
 
 
@@ -77,15 +85,8 @@ def mode_usage(params, V, data, k=10):
     forward = Forward(params, V)
     users = np.flatnonzero(np.diff(train.indptr))
     hist = np.zeros(d + 1, dtype=np.int64)
-    block = model._block_users(d)
-    for start in range(0, users.size, block):
-        rows = _rows(train, users[start:start + block])
-        *_, scores, per_mode = forward(rows)
-        keys, length = rank_keys(scores, rows)
-        top = top_k(keys, k)   # the modes of the listed items only
-        modes = argmax_mode(np.take_along_axis(per_mode, top[:, None], axis=2),
-                            np.take_along_axis(scores, top, axis=1))
-        modes[np.arange(modes.shape[1]) >= length[:, None]] = -1   # past the ranked list
+    for start in range(0, users.size, forward.block):
+        modes = _top_modes(forward, _rows(train, users[start:start + forward.block]), k)[-1]
         used = sum((modes == l).any(axis=1) for l in range(d))
         hist += np.bincount(used, minlength=d + 1)
     return hist[1:]

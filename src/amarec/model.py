@@ -289,7 +289,7 @@ class Forward:
     """The forward pass that training, scoring and explanation share, sized by
     the arrays alone, with the keys over the whole catalog built once
     (``V[obs] @ W_k`` gives other bytes than ``(V @ W_k)[obs]``). A call
-    decodes its users in blocks (see ``decode_maxout``)."""
+    decodes its users in blocks of ``block`` users (see ``decode_maxout``)."""
 
     def __init__(self, params, V):
         self.params, self.V = params, np.asarray(V)
@@ -297,6 +297,7 @@ class Forward:
             raise ValueError(f"the embedding has {self.V.shape[0]} items, "
                              f"but the model has {params.S.shape[0]}")
         self.K = keys_values(self.V, params)
+        self.block = _block_users(params.Q.shape[0])
 
     def attention(self, masks, first=0):
         """(segs, A): the CSR block ``masks`` laid end to end, and its attention."""
@@ -321,15 +322,14 @@ def batch_gradients(R, masks, params, V, alpha):
     on the row's observed entries. Returns
     the gradients summed over the batch (keyed by PARAM_NAMES; the caller adds the
     decoder penalty's) and the per-user data losses. One ``Forward`` serves the
-    whole call; each chunk is one block (``_block_users``) and densifies only its
+    whole call; each chunk is one block (``Forward.block``) and densifies only its
     rows of ``R``; chunks sum in ascending order, so no temporary grows with the batch.
     """
     if masks.shape[0] == 0:
         raise ValueError("batch_gradients needs at least one user")
-    forward, block = Forward(params, V), _block_users(params.Q.shape[0])
-    losses = []
-    for lo in range(0, masks.shape[0], block):
-        rows = slice(lo, lo + block)
+    forward, losses = Forward(params, V), []
+    for lo in range(0, masks.shape[0], forward.block):
+        rows = slice(lo, lo + forward.block)
         chunk, loss = _chunk_gradients(R[rows].toarray(), forward(masks[rows], lo), forward, alpha)
         if lo == 0:
             grads = chunk

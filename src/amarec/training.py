@@ -73,7 +73,7 @@ def train(data, V, cfg, params=None, callback=None):
         raise ValueError(f"embeddings shape {V.shape} != ({n}, {cfg.h})")
 
     if params is None:
-        params = init_params(n, cfg, np.random.default_rng(cfg.seed))
+        params = init_params(n, cfg)
     if _sizes(params, cfg)[0] != n:
         raise ValueError(f"the parameters score {params.S.shape[0]} items, "
                          f"but the catalog has {n}")

@@ -19,6 +19,7 @@ from amarec.dataset import (
     ConfigError,
     ParseError,
     Ratings,
+    _event_order,
     _rows,
     _sorted_unique,
     binarize,
@@ -680,6 +681,20 @@ def test_coded_split_matches_the_lexsort_oracle(events, fractions):
     assert parsed.user_code.tolist() == ratings.user_code.tolist()
     assert parsed.item_code.tolist() == ratings.item_code.tolist()
     assert outcome(lambda: split_parts(temporal_split(parsed, fractions))) == want
+
+
+@pytest.mark.parametrize("users", [300, 2**16, 2**16 + 150, 2**32 + 150])
+def test_event_order_is_the_lexsort_order(users):
+    # the user codes sort in the narrowest unsigned dtype that holds them:
+    # uint16 up to 2**16 users, which numpy sorts by radix, and wider above;
+    # the top 300 codes (across 2**16 or 2**32 in the wider cases) share
+    # 20,000 events with tied timestamps and repeated items
+    rng = np.random.default_rng(users % 997)
+    user = rng.integers(users - 300, users, 20_000)
+    timestamp = rng.integers(0, 40, user.size) * 2**40
+    item = rng.integers(0, 30, user.size)
+    order = _event_order(user, timestamp, item, 30)
+    assert order.tolist() == np.lexsort((item, timestamp, user)).tolist()
 
 
 # SHA-256 of prep's four files for conftest's synthetic log, written in

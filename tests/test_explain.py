@@ -104,6 +104,31 @@ class TestModeUsage:
         assert hist[1:].sum() == 0  # k=1 can only ever use one mode
 
 
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_histogram_counts_the_modes_of_each_users_explanation(d, tied):
+    # the two views of one decode agree: mode_usage counts, per user, the
+    # distinct modes among explain_user's recommendations, over several
+    # blocks; S = 0 ties every per-mode score, so every item takes mode 0
+    cfg, V, params, data = toy_model(m=110, n=12, d=d, h=4, seed=d)
+    n = V.shape[0]
+    rows = [data.train[u].indices.tolist() for u in range(110)]
+    rows[40] = list(range(n))   # covers the catalog: no recommendation, not counted
+    data = make_split(rows, [[]] * 110, [[]] * 110, n)
+    if tied:
+        params.S[:] = 0.0
+    want = np.zeros(d, dtype=np.int64)
+    for u in range(110):
+        recs = explain_user(params, V, data.train[u], u, k=4).recommendations
+        assert bool(recs) == (u != 40)
+        if recs:
+            want[len({mode for _, mode, _ in recs}) - 1] += 1
+    assert mode_usage(params, V, data, k=4).tolist() == want.tolist()
+    assert want.sum() == 109
+    if tied:
+        assert want[0] == 109
+
+
 class TestModeTopItems:
     def test_single_user_single_item(self):
         cfg, V, params, _ = toy_model(n=4)

@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import json
 import math
 import re
 from dataclasses import asdict, fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -70,6 +72,25 @@ def padded_gemm(X, Y):
     padded = np.zeros((model._block_users(d) * d, k))
     padded[:users * d] = X.reshape(-1, k)
     return (padded @ Y)[:users * d].reshape(users, d, -1)
+
+
+def test_only_model_names_the_decode_block_helpers():
+    # the decode block stays behind Forward: another module reads its size
+    # as Forward.block and never names the helpers that build the block
+    helpers = {"_block_users", "_padded", "_block_matmul"}
+
+    def names(path):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    modules = {path.name: set(names(path)) for path in Path(model.__file__).parent.glob("*.py")}
+    assert helpers <= modules.pop("model.py") and "explain.py" in modules
+    assert {name: sorted(used & helpers) for name, used in modules.items() if used & helpers} == {}
 
 
 @contextlib.contextmanager
