@@ -3,9 +3,10 @@
 A scorer is any callable ``(rows, users) -> scores`` from the CSR slice of
 the train matrix for the user indices ``users`` to their (len(users), n)
 scores over the full item catalog; a user's scores depend only on its row
-and the model state. POP ranks by train popularity; PureSVD projects each
-row onto the top singular subspace of the train matrix; ``ama_scorer``
-scores with a trained model.
+and the model state. A scorer may carry ``block``, the users it takes per
+call (``ama_scorer``'s is its decode block). POP ranks by train popularity;
+PureSVD projects each row onto the top singular subspace of the train
+matrix; ``ama_scorer`` scores with a trained model.
 """
 
 from __future__ import annotations
@@ -55,4 +56,5 @@ def ama_scorer(params, V):
             scores[full] = forward(_rows(rows, full))[4]
         return scores
 
+    score.block = forward.block   # users per call: whole decode blocks
     return score

@@ -280,6 +280,8 @@ def cmd_evaluate(args):
 def cmd_explain(args):
     _cutoffs("--k", args.k)
     _cutoffs("--n", args.n)
+    if args.user is None and not args.histogram and not args.modes:
+        raise CliError("pass one of --user, --histogram, --modes")
     if args.out and (args.user is not None) + args.histogram + args.modes > 1:
         raise CliError("--out names one file; pass only one of --user, --histogram, --modes")
     if args.dot and args.user is None:
@@ -287,8 +289,6 @@ def cmd_explain(args):
     data = dataset.load_split(_data_dir(args))
     cfg = _gather_config(args)
     _require_ama(cfg, "explain")
-    if args.user is None and not args.histogram and not args.modes:
-        raise CliError("pass one of --user, --histogram, --modes")
     params, V = _load_ama(args.model, data, cfg)
     item_ids = list(data.item_ids)
     if args.user is not None:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from amarec.dataset import _rows
-from amarec.model import BLOCK   # users per scorer call
+from amarec.model import BLOCK   # users per call of a scorer without ``block``
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,10 @@ def _discount(n):
 
 def metric_rows(scorer, data, split="test", ks=(5, 10, 20)):
     """The metric names, the users with a nonempty relevant set in ascending
-    index, and one metric row per such user, scored and ranked in blocks. At
-    test time the exclusion set is the train plus validation row (both were
-    legitimate history); at validation time it is the train row only."""
+    index, and one metric row per such user, scored and ranked in blocks of
+    the scorer's ``block`` users (``BLOCK`` if it names none). At test time
+    the exclusion set is the train plus validation row (both were legitimate
+    history); at validation time it is the train row only."""
     if split not in ("test", "validation"):
         raise ValueError(f"unknown split {split!r}")
     target = data.test if split == "test" else data.validation
@@ -154,9 +155,9 @@ def metric_rows(scorer, data, split="test", ks=(5, 10, 20)):
     n = target.shape[1]
     discount = _discount(n)
     users = np.flatnonzero(np.diff(target.indptr))
-    rows = [np.zeros((0, len(names)))]
-    for start in range(0, users.size, BLOCK):
-        block = users[start:start + BLOCK]
+    rows, step = [np.zeros((0, len(names)))], getattr(scorer, "block", BLOCK)
+    for start in range(0, users.size, step):
+        block = users[start:start + step]
         history = _rows(data.train, block)
         exclude = (history, _rows(data.validation, block)) if split == "test" else (history,)
         keys, length = rank_keys(scorer(history, block), *exclude)

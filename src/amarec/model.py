@@ -17,7 +17,7 @@ ties) and the softmax Jacobian restricted to observed items. Each mode is
 
 The decode ``U S^T`` and its backward ``dU = G S`` run as one zero-padded
 GEMM per block (``_block_matmul``) of 32 users at d = 3, 36 at d = 4 and 48
-at d = 1, 2 and 5; a training chunk is one block. At the one BLAS thread
+at d = 1, 2 and 5; a training chunk or AMA ranking call is one block. At the one BLAS thread
 ``import amarec`` sets, a user gets the same bytes in training, ranking and explanation.
 """
 
@@ -142,12 +142,14 @@ def keys_values(V, params):
     """The per-item keys K, n x kappa: row j is v_j W_k. The values v_j W_v
     need no table, because ``encode`` applies W_v to each mode after the
     attention sum; the name stays, as ``bench/tracing.py`` hooks it."""
-    V = np.asarray(V)
-    if V.shape[1] != params.W_k.shape[0]:
-        raise ValueError(
-            f"embedding size {V.shape[1]} does not match W_k rows {params.W_k.shape[0]}"
-        )
     return V @ params.W_k
+
+
+def _check_embedding(params, V):
+    """Raises unless the item embeddings V are n x h, like the decoder S."""
+    if np.shape(V) != params.S.shape:
+        raise ValueError("the embedding is {}, but the parameters have n={} h={}".format(
+            "x".join(map(str, np.shape(V))), *params.S.shape))
 
 
 class DegenerateUser(ValueError):
@@ -218,8 +220,8 @@ def decode_maxout(U, S):
     return per_mode.max(axis=1), per_mode
 
 
-# users per block before ``_block_users`` rounds them up, and per scorer call in
-# ranking, which does not know d; a constant, not a setting: it sets the bytes
+# users per block before ``_block_users`` rounds them up, and per call of a scorer
+# without ``block`` (AMA's is ``Forward.block``); a constant, not a setting: it sets the bytes
 BLOCK = 32
 
 
@@ -293,9 +295,7 @@ class Forward:
 
     def __init__(self, params, V):
         self.params, self.V = params, np.asarray(V)
-        if self.V.shape[0] != params.S.shape[0]:
-            raise ValueError(f"the embedding has {self.V.shape[0]} items, "
-                             f"but the model has {params.S.shape[0]}")
+        _check_embedding(params, self.V)
         self.K = keys_values(self.V, params)
         self.block = _block_users(params.Q.shape[0])
 
@@ -409,9 +409,7 @@ def save_model(params, cfg, path, item_index_hash="", embedding=None, V=None):
         sidecar["embedding"] = embedding
     if V is not None:
         V = np.ascontiguousarray(V, dtype=np.float64)
-        if V.shape != (n, h):
-            raise ValueError(f"the embedding is {'x'.join(map(str, V.shape))}, "
-                             f"but the parameters have n={n} h={h}")
+        _check_embedding(params, V)
         sidecar["embedding_sha256"] = _sha256(V)
     # every file is complete before any replaces its predecessor; the sidecar,
     # which decides whether the V pair is read, is replaced after that pair

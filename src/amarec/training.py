@@ -14,7 +14,8 @@ import time
 import numpy as np
 
 from amarec.dataset import _rows
-from amarec.model import PARAM_NAMES, _sizes, batch_gradients, corrupt, init_params
+from amarec.model import (PARAM_NAMES, _check_embedding, _sizes, batch_gradients, corrupt,
+                          init_params)
 
 
 class AdamState:
@@ -69,14 +70,12 @@ def train(data, V, cfg, params=None, callback=None):
     """
     train_mat = data.train
     m, n = train_mat.shape
-    if V.shape != (n, cfg.h):
-        raise ValueError(f"embeddings shape {V.shape} != ({n}, {cfg.h})")
-
     if params is None:
         params = init_params(n, cfg)
     if _sizes(params, cfg)[0] != n:
         raise ValueError(f"the parameters score {params.S.shape[0]} items, "
                          f"but the catalog has {n}")
+    _check_embedding(params, V)
     state = AdamState(params)
 
     log = []

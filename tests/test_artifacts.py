@@ -476,6 +476,17 @@ class TestDamagedFiles:
         with pytest.raises(ValueError, match="damaged model file"):
             load_model(model_path)
 
+    def test_model_with_bad_magic_rejected(self, model_path):
+        model_path.write_bytes(b"AMAMDL02" + model_path.read_bytes()[8:])
+        with pytest.raises(ValueError, match=f"^bad magic bytes in {re.escape(str(model_path))}$"):
+            load_model(model_path)
+
+    def test_model_of_another_version_rejected(self, model_path):
+        raw = model_path.read_bytes()
+        model_path.write_bytes(raw[:8] + struct.pack("<I", 2) + raw[12:])
+        with pytest.raises(ValueError, match="^unsupported model version 2$"):
+            load_model(model_path)
+
     def test_model_header_truncated_rejected(self, model_path):
         model_path.write_bytes(model_path.read_bytes()[:20])
         with pytest.raises(ValueError, match="damaged model file"):

@@ -5,13 +5,17 @@ two ranking primitives, ``top_k`` and ``hit_ranks``, are also compared with
 the lexsort directly at catalog widths where ``np.partition`` and the
 counts of tied items do real work."""
 
+import functools
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from amarec.baselines import ama_scorer
 from amarec.evaluation import hit_ranks, metric_rows, rank_keys, top_k
 from amarec.explain import mode_usage
-from amarec.model import (BLOCK, AmaConfig, Segments, argmax_mode, attend, decode_maxout,
-                          encode, keys_values)
+from amarec.model import (BLOCK, AmaConfig, Forward, Segments, argmax_mode, attend,
+                          decode_maxout, encode, keys_values)
 from oracles import enumerate_metrics
 from test_metrics import make_split
 from test_model import random_params
@@ -152,3 +156,33 @@ def test_mode_usage_matches_per_user_loop(seed, m, n, d, k, tied):
         if used:
             expected[used - 1] += 1
     assert mode_usage(params, V, data, k=k).tolist() == expected.tolist()
+
+
+def counting(scorer, calls):
+    """``scorer``, with its ``block`` if it names one, recording each call's user count."""
+    @functools.wraps(scorer)
+    def score(rows, users):
+        calls.append(len(users))
+        return scorer(rows, users)
+    return score
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_ama_is_ranked_in_its_decode_blocks_with_the_bytes_of_32_user_calls(d):
+    rng = np.random.default_rng(d)
+    n, m = 12, 4 * BLOCK + 9
+    cfg = AmaConfig(h=4, d=d, kappa=2)
+    params, V = random_params(n, cfg, seed=d), rng.standard_normal((n, cfg.h))
+    data = make_split(random_rows(rng, m, n), random_rows(rng, m, n), random_rows(rng, m, n), n)
+    scorer = ama_scorer(params, V)
+    assert scorer.block == Forward(params, V).block
+
+    by_block, by_32 = [], []
+    names, users, rows = metric_rows(counting(scorer, by_block), data)
+    # a plain callable names no block and is asked for BLOCK users
+    _, users_32, rows_32 = metric_rows(counting(lambda r, u: scorer(r, u), by_32), data)
+    for calls, size in ((by_block, scorer.block), (by_32, BLOCK)):
+        assert calls[:-1] == [size] * (len(calls) - 1) and 0 < calls[-1] <= size
+        assert sum(calls) == users.size
+    assert users.tolist() == users_32.tolist()
+    assert rows.tobytes() == rows_32.tobytes()

@@ -66,6 +66,15 @@ class TestConfig:
         with pytest.raises(CliError):
             parse_config_text("h=forty")
 
+    def test_line_without_equals_rejected_at_its_line(self):
+        with pytest.raises(CliError, match=r"^run\.conf:2: expected key=value, got ' h 4'$"):
+            parse_config_text("d=2\n h 4\n", source="run.conf")
+
+    def test_set_without_equals_rejected(self):
+        args = argparse.Namespace(preset=None, config=None, set=["h=6", "h6"])
+        with pytest.raises(CliError, match="^--set expects key=value, got 'h6'$"):
+            _gather_config(args)
+
     def test_ml1m_preset_values(self):
         cfg = load_preset("ml1m-ama")
         assert cfg["h"] == 40 and cfg["alpha"] == 1.0 and cfg["lambda"] == 1e-5
@@ -346,6 +355,9 @@ class TestTrainEvaluateExplain:
         assert rc == 1 and not out.exists()
         assert capsys.readouterr().err == "error: rho must lie in [0, 1), got 1.0\n"
 
+    # a step of 1e300 overflows the decode, and the overflow turns into NaNs
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_diverging_train_exits_1_without_a_model(self, tmp_path, prepped, capsys):
         out = tmp_path / "m.bin"
         rc = main(["train", "--data", str(prepped), "--out", str(out), *fast_overrides(),
@@ -393,6 +405,7 @@ class TestTrainEvaluateExplain:
         (["explain", "--histogram", "--model", "m.bin"], "--k", "0"),
         (["explain", "--histogram", "--model", "m.bin"], "--k", "-2"),
         (["explain", "--modes", "--model", "m.bin"], "--n", "-1"),
+        (["evaluate", "--baseline", "pop"], "--ks", "5,x"),
     ])
     def test_non_positive_cutoff_rejected(self, tmp_path, prepped, capsys, command, flag,
                                           value):
@@ -414,6 +427,18 @@ class TestTrainEvaluateExplain:
         rc = main(["evaluate", "--baseline", "pop", "--ks", "5"])
         assert rc == 0
 
+    def test_no_data_dir_rejected(self, monkeypatch, capsys):
+        monkeypatch.delenv("AMAREC_DATA_DIR", raising=False)
+        assert main(["evaluate", "--baseline", "pop"]) == 1
+        assert capsys.readouterr().err == (
+            "error: no data directory: pass --data or set AMAREC_DATA_DIR\n")
+
+    def test_evaluate_without_a_scorer_rejected(self, tmp_path, prepped, capsys):
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--data", str(prepped), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: pass --model or --baseline {pop,puresvd}\n"
+
     def test_model_and_baseline_together_rejected(self, tmp_path, prepped, capsys):
         out = tmp_path / "report.json"
         with pytest.raises(SystemExit) as exc:
@@ -422,6 +447,12 @@ class TestTrainEvaluateExplain:
         assert exc.value.code == 2 and not out.exists()
         assert "argument --baseline: not allowed with argument --model" in (
             capsys.readouterr().err)
+
+    def test_explain_without_a_report_rejected_before_the_split_is_read(self, tmp_path, capsys):
+        rc = main(["explain", "--data", str(tmp_path / "no-split"), "--model",
+                   str(tmp_path / "m.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: pass one of --user, --histogram, --modes\n"
 
     def test_dot_without_user_rejected_before_the_split_is_read(self, tmp_path, capsys):
         dot = tmp_path / "x.dot"

@@ -170,6 +170,14 @@ class TestParseRatings:
         ratings = parse_ratings(p, "amazon-csv", amazon_columns="user,item,rating,timestamp")
         assert ratings.user_ids == ("U42",) and ratings.item_ids == ("B1",)
 
+    @pytest.mark.parametrize("columns", ["user,item,rating", "user,item,item,timestamp",
+                                         "user,item,rating,time"])
+    def test_bad_amazon_column_order_rejected(self, tmp_path, columns):
+        p = tmp_path / "r.csv"
+        p.write_text("U42,B1,4.0,99\n")
+        with pytest.raises(ConfigError, match=f"^bad amazon column order {columns!r}$"):
+            parse_ratings(p, "amazon-csv", amazon_columns=columns)
+
     def test_colons_at_field_edges_stay_in_their_line(self, tmp_path):
         p = tmp_path / "r.dat"
         p.write_text("a:::b::5::1:\nc::d::4::2\n")

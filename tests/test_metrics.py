@@ -217,6 +217,12 @@ class TestEvaluate:
                             split="test", ks=(1,))
         assert report_t.metrics["Precision@1"]["mean"] == 1.0
 
+    @pytest.mark.parametrize("run", [metric_rows, evaluate])
+    def test_unknown_split_rejected(self, run):
+        data = make_split([[0]], [[]], [[1]], n=3)
+        with pytest.raises(ValueError, match="^unknown split 'train'$"):
+            run(lambda rows, users: np.zeros((len(users), 3)), data, split="train")
+
     def test_repeated_cutoff_rejected(self):
         # each cutoff names its own metric columns; a repeat would collapse them
         data = make_split([[0]], [[]], [[1]], n=3)

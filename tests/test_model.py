@@ -313,7 +313,8 @@ class TestAttend:
         # a V with more rows would score silently, one with fewer index past its end
         cfg = AmaConfig(h=3, d=2, kappa=2)
         V = np.random.default_rng(0).standard_normal((items, 3))
-        with pytest.raises(ValueError, match=f"embedding has {items} items, but the model has 5"):
+        with pytest.raises(ValueError,
+                           match=f"embedding is {items}x3, but the parameters have n=5 h=3"):
             Forward(random_params(5, cfg), V)
 
 
@@ -539,3 +540,27 @@ def test_model_save_load_roundtrip(tmp_path):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
     save_model(params, cfg, path, item_index_hash="abc", V=V)
     np.testing.assert_array_equal(load_model(path)[3], V)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (6, 3), (5, 4), (15,)])
+@pytest.mark.parametrize("call", ["train", "train-0-epochs", "Forward", "ama_scorer",
+                                  "explain_user", "mode_usage", "mode_top_items", "save_model"])
+def test_an_embedding_of_another_shape_gets_one_refusal(tmp_path, shape, call):
+    from amarec.baselines import ama_scorer
+    from amarec.explain import explain_user, mode_top_items, mode_usage
+    from amarec.training import train
+    from test_metrics import make_split
+
+    cfg = AmaConfig(h=3, d=2, kappa=2, epochs=0 if call == "train-0-epochs" else 2)
+    params, V = random_params(5, cfg), np.ones(shape)
+    data = make_split([[0, 2], [1, 3, 4]], [[], []], [[], []], 5)
+    run = {"train": lambda: train(data, V, cfg), "train-0-epochs": lambda: train(data, V, cfg),
+           "Forward": lambda: Forward(params, V), "ama_scorer": lambda: ama_scorer(params, V),
+           "explain_user": lambda: explain_user(params, V, data.train[0], 0),
+           "mode_usage": lambda: mode_usage(params, V, data),
+           "mode_top_items": lambda: mode_top_items(params, V, data),
+           "save_model": lambda: save_model(params, cfg, tmp_path / "m.bin", V=V)}[call]
+    with pytest.raises(ValueError, match=re.escape(
+            f"the embedding is {'x'.join(map(str, shape))}, but the parameters have n=5 h=3")):
+        run()
+    assert list(tmp_path.iterdir()) == []

@@ -194,6 +194,23 @@ def test_non_finite_objective_stops_at_its_batch(tiny_split):
     assert (exc.value.epoch, exc.value.batch) == (0, 0)
 
 
+# the one step of epoch 0 moves S by about 1e300, whose square overflows
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_objective_at_the_end_of_an_epoch_stops_it(tiny_split):
+    from amarec.training import NonFiniteObjective
+
+    m, n = tiny_split.shape
+    cfg = tiny_train_config(batch_size=m, learning_rate=1e300)   # one batch per epoch
+    params, seen = init_params(n, cfg), []
+    with pytest.raises(NonFiniteObjective, match="^non-finite objective inf at epoch 0, "
+                                                 "batch 0$") as exc:
+        train(tiny_split, embeddings_for(tiny_split, cfg), cfg, params=params,
+              callback=lambda epoch, p: seen.append(epoch))
+    assert (exc.value.epoch, exc.value.batch) == (0, 0) and seen == []
+    # the batch's losses were finite; the penalty on the updated S is not
+    assert np.isfinite(params.S).all() and np.abs(params.S).max() > 1e299
+
+
 @pytest.mark.parametrize("sizes, n_more, message", [
     (dict(d=2), 0, "the config gives d=3, but the parameters have d=2"),
     (dict(kappa=2), 0, "the config gives kappa=3, but the parameters have kappa=2"),
