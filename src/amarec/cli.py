@@ -18,14 +18,15 @@ symbol in parentheses:
   rank          PureSVD rank (PureSVD presets only)
   algorithm     scorer: ama | pop | puresvd; train and explain need ama
 
-Unset keys take the library defaults. h, gamma and seed make the embedding
-recipe. train records it next to the model and stores the embeddings it
-trained with beside the model file, as MODEL.emb; with --model, evaluate and
-explain read those embeddings (a model saved without them has them rebuilt
-from the recorded recipe), and a configured recipe key, d or kappa must
-equal the model's. evaluate and explain do not read the training-only keys
-epochs, learning_rate, batch_size, alpha, lambda and rho. Without --model
-or --baseline, evaluate scores `algorithm`.
+Unset keys take the library defaults. h, gamma and seed build the item
+embeddings, in embed and train alike. train records every key of the run
+next to the model and stores the embeddings it trained with beside the model
+file, as MODEL.emb; with --model, evaluate and explain read those embeddings
+(a model saved without them has them rebuilt from its recorded h, gamma and
+seed), and a configured h, gamma, seed, d or kappa must equal the model's.
+evaluate and explain do not read the training-only keys epochs,
+learning_rate, batch_size, alpha, lambda and rho. Without --model or
+--baseline, evaluate scores `algorithm`.
 
 The default data directory comes from $AMAREC_DATA_DIR when --data is
 omitted.
@@ -57,10 +58,8 @@ _CHOICES = {"algorithm": ("ama", "pop", "puresvd")}
 _STR_KEYS = _CHOICES.keys()
 
 # config key -> keyword argument, for each consumer of the configuration
-_RECIPE_KEYS = {k: k for k in linalg.RECIPE_DEFAULTS}
-# the AmaConfig fields but h and seed, which come from the recipe
-_RUN_KEYS = {**{k: k for k in ("d", "kappa", "alpha", "rho", "epochs", "learning_rate",
-                               "batch_size")}, "lambda": "lam"}
+_RUN_KEYS = {**{k: k for k in ("h", "d", "kappa", "alpha", "rho", "epochs", "seed",
+                               "learning_rate", "batch_size", "gamma")}, "lambda": "lam"}
 _PURESVD_KEYS = {"rank": "rank", "gamma": "iters", "seed": "seed"}
 
 
@@ -131,21 +130,16 @@ def _pick(cfg, keys):
     return {arg: cfg[key] for key, arg in keys.items() if key in cfg}
 
 
-def _recipe(cfg):
-    return {**linalg.RECIPE_DEFAULTS, **_pick(cfg, _RECIPE_KEYS)}
-
-
 def _require_ama(cfg, command):
     if cfg.get("algorithm") not in (None, "ama"):
         raise CliError(f"{command} needs algorithm=ama, got algorithm={cfg['algorithm']}")
 
 
-def _train_configs(cfg):
-    """The embedding recipe and the AmaConfig that ``train`` uses. AmaConfig's
-    messages start with the field, which is renamed to the key that sets it."""
-    recipe = _recipe(cfg)
+def _run_config(cfg):
+    """The AmaConfig that ``embed`` and ``train`` use. AmaConfig's messages
+    start with the field, which is renamed to the key that sets it."""
     try:
-        return recipe, AmaConfig(h=recipe["h"], seed=recipe["seed"], **_pick(cfg, _RUN_KEYS))
+        return AmaConfig(**_pick(cfg, _RUN_KEYS))
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
         key = {arg: key for key, arg in _RUN_KEYS.items()}.get(field, field)
@@ -182,10 +176,9 @@ def cmd_prep(args):
 
 def cmd_embed(args):
     data = dataset.load_split(_data_dir(args))
-    recipe = _recipe(_gather_config(args))
-    V = linalg.embed_items(data.train, **recipe)
-    linalg.save_embeddings(V, args.out, meta={
-        **recipe, "source_hash": linalg.matrix_hash(data.train)})
+    run = _run_config(_gather_config(args))
+    V = linalg.embed_items(data.train, h=run.h, gamma=run.gamma, seed=run.seed)
+    linalg.save_embeddings(V, args.out, linalg.embedding_meta(run, linalg.matrix_hash(data.train)))
     print(f"wrote {V.shape[0]}x{V.shape[1]} item embeddings to {args.out}")
 
 
@@ -196,10 +189,9 @@ def cmd_train(args):
     data = dataset.load_split(_data_dir(args))
     cfg = _gather_config(args)
     _require_ama(cfg, "train")
-    recipe, run = _train_configs(cfg)
-    V = linalg.embed_items(data.train, **recipe)
-    provenance = {"item_index_hash": linalg.matrix_hash(data.train), "embedding": recipe,
-                  "V": V}
+    run = _run_config(cfg)
+    V = linalg.embed_items(data.train, h=run.h, gamma=run.gamma, seed=run.seed)
+    provenance = {"item_index_hash": linalg.matrix_hash(data.train), "V": V}
 
     def checkpoint(epoch, params):
         if args.checkpoint_every and (epoch + 1) % args.checkpoint_every == 0:
@@ -217,21 +209,22 @@ def cmd_train(args):
 
 def _load_ama(path, data, cfg):
     """(params, V) of a model file: the V stored beside it, or for a model
-    saved without one, V rebuilt from the recipe ``load_model`` resolves.
-    Rejects a configured recipe key, ``d`` or ``kappa`` that disagrees with
-    the model, and a split other than the one the model was trained on."""
-    params, recipe, trained_on, V = load_model(path)
-    model = {**recipe, "d": params.Q.shape[0], "kappa": params.Q.shape[1]}
-    for key, given in _pick(cfg, {key: key for key in model}).items():
-        if given != model[key]:
-            raise CliError(f"{path} was trained with {key}={model[key]}, "
-                           f"but the configuration gives {key}={given}")
+    saved without one, V rebuilt from the run config ``load_model`` returns.
+    Rejects a configured h, gamma, seed, d or kappa that disagrees with that
+    config, and a split other than the one the model was trained on."""
+    params, run, trained_on, V = load_model(path)
+    for key in ("h", "gamma", "seed", "d", "kappa"):
+        if key in cfg and cfg[key] != getattr(run, key):
+            raise CliError(f"{path} was trained with {key}={getattr(run, key)}, "
+                           f"but the configuration gives {key}={cfg[key]}")
     if data.shape[1] != params.S.shape[0]:
         raise CliError(f"{path} scores {params.S.shape[0]} items, "
                        f"but the split has {data.shape[1]}")
     if trained_on and trained_on != linalg.matrix_hash(data.train):
         raise CliError(f"{path} was trained on a different train matrix")
-    return params, V if V is not None else linalg.embed_items(data.train, **recipe)
+    if V is None:
+        V = linalg.embed_items(data.train, h=run.h, gamma=run.gamma, seed=run.seed)
+    return params, V
 
 
 def _scorer_for(args, data, cfg):

@@ -10,7 +10,6 @@ embeddings reproduce across runs.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import struct
 from dataclasses import dataclass
@@ -71,20 +70,22 @@ def randomized_svd(R, rank, power_iters=10, seed=0):
                      right=np.ascontiguousarray(V))
 
 
-def embed_items(train, *, h=40, gamma=10, seed=0):
+def embed_items(train, *, h, gamma, seed):
     """Fixed n x h item embeddings of a train matrix: the right factor of its
-    rank-h randomized SVD. The keyword arguments are the embedding recipe; a
-    model is correct only with the V it was trained on, so every caller builds
-    V here and these are the recipe's only defaults."""
+    rank-h randomized SVD with ``gamma`` power iterations. A model is correct
+    only with the V it was trained on, so every caller builds V here from a
+    run config's ``h``, ``gamma`` and ``seed``; ``AmaConfig`` holds their
+    defaults."""
     if not 1 <= h <= min(train.shape):
         raise ValueError(f"h={h} out of range: the embedding size must lie in [1, "
                          f"{min(train.shape)}] for a {'x'.join(map(str, train.shape))} matrix")
     return randomized_svd(train, rank=h, power_iters=gamma, seed=seed).right
 
 
-RECIPE_DEFAULTS = {name: p.default
-                   for name, p in inspect.signature(embed_items).parameters.items()
-                   if p.kind is p.KEYWORD_ONLY}
+def embedding_meta(cfg, source_hash):
+    """The ``.emb.json`` meta of the V that the run config ``cfg``'s h, gamma and
+    seed build from the train matrix whose ``matrix_hash`` is ``source_hash``."""
+    return {"gamma": cfg.gamma, "h": cfg.h, "seed": cfg.seed, "source_hash": source_hash}
 
 
 _EMB_MAGIC = b"AMAEMB01"
@@ -100,7 +101,8 @@ def save_embeddings(V, path, meta):
 
 
 def write_embeddings(fh, js, V, meta):
-    """Writes V's AMAEMB01 bytes to the binary file ``fh`` and ``meta`` to ``js``."""
+    """Writes V's AMAEMB01 bytes to the binary file ``fh`` and ``meta`` to ``js``;
+    the meta of an embedding that amarec built is ``embedding_meta``'s."""
     V = np.ascontiguousarray(V, dtype=np.float64)
     fh.write(_EMB_MAGIC)
     fh.write(struct.pack("<QQ", V.shape[0], V.shape[1]))

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from amarec.fileio import atomic_open
-from amarec.linalg import RECIPE_DEFAULTS, load_embeddings, write_embeddings
+from amarec.linalg import embedding_meta, load_embeddings, write_embeddings
 
 
 def _integer(name, value):
@@ -69,9 +69,10 @@ _REAL_BOUNDS = {"alpha": ("[0, inf)", lambda x: 0 <= x < math.inf),
 
 @dataclass(frozen=True)
 class AmaConfig:
-    """Every setting of a training run; ``save_model`` records it whole. The
-    one check of a run config: each field takes a number of its type, not a
-    bool, within its bound, and keeps it as a Python int or float."""
+    """Every setting of a training run, the item embeddings' h, gamma and seed
+    among them; ``save_model`` records it whole. The one check of a run
+    config: each field takes a number of its type, not a bool, within its
+    bound, and keeps it as a Python int or float."""
 
     h: int = 40            # embedding size
     d: int = 3             # preference-mode count
@@ -83,10 +84,11 @@ class AmaConfig:
     seed: int = 0
     learning_rate: float = 1e-3   # adam step size
     batch_size: int = 512         # users per adam step
+    gamma: int = 10        # randomized-SVD power iterations of the embedding
 
     def __post_init__(self):
         for name, least in {"h": 1, "d": 1, "kappa": 1, "epochs": 0, "seed": 0,
-                            "batch_size": 1}.items():
+                            "batch_size": 1, "gamma": 0}.items():
             value = _integer(name, getattr(self, name))
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -392,21 +394,20 @@ def _sizes(params, cfg):
     return n, h, d, kappa
 
 
-def save_model(params, cfg, path, item_index_hash="", embedding=None, V=None):
+def save_model(params, cfg, path, item_index_hash="", V=None):
     """Binary container: magic, version, dims (n,h,d,kappa), then the five
     parameter matrices row-major float64. A JSON sidecar carries the config,
-    the train matrix hash and the embedding recipe, when given. A V, when
-    given, goes beside them as ``<path>.emb`` and ``<path>.emb.json``, laid out
-    as ``embed`` writes it (AMAEMB01, the recipe and ``source_hash`` as meta),
-    and the sidecar records its SHA-256; without a V, a pair an earlier save
-    left at ``path`` is removed once the new sidecar is in place. A config whose
-    h, d or kappa differs from the parameters', or a V that is not n x h, raises
-    before any file opens."""
+    whose h, gamma and seed build the model's V with ``embed_items``, and the
+    train matrix hash. A V, when given, goes beside them as ``<path>.emb`` and
+    ``<path>.emb.json``, the bytes ``embed`` writes for that config and train
+    matrix (AMAEMB01, ``embedding_meta`` as meta), and the sidecar records its
+    SHA-256; without a V, a pair an earlier save left at ``path`` is removed
+    once the new sidecar is in place. A config whose h, d or kappa differs
+    from the parameters', or a V that is not n x h, raises before any file
+    opens."""
     n, h, d, kappa = _sizes(params, cfg)   # load_model checks the config's sizes too
     sidecar = {"config": asdict(cfg), "item_index_hash": item_index_hash,
                "n": n, "h": h, "d": d, "kappa": kappa}
-    if embedding is not None:
-        sidecar["embedding"] = embedding
     if V is not None:
         V = np.ascontiguousarray(V, dtype=np.float64)
         _check_embedding(params, V)
@@ -420,7 +421,7 @@ def save_model(params, cfg, path, item_index_hash="", embedding=None, V=None):
             write_embeddings(files.enter_context(atomic_open(str(path) + ".emb", "wb")),
                              files.enter_context(atomic_open(str(path) + ".emb.json", "w",
                                                              encoding="utf-8")),
-                             V, {**(embedding or {}), "source_hash": item_index_hash})
+                             V, embedding_meta(cfg, item_index_hash))
         fh.write(_MDL_MAGIC)
         fh.write(struct.pack("<IQQQQ", 1, n, h, d, kappa))
         for name in PARAM_NAMES:
@@ -439,24 +440,20 @@ def _sha256(V):
 
 
 def _sidecar_config(sidecar, path, params):
-    """The embedding recipe of a model sidecar that holds what ``save_model``
+    """The checked AmaConfig of a model sidecar that holds what ``save_model``
     writes for ``params``: a JSON object with the parameters' dims, a string
-    ``item_index_hash``, an optional ``embedding`` object of integer recipe
-    values whose ``h``, if recorded, is the model's, and a ``config`` object
-    holding exactly the AmaConfig fields, which AmaConfig accepts and whose
-    h, d and kappa are the parameters' (``_sizes``). Any other sidecar raises
-    a ValueError naming the file and the field. A recipe key the sidecar does
-    not record resolves as ``train`` sets it: ``h`` and ``seed`` from the
-    config, ``gamma`` from RECIPE_DEFAULTS."""
+    ``item_index_hash`` and a ``config`` object holding exactly the AmaConfig
+    fields, which AmaConfig accepts and whose h, d and kappa are the
+    parameters' (``_sizes``). Any other sidecar raises a ValueError naming the
+    file and the field; one saved before ``gamma`` joined the config lacks it."""
     where = f"model sidecar {path}.json"
     if not isinstance(sidecar, dict):
         raise ValueError(f"{where} is not a JSON object")
     if not isinstance(sidecar.get("item_index_hash"), str):
         raise ValueError(f"{where}: item_index_hash must be a string, "
                          f"got {sidecar.get('item_index_hash')!r}")
-    for key in ("config", "embedding"):
-        if not isinstance(sidecar.get(key, {}), dict):
-            raise ValueError(f"{where}: {key} must be a JSON object")
+    if not isinstance(sidecar.get("config", {}), dict):
+        raise ValueError(f"{where}: config must be a JSON object")
     config, names = sidecar.get("config", {}), {f.name for f in fields(AmaConfig)}
     unknown, missing = sorted(config.keys() - names), sorted(names - config.keys())
     if unknown:
@@ -475,28 +472,16 @@ def _sidecar_config(sidecar, path, params):
         if sidecar.get(key) != value:
             raise ValueError(f"{where} gives {key}={sidecar.get(key)}, "
                              f"but the model file has {key}={value}")
-    recorded = sidecar.get("embedding", {})
-    for key, value in recorded.items():
-        if key not in RECIPE_DEFAULTS:
-            raise ValueError(f"{where} records the embedding setting {key}={value}, "
-                             "which this version cannot rebuild")
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(f"{where} records the embedding setting {key}={value!r}, "
-                             "which is not an integer >= 0")
-        if key == "h" and value != cfg.h:
-            raise ValueError(f"{where} records the embedding setting h={value}, "
-                             f"but the model file has h={cfg.h}")
-    # a key the sidecar does not record takes the value train gives it
-    defaults = {**RECIPE_DEFAULTS, "h": cfg.h, "seed": cfg.seed}
-    return {key: recorded.get(key, value) for key, value in defaults.items()}
+    return cfg
 
 
 def load_model(path):
-    """Returns (AmaParameters, recipe, item_index_hash, V): the ``embed_items``
-    keywords that rebuild the V the model was trained with, its train
-    matrix's hash, ``""`` when unknown, and the V stored beside it, ``None``
-    when the sidecar records none. The sidecar must exist and hold what
-    today's ``save_model`` writes; AmaConfig checks its config.
+    """Returns (AmaParameters, AmaConfig, item_index_hash, V): the run config
+    the model was saved with, whose h, gamma and seed rebuild its V with
+    ``embed_items``, its train matrix's hash, ``""`` when unknown, and the V
+    stored beside it, ``None`` when the sidecar records none. The sidecar must
+    exist and hold what today's ``save_model`` writes; AmaConfig checks its
+    config.
 
     Rejects a file whose length differs from what its header's dims imply, a
     parameter holding a NaN or an infinity, a sidecar that is malformed or
@@ -532,8 +517,8 @@ def load_model(path):
         except ValueError as exc:   # malformed JSON or not UTF-8
             raise ValueError(f"model sidecar {path}.json is not readable JSON: {exc}") from None
     params = AmaParameters(**arrays)
-    recipe = _sidecar_config(sidecar, path, params)
-    return params, recipe, sidecar["item_index_hash"], _stored_embedding(sidecar, path, n, h)
+    cfg = _sidecar_config(sidecar, path, params)
+    return params, cfg, sidecar["item_index_hash"], _stored_embedding(sidecar, path, n, h)
 
 
 def _stored_embedding(sidecar, path, n, h):

@@ -17,8 +17,8 @@ import scipy.sparse as sp
 from amarec import cli, fileio, linalg, training
 from amarec import model as model_module
 from amarec.cli import main
-from amarec.dataset import binarize, save_split, temporal_split
-from amarec.linalg import RECIPE_DEFAULTS, load_embeddings, save_embeddings
+from amarec.dataset import binarize, load_split, save_split, temporal_split
+from amarec.linalg import load_embeddings, save_embeddings
 from amarec.model import AmaConfig, init_params, load_model, save_model
 from conftest import synthetic_events, write_movielens_file
 
@@ -71,7 +71,9 @@ class TestModelDecidesEmbeddings:
     def test_sidecar_records_recipe_and_train_hash(self, trained):
         _, _, model = trained
         sidecar = json.loads((model.parent / "model.bin.json").read_text())
-        assert sidecar["embedding"] == {**RECIPE_DEFAULTS, "h": 4}
+        assert "embedding" not in sidecar   # the config holds h, gamma and seed
+        cfg = run_config(model)
+        assert (cfg.h, cfg.gamma, cfg.seed) == (4, 10, 0)
         assert len(sidecar["item_index_hash"]) == 64
 
     def test_checkpoint_records_recipe_and_train_hash(self, tmp_path, monkeypatch):
@@ -94,7 +96,9 @@ class TestModelDecidesEmbeddings:
             main(["train", "--data", str(data), "--out", str(model), "--checkpoint-every",
                   "1", "--set", "h=4", "--set", "gamma=3", *SMALL])
         sidecar = json.loads((tmp_path / "ckpt.bin.json").read_text())
-        assert sidecar["embedding"] == {**RECIPE_DEFAULTS, "h": 4, "gamma": 3}
+        assert "embedding" not in sidecar
+        cfg = run_config(model)
+        assert (cfg.h, cfg.gamma, cfg.seed) == (4, 3, 0)
         assert len(sidecar["item_index_hash"]) == 64
         assert load_model(model)[3] is not None   # the checkpoint stores its V
 
@@ -112,8 +116,8 @@ class TestModelDecidesEmbeddings:
         assert main(["embed", "--data", str(data), "--out", str(emb),
                      "--set", "h=4", "--set", "gamma=3"]) == 0
         meta = json.loads((tmp / "emb.bin.json").read_text())
-        assert {k: meta[k] for k in RECIPE_DEFAULTS} == {**RECIPE_DEFAULTS, "h": 4,
-                                                         "gamma": 3}
+        assert meta.pop("source_hash") == linalg.matrix_hash(load_split(data).train)
+        assert meta == {"h": 4, "gamma": 3, "seed": 0}
 
     @pytest.mark.parametrize("command", ["evaluate", "explain"])
     @pytest.mark.parametrize("key,given,recorded", [
@@ -128,6 +132,41 @@ class TestModelDecidesEmbeddings:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{key}={recorded}" in err and f"{key}={given}" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    @pytest.mark.parametrize("key,given,recorded", [
+        ("gamma", "3", "10"), ("h", "5", "4"), ("seed", "1", "0"),
+    ])
+    def test_mismatched_key_on_a_model_saved_without_v_rejected_before_any_svd(
+            self, trained, tmp_path, capsys, monkeypatch, command, key, given, recorded):
+        # such a model rebuilds its V, but only after the configuration agrees with it
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the randomized SVD ran")
+
+        _, data, model = trained
+        bare = without_stored_v(model, tmp_path / "bare.bin")
+        monkeypatch.setattr(linalg, "embed_items", no_svd)
+        what = ["--ks", "5"] if command == "evaluate" else ["--histogram"]
+        assert main([command, "--data", str(data), "--model", str(bare), *what,
+                     "--set", f"{key}={given}"]) == 1
+        assert (f"{bare} was trained with {key}={recorded}, but the configuration gives "
+                f"{key}={given}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    @pytest.mark.parametrize("key,value", [
+        ("scale", "sqrt-sigma"), ("oversample", 3), ("power_iters", 2),
+    ])
+    def test_retired_embedding_key_in_the_config_refused(self, trained, tmp_path, capsys,
+                                                         command, key, value):
+        # V is rebuilt from h, gamma and seed alone, so a config that records
+        # another embedding setting names a V this version cannot build
+        _, data, model = trained
+        recorded = without_stored_v(model, tmp_path / "other.bin",
+                                    lambda sc: sc["config"].update({key: value}))
+        what = ["--ks", "5"] if command == "evaluate" else ["--histogram"]
+        assert main([command, "--data", str(data), "--model", str(recorded), *what]) == 1
+        assert (f"model sidecar {recorded}.json: unknown config key {key!r}"
+                in capsys.readouterr().err)
 
     def test_report_independent_of_matching_flags(self, trained):
         tmp, data, model = trained
@@ -160,65 +199,6 @@ class TestModelDecidesEmbeddings:
                         "--set", "alpha=7", "--set", "lambda=0.2", "--set", "rho=0.9",
                         "--set", "d=2", "--set", "kappa=2") == 0
         assert bare.read_bytes() == flagged.read_bytes()
-
-    @staticmethod
-    def with_recorded(model, path, **embedding):
-        """A copy of ``model`` at ``path``, saved without its V, whose sidecar
-        also records ``embedding``: its commands rebuild V from the recipe."""
-        return without_stored_v(model, path, lambda sc: sc["embedding"].update(embedding))
-
-    @pytest.mark.parametrize("key,value", [("oversample", 10), ("scale", "none")])
-    def test_retired_recipe_keys_refused_at_the_value_they_were_written_with(
-            self, trained, tmp_path, capsys, key, value):
-        # recipes recorded before oversample and scale were removed held these values
-        _, data, model = trained
-        older = self.with_recorded(model, tmp_path / "older.bin", **{key: value})
-        out = tmp_path / "older.json"
-        assert evaluate(data, older, "--out", str(out)) == 1 and not out.exists()
-        assert (f"model sidecar {older}.json records the embedding setting {key}={value}, "
-                "which this version cannot rebuild") in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["evaluate", "explain"])
-    @pytest.mark.parametrize("key,value", [
-        ("scale", "sqrt-sigma"), ("oversample", 3), ("power_iters", 2),
-    ])
-    def test_unrebuildable_recorded_key_rejected(self, trained, tmp_path, capsys, command,
-                                                 key, value):
-        _, data, model = trained
-        recorded = self.with_recorded(model, tmp_path / "other.bin", **{key: value})
-        what = ["--ks", "5"] if command == "evaluate" else ["--histogram"]
-        assert main([command, "--data", str(data), "--model", str(recorded), *what]) == 1
-        assert f"records the embedding setting {key}={value}," in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["4", 4.0, True])
-    def test_non_integer_recorded_recipe_value_rejected(self, trained, tmp_path, capsys, value):
-        _, data, model = trained
-        recorded = self.with_recorded(model, tmp_path / "other.bin", h=value)
-        assert evaluate(data, recorded) == 1
-        assert f"records the embedding setting h={value!r}, which is not an integer" in (
-            capsys.readouterr().err)
-
-    @pytest.mark.parametrize("command", ["evaluate", "explain"])
-    def test_recorded_h_other_than_the_models_rejected_before_any_svd(
-            self, trained, tmp_path, capsys, monkeypatch, command):
-        def no_svd(*args, **kwargs):
-            raise AssertionError("the randomized SVD ran")
-
-        _, data, model = trained
-        recorded = self.with_recorded(model, tmp_path / "other.bin", h=5)
-        monkeypatch.setattr(linalg, "embed_items", no_svd)
-        what = ["--ks", "5"] if command == "evaluate" else ["--histogram"]
-        assert main([command, "--data", str(data), "--model", str(recorded), *what]) == 1
-        assert (f"model sidecar {recorded}.json records the embedding setting h=5, "
-                "but the model file has h=4") in capsys.readouterr().err
-
-    def test_recipe_recorded_without_h_rebuilds_at_the_models_h(self, trained, tmp_path):
-        _, data, model = trained
-        bare = without_stored_v(model, tmp_path / "bare.bin", lambda sc: sc["embedding"].pop("h"))
-        reports = tmp_path / "model.json", tmp_path / "bare.json"
-        assert evaluate(data, model, "--out", str(reports[0])) == 0
-        assert evaluate(data, bare, "--out", str(reports[1])) == 0
-        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     def test_different_train_matrix_rejected(self, trained, capsys):
         tmp, data, model = trained
@@ -316,37 +296,53 @@ class TestStoredEmbedding:
 
     def test_stored_and_rebuilt_v_give_identical_outputs(self, trained, tmp_path):
         _, data, model = trained
-        params, recipe, trained_on, V = load_model(model)
+        params, cfg, trained_on, V = load_model(model)
         assert V is not None
         bare = tmp_path / "bare.bin"
-        save_model(params, run_config(model), bare, item_index_hash=trained_on, embedding=recipe)
+        save_model(params, cfg, bare, item_index_hash=trained_on)
         assert load_model(bare)[3] is None and not (tmp_path / "bare.bin.emb").exists()
         stored = self.reports(data, model, tmp_path / "stored")
         assert stored == self.reports(data, bare, tmp_path / "rebuilt")
 
     def test_a_save_without_v_removes_the_pair_an_earlier_save_left(self, trained, tmp_path):
         _, _, model = trained
-        params, recipe, trained_on, V = load_model(model)
-        cfg, path = run_config(model), tmp_path / "m.bin"
-        save_model(params, cfg, path, item_index_hash=trained_on, embedding=recipe, V=V)
+        params, cfg, trained_on, V = load_model(model)
+        path = tmp_path / "m.bin"
+        save_model(params, cfg, path, item_index_hash=trained_on, V=V)
         assert (tmp_path / "m.bin.emb").exists() and (tmp_path / "m.bin.emb.json").exists()
-        save_model(params, cfg, path, item_index_hash=trained_on, embedding=recipe)
+        save_model(params, cfg, path, item_index_hash=trained_on)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m.bin.json"]
         assert load_model(path)[3] is None
 
-    def test_a_sidecar_without_the_optimizer_settings_refused(self, trained, tmp_path,
-                                                               capsys):
-        # sidecars written before learning_rate and batch_size were recorded lack them
-        _, data, model = trained
+    def test_a_model_saved_without_v_rebuilds_it_with_its_gamma(self, tmp_path, capsys):
+        # the bench saves its drawn model so, and a rebuild must use the gamma it was made with
+        data, model = prep(tmp_path, "data", seed=4), tmp_path / "m.bin"
+        assert main(["train", "--data", str(data), "--out", str(model), "--set", "h=4",
+                     "--set", "gamma=3", *SMALL]) == 0
+        params, _, trained_on, _ = load_model(model)
+        bare = tmp_path / "bare.bin"
+        save_model(params, run_config(model), bare, item_index_hash=trained_on)
+        stored = self.reports(data, model, tmp_path / "stored")
+        assert stored == self.reports(data, bare, tmp_path / "rebuilt")
+        for path in (model, bare):
+            assert evaluate(data, path, "--set", "gamma=10") == 1
+            assert (f"{path} was trained with gamma=3, but the configuration gives gamma=10"
+                    in capsys.readouterr().err)
+
+    @staticmethod
+    def assert_older_sidecar_refused(data, model, tmp_path, capsys, edit, message):
+        """A copy of ``model`` and its V pair, its sidecar changed by ``edit`` into
+        the form an earlier version wrote, is refused by ``load_model``,
+        ``evaluate`` and ``explain`` with ``message``, which names the sidecar
+        ``{older}.json``."""
         older = tmp_path / "older.bin"
         for suffix in ("", ".emb", ".emb.json"):
             (tmp_path / f"older.bin{suffix}").write_bytes(
                 model.with_name(model.name + suffix).read_bytes())
         sidecar = json.loads(model.with_name(model.name + ".json").read_text())
-        sidecar["config"].pop("learning_rate")
-        sidecar["config"].pop("batch_size")
+        edit(sidecar)
         (tmp_path / "older.bin.json").write_text(json.dumps(sidecar))
-        message = f"model sidecar {older}.json: config lacks the key 'batch_size'"
+        message = message.format(older=older)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_model(older)
         for argv in (["evaluate", "--ks", "5"], ["explain", "--histogram", "--k", "5"]):
@@ -354,6 +350,31 @@ class TestStoredEmbedding:
             assert main([*argv, "--data", str(data), "--model", str(older),
                          "--out", str(out)]) == 1
             assert not out.exists() and message in capsys.readouterr().err
+
+    def test_a_sidecar_without_the_optimizer_settings_refused(self, trained, tmp_path,
+                                                               capsys):
+        # sidecars written before learning_rate and batch_size were recorded lack them
+        _, data, model = trained
+
+        def edit(sidecar):
+            sidecar["config"].pop("learning_rate")
+            sidecar["config"].pop("batch_size")
+
+        self.assert_older_sidecar_refused(
+            data, model, tmp_path, capsys, edit,
+            "model sidecar {older}.json: config lacks the key 'batch_size'")
+
+    def test_a_sidecar_recording_gamma_in_an_embedding_object_refused(self, trained, tmp_path,
+                                                                      capsys):
+        # sidecars written before gamma joined the config held it in an embedding object
+        _, data, model = trained
+
+        def edit(sidecar):
+            sidecar["embedding"] = {"h": 4, "gamma": sidecar["config"].pop("gamma"), "seed": 0}
+
+        self.assert_older_sidecar_refused(
+            data, model, tmp_path, capsys, edit,
+            "model sidecar {older}.json: config lacks the key 'gamma'")
 
     def test_nan_in_the_stored_v_stops_explain(self, trained, tmp_path, capsys):
         _, data, model = trained
@@ -422,22 +443,20 @@ class TestDrift:
         assert documented == cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS
 
     def test_every_parsed_key_reaches_a_consumer(self):
-        consumed = {"algorithm"}.union(cli._RECIPE_KEYS, cli._RUN_KEYS, cli._PURESVD_KEYS)
+        consumed = {"algorithm"}.union(cli._RUN_KEYS, cli._PURESVD_KEYS)
         assert cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS == consumed
 
     def test_every_config_field_is_set_by_one_key(self):
-        # h and seed come from the recipe, lam as lambda and every other field
-        # through the run-key map, so a field added without a key, or a key
-        # that names no field, fails here
+        # lam is set as lambda and every other field by its own name, so a
+        # field added without a key, two keys for one field, or a key that
+        # names no field fails here
         fields = sorted(f.name for f in dataclasses.fields(AmaConfig))
-        assert sorted([*cli._RUN_KEYS.values(), "h", "seed"]) == fields
-        assert {"h", "seed"} <= cli._RECIPE_KEYS.keys() and cli._RUN_KEYS["lambda"] == "lam"
-        keys = ["h", "seed", *cli._RUN_KEYS]
+        assert sorted(cli._RUN_KEYS.values()) == fields and cli._RUN_KEYS["lambda"] == "lam"
         cfg = cli.parse_config_text("\n".join(
             f"{key}={i + 2 if key in cli._INT_KEYS else 1 / (i + 2)}"
-            for i, key in enumerate(keys)))
-        _, run = cli._train_configs(cfg)
-        assert {key: getattr(run, cli._RUN_KEYS.get(key, key)) for key in keys} == cfg
+            for i, key in enumerate(cli._RUN_KEYS)))
+        run = cli._run_config(cfg)
+        assert {key: getattr(run, field) for key, field in cli._RUN_KEYS.items()} == cfg
 
     def test_every_preset_builds(self):
         presets = importlib.resources.files("amarec").joinpath("presets")
@@ -449,8 +468,8 @@ class TestDrift:
         for name in names:
             cfg = cli.load_preset(name)
             if cfg["algorithm"] == "ama":
-                recipe, run = cli._train_configs(cfg)
-                assert run.h == recipe["h"] == cfg["h"]
+                run = cli._run_config(cfg)
+                assert (run.h, run.gamma) == (cfg["h"], cfg["gamma"])
                 assert run.lam == cfg["lambda"] and run.d == cfg["d"]
             else:
                 args = types.SimpleNamespace(model=None, baseline=None)
@@ -535,31 +554,14 @@ class TestDamagedFiles:
          "config: lam must lie in [0, inf), got nan"),
         (lambda sc: sc["config"].update(rho=1.5), "config: rho must lie in [0, 1)"),
         (lambda sc: sc.update(config=[3]), "config must be a JSON object"),
-        (lambda sc: sc.update(embedding="svd"), "embedding must be a JSON object"),
         (lambda sc: sc.pop("item_index_hash"), "item_index_hash must be a string, got None"),
         (lambda sc: sc.update(item_index_hash=7), "item_index_hash must be a string, got 7"),
-        (lambda sc: sc.update(embedding={"h": "3"}),
-         "records the embedding setting h='3', which is not an integer"),
-        (lambda sc: sc.update(embedding={"h": 3.0}),
-         "records the embedding setting h=3.0, which is not an integer"),
-        (lambda sc: sc.update(embedding={"h": True}),
-         "records the embedding setting h=True, which is not an integer"),
-        (lambda sc: sc.update(embedding={"h": 3, "seed": -1}),
-         "records the embedding setting seed=-1, which is not an integer >= 0"),
-        (lambda sc: sc.update(embedding={"h": 3, "gamma": -2}),
-         "records the embedding setting gamma=-2, which is not an integer >= 0"),
+        (lambda sc: sc["config"].update(gamma=-2), "config: gamma must be >= 0, got -2"),
+        (lambda sc: sc["config"].update(gamma="3"), "config: gamma must be an integer, got '3'"),
+        (lambda sc: sc["config"].update(gamma=3.0), "config: gamma must be an integer, got 3.0"),
+        (lambda sc: sc["config"].update(gamma=True),
+         "config: gamma must be an integer, got True"),
         (lambda sc: sc["config"].update(seed=-1), "config: seed must be >= 0, got -1"),
-        (lambda sc: sc.update(embedding={"h": 3, "power_iters": 2}),
-         "records the embedding setting power_iters=2, which this version cannot rebuild"),
-        (lambda sc: sc.update(embedding={"h": 3, "oversample": 3}),
-         "records the embedding setting oversample=3, which this version cannot rebuild"),
-        (lambda sc: sc.update(embedding={"h": 3, "scale": "sqrt-sigma"}),
-         "records the embedding setting scale=sqrt-sigma, which this version cannot rebuild"),
-        (lambda sc: sc.update(embedding={"h": 3, "gamma": 2, "seed": 5, "oversample": 10,
-                                         "scale": "none"}),
-         "records the embedding setting oversample=10, which this version cannot rebuild"),
-        (lambda sc: sc.update(embedding={"h": 5, "gamma": 4}),
-         "records the embedding setting h=5, but the model file has h=3"),
         (lambda sc: sc["config"].update(learning_rate=0),
          "config: learning_rate must lie in (0, inf), got 0.0"),
         (lambda sc: sc["config"].update(learning_rate=float("nan")),
@@ -572,12 +574,11 @@ class TestDamagedFiles:
         (lambda sc: sc["config"].update(alpha="1.0"),
          "config: alpha must be a real number, got '1.0'"),
     ], ids=["config-kappa", "config-h", "unknown-key", "missing-key", "string-h", "bool-d",
-            "nan-lam", "rho-range", "config-list", "embedding-string", "no-hash", "int-hash",
-            "recipe-string-h", "recipe-float-h", "recipe-bool-h", "recipe-negative-seed",
-            "recipe-negative-gamma", "config-negative-seed", "recipe-power-iters",
-            "recipe-oversample-3", "recipe-scale", "recipe-retired-keys", "recipe-other-h",
-            "zero-learning-rate", "nan-learning-rate", "float-batch-size", "bool-batch-size",
-            "bool-rho", "string-alpha"])
+            "nan-lam", "rho-range", "config-list", "no-hash", "int-hash",
+            "config-negative-gamma", "config-string-gamma", "config-float-gamma",
+            "config-bool-gamma", "config-negative-seed", "zero-learning-rate",
+            "nan-learning-rate", "float-batch-size", "bool-batch-size", "bool-rho",
+            "string-alpha"])
     def test_malformed_sidecar_rejected_naming_file_and_field(self, model_path, edit, field):
         sidecar_path = model_path.parent / "m.bin.json"
         sidecar = json.loads(sidecar_path.read_text())
@@ -608,24 +609,21 @@ class TestDamagedFiles:
         sidecar = json.loads((model_path.parent / "m.bin.json").read_text())
         assert "embedding" not in sidecar and sidecar["item_index_hash"] == ""
         assert sidecar["config"] == dataclasses.asdict(AmaConfig(h=3, d=2, kappa=2))
-        load_model(model_path)
+        assert load_model(model_path)[1:] == (AmaConfig(h=3, d=2, kappa=2), "", None)
 
-    @pytest.mark.parametrize("edit, recipe", [
-        (lambda sc: None, {"h": 3, "gamma": 10, "seed": 0}),
-        (lambda sc: sc["config"].update(seed=7), {"h": 3, "gamma": 10, "seed": 7}),
-        (lambda sc: sc.update(embedding={"h": 3, "gamma": 2, "seed": 5}),
-         {"h": 3, "gamma": 2, "seed": 5}),
-        (lambda sc: sc.update(embedding={"gamma": 4}), {"h": 3, "gamma": 4, "seed": 0}),
-        (lambda sc: (sc["config"].update(seed=7), sc.update(embedding={"gamma": 4})),
-         {"h": 3, "gamma": 4, "seed": 7}),
-    ], ids=["no-recipe", "no-recipe-seed-7", "full-recipe", "recipe-without-h",
-            "recipe-without-seed"])
-    def test_load_model_returns_the_complete_recipe(self, model_path, edit, recipe):
+    @pytest.mark.parametrize("changes", [
+        {"seed": 7}, {"gamma": 2}, {"gamma": 0},
+        {"alpha": 2.0, "lam": 0.1, "rho": 0.5, "epochs": 0, "learning_rate": 0.01,
+         "batch_size": 4},
+        {"gamma": 2, "seed": 5, "epochs": 7},
+    ], ids=["seed-7", "gamma-2", "gamma-0", "training-keys", "gamma-seed-epochs"])
+    def test_load_model_returns_the_recorded_config(self, model_path, changes):
         sidecar_path = model_path.parent / "m.bin.json"
         sidecar = json.loads(sidecar_path.read_text())
-        edit(sidecar)
+        sidecar["config"].update(changes)
         sidecar_path.write_text(json.dumps(sidecar))
-        assert load_model(model_path)[1:] == (recipe, "", None)
+        assert load_model(model_path)[1:] == (AmaConfig(h=3, d=2, kappa=2, **changes), "",
+                                              None)
 
     def test_config_disagreeing_with_header_stops_evaluate_and_explain(self, trained,
                                                                        tmp_path, capsys):
@@ -648,8 +646,7 @@ class TestDamagedFiles:
         cfg = AmaConfig(h=3, d=2, kappa=2)
         V = np.random.default_rng(2).standard_normal((5, 3))
         path = tmp_path / "v.bin"
-        save_model(init_params(5, cfg), cfg, path, item_index_hash="abc",
-                   embedding={"h": 3}, V=V)
+        save_model(init_params(5, cfg), cfg, path, item_index_hash="abc", V=V)
         return path, V
 
     @staticmethod
@@ -803,12 +800,11 @@ class TestAtomicWrites:
         assert opened == [] and self.snapshot(tmp_path) == before
 
     def test_model_with_v_layout(self, tmp_path):
-        cfg = AmaConfig(h=3, d=2, kappa=2)
+        cfg = AmaConfig(h=3, d=2, kappa=2, gamma=1)
         params = init_params(5, cfg, np.random.default_rng(3))
         V = np.random.default_rng(4).standard_normal((5, 3))
         save_model(params, cfg, tmp_path / "bare.bin", item_index_hash="abc")
-        save_model(params, cfg, tmp_path / "m.bin", item_index_hash="abc",
-                   embedding={"h": 3, "gamma": 1, "seed": 0}, V=V)
+        save_model(params, cfg, tmp_path / "m.bin", item_index_hash="abc", V=V)
         files = self.snapshot(tmp_path)
         assert sorted(files) == ["bare.bin", "bare.bin.json", "m.bin", "m.bin.emb",
                                  "m.bin.emb.json", "m.bin.json"]
@@ -818,8 +814,7 @@ class TestAtomicWrites:
                                                        "source_hash": "abc"}
         sidecar = json.loads(files["m.bin.json"])
         assert sidecar.pop("embedding_sha256") == hashlib.sha256(V.tobytes()).hexdigest()
-        assert sidecar == {**json.loads(files["bare.bin.json"]),
-                           "embedding": {"h": 3, "gamma": 1, "seed": 0}}
+        assert sidecar == json.loads(files["bare.bin.json"])
 
     def test_save_with_v_of_another_shape_refused_before_any_open(self, tmp_path,
                                                                   monkeypatch):
@@ -907,7 +902,7 @@ class TestGoldenBytes:
                      "--set", "h=4", *SMALL]) == 0
         assert self.digests(model, ("", ".json", ".emb", ".emb.json")) == {
             "": "11e3b142ccc0b67597b9a4b28db2bb1f9063ee5ec759d3fe42eee82c7e76f93d",
-            ".json": "46da553543a04a57cb8f88f8eb5e8a41ce56a2d6c6fce7e32d16ac2a60f62222",
+            ".json": "b6beac9b2e0ff929ce460f3c6ce31225f77770fe9912bc16d4ed7724ab7a7070",
             ".emb": "75a1cc812dfbfc0361fb1897a1d99ad3a9da8007ab6fbc02a428c4493668b26e",
             ".emb.json": "716f03c53791bc3db2e17382fb3e225ee93f1e4a49052f28406aa35fe18898a4",
         }
@@ -922,5 +917,5 @@ class TestGoldenBytes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.model", "g.model.json"]
         assert self.digests(tmp_path / "g.model", ("", ".json")) == {
             "": "2b4a7047a41e445a51efb9ea94b223e7dd1b68b62ef4dbc5a999dac6ccda34d0",
-            ".json": "6b8b26111611bd43eafec5e699a36d5b40d0a36703787e829b6e43edf28521b8",
+            ".json": "992c8fdbe8f1296e692e017495158b3b803e4319a1c11cc80f36e9668880d9f7",
         }

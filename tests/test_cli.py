@@ -287,14 +287,38 @@ class TestTrainEvaluateExplain:
 
     @pytest.mark.parametrize("argv, h", [(["embed", "--out", "emb.bin"], 5000),
                                          (["embed", "--out", "emb.bin"], 0),
-                                         (["train", "--out", "m.bin"], 5000)])
+                                         (["train", "--out", "m.bin"], 5000),
+                                         (["train", "--out", "m.bin"], 0)])
     def test_embedding_size_out_of_range_names_h(self, tmp_path, prepped, capsys, argv, h):
+        # embed and train check one run config, so they refuse an h alike
         argv = [str(tmp_path / a) if a.endswith(".bin") else a for a in argv]
         rc = main([*argv, "--data", str(prepped), "--set", f"h={h}"])
         assert rc == 1 and not list(tmp_path.glob("*.bin"))
         err = capsys.readouterr().err
-        assert f"error: h={h} out of range: the embedding size must lie in [1, " in err
+        assert (f"error: h={h} out of range: the embedding size must lie in [1, " if h else
+                "error: h must be >= 1, got 0\n") in err
         assert "rank" not in err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("d=0", "d must be >= 1, got 0"),
+        ("kappa=0", "kappa must be >= 1, got 0"),
+        ("batch_size=0", "batch_size must be >= 1, got 0"),
+        ("alpha=-1", "alpha must lie in [0, inf), got -1.0"),
+        ("lambda=-1", "lambda must lie in [0, inf), got -1.0"),
+        ("rho=1", "rho must lie in [0, 1), got 1.0"),
+        ("learning_rate=0", "learning_rate must lie in (0, inf), got 0.0"),
+    ])
+    def test_embed_refuses_what_train_refuses_before_any_svd(self, tmp_path, prepped, capsys,
+                                                             monkeypatch, setting, message):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the randomized SVD ran")
+
+        monkeypatch.setattr(linalg, "embed_items", no_svd)
+        for command, out in (("embed", "emb.bin"), ("train", "m.bin")):
+            rc = main([command, "--data", str(prepped), "--out", str(tmp_path / out),
+                       "--set", setting])
+            assert rc == 1 and not list(tmp_path.glob("*.bin*")), command
+            assert f"error: {message}\n" in capsys.readouterr().err, command
 
     def test_puresvd_rank_zero_names_rank(self, prepped, capsys):
         rc = main(["evaluate", "--data", str(prepped), "--baseline", "puresvd",
