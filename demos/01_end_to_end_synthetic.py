@@ -41,14 +41,15 @@ def main():
     print(f"{m} users x {n} items; "
           f"{data.train.nnz} train / {data.validation.nnz} val / {data.test.nnz} test")
 
+    cfg = AmaConfig(h=8, d=2, kappa=3, alpha=1.0, lam=1e-5, rho=0.3, epochs=120, seed=0,
+                    batch_size=64)   # every setting of the run, in one config
+
     print("\n== item embeddings (randomized SVD of the train matrix) ==")
-    V = embed_items(data.train, h=8, gamma=10, seed=0)
+    V = embed_items(data.train, cfg)   # cfg's h, gamma and seed
     print(f"{V.shape[0]} items x h={V.shape[1]}; orthonormal columns: "
           f"{np.allclose(V.T @ V, np.eye(V.shape[1]))}")
 
     print("\n== training (2 preference modes, denoising corruption 0.3) ==")
-    cfg = AmaConfig(h=8, d=2, kappa=3, alpha=1.0, lam=1e-5, rho=0.3, epochs=120, seed=0,
-                    batch_size=64)   # every setting of the run, in one config
     print(f"trainable parameters: {parameter_count(n, cfg)}")
     params, log = train(data, V, cfg)
     print(f"objective: epoch 0 = {log[0]['objective']:.3f}, "
@@ -57,7 +58,7 @@ def main():
     print("\n== test-split evaluation ==")
     scorers = {
         "POP": pop_scorer(data.train),
-        "PureSVD": puresvd_scorer(data.train, rank=8, iters=10, seed=0),
+        "PureSVD": puresvd_scorer(V),   # r V V^T with AMA's item embeddings
         "AMA": ama_scorer(params, V),
     }
     cols = ["R-Precision", "NDCG", "Precision@5", "Recall@5", "MAP@5"]

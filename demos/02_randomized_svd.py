@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from amarec.linalg import embed_items, randomized_svd
+from amarec.model import AmaConfig
 
 
 def main():
@@ -40,8 +41,8 @@ def main():
           all(a.right[np.argmax(np.abs(a.right[:, j])), j] > 0 for j in range(5)))
 
     print("\n== item embeddings are the right factor ==")
-    V = embed_items(R, h=5, gamma=10, seed=7)
-    print("embed_items(h=5, gamma=10, seed=7) equals that right factor:",
+    V = embed_items(R, AmaConfig(h=5, gamma=10, seed=7))
+    print("embed_items of a run config with h=5, gamma=10, seed=7 equals that right factor:",
           np.array_equal(V, a.right))
 
 

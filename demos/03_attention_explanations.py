@@ -30,7 +30,7 @@ def main():
     data = temporal_split(binarize(make_events(), threshold=3.0))
     cfg = AmaConfig(h=8, d=2, kappa=3, alpha=1.0, lam=1e-5, rho=0.3, epochs=120, seed=0,
                     batch_size=64)
-    V = embed_items(data.train, h=8, gamma=10, seed=0)
+    V = embed_items(data.train, cfg)
     params, _ = train(data, V, cfg)
 
     u = 0

@@ -5,8 +5,9 @@ the train matrix for the user indices ``users`` to their (len(users), n)
 scores over the full item catalog; a user's scores depend only on its row
 and the model state. A scorer may carry ``block``, the users it takes per
 call (``ama_scorer``'s is its decode block). POP ranks by train popularity;
-PureSVD projects each row onto the top singular subspace of the train
-matrix; ``ama_scorer`` scores with a trained model.
+PureSVD projects each row onto the span of the item embeddings V, the top
+right singular vectors of the train matrix that ``linalg.embed_items``
+builds; ``ama_scorer`` scores with a trained model.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from amarec.dataset import _rows
-from amarec.linalg import randomized_svd
 from amarec.model import Forward
 
 
@@ -30,9 +30,8 @@ def pop_scorer(train):
     return score
 
 
-def puresvd_scorer(train, rank=50, iters=10, seed=0):
-    """Similarity scorer r . V V^T with V from randomized SVD of train."""
-    V = randomized_svd(train, rank=rank, power_iters=iters, seed=seed).right
+def puresvd_scorer(V):
+    """PureSVD's similarity scorer r . V V^T with the n x h item embeddings ``V``."""
 
     def score(rows, users):
         # one GEMV per user: a batch GEMM (rows @ V) @ V.T sums in another order

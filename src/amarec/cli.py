@@ -4,7 +4,7 @@ Configuration is a flat ``key=value`` file (or a shipped preset) with
 ``--set key=value`` overrides. Recognized keys, with the conventional
 symbol in parentheses:
 
-  h             embedding size (h)
+  h             embedding size (h); PureSVD's rank
   d             preference-mode count (d)
   kappa         key/query size (kappa)
   alpha         confidence weight on observed entries (alpha)
@@ -15,16 +15,16 @@ symbol in parentheses:
   seed          RNG seed
   learning_rate optimizer step size
   batch_size    users per optimizer step
-  rank          PureSVD rank (PureSVD presets only)
   algorithm     scorer: ama | pop | puresvd; train and explain need ama
 
-Unset keys take the library defaults. h, gamma and seed build the item
-embeddings, in embed and train alike. train records every key of the run
-next to the model and stores the embeddings it trained with beside the model
-file, as MODEL.emb; with --model, evaluate and explain read those embeddings
-(a model saved without them has them rebuilt from its recorded h, gamma and
-seed), and a configured h, gamma, seed, d or kappa must equal the model's.
-evaluate and explain do not read the training-only keys epochs,
+Unset keys take AmaConfig's defaults; AmaConfig checks every value, before
+any SVD. h, gamma and seed build the item embeddings, in embed, train and
+PureSVD alike. train records every key of the run next to the model and
+stores the embeddings it trained with beside the model file, as MODEL.emb;
+with --model, evaluate and explain read those embeddings (a model saved
+without them has them rebuilt from its recorded h, gamma and seed), and a
+configured h, gamma, seed, d or kappa must equal the model's.
+evaluate and explain check but do not read the training-only keys epochs,
 learning_rate, batch_size, alpha, lambda and rho. Without --model or
 --baseline, evaluate scores `algorithm`.
 
@@ -38,7 +38,6 @@ import argparse
 import functools
 import importlib.resources
 import json
-import math
 import os
 import sys
 
@@ -52,15 +51,11 @@ class CliError(Exception):
     pass
 
 
-_FLOAT_KEYS = {"alpha", "lambda", "rho", "learning_rate"}
-_INT_KEYS = {"h", "d", "kappa", "epochs", "gamma", "seed", "batch_size", "rank"}
 _CHOICES = {"algorithm": ("ama", "pop", "puresvd")}
-_STR_KEYS = _CHOICES.keys()
 
-# config key -> keyword argument, for each consumer of the configuration
+# config key -> the AmaConfig field it sets
 _RUN_KEYS = {**{k: k for k in ("h", "d", "kappa", "alpha", "rho", "epochs", "seed",
                                "learning_rate", "batch_size", "gamma")}, "lambda": "lam"}
-_PURESVD_KEYS = {"rank": "rank", "gamma": "iters", "seed": "seed"}
 
 
 def parse_config_text(text, source="<config>"):
@@ -81,21 +76,20 @@ def parse_config_text(text, source="<config>"):
 
 
 def _coerce(key, value, where):
-    if key in _STR_KEYS:
+    """A choice key's choice, or else an int, or failing that a float."""
+    if key in _CHOICES:
         if value not in _CHOICES[key]:
             raise CliError(f"{where}: bad value {value!r} for {key}; "
                            f"choose one of {', '.join(_CHOICES[key])}")
         return value
-    try:
-        if key in _FLOAT_KEYS and math.isfinite(float(value)):   # not nan, inf or -inf
-            return float(value)
-        if key in _INT_KEYS and int(value) >= 0:
-            return int(value)
-    except ValueError:
-        pass
-    if key in _FLOAT_KEYS or key in _INT_KEYS:
-        raise CliError(f"{where}: bad value {value!r} for {key}")
-    raise CliError(f"{where}: unknown config key {key!r}")
+    if key not in _RUN_KEYS:
+        raise CliError(f"{where}: unknown config key {key!r}")
+    for parse in (int, float):
+        try:
+            return parse(value)
+        except ValueError:
+            pass
+    raise CliError(f"{where}: bad value {value!r} for {key}")
 
 
 def load_preset(name):
@@ -111,6 +105,7 @@ def load_preset(name):
 
 
 def _gather_config(args):
+    """(cfg, run): the keys the preset, file and --set give, and their AmaConfig."""
     cfg = {}
     if args.preset:
         cfg.update(load_preset(args.preset))
@@ -122,12 +117,7 @@ def _gather_config(args):
             raise CliError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         cfg[key.strip()] = _coerce(key.strip(), value.strip(), "--set")
-    return cfg
-
-
-def _pick(cfg, keys):
-    """The keys of ``cfg`` that were given, renamed to keyword arguments."""
-    return {arg: cfg[key] for key, arg in keys.items() if key in cfg}
+    return cfg, _run_config(cfg)
 
 
 def _require_ama(cfg, command):
@@ -136,10 +126,10 @@ def _require_ama(cfg, command):
 
 
 def _run_config(cfg):
-    """The AmaConfig that ``embed`` and ``train`` use. AmaConfig's messages
-    start with the field, which is renamed to the key that sets it."""
+    """The AmaConfig of the keys ``cfg`` sets. AmaConfig's messages start with
+    the field, which is renamed to the key that sets it."""
     try:
-        return AmaConfig(**_pick(cfg, _RUN_KEYS))
+        return AmaConfig(**{arg: cfg[key] for key, arg in _RUN_KEYS.items() if key in cfg})
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
         key = {arg: key for key, arg in _RUN_KEYS.items()}.get(field, field)
@@ -176,8 +166,8 @@ def cmd_prep(args):
 
 def cmd_embed(args):
     data = dataset.load_split(_data_dir(args))
-    run = _run_config(_gather_config(args))
-    V = linalg.embed_items(data.train, h=run.h, gamma=run.gamma, seed=run.seed)
+    _, run = _gather_config(args)
+    V = linalg.embed_items(data.train, run)
     linalg.save_embeddings(V, args.out, linalg.embedding_meta(run, linalg.matrix_hash(data.train)))
     print(f"wrote {V.shape[0]}x{V.shape[1]} item embeddings to {args.out}")
 
@@ -187,10 +177,9 @@ def cmd_train(args):
         raise CliError("--checkpoint-every takes an integer >= 0, "
                        f"got {args.checkpoint_every}")
     data = dataset.load_split(_data_dir(args))
-    cfg = _gather_config(args)
+    cfg, run = _gather_config(args)
     _require_ama(cfg, "train")
-    run = _run_config(cfg)
-    V = linalg.embed_items(data.train, h=run.h, gamma=run.gamma, seed=run.seed)
+    V = linalg.embed_items(data.train, run)
     provenance = {"item_index_hash": linalg.matrix_hash(data.train), "V": V}
 
     def checkpoint(epoch, params):
@@ -223,11 +212,11 @@ def _load_ama(path, data, cfg):
     if trained_on and trained_on != linalg.matrix_hash(data.train):
         raise CliError(f"{path} was trained on a different train matrix")
     if V is None:
-        V = linalg.embed_items(data.train, h=run.h, gamma=run.gamma, seed=run.seed)
+        V = linalg.embed_items(data.train, run)
     return params, V
 
 
-def _scorer_for(args, data, cfg):
+def _scorer_for(args, data, cfg, run):
     chosen = "ama" if args.model else args.baseline
     algorithm = cfg.get("algorithm", chosen)
     if chosen and algorithm != chosen:
@@ -238,7 +227,7 @@ def _scorer_for(args, data, cfg):
     if algorithm == "pop":
         return baselines.pop_scorer(data.train)
     if algorithm == "puresvd":
-        return baselines.puresvd_scorer(data.train, **_pick(cfg, _PURESVD_KEYS))
+        return baselines.puresvd_scorer(linalg.embed_items(data.train, run))
     raise CliError("pass --model or --baseline {pop,puresvd}")
 
 
@@ -260,8 +249,7 @@ def _cutoffs(flag, text):
 def cmd_evaluate(args):
     ks = _cutoffs("--ks", args.ks)
     data = dataset.load_split(_data_dir(args))
-    cfg = _gather_config(args)
-    scorer = _scorer_for(args, data, cfg)
+    scorer = _scorer_for(args, data, *_gather_config(args))
     report = evaluation.evaluate(scorer, data, split=args.split, ks=ks)
     print(report.table())
     if args.out:
@@ -280,7 +268,7 @@ def cmd_explain(args):
     if args.dot and args.user is None:
         raise CliError("--dot draws the per-user report; pass --user with it")
     data = dataset.load_split(_data_dir(args))
-    cfg = _gather_config(args)
+    cfg, _ = _gather_config(args)
     _require_ama(cfg, "explain")
     params, V = _load_ama(args.model, data, cfg)
     item_ids = list(data.item_ids)

@@ -22,6 +22,7 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from amarec.fileio import atomic_open
+from amarec.linalg import matrix_hash
 
 
 class ParseError(ValueError):
@@ -395,27 +396,24 @@ def _rows(mat, users):
 
 
 def save_split(data, out_dir, threshold=None, fractions=(0.5, 0.2, 0.3)):
-    """Write train/validation/test CSVs (user_idx,item_idx) plus a JSON sidecar.
-
-    Each matrix's entries are listed once, row-major, for both the CSV rows
-    and the sidecar's ``content_hash``, a SHA-256 over the (split, user,
-    item) triples that keys the split's identity. All four files are
-    complete before any of them replaces its predecessor.
+    """Write train/validation/test CSVs (user_idx,item_idx), each matrix's
+    entries row-major, plus a JSON sidecar whose ``content_hash`` keys the
+    split's identity and is checked on load. All four files are complete
+    before any of them replaces its predecessor.
     """
     os.makedirs(out_dir, exist_ok=True)
-    csv_bytes, digest = {}, hashlib.sha256()
+    csv_bytes = {}
     for name in _SPLITS:
         mat = getattr(data, name)
         rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
         pair = [*_digits(rows), (ord(","), True), *_digits(mat.indices)]
-        csv_bytes[name] = b"user_idx,item_idx\r\n" + _lines(rows.size, b"", pair, b"\r\n")
-        digest.update(_lines(rows.size, f"{name},".encode(), pair, b"\n"))
+        csv_bytes[name] = b"user_idx,item_idx\r\n" + _lines(rows.size, pair, b"\r\n")
     sidecar = {
         "num_users": data.shape[0], "num_items": data.shape[1],
         "user_ids": list(data.user_ids), "item_ids": list(data.item_ids),
         "threshold": threshold, "fractions": list(fractions),
         "counts": {name: getattr(data, name).nnz for name in _SPLITS},
-        "content_hash": digest.hexdigest(),
+        "content_hash": _content_hash([getattr(data, name) for name in _SPLITS]),
     }
     with contextlib.ExitStack() as files:
         for name in _SPLITS:
@@ -434,12 +432,17 @@ def _digits(values):
             for k in reversed(range(len(str(values.max(initial=0)))))]
 
 
-def _lines(count, head, columns, tail):
-    """The bytes of ``count`` lines, each ``head``, then its characters of the
-    (byte, kept) ``columns``, ``_digits`` positions and fixed ``(byte, True)``
-    ones, then ``tail``: a byte matrix with one column per character position
-    and its leading zeros masked out."""
-    columns = [*((byte, True) for byte in head), *columns, *((byte, True) for byte in tail)]
+def _content_hash(mats):
+    """SHA-256 of the ``matrix_hash`` digests of the split matrices ``mats``."""
+    return hashlib.sha256("".join(map(matrix_hash, mats)).encode()).hexdigest()
+
+
+def _lines(count, columns, tail):
+    """The bytes of ``count`` lines, each its characters of the (byte, kept)
+    ``columns``, ``_digits`` positions and fixed ``(byte, True)`` ones, then
+    ``tail``: a byte matrix with one column per character position and its
+    leading zeros masked out."""
+    columns = [*columns, *((byte, True) for byte in tail)]
     text = np.empty((count, len(columns)), dtype=np.uint8)
     kept = np.empty(text.shape, dtype=bool)
     for j, (chars, keep) in enumerate(columns):
@@ -502,8 +505,8 @@ def _is_count(value):
 def _read_split_meta(path):
     """The split.json at ``path``, checked to be an object with integer
     ``num_users`` and ``num_items``, ``user_ids`` and ``item_ids`` lists of
-    that many distinct strings and an integer ``counts`` entry per split; a
-    ConfigError names the file and the first key that is not."""
+    that many distinct strings, an integer ``counts`` entry per split and a
+    string ``content_hash``; a ConfigError names the file and the bad key."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
@@ -528,6 +531,8 @@ def _read_split_meta(path):
     for name in _SPLITS:
         if not (isinstance(counts, dict) and _is_count(counts.get(name))):
             raise ConfigError(f"{path}: counts must give an integer >= 0 for {name}")
+    if not isinstance(meta.get("content_hash"), str):
+        raise ConfigError(f"{path}: content_hash must be a string")
     return meta
 
 
@@ -544,9 +549,9 @@ def _first_repeat(rows, cols):
 def load_split(out_dir):
     """Inverse of save_split. Rejects a malformed split.json before reading
     any CSV, a malformed or out-of-range row, naming its file and line, a
-    row that repeats an earlier row's pair, naming both lines, and a file
-    whose row count differs from the one split.json records, as a file cut
-    short leaves it."""
+    row that repeats an earlier row's pair, naming both lines, a file whose
+    row count differs from the one split.json records, as a file cut short
+    leaves it, and rows whose ``_content_hash`` differs from split.json's."""
     meta = _read_split_meta(os.path.join(out_dir, "split.json"))
     m, n = meta["num_users"], meta["num_items"]
 
@@ -563,5 +568,8 @@ def load_split(out_dir):
                               f"records {meta['counts'][name]}")
         return mat
 
-    return SplitDataset(*map(read_csv, _SPLITS), user_ids=tuple(meta["user_ids"]),
-                        item_ids=tuple(meta["item_ids"]))
+    mats = [read_csv(name) for name in _SPLITS]
+    if _content_hash(mats) != meta["content_hash"]:
+        raise ConfigError(f"{os.path.join(out_dir, 'split.json')}: content_hash does not "
+                          "match the split's CSV rows; run prep again to rewrite the split")
+    return SplitDataset(*mats, user_ids=tuple(meta["user_ids"]), item_ids=tuple(meta["item_ids"]))

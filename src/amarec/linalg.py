@@ -1,10 +1,9 @@
 """Randomized truncated SVD and fixed item embeddings.
 
-The item embedding matrix is the right factor of a rank-h randomized SVD of
-the (train) interaction matrix: Gaussian range finding, a configurable
-number of power iterations, each applying R R^T whole and ending in one QR
-of the m x k range iterate, and a deterministic sign convention so
-embeddings reproduce across runs.
+The item embeddings, which AMA and PureSVD share, are the right factor of a
+rank-h randomized SVD of the (train) interaction matrix: Gaussian range
+finding, power iterations that each apply R R^T whole and end in one QR of
+the m x k range iterate, and a sign convention so embeddings reproduce.
 """
 
 from __future__ import annotations
@@ -70,16 +69,16 @@ def randomized_svd(R, rank, power_iters=10, seed=0):
                      right=np.ascontiguousarray(V))
 
 
-def embed_items(train, *, h, gamma, seed):
+def embed_items(train, cfg):
     """Fixed n x h item embeddings of a train matrix: the right factor of its
-    rank-h randomized SVD with ``gamma`` power iterations. A model is correct
-    only with the V it was trained on, so every caller builds V here from a
-    run config's ``h``, ``gamma`` and ``seed``; ``AmaConfig`` holds their
-    defaults."""
-    if not 1 <= h <= min(train.shape):
-        raise ValueError(f"h={h} out of range: the embedding size must lie in [1, "
+    rank-h randomized SVD with ``gamma`` power iterations, read with ``seed``
+    from the run config ``cfg``. A model is correct only with the V it was
+    trained on, and PureSVD scores with the same factor, so every caller
+    builds V here; ``AmaConfig`` holds the defaults."""
+    if not 1 <= cfg.h <= min(train.shape):
+        raise ValueError(f"h={cfg.h} out of range: the embedding size must lie in [1, "
                          f"{min(train.shape)}] for a {'x'.join(map(str, train.shape))} matrix")
-    return randomized_svd(train, rank=h, power_iters=gamma, seed=seed).right
+    return randomized_svd(train, rank=cfg.h, power_iters=cfg.gamma, seed=cfg.seed).right
 
 
 def embedding_meta(cfg, source_hash):

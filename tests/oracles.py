@@ -415,11 +415,11 @@ def _matrix_pairs(mat):
 
 
 def split_content_hash(data):
-    """SHA-256 over the sorted (split, user, item) triples; split identity key."""
+    """SHA-256 over the hex ``matrix_hash_oracle`` digests of the train,
+    validation and test matrices, in that order; split identity key."""
     h = hashlib.sha256()
-    for name, mat in (("train", data.train), ("validation", data.validation), ("test", data.test)):
-        for u, j in _matrix_pairs(mat):
-            h.update(f"{name},{u},{j}\n".encode())
+    for mat in (data.train, data.validation, data.test):
+        h.update(matrix_hash_oracle(mat).encode("ascii"))
     return h.hexdigest()
 
 

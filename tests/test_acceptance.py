@@ -57,7 +57,7 @@ def ml1m_split(tmp_path_factory):
 @pytest.fixture(scope="session")
 def ml1m_model(ml1m_split):
     cfg = AmaConfig(h=40, d=3, kappa=3, alpha=1.0, lam=1e-5, rho=0.3, epochs=300, seed=0)
-    V = embed_items(ml1m_split.train, h=40, gamma=10, seed=0)
+    V = embed_items(ml1m_split.train, cfg)   # cfg's h=40, gamma=10 and seed=0
     params, _ = train(ml1m_split, V, cfg)
     return params, V, cfg
 

@@ -440,11 +440,17 @@ class TestDrift:
         block = cli.__doc__.split("Recognized keys", 1)[1].split("\n\n", 1)[1]
         block = block.split("\n\n", 1)[0]
         documented = {re.match(r"\s+(\w+)\s", line).group(1) for line in block.splitlines()}
-        assert documented == cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS
+        assert documented == cli._RUN_KEYS.keys() | cli._CHOICES.keys()
 
     def test_every_parsed_key_reaches_a_consumer(self):
-        consumed = {"algorithm"}.union(cli._RUN_KEYS, cli._PURESVD_KEYS)
-        assert cli._FLOAT_KEYS | cli._INT_KEYS | cli._STR_KEYS == consumed
+        # a key parses only if AmaConfig or the scorer choice reads it
+        for key in cli._RUN_KEYS.keys() | cli._CHOICES.keys():
+            value = cli._CHOICES.get(key, ("2",))[0]
+            assert cli.parse_config_text(f"{key}={value}") == {key: int(value) if value == "2"
+                                                                else value}
+        for key in ("rank", "lam", "iters", "oversample", "scale"):
+            with pytest.raises(cli.CliError, match=f"unknown config key {key!r}"):
+                cli.parse_config_text(f"{key}=2")
 
     def test_every_config_field_is_set_by_one_key(self):
         # lam is set as lambda and every other field by its own name, so a
@@ -452,9 +458,10 @@ class TestDrift:
         # names no field fails here
         fields = sorted(f.name for f in dataclasses.fields(AmaConfig))
         assert sorted(cli._RUN_KEYS.values()) == fields and cli._RUN_KEYS["lambda"] == "lam"
+        defaults = AmaConfig()
         cfg = cli.parse_config_text("\n".join(
-            f"{key}={i + 2 if key in cli._INT_KEYS else 1 / (i + 2)}"
-            for i, key in enumerate(cli._RUN_KEYS)))
+            f"{key}={i + 2 if isinstance(getattr(defaults, field), int) else 1 / (i + 2)}"
+            for i, (key, field) in enumerate(cli._RUN_KEYS.items())))
         run = cli._run_config(cfg)
         assert {key: getattr(run, field) for key, field in cli._RUN_KEYS.items()} == cfg
 
@@ -467,13 +474,13 @@ class TestDrift:
         data = types.SimpleNamespace(train=train)
         for name in names:
             cfg = cli.load_preset(name)
+            run = cli._run_config(cfg)
+            assert (run.h, run.gamma) == (cfg.get("h", 40), cfg.get("gamma", 10))
             if cfg["algorithm"] == "ama":
-                run = cli._run_config(cfg)
-                assert (run.h, run.gamma) == (cfg["h"], cfg["gamma"])
                 assert run.lam == cfg["lambda"] and run.d == cfg["d"]
             else:
                 args = types.SimpleNamespace(model=None, baseline=None)
-                scores = cli._scorer_for(args, data, cfg)(train[:1], np.array([0]))
+                scores = cli._scorer_for(args, data, cfg, run)(train[:1], np.array([0]))
                 assert scores.shape == (1, 220)
 
 

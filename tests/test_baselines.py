@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from amarec.baselines import ama_scorer, pop_scorer, puresvd_scorer
-from amarec.linalg import randomized_svd
+from amarec.linalg import embed_items, randomized_svd
+from amarec.model import AmaConfig
 from test_metrics import ranked_list
 
 
@@ -55,11 +56,16 @@ class TestPopScorer:
             pop_scorer(csr([[], []], n=3))
 
 
+def svd_scorer(train, **run):
+    """PureSVD with the item embeddings of the run config ``run`` sets."""
+    return puresvd_scorer(embed_items(train, AmaConfig(**run)))
+
+
 class TestPureSvdScorer:
     def test_full_rank_reproduces_row(self):
         rng = np.random.default_rng(0)
         train = sp.csr_matrix((rng.random((5, 4)) < 0.6).astype(float))
-        score = puresvd_scorer(train, rank=4, iters=10, seed=0)
+        score = svd_scorer(train, h=4, gamma=10, seed=0)
         row = train[1].indices
         dense = np.zeros(4)
         dense[row] = 1.0
@@ -67,14 +73,14 @@ class TestPureSvdScorer:
 
     def test_empty_row_zero_scores(self):
         train = csr([[0, 1], [2]], n=4)
-        score = puresvd_scorer(train, rank=2)
+        score = svd_scorer(train, h=2)
         np.testing.assert_array_equal(one(score, [], 0, 4), np.zeros(4))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
         dense = (rng.random((6, 5)) < 0.5).astype(float)
         train = sp.csr_matrix(dense)
-        score = puresvd_scorer(train, rank=2, iters=12, seed=3)
+        score = svd_scorer(train, h=2, gamma=12, seed=3)
         # dense oracle: eigenvectors of R^T R via jacobi singular values of R
         # validated indirectly; here compare against numpy's full SVD projection
         _, _, Vt = np.linalg.svd(dense, full_matrices=False)
@@ -88,7 +94,7 @@ class TestPureSvdScorer:
 
     def test_linear_in_user_row(self):
         train = csr([[0, 1], [2, 3], [1, 2]], n=5)
-        score = puresvd_scorer(train, rank=2)
+        score = svd_scorer(train, h=2)
         s01 = one(score, [0, 1], 0, 5)
         s0 = one(score, [0], 0, 5)
         s1 = one(score, [1], 0, 5)
@@ -119,7 +125,7 @@ class TestAmaScorer:
         # a block with no empty row is scored as it is; one with empty rows
         # scores the others as their own block, and the empty rows zeros
         from test_model import random_params
-        from amarec.model import AmaConfig, Forward
+        from amarec.model import Forward
 
         cfg = AmaConfig(h=5, d=3, kappa=2)
         rng = np.random.default_rng(len(empty))
@@ -146,14 +152,13 @@ class TestBlockContract:
     @pytest.mark.parametrize("which", ["pop", "puresvd", "ama"])
     def test_block_rows_equal_one_user_at_a_time(self, which):
         from test_model import random_params
-        from amarec.model import AmaConfig
 
         train = self.train_with_empty_rows()
         m, n = train.shape
         if which == "pop":
             score = pop_scorer(train)
         elif which == "puresvd":
-            score = puresvd_scorer(train, rank=20, iters=4, seed=1)
+            score = svd_scorer(train, h=20, gamma=4, seed=1)
         else:
             cfg = AmaConfig(h=6, d=3, kappa=2)
             V = np.random.default_rng(4).standard_normal((n, cfg.h))
@@ -169,7 +174,7 @@ class TestBlockContract:
     def test_puresvd_rows_equal_per_user_projection_bitwise(self):
         train = self.train_with_empty_rows()
         V = randomized_svd(train, rank=20, power_iters=4, seed=1).right
-        block = puresvd_scorer(train, rank=20, iters=4, seed=1)(train, np.arange(70))
+        block = puresvd_scorer(V)(train, np.arange(70))
         for u in range(70):
             row = train[u].indices
             expected = V @ V[row].sum(axis=0) if row.size else np.zeros(400)

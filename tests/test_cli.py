@@ -59,12 +59,20 @@ class TestConfig:
         conf = tmp_path / "run.conf"
         conf.write_text("h=4\nd=2\n")
         args = argparse.Namespace(preset="ml1m-ama", config=str(conf), set=["h=6", "h=8"])
-        cfg = _gather_config(args)
+        cfg, run = _gather_config(args)
         assert (cfg["h"], cfg["d"], cfg["epochs"]) == (8, 2, 300)
+        assert (run.h, run.d, run.epochs, run.lam) == (8, 2, 300, 1e-5)
 
     def test_bad_value(self):
-        with pytest.raises(CliError):
+        with pytest.raises(CliError, match=r"^<config>:1: bad value 'forty' for h$"):
             parse_config_text("h=forty")
+
+    def test_non_integer_in_a_config_file_refused_by_the_run_config(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("d=2\nh=4.5\n")
+        args = argparse.Namespace(preset=None, config=str(conf), set=None)
+        with pytest.raises(CliError, match=r"^h must be an integer, got 4\.5$"):
+            _gather_config(args)
 
     def test_line_without_equals_rejected_at_its_line(self):
         with pytest.raises(CliError, match=r"^run\.conf:2: expected key=value, got ' h 4'$"):
@@ -257,33 +265,73 @@ class TestTrainEvaluateExplain:
                    "--ks", "5"])
         assert rc == 0
         rc = main(["evaluate", "--data", str(prepped), "--baseline", "puresvd",
-                   "--set", "rank=4", "--set", "gamma=3", "--ks", "5"])
+                   "--set", "h=4", "--set", "gamma=3", "--ks", "5"])
         assert rc == 0
 
     def test_non_integer_value_of_integer_key_rejected(self, prepped, capsys, monkeypatch):
         svds = []
-        monkeypatch.setattr(baselines, "randomized_svd", lambda *a, **kw: svds.append(a))
+        monkeypatch.setattr(linalg, "randomized_svd", lambda *a, **kw: svds.append(a))
         rc = main(["evaluate", "--data", str(prepped), "--baseline", "puresvd",
-                   "--set", "rank=4.7"])
+                   "--set", "h=4.7"])
         assert rc == 1 and svds == []
-        assert "bad value '4.7' for rank" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: h must be an integer, got 4.7\n"
 
     @pytest.mark.parametrize("argv", [["embed", "--out", "emb.bin"],
                                       ["evaluate", "--baseline", "puresvd"],
                                       ["train", "--out", "m.bin"]])
-    @pytest.mark.parametrize("setting", ["seed=-1", "gamma=-1", "rank=-3", "epochs=-1"])
+    @pytest.mark.parametrize("setting, least", [("seed=-1", 0), ("gamma=-1", 0), ("h=-3", 1),
+                                                ("epochs=-1", 0)])
     def test_negative_integer_rejected_before_any_svd(self, tmp_path, prepped, capsys,
-                                                      monkeypatch, argv, setting):
+                                                      monkeypatch, argv, setting, least):
         def no_svd(*args, **kwargs):
             raise AssertionError("the randomized SVD ran")
 
         monkeypatch.setattr(linalg, "embed_items", no_svd)
-        monkeypatch.setattr(baselines, "randomized_svd", no_svd)
+        monkeypatch.setattr(linalg, "randomized_svd", no_svd)
         argv = [str(tmp_path / a) if a.endswith(".bin") else a for a in argv]
         rc = main([*argv, "--data", str(prepped), "--set", setting])
         assert rc == 1 and not list(tmp_path.glob("*.bin"))
         key, value = setting.split("=")
-        assert f"error: --set: bad value {value!r} for {key}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {key} must be >= {least}, got {value}\n"
+
+    @pytest.mark.parametrize("argv, setting, message", [
+        (["evaluate", "--baseline", "pop"], "rho=1", "rho must lie in [0, 1), got 1.0"),
+        (["explain", "--histogram", "--model", "m.bin"], "alpha=-1",
+         "alpha must lie in [0, inf), got -1.0"),
+    ])
+    def test_evaluate_and_explain_refuse_a_training_only_key_out_of_range(
+            self, tmp_path, prepped, capsys, argv, setting, message):
+        # they do not read the training-only keys, but they check them
+        argv = [str(tmp_path / a) if a == "m.bin" else a for a in argv]
+        out = tmp_path / "out"
+        rc = main([*argv, "--data", str(prepped), "--set", setting, "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_rank_is_an_unknown_key(self, tmp_path, prepped, capsys):
+        # PureSVD's rank is h: the one SVD factor is the run config's V
+        emb = tmp_path / "emb.bin"
+        rc = main(["embed", "--data", str(prepped), "--out", str(emb), "--set", "rank=7"])
+        assert rc == 1 and not emb.exists()
+        assert capsys.readouterr().err == "error: --set: unknown config key 'rank'\n"
+
+    def test_puresvd_scores_with_the_embedding_that_embed_writes(self, tmp_path, monkeypatch):
+        # a split wide and tall enough for the preset's h=50
+        ratings, split = tmp_path / "ratings.dat", tmp_path / "data"
+        write_movielens_file(ratings, synthetic_events(m=80, n=70, per_user=40, seed=5))
+        assert main(["prep", "--input", str(ratings), "--format", "movielens-dat",
+                     "--threshold", "0", "--out", str(split)]) == 0
+        emb = tmp_path / "emb.bin"
+        assert main(["embed", "--data", str(split), "--preset", "ml1m-puresvd",
+                     "--out", str(emb)]) == 0
+        scored = []
+        scorer = baselines.puresvd_scorer
+        monkeypatch.setattr(baselines, "puresvd_scorer", lambda V: scored.append(V) or scorer(V))
+        assert main(["evaluate", "--data", str(split), "--baseline", "puresvd",
+                     "--preset", "ml1m-puresvd", "--ks", "5"]) == 0
+        (V,) = scored
+        assert V.shape == (70, 50)
+        assert linalg.load_embeddings(emb).tobytes() == V.tobytes()
 
     @pytest.mark.parametrize("argv, h", [(["embed", "--out", "emb.bin"], 5000),
                                          (["embed", "--out", "emb.bin"], 0),
@@ -320,11 +368,15 @@ class TestTrainEvaluateExplain:
             assert rc == 1 and not list(tmp_path.glob("*.bin*")), command
             assert f"error: {message}\n" in capsys.readouterr().err, command
 
-    def test_puresvd_rank_zero_names_rank(self, prepped, capsys):
+    @pytest.mark.parametrize("h, message", [
+        (0, "h must be >= 1, got 0\n"),
+        (5000, "h=5000 out of range: the embedding size must lie in [1, "),
+    ])
+    def test_puresvd_rank_out_of_range_names_h(self, prepped, capsys, h, message):
         rc = main(["evaluate", "--data", str(prepped), "--baseline", "puresvd",
-                   "--set", "rank=0"])
+                   "--set", f"h={h}"])
         assert rc == 1
-        assert "error: rank 0 out of range" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_unknown_split_nonzero(self, prepped, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -345,8 +397,7 @@ class TestTrainEvaluateExplain:
                                                 argv, key, value, choices):
         argv = [str(tmp_path / a) if a == "m.bin" else a for a in argv]
         svds = []
-        for module in (linalg, baselines):
-            monkeypatch.setattr(module, "randomized_svd", lambda *a, **kw: svds.append(a))
+        monkeypatch.setattr(linalg, "randomized_svd", lambda *a, **kw: svds.append(a))
         rc = main([*argv, "--data", str(prepped), "--set", f"{key}={value}"])
         assert rc == 1 and svds == []
         err = capsys.readouterr().err
@@ -363,7 +414,9 @@ class TestTrainEvaluateExplain:
         out = tmp_path / "m.bin"
         rc = main(["train", "--data", str(prepped), "--out", str(out), "--set", f"{key}={value}"])
         assert rc == 1 and not out.exists()
-        assert f"bad value {value!r} for {key}" in capsys.readouterr().err
+        interval = {"rho": "[0, 1)", "learning_rate": "(0, inf)"}.get(key, "[0, inf)")
+        assert capsys.readouterr().err == (f"error: {key} must lie in {interval}, "
+                                           f"got {float(value)}\n")
 
     def test_out_of_range_setting_named_by_its_config_key(self, tmp_path, prepped, capsys):
         # the field is AmaConfig's `lam`; the user set the key `lambda`
@@ -407,7 +460,7 @@ class TestTrainEvaluateExplain:
         lines = text.splitlines(keepends=True)
         path.write_text("".join(lines[:-2]) if cut == "line-end" else text[:text.rindex(",")])
         svds = []
-        monkeypatch.setattr(baselines, "randomized_svd", lambda *a, **kw: svds.append(a))
+        monkeypatch.setattr(linalg, "randomized_svd", lambda *a, **kw: svds.append(a))
         rc = main(["evaluate", "--data", str(prepped), "--baseline", "puresvd"])
         assert rc == 1 and svds == []
         err = capsys.readouterr().err

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 from dataclasses import replace
@@ -712,7 +713,7 @@ PREP_GOLDEN = {
     "train.csv": "e34ba8a5a070f77bd65152ba10a42b9faaedf6fc6b3439c45364ac044cfd4a5d",
     "validation.csv": "62981579b35bb552eb024bc704b6c4df694a546091504d973f0dd5de8e8e2fb8",
     "test.csv": "b662bf608f39bfe0fd02161a8b12a030c8193792ecadbb9037791079f49c2d9a",
-    "split.json": "d60314c13a211f754adbe075e7aaed48fe295c1784c393139bc35e4ed539df13",
+    "split.json": "9192ad3bec0abef7b997d5f72ef0f645be55071ec47828f3fb6ec624a948afb4",
 }
 
 
@@ -812,6 +813,22 @@ def test_line_endings_load_identical_matrices(tmp_path, tiny_split, edit):
             assert getattr(a, field).tolist() == getattr(b, field).tolist()
 
 
+def test_rows_other_than_the_content_hash_records_rejected(tmp_path, tiny_split):
+    # one validation row moved to another in-range pair keeps the row count
+    # and repeats no pair, so only split.json's content_hash can tell
+    save_split(tiny_split, tmp_path / "out", threshold=2)
+    path = tmp_path / "out" / "validation.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    u = int(lines[1].split(",")[0])
+    free = next(k for k in range(tiny_split.shape[1]) if tiny_split.validation[u, k] == 0)
+    lines[1] = f"{u},{free}\r\n"
+    path.write_text("".join(lines))
+    meta = tmp_path / "out" / "split.json"
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(meta))}: content_hash does not "
+                                          "match .*; run prep again"):
+        load_split(tmp_path / "out")
+
+
 @pytest.mark.parametrize("name, row", [("train", ""), ("train", "3,4,5"),
                                        ("validation", "2.0,1"), ("test", "1,2.0")])
 def test_malformed_row_names_file_and_line(tmp_path, tiny_split, name, row):
@@ -841,9 +858,12 @@ def test_malformed_row_names_file_and_line(tmp_path, tiny_split, name, row):
      "user_ids repeats the id {u1!r}"),
     (lambda meta: meta["item_ids"].__setitem__(-1, meta["item_ids"][0]),
      "item_ids repeats the id {i0!r}"),
+    (lambda meta: meta.pop("content_hash"), "content_hash must be a string"),
+    (lambda meta: meta.update(content_hash=7), "content_hash must be a string"),
 ], ids=["short-item-ids", "short-user-ids", "int-user-id", "string-item-ids",
         "string-num-users", "negative-num-items", "no-counts", "no-test-count",
-        "float-count", "repeated-user-id", "repeated-item-id"])
+        "float-count", "repeated-user-id", "repeated-item-id", "no-content-hash",
+        "int-content-hash"])
 def test_malformed_split_json_rejected_before_any_csv(tmp_path, tiny_split, edit, message):
     save_split(tiny_split, tmp_path / "out", threshold=2)
     path = tmp_path / "out" / "split.json"

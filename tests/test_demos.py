@@ -38,7 +38,7 @@ def test_readme_library_tour_runs(tiny_split):
     ns = {}
     exec(sketch.split("\n\n")[0], ns)
     cfg = AmaConfig(h=4, d=2, kappa=2)
-    ns.update(data=tiny_split, cfg=cfg, V=embed_items(tiny_split.train, h=4, gamma=2, seed=0),
+    ns.update(data=tiny_split, cfg=cfg, V=embed_items(tiny_split.train, AmaConfig(h=4, gamma=2)),
               params=random_params(tiny_split.shape[1], cfg, seed=1))
     for block in tour:
         exec(compile(block, "README.md", "exec"), ns)

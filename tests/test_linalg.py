@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
+from amarec import linalg
 from amarec.linalg import (
     load_embeddings,
     matrix_hash,
@@ -131,6 +133,39 @@ class TestAgainstTwoQrOracle:
         assert (res.right[top, np.arange(rank)] > 0).all()
 
 
+def test_only_embed_items_calls_randomized_svd():
+    # the run config's V is the one SVD factor: embed_items builds it for AMA
+    # and PureSVD alike, and baselines takes it as given
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope, self.found = [module], set()
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(f"{self.scope[0]}.{node.name}")
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            if "randomized_svd" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None)):
+                self.found.add(self.scope[-1])
+            self.generic_visit(node)
+
+    callers, baselines = set(), None
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visitor = Calls(path.stem)
+        visitor.visit(tree)
+        callers |= visitor.found
+        if path.stem == "baselines":
+            baselines = tree
+    assert callers == {"linalg.embed_items"}
+    linalg_imports = [ast.unparse(node) for node in ast.walk(baselines)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))
+                      and "linalg" in ast.unparse(node)]
+    assert linalg_imports == []
+
+
 @pytest.mark.parametrize("shape", [(300, 3000), (3000, 300)], ids=["wide", "tall"])
 def test_right_factor_does_not_depend_on_blas_threads(shape):
     # both orientations: the QR'd m x k iterate is the short side of a wide
@@ -138,11 +173,13 @@ def test_right_factor_does_not_depend_on_blas_threads(shape):
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import hashlib, numpy as np, scipy.sparse as sp\n"
+        "from amarec import AmaConfig\n"
         "from amarec.linalg import embed_items\n"
         f"m, n = {shape}\n"
         "R = sp.random(m, n, density=0.02, random_state=np.random.default_rng(9),"
         " format='csr', data_rvs=np.ones)\n"
-        "print(hashlib.sha256(embed_items(R, h=40, gamma=4, seed=2).tobytes()).hexdigest())\n"
+        "V = embed_items(R, AmaConfig(h=40, gamma=4, seed=2))\n"
+        "print(hashlib.sha256(V.tobytes()).hexdigest())\n"
     )
 
     def digest(threads):
