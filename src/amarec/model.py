@@ -18,7 +18,9 @@ ties) and the softmax Jacobian restricted to observed items. Each mode is
 The decode ``U S^T`` and its backward ``dU = G S`` run as one zero-padded
 GEMM per block (``_block_matmul``) of 32 users at d = 3, 36 at d = 4 and 48
 at d = 1, 2 and 5; a training chunk or AMA ranking call is one block. At the one BLAS thread
-``import amarec`` sets, a user gets the same bytes in training, ranking and explanation.
+``import amarec`` sets, a user gets the same bytes in training, ranking and explanation
+for the same arrays. Each stage runs in the dtype of the parameters and V:
+``train``'s float32 from ``init_params``, or a loaded model's float64.
 """
 
 from __future__ import annotations
@@ -124,19 +126,20 @@ def parameter_count(n, cfg):
 
 def _glorot(rng, rows, cols):
     bound = math.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
+    return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
 
 
 def init_params(n, cfg, rng=None):
-    """Uniform Glorot init for the linear maps; B and S start at zero."""
+    """Uniform Glorot init for the linear maps, drawn in float64 and narrowed;
+    B and S start at zero. The parameters are float32, the dtype training runs in."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     return AmaParameters(
         W_k=_glorot(rng, cfg.h, cfg.kappa),
         W_v=_glorot(rng, cfg.h, cfg.h),
         Q=_glorot(rng, cfg.d, cfg.kappa),
-        B=np.zeros((cfg.d, cfg.h)),
-        S=np.zeros((n, cfg.h)),
+        B=np.zeros((cfg.d, cfg.h), np.float32),
+        S=np.zeros((n, cfg.h), np.float32),
     )
 
 
@@ -213,12 +216,10 @@ def decode_maxout(U, S):
     ``scores`` their B x n maxout. NaN propagates to the score. Which mode
     attains the max is ``argmax_mode``'s step, run only by a caller that
     reads it. A user's bytes do not depend on the users decoded with it
-    (``_block_matmul``).
+    (``_block_matmul``). ``per_mode`` is the first B users of a block-padded
+    array, its ``base``, whose other rows decode zero modes.
     """
-    users = U.shape[0]
-    padded = _padded(users, *U.shape[1:])
-    padded[:users] = U
-    per_mode = _block_matmul(padded, S.T)[:users]
+    per_mode = _block_matmul(_padded(U), S.T)[:U.shape[0]]
     return per_mode.max(axis=1), per_mode
 
 
@@ -236,12 +237,13 @@ def _block_users(d):
     return -(-BLOCK // step) * step
 
 
-def _padded(users, d, k):
-    """An array for ``users`` users' d x k rows, padded to whole blocks of
-    ``_block_users(d)`` users: the rows past ``users`` are zero, the rest unset."""
+def _padded(X):
+    """X (users x d x k) padded to whole blocks of ``_block_users(d)`` users
+    with zero rows, in X's dtype."""
+    users, d, k = X.shape
     block = _block_users(d)
-    out = np.empty((-(-users // block) * block, d, k))
-    out[users:] = 0.0
+    out = np.empty((-(-users // block) * block, d, k), X.dtype)
+    out[:users], out[users:] = X, 0.0
     return out
 
 
@@ -253,7 +255,7 @@ def _block_matmul(X, Y):
     the padding, or at two threads, a short block can give other bytes."""
     _, d, k = X.shape
     block = _block_users(d)
-    out = np.empty((X.shape[0], d, Y.shape[1]))
+    out = np.empty((X.shape[0], d, Y.shape[1]), np.result_type(X, Y))
     for lo in range(0, X.shape[0], block):
         np.matmul(X[lo:lo + block].reshape(block * d, k), Y,
                   out=out[lo:lo + block].reshape(block * d, -1))
@@ -321,18 +323,19 @@ def batch_gradients(R, masks, params, V, alpha):
 
     ``R`` and ``masks`` are CSR blocks of B rows: user b's clean binary row (the
     target) and the items it attends over; ``alpha`` is the confidence weight
-    on the row's observed entries. Returns
-    the gradients summed over the batch (keyed by PARAM_NAMES; the caller adds the
-    decoder penalty's) and the per-user data losses. One ``Forward`` serves the
-    whole call; each chunk is one block (``Forward.block``) and densifies only its
-    rows of ``R``; chunks sum in ascending order, so no temporary grows with the batch.
+    on the row's observed entries. Returns the gradients summed over the batch
+    (keyed by PARAM_NAMES; the caller adds the decoder penalty's) and the
+    per-user data losses, in the dtype of ``params`` and V. One ``Forward``
+    serves the whole call; each chunk is one block (``Forward.block``) and
+    reads its targets from ``R``'s CSR arrays, never densified; chunks sum in
+    ascending order, so no temporary grows with the batch.
     """
     if masks.shape[0] == 0:
         raise ValueError("batch_gradients needs at least one user")
     forward, losses = Forward(params, V), []
     for lo in range(0, masks.shape[0], forward.block):
         rows = slice(lo, lo + forward.block)
-        chunk, loss = _chunk_gradients(R[rows].toarray(), forward(masks[rows], lo), forward, alpha)
+        chunk, loss = _chunk_gradients(R, lo, forward(masks[rows], lo), forward, alpha)
         if lo == 0:
             grads = chunk
         else:
@@ -342,34 +345,44 @@ def batch_gradients(R, masks, params, V, alpha):
     return grads, np.concatenate(losses)
 
 
-def _chunk_gradients(R, result, forward, alpha):
-    """The gradients and losses of the dense clean rows ``R`` from their ``result``.
+def _error(scores, R, lo, alpha):
+    """(g, losses) of the B_c x n ``scores`` against the CSR rows of ``R`` from
+    ``lo``: g = d(loss)/d(scores), and each row's sum of c (r - s)^2, where c
+    weighs a 1 by ``alpha`` and a 0 by 1. Off the 1s, g = 2 s and the term is s^2."""
+    (nb, n), ptr = scores.shape, R.indptr[lo:lo + scores.shape[0] + 1]
+    at = np.repeat(np.arange(0, nb * n, n), np.diff(ptr)) + R.indices[ptr[0]:ptr[-1]]
+    c_obs = float(confidence_weights(1.0, alpha))   # a numpy float64 widens float32 products
+    g, sq = scores * 2.0, scores * scores
+    miss = 1.0 - scores.take(at)
+    np.put(g, at, miss * (-2.0 * c_obs))
+    np.put(sq, at, c_obs * miss * miss)
+    return g, sq.sum(axis=1)
 
-    The routed error G is built padded to the block, so ``dU = G S`` runs
-    as one block GEMM (``_block_matmul``), like the decode; ``dS`` and the
-    W_v gradient are GEMMs whose inner dimension runs over the chunk's B_c*d
-    modes. Sums over the observed items run in numpy (reduceat, einsum),
-    whose order is fixed. The forward's Z gives the W_v gradient, and the
-    attention gradient reads the embeddings through ``dU W_v^T``, so no
-    value table is needed.
+
+def _chunk_gradients(R, lo, result, forward, alpha):
+    """The gradients and losses of a chunk from its ``result``, against the
+    clean rows of ``R`` from ``lo``, read from its CSR arrays (``_error``).
+
+    The routed error G is written over the per-mode scores, in the decode's
+    block-padded array, so ``dU = G S`` runs as one block GEMM
+    (``_block_matmul``), like the decode; ``dS`` and the W_v gradient are
+    GEMMs whose inner dimension runs over the chunk's B_c*d modes. Sums over
+    the observed items run in numpy (reduceat, einsum), whose order is fixed.
+    The forward's Z gives the W_v gradient, and the attention gradient reads
+    the embeddings through ``dU W_v^T``, so no value table is needed.
     """
     segs, A, Z, U, scores, per_mode = result
     mode_of = argmax_mode(per_mode, scores)   # every item's mode routes its error
-    del result, per_mode   # no other reference is left: this frees the per-mode scores
+    del result
     params = forward.params
     K_obs, V_obs = forward.K[segs.obs], forward.V[segs.obs]
     nb, d, h = U.shape
-    g = R - scores                         # the error, then d(loss)/d(scores)
+    g, losses = _error(scores, R, lo, alpha)
     del scores
-    c_obs = confidence_weights(1.0, alpha)   # the weight of a binary row's 1s; its 0s get 1
-    c = np.where(R != 0, c_obs, 1.0)
-    losses = np.einsum("bj,bj,bj->b", c, g, g)
-    c *= -2.0
-    g *= c
     # routed gradients: G[b, l] is user b's error on the items that take mode l
-    G = _padded(nb, d, g.shape[1])
-    np.multiply(g[:, None], mode_of[:, None] == np.arange(d)[:, None], out=G[:nb])
-    del g, mode_of
+    G = per_mode.base   # the decode's block-padded array: dU keeps its first nb users
+    np.multiply(g[:, None], mode_of[:, None] == np.arange(d)[:, None], out=per_mode)
+    del g, mode_of, per_mode
     dS = G[:nb].reshape(nb * d, -1).T @ U.reshape(nb * d, h)   # inner dimension B_c*d
     dU = _block_matmul(G, params.S)[:nb]
     dA = np.einsum("jlh,jh->jl", np.matmul(dU, params.W_v.T)[segs.seg], V_obs)

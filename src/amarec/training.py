@@ -59,6 +59,7 @@ class NonFiniteObjective(ValueError):
         self.epoch, self.batch = epoch, batch
 
 
+@np.errstate(over="ignore", invalid="ignore")   # NonFiniteObjective reports an overflow
 def train(data, V, cfg, params=None, callback=None):
     """Train on data.train with fixed item embeddings V under the AmaConfig ``cfg``.
 
@@ -67,6 +68,8 @@ def train(data, V, cfg, params=None, callback=None):
     are skipped for that epoch. ``callback(epoch, params)`` runs after each
     epoch when given (the CLI saves checkpoints through it). ``params`` is
     updated in place; it or V not sized for ``cfg`` and n raises before epoch 0.
+    V is narrowed to the parameters' dtype. An overflow stops the run with
+    NonFiniteObjective, naming its epoch and batch, not with numpy's warning.
     """
     train_mat = data.train
     m, n = train_mat.shape
@@ -76,7 +79,7 @@ def train(data, V, cfg, params=None, callback=None):
         raise ValueError(f"the parameters score {params.S.shape[0]} items, "
                          f"but the catalog has {n}")
     _check_embedding(params, V)
-    state = AdamState(params)
+    V, state = np.asarray(V, params.S.dtype), AdamState(params)
 
     log = []
     for epoch in range(cfg.epochs):

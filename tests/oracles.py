@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from amarec.dataset import ConfigError, ParseError, SplitDataset
+from amarec.model import AmaParameters
 from conftest import event_ids
 
 
@@ -174,6 +175,35 @@ def gradients_oracle(r, mask_obs, params, V, cfg):
         "S": dS,
         "loss": float(np.dot(c, err * err)),
     }
+
+
+def float64_init_oracle(n, cfg, rng=None):
+    """``init_params``' uniform Glorot draws kept in float64, before it narrows
+    them to float32: the parameters training started from when it ran in
+    float64. B and S start at zero."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+
+    def glorot(rows, cols):
+        bound = math.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-bound, bound, size=(rows, cols))
+
+    return AmaParameters(W_k=glorot(cfg.h, cfg.kappa), W_v=glorot(cfg.h, cfg.h),
+                         Q=glorot(cfg.d, cfg.kappa), B=np.zeros((cfg.d, cfg.h)),
+                         S=np.zeros((n, cfg.h)))
+
+
+def dense_error_oracle(R, scores, alpha):
+    """The training error as it was built from a dense target: (g, losses) of
+    the binary rows ``R`` against ``scores``, both B x n. The weights are
+    1 + alpha * ln 2 at R's 1s and 1 at its 0s; ``losses`` holds each row's
+    sum of c (r - s)^2, and g = -2 c (r - s) is d(loss)/d(scores)."""
+    g = R - scores
+    c = np.where(R != 0, 1.0 + alpha * np.log1p(np.float64(1.0)), 1.0)
+    losses = np.einsum("bj,bj,bj->b", c, g, g)
+    c *= -2.0
+    g *= c
+    return g, losses
 
 
 def enumerate_metrics(ranked, relevant, k):

@@ -231,7 +231,11 @@ def test_criterion_9_thread_count_reproducibility(tmp_path):
         outputs[threads] = (model.read_bytes(), report.read_bytes())
     assert outputs[1][0] == outputs[4][0], "model files differ across BLAS threads"
     assert outputs[1][1] == outputs[4][1], "reports differ across BLAS threads"
-    passed(9, "model files and reports bit-identical for OPENBLAS_NUM_THREADS 1 vs 4")
+    # train ran in float32: every stored float64 parameter is a float32 value
+    stored = np.frombuffer(outputs[1][0], "<f8", offset=44)
+    assert np.array_equal(stored.astype(np.float32).astype(np.float64), stored)
+    passed(9, "float32-trained model files and reports bit-identical for "
+              "OPENBLAS_NUM_THREADS 1 vs 4")
 
 
 def test_criterion_10_mode_usage_sanity(ml1m_split, ml1m_model):

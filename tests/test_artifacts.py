@@ -21,6 +21,7 @@ from amarec.dataset import binarize, load_split, save_split, temporal_split
 from amarec.linalg import load_embeddings, save_embeddings
 from amarec.model import AmaConfig, init_params, load_model, save_model
 from conftest import synthetic_events, write_movielens_file
+from oracles import float64_init_oracle
 
 SMALL = ["--set", "d=2", "--set", "kappa=2", "--set", "epochs=2", "--set", "batch_size=8"]
 
@@ -770,7 +771,9 @@ class TestAtomicWrites:
         cfg = AmaConfig(h=3, d=2, kappa=2)
         params = init_params(5, cfg, np.random.default_rng(3))
         save_model(params, cfg, tmp_path / "m.bin", item_index_hash="abc")
-        payload = b"".join(getattr(params, k).tobytes() for k in ("W_k", "W_v", "Q", "B", "S"))
+        # the float32 parameters init_params builds are stored widened to float64
+        payload = b"".join(getattr(params, k).astype("<f8").tobytes()
+                           for k in ("W_k", "W_v", "Q", "B", "S"))
         assert (tmp_path / "m.bin").read_bytes() == \
             b"AMAMDL01" + struct.pack("<IQQQQ", 1, 5, 3, 2, 2) + payload
         sidecar = {"config": dataclasses.asdict(cfg), "item_index_hash": "abc",
@@ -902,22 +905,42 @@ class TestGoldenBytes:
         return {suffix: hashlib.sha256(path.with_name(path.name + suffix).read_bytes()).hexdigest()
                 for suffix in suffixes}
 
-    def test_cli_train_writes_these_four_files(self, tiny_split, tmp_path):
+    # what train writes beside the model: its sidecar and its float64 V
+    SIDE_FILES = {
+        ".json": "b6beac9b2e0ff929ce460f3c6ce31225f77770fe9912bc16d4ed7724ab7a7070",
+        ".emb": "75a1cc812dfbfc0361fb1897a1d99ad3a9da8007ab6fbc02a428c4493668b26e",
+        ".emb.json": "716f03c53791bc3db2e17382fb3e225ee93f1e4a49052f28406aa35fe18898a4",
+    }
+
+    def trained(self, tiny_split, tmp_path):
         save_split(tiny_split, tmp_path / "data", threshold=2)
         model = tmp_path / "m.bin"
         assert main(["train", "--data", str(tmp_path / "data"), "--out", str(model),
                      "--set", "h=4", *SMALL]) == 0
-        assert self.digests(model, ("", ".json", ".emb", ".emb.json")) == {
+        return self.digests(model, ("", ".json", ".emb", ".emb.json"))
+
+    def test_cli_train_writes_these_four_files(self, tiny_split, tmp_path):
+        # train runs in float32; the float64 run of the next test keeps the
+        # model digest this test pinned while train ran in float64
+        assert self.trained(tiny_split, tmp_path) == {
+            "": "1f3b863894d4039082e5b6714eca0ad4f89d4f0171d29ebf30d41d1542ea555b",
+            **self.SIDE_FILES}
+
+    def test_training_from_float64_parameters_writes_the_float64_digest(
+            self, tiny_split, tmp_path, monkeypatch):
+        # the same run from float64 parameters goes through the same kernel
+        # in float64 and writes the bytes it wrote before the kernel built its
+        # error from the CSR rows: sparse targets move no byte
+        monkeypatch.setattr(training, "init_params", float64_init_oracle)
+        assert self.trained(tiny_split, tmp_path) == {
             "": "11e3b142ccc0b67597b9a4b28db2bb1f9063ee5ec759d3fe42eee82c7e76f93d",
-            ".json": "b6beac9b2e0ff929ce460f3c6ce31225f77770fe9912bc16d4ed7724ab7a7070",
-            ".emb": "75a1cc812dfbfc0361fb1897a1d99ad3a9da8007ab6fbc02a428c4493668b26e",
-            ".emb.json": "716f03c53791bc3db2e17382fb3e225ee93f1e4a49052f28406aa35fe18898a4",
-        }
+            **self.SIDE_FILES}
 
     def test_a_drawn_model_saved_without_v_as_the_bench_saves_it(self, tmp_path):
+        # float64 draws, as the bench's drawn model is
         cfg = AmaConfig(h=5, d=3, kappa=3, alpha=1.0, lam=1e-5, rho=0.3, epochs=0, seed=0)
         rng = np.random.default_rng(11)
-        params = init_params(7, cfg, rng)
+        params = float64_init_oracle(7, cfg, rng)
         params.B[:] = rng.standard_normal(params.B.shape)
         params.S[:] = rng.standard_normal(params.S.shape)
         save_model(params, cfg, tmp_path / "g.model")

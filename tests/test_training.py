@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from amarec.linalg import randomized_svd
+from amarec import model, training
 from amarec.model import AmaConfig, PARAM_NAMES, batch_gradients, init_params
-from amarec.training import AdamState, adam_step, train
+from amarec.training import AdamState, NonFiniteObjective, adam_step, train
 from conftest import csr_rows
-from oracles import corrupt_oracle
+from oracles import corrupt_oracle, float64_init_oracle
 
 
 def embeddings_for(data, cfg):
@@ -47,8 +48,8 @@ class TestOptimizers:
         ref = {k: getattr(params, k).copy() for k in PARAM_NAMES}
         m = {k: np.zeros_like(a) for k, a in ref.items()}
         v = {k: np.zeros_like(a) for k, a in ref.items()}
-        for t in range(1, 6):
-            grads = {k: rng.standard_normal(a.shape) for k, a in ref.items()}
+        for t in range(1, 6):   # in the parameters' dtype, float32
+            grads = {k: rng.standard_normal(a.shape).astype(a.dtype) for k, a in ref.items()}
             adam_step(params, grads, state, lr)
             for k in PARAM_NAMES:
                 g = grads[k]
@@ -88,6 +89,7 @@ class TestTrainLoop:
         params, log = train(tiny_split, V, cfg)
         assert log == []
         for k in PARAM_NAMES:
+            assert getattr(params, k).dtype == getattr(init, k).dtype == np.float32
             np.testing.assert_array_equal(getattr(params, k), getattr(init, k))
 
     def test_objective_decreases(self, tiny_split):
@@ -129,6 +131,7 @@ class TestTrainLoop:
         init = init_params(tiny_split.shape[1], cfg, np.random.default_rng(cfg.seed))
         params, log = train(tiny_split, V, cfg)
         for k in PARAM_NAMES:
+            assert getattr(params, k).dtype == getattr(init, k).dtype == np.float32
             np.testing.assert_array_equal(getattr(params, k), getattr(init, k))
 
     def test_log_files(self, tiny_split):
@@ -152,13 +155,15 @@ class TestTrainLoop:
 def test_batches_match_the_per_user_loop(tiny_split, rho):
     # train's CSR batches against a per-user loop: each batch's users in
     # ascending order, corrupted one by one from the epoch's stream, those
-    # left empty dropped; the parameters agree bitwise
+    # left empty dropped; the parameters agree bitwise, in float32, as the
+    # loop runs its float32 parameters against V narrowed to float32
     cfg = tiny_train_config(epochs=2, rho=rho)
     T = tiny_split.train
     m, n = T.shape
     V = embeddings_for(tiny_split, cfg)
     params, _ = train(tiny_split, V, cfg)
     ref = init_params(n, cfg, np.random.default_rng(cfg.seed))
+    V = V.astype(np.float32)
     state, dropped = AdamState(ref), 0
     rows = [T.indices[T.indptr[u]:T.indptr[u + 1]] for u in range(m)]
     for epoch in range(cfg.epochs):
@@ -176,14 +181,13 @@ def test_batches_match_the_per_user_loop(tiny_split, rho):
                 grads["S"] += 2.0 * cfg.lam * ref.S
                 ref = adam_step(ref, grads, state, cfg.learning_rate)
     for k in PARAM_NAMES:
+        assert getattr(params, k).dtype == getattr(ref, k).dtype == np.float32
         np.testing.assert_array_equal(getattr(params, k), getattr(ref, k))
     if rho == 0.9:   # batches that lose some users and keep others
         assert 0 < dropped < cfg.epochs * m
 
 
 def test_non_finite_objective_stops_at_its_batch(tiny_split):
-    from amarec.training import NonFiniteObjective
-
     cfg = tiny_train_config()
     assert tiny_split.shape[0] >= 3 * cfg.batch_size
     V = embeddings_for(tiny_split, cfg)
@@ -194,14 +198,12 @@ def test_non_finite_objective_stops_at_its_batch(tiny_split):
     assert (exc.value.epoch, exc.value.batch) == (0, 0)
 
 
-# the one step of epoch 0 moves S by about 1e300, whose square overflows
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_objective_at_the_end_of_an_epoch_stops_it(tiny_split):
-    from amarec.training import NonFiniteObjective
-
+    # in float64, the one step of epoch 0 moves S by about 1e300, whose
+    # square overflows; the overflow stops the run, not numpy's warning
     m, n = tiny_split.shape
     cfg = tiny_train_config(batch_size=m, learning_rate=1e300)   # one batch per epoch
-    params, seen = init_params(n, cfg), []
+    params, seen = float64_init_oracle(n, cfg), []
     with pytest.raises(NonFiniteObjective, match="^non-finite objective inf at epoch 0, "
                                                  "batch 0$") as exc:
         train(tiny_split, embeddings_for(tiny_split, cfg), cfg, params=params,
@@ -209,6 +211,59 @@ def test_non_finite_objective_at_the_end_of_an_epoch_stops_it(tiny_split):
     assert (exc.value.epoch, exc.value.batch) == (0, 0) and seen == []
     # the batch's losses were finite; the penalty on the updated S is not
     assert np.isfinite(params.S).all() and np.abs(params.S).max() > 1e299
+
+
+@pytest.mark.parametrize("batches, batch, value", [(1, 0, "inf"), (3, 1, "nan")])
+def test_a_float32_overflow_stops_at_its_epoch_and_batch(tiny_split, batches, batch, value):
+    # the float64 case above in float32: a learning rate of 1e300 is infinite
+    # there, so the first step leaves S non-finite; the run stops with
+    # NonFiniteObjective, at the end of the epoch when it has one batch, and
+    # at the next batch's losses when it has more, not with numpy's warning
+    m, n = tiny_split.shape
+    cfg = tiny_train_config(batch_size=-(-m // batches), learning_rate=1e300)
+    params, seen = init_params(n, cfg), []
+    with pytest.raises(NonFiniteObjective, match=f"^non-finite objective {value} at epoch 0, "
+                                                 f"batch {batch}$") as exc:
+        train(tiny_split, embeddings_for(tiny_split, cfg), cfg, params=params,
+              callback=lambda epoch, p: seen.append(epoch))
+    assert (exc.value.epoch, exc.value.batch) == (0, batch) and seen == []
+    assert params.S.dtype == np.float32 and not np.isfinite(params.S).all()
+
+
+def test_init_params_narrows_the_float64_draws():
+    cfg = AmaConfig(h=5, d=3, kappa=2, seed=4)
+    wide, narrow = float64_init_oracle(9, cfg), init_params(9, cfg)
+    for k in PARAM_NAMES:
+        assert getattr(narrow, k).dtype == np.float32
+        assert getattr(narrow, k).tobytes() == getattr(wide, k).astype(np.float32).tobytes()
+
+
+def test_a_float32_step_stays_float32(tiny_split, monkeypatch):
+    # numpy widens a float32 array combined with a float64 array or numpy
+    # scalar, silently; one step keeps every parameter, adam moment,
+    # gradient, loss and forward output in float32
+    steps, forwards = [], []
+    step, forward = training.adam_step, model.Forward.__call__
+
+    def record_step(params, grads, state, lr):
+        steps.append((grads, state))
+        return step(params, grads, state, lr)
+
+    def record_forward(self, *args):
+        out = forward(self, *args)
+        forwards.append((self.K, self.V, *out[1:]))   # the keys, V, and all but segs
+        return out
+
+    monkeypatch.setattr(training, "adam_step", record_step)
+    monkeypatch.setattr(model.Forward, "__call__", record_forward)
+    cfg = tiny_train_config(epochs=1, batch_size=tiny_split.shape[0])   # one step
+    params, log = train(tiny_split, embeddings_for(tiny_split, cfg), cfg)
+    (grads, state), = steps
+    arrays = [getattr(params, k) for k in PARAM_NAMES] + [*grads.values(), *state.m.values(),
+                                                          *state.v.values()]
+    assert forwards and all(a.dtype == np.float32 for a in arrays)
+    assert all(a.dtype == np.float32 for out in forwards for a in out)
+    assert np.isfinite(log[0]["objective"])
 
 
 @pytest.mark.parametrize("sizes, n_more, message", [
