@@ -93,7 +93,6 @@ from amarec.model import (
     encode,
     decode_maxout,
     argmax_mode,
-    confidence_weights,
     corrupt,
     parameter_count,
 )

@@ -7,7 +7,7 @@ symbol in parentheses:
   h             embedding size (h); PureSVD's rank
   d             preference-mode count (d)
   kappa         key/query size (kappa)
-  alpha         confidence weight on observed entries (alpha)
+  alpha         confidence (alpha): an observed entry weighs 1 + alpha ln 2
   lambda        decoder regularization (lambda)
   rho           corruption rate (rho)
   epochs        training epochs (epsilon)
@@ -168,7 +168,8 @@ def cmd_embed(args):
     data = dataset.load_split(_data_dir(args))
     _, run = _gather_config(args)
     V = linalg.embed_items(data.train, run)
-    linalg.save_embeddings(V, args.out, linalg.embedding_meta(run, linalg.matrix_hash(data.train)))
+    linalg.save_embeddings(V, args.out, {"gamma": run.gamma, "h": run.h, "seed": run.seed,
+                                         "source_hash": linalg.matrix_hash(data.train)})
     print(f"wrote {V.shape[0]}x{V.shape[1]} item embeddings to {args.out}")
 
 

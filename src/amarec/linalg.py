@@ -81,33 +81,29 @@ def embed_items(train, cfg):
     return randomized_svd(train, rank=cfg.h, power_iters=cfg.gamma, seed=cfg.seed).right
 
 
-def embedding_meta(cfg, source_hash):
-    """The ``.emb.json`` meta of the V that the run config ``cfg``'s h, gamma and
-    seed build from the train matrix whose ``matrix_hash`` is ``source_hash``."""
-    return {"gamma": cfg.gamma, "h": cfg.h, "seed": cfg.seed, "source_hash": source_hash}
-
-
 _EMB_MAGIC = b"AMAEMB01"
 
 
 def save_embeddings(V, path, meta):
-    """Binary embedding file: magic, uint64 dims, row-major float64 payload,
-    and ``meta`` as a JSON sidecar next to it."""
+    """V's AMAEMB01 file (``write_embeddings``) and ``meta`` as a JSON sidecar
+    next to it; ``embed`` writes as meta the h, gamma and seed that built V and
+    its train matrix's ``matrix_hash`` as ``source_hash``."""
     # both files are complete before either replaces its predecessor
     with atomic_open(path, "wb") as fh, \
             atomic_open(str(path) + ".json", "w", encoding="utf-8") as js:
-        write_embeddings(fh, js, V, meta)
+        write_embeddings(fh, V)
+        json.dump(meta, js, indent=2, sort_keys=True)
+        js.write("\n")
 
 
-def write_embeddings(fh, js, V, meta):
-    """Writes V's AMAEMB01 bytes to the binary file ``fh`` and ``meta`` to ``js``;
-    the meta of an embedding that amarec built is ``embedding_meta``'s."""
+def write_embeddings(fh, V):
+    """Writes V's AMAEMB01 bytes to the binary file ``fh``: magic, uint64 dims
+    and the row-major float64 payload. ``save_embeddings`` and ``save_model``
+    both write V through it, so a model's stored V is ``embed``'s file."""
     V = np.ascontiguousarray(V, dtype=np.float64)
     fh.write(_EMB_MAGIC)
     fh.write(struct.pack("<QQ", V.shape[0], V.shape[1]))
     fh.write(V.tobytes())
-    json.dump(meta, js, indent=2, sort_keys=True)
-    js.write("\n")
 
 
 def load_embeddings(path):

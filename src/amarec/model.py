@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from amarec.fileio import atomic_open
-from amarec.linalg import embedding_meta, load_embeddings, write_embeddings
+from amarec.linalg import load_embeddings, write_embeddings
 
 
 def _integer(name, value):
@@ -79,7 +79,7 @@ class AmaConfig:
     h: int = 40            # embedding size
     d: int = 3             # preference-mode count
     kappa: int = 3         # key/query size
-    alpha: float = 1.0     # confidence weight on observed entries
+    alpha: float = 1.0     # confidence: an observed entry weighs 1 + alpha ln 2
     lam: float = 1e-5      # decoder regularization
     rho: float = 0.3       # corruption rate
     epochs: int = 300
@@ -277,11 +277,6 @@ def argmax_mode(per_mode, scores):
     return mode_of
 
 
-def confidence_weights(r, alpha):
-    """WRMF-style weights 1 + alpha * ln(1 + r) on a binary row."""
-    return 1.0 + alpha * np.log1p(np.asarray(r, dtype=np.float64))
-
-
 def corrupt(rows, rho, rng):
     """The CSR block ``rows`` with each stored entry dropped independently
     with probability rho: one ``rng.random`` draw per entry, in CSR order, so
@@ -322,8 +317,8 @@ def batch_gradients(R, masks, params, V, alpha):
     """Forward and exact backward pass of the data term for a batch of users.
 
     ``R`` and ``masks`` are CSR blocks of B rows: user b's clean binary row (the
-    target) and the items it attends over; ``alpha`` is the confidence weight
-    on the row's observed entries. Returns the gradients summed over the batch
+    target) and the items it attends over; an observed entry of a row weighs
+    1 + ``alpha`` ln 2. Returns the gradients summed over the batch
     (keyed by PARAM_NAMES; the caller adds the decoder penalty's) and the
     per-user data losses, in the dtype of ``params`` and V. One ``Forward``
     serves the whole call; each chunk is one block (``Forward.block``) and
@@ -348,10 +343,10 @@ def batch_gradients(R, masks, params, V, alpha):
 def _error(scores, R, lo, alpha):
     """(g, losses) of the B_c x n ``scores`` against the CSR rows of ``R`` from
     ``lo``: g = d(loss)/d(scores), and each row's sum of c (r - s)^2, where c
-    weighs a 1 by ``alpha`` and a 0 by 1. Off the 1s, g = 2 s and the term is s^2."""
+    weighs a 1 by 1 + alpha ln 2 and a 0 by 1. Off the 1s, g = 2 s and the term is s^2."""
     (nb, n), ptr = scores.shape, R.indptr[lo:lo + scores.shape[0] + 1]
     at = np.repeat(np.arange(0, nb * n, n), np.diff(ptr)) + R.indices[ptr[0]:ptr[-1]]
-    c_obs = float(confidence_weights(1.0, alpha))   # a numpy float64 widens float32 products
+    c_obs = 1.0 + alpha * math.log(2.0)
     g, sq = scores * 2.0, scores * scores
     miss = 1.0 - scores.take(at)
     np.put(g, at, miss * (-2.0 * c_obs))
@@ -411,45 +406,35 @@ def save_model(params, cfg, path, item_index_hash="", V=None):
     """Binary container: magic, version, dims (n,h,d,kappa), then the five
     parameter matrices row-major float64. A JSON sidecar carries the config,
     whose h, gamma and seed build the model's V with ``embed_items``, and the
-    train matrix hash. A V, when given, goes beside them as ``<path>.emb`` and
-    ``<path>.emb.json``, the bytes ``embed`` writes for that config and train
-    matrix (AMAEMB01, ``embedding_meta`` as meta), and the sidecar records its
-    SHA-256; without a V, a pair an earlier save left at ``path`` is removed
-    once the new sidecar is in place. A config whose h, d or kappa differs
-    from the parameters', or a V that is not n x h, raises before any file
-    opens."""
+    train matrix hash. A V, when given, goes beside them as ``<path>.emb``, the
+    AMAEMB01 bytes ``embed`` writes for that config and train matrix, and the
+    sidecar records its SHA-256, so the sidecar is V's one record; without a V,
+    a ``<path>.emb`` an earlier save left is removed once the new sidecar is in
+    place. A config whose h, d or kappa differs from the parameters', or a V
+    that is not n x h, raises before any file opens."""
     n, h, d, kappa = _sizes(params, cfg)   # load_model checks the config's sizes too
     sidecar = {"config": asdict(cfg), "item_index_hash": item_index_hash,
                "n": n, "h": h, "d": d, "kappa": kappa}
     if V is not None:
         V = np.ascontiguousarray(V, dtype=np.float64)
         _check_embedding(params, V)
-        sidecar["embedding_sha256"] = _sha256(V)
+        sidecar["embedding_sha256"] = hashlib.sha256(V).hexdigest()   # the .emb payload
     # every file is complete before any replaces its predecessor; the sidecar,
-    # which decides whether the V pair is read, is replaced after that pair
+    # which decides whether the V is read, is replaced after it
     with contextlib.ExitStack() as files:
         fh = files.enter_context(atomic_open(path, "wb"))
         js = files.enter_context(atomic_open(str(path) + ".json", "w", encoding="utf-8"))
         if V is not None:
-            write_embeddings(files.enter_context(atomic_open(str(path) + ".emb", "wb")),
-                             files.enter_context(atomic_open(str(path) + ".emb.json", "w",
-                                                             encoding="utf-8")),
-                             V, embedding_meta(cfg, item_index_hash))
+            write_embeddings(files.enter_context(atomic_open(str(path) + ".emb", "wb")), V)
         fh.write(_MDL_MAGIC)
         fh.write(struct.pack("<IQQQQ", 1, n, h, d, kappa))
         for name in PARAM_NAMES:
             fh.write(np.ascontiguousarray(getattr(params, name), dtype=np.float64).tobytes())
         json.dump(sidecar, js, indent=2, sort_keys=True)
         js.write("\n")
-    if V is None:   # an earlier save's pair would look like this model's V
-        for stale in (f"{path}.emb", f"{path}.emb.json"):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(stale)
-
-
-def _sha256(V):
-    """The hex SHA-256 of a C-order float64 V's bytes, the payload of its AMAEMB01 file."""
-    return hashlib.sha256(V).hexdigest()
+    if V is None:   # an earlier save's V would look like this model's
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(f"{path}.emb")
 
 
 def _sidecar_config(sidecar, path, params):
@@ -552,7 +537,7 @@ def _stored_embedding(sidecar, path, n, h):
     if V.shape != (n, h):
         raise ValueError(f"{where} records an embedding, but {path}.emb is "
                          f"{V.shape[0]}x{V.shape[1]}, not n={n} x h={h}")
-    if _sha256(V) != recorded:
+    if hashlib.sha256(V).hexdigest() != recorded:
         raise ValueError(f"{path}.emb is not the embedding {where} records: "
                          "its SHA-256 differs")
     return V

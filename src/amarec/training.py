@@ -67,9 +67,10 @@ def train(data, V, cfg, params=None, callback=None):
     "seconds"}`` dict per epoch. Users whose corrupted row is empty
     are skipped for that epoch. ``callback(epoch, params)`` runs after each
     epoch when given (the CLI saves checkpoints through it). ``params`` is
-    updated in place; it or V not sized for ``cfg`` and n raises before epoch 0.
-    V is narrowed to the parameters' dtype. An overflow stops the run with
-    NonFiniteObjective, naming its epoch and batch, not with numpy's warning.
+    updated in place; it or V not sized for ``cfg`` and n, or a train matrix
+    that stores a value other than 1, raises before epoch 0. V is narrowed to
+    the parameters' dtype. An overflow stops the run with NonFiniteObjective,
+    naming its epoch and batch, not with numpy's warning.
     """
     train_mat = data.train
     m, n = train_mat.shape
@@ -79,6 +80,9 @@ def train(data, V, cfg, params=None, callback=None):
         raise ValueError(f"the parameters score {params.S.shape[0]} items, "
                          f"but the catalog has {n}")
     _check_embedding(params, V)
+    other = train_mat.data[train_mat.data != 1]   # the kernel reads R's pattern, not its values
+    if other.size:
+        raise ValueError(f"the train matrix must be binary, but it stores {other[0]:g}")
     V, state = np.asarray(V, params.S.dtype), AdamState(params)
 
     log = []

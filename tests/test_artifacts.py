@@ -273,15 +273,15 @@ class TestStoredEmbedding:
             assert main([*argv, "--data", str(data), "--model", str(model)]) == 0, argv
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-    def test_train_writes_the_v_pair_embed_writes(self, tmp_path):
+    def test_train_writes_the_v_embed_writes(self, tmp_path):
         data = prep(tmp_path, "data", seed=4)
         flags = ["--data", str(data), "--preset", "ml1m-ama", "--set", "h=4",
                  "--set", "gamma=3", "--set", "seed=2"]
+        before = {p.name for p in tmp_path.iterdir()}
         assert main(["train", *flags, *SMALL, "--out", str(tmp_path / "m")]) == 0
+        assert {p.name for p in tmp_path.iterdir()} - before == {"m", "m.json", "m.emb"}
         assert main(["embed", *flags, "--out", str(tmp_path / "items.emb")]) == 0
-        for suffix in ("", ".json"):
-            assert (tmp_path / f"m.emb{suffix}").read_bytes() == \
-                (tmp_path / f"items.emb{suffix}").read_bytes(), suffix
+        assert (tmp_path / "m.emb").read_bytes() == (tmp_path / "items.emb").read_bytes()
         payload = (tmp_path / "m.emb").read_bytes()[24:]
         sidecar = json.loads((tmp_path / "m.json").read_text())
         assert sidecar["embedding_sha256"] == hashlib.sha256(payload).hexdigest()
@@ -305,12 +305,12 @@ class TestStoredEmbedding:
         stored = self.reports(data, model, tmp_path / "stored")
         assert stored == self.reports(data, bare, tmp_path / "rebuilt")
 
-    def test_a_save_without_v_removes_the_pair_an_earlier_save_left(self, trained, tmp_path):
+    def test_a_save_without_v_removes_the_v_an_earlier_save_left(self, trained, tmp_path):
         _, _, model = trained
         params, cfg, trained_on, V = load_model(model)
         path = tmp_path / "m.bin"
         save_model(params, cfg, path, item_index_hash=trained_on, V=V)
-        assert (tmp_path / "m.bin.emb").exists() and (tmp_path / "m.bin.emb.json").exists()
+        assert (tmp_path / "m.bin.emb").exists()
         save_model(params, cfg, path, item_index_hash=trained_on)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m.bin.json"]
         assert load_model(path)[3] is None
@@ -332,12 +332,11 @@ class TestStoredEmbedding:
 
     @staticmethod
     def assert_older_sidecar_refused(data, model, tmp_path, capsys, edit, message):
-        """A copy of ``model`` and its V pair, its sidecar changed by ``edit`` into
-        the form an earlier version wrote, is refused by ``load_model``,
-        ``evaluate`` and ``explain`` with ``message``, which names the sidecar
-        ``{older}.json``."""
+        """A copy of ``model`` and its V, its sidecar changed by ``edit`` into the
+        form an earlier version wrote, is refused by ``load_model``, ``evaluate``
+        and ``explain`` with ``message``, which names the sidecar ``{older}.json``."""
         older = tmp_path / "older.bin"
-        for suffix in ("", ".emb", ".emb.json"):
+        for suffix in ("", ".emb"):
             (tmp_path / f"older.bin{suffix}").write_bytes(
                 model.with_name(model.name + suffix).read_bytes())
         sidecar = json.loads(model.with_name(model.name + ".json").read_text())
@@ -380,7 +379,7 @@ class TestStoredEmbedding:
     def test_nan_in_the_stored_v_stops_explain(self, trained, tmp_path, capsys):
         _, data, model = trained
         copy = tmp_path / "nan.bin"
-        for suffix in ("", ".emb", ".emb.json"):
+        for suffix in ("", ".emb"):
             (tmp_path / f"nan.bin{suffix}").write_bytes(
                 model.with_name(model.name + suffix).read_bytes())
         emb = tmp_path / "nan.bin.emb"
@@ -817,14 +816,26 @@ class TestAtomicWrites:
         save_model(params, cfg, tmp_path / "m.bin", item_index_hash="abc", V=V)
         files = self.snapshot(tmp_path)
         assert sorted(files) == ["bare.bin", "bare.bin.json", "m.bin", "m.bin.emb",
-                                 "m.bin.emb.json", "m.bin.json"]
+                                 "m.bin.json"]
         assert files["m.bin"] == files["bare.bin"]   # AMAMDL01 is unchanged
         assert files["m.bin.emb"] == b"AMAEMB01" + struct.pack("<QQ", 5, 3) + V.tobytes()
-        assert json.loads(files["m.bin.emb.json"]) == {"h": 3, "gamma": 1, "seed": 0,
-                                                       "source_hash": "abc"}
         sidecar = json.loads(files["m.bin.json"])
         assert sidecar.pop("embedding_sha256") == hashlib.sha256(V.tobytes()).hexdigest()
         assert sidecar == json.loads(files["bare.bin.json"])
+
+    def test_a_model_writes_only_what_its_loader_reads(self, tmp_path, monkeypatch):
+        cfg = AmaConfig(h=3, d=2, kappa=2)
+        path = tmp_path / "m.bin"
+        save_model(init_params(5, cfg), cfg, path, item_index_hash="abc", V=np.ones((5, 3)))
+        written, read, real_open = {str(p) for p in tmp_path.iterdir()}, set(), builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            read.add(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        load_model(path)
+        assert read == written == {str(path), f"{path}.json", f"{path}.emb"}
 
     def test_save_with_v_of_another_shape_refused_before_any_open(self, tmp_path,
                                                                   monkeypatch):
@@ -838,9 +849,9 @@ class TestAtomicWrites:
                 save_model(init_params(5, cfg), cfg, tmp_path / "m.bin", V=np.ones(shape))
         assert opened == [] and self.snapshot(tmp_path) == {}
 
-    @pytest.mark.parametrize("name", ["m.bin", "m.bin.json", "m.bin.emb", "m.bin.emb.json"])
-    def test_model_with_v_failing_in_any_file_keeps_all_four(self, tmp_path, monkeypatch,
-                                                             name):
+    @pytest.mark.parametrize("name", ["m.bin", "m.bin.json", "m.bin.emb"])
+    def test_model_with_v_failing_in_any_file_keeps_all_three(self, tmp_path, monkeypatch,
+                                                              name):
         cfg = AmaConfig(h=3, d=2, kappa=2)
         path = tmp_path / "m.bin"
         save_model(init_params(5, cfg), cfg, path, item_index_hash="old", V=np.ones((5, 3)))
@@ -909,7 +920,6 @@ class TestGoldenBytes:
     SIDE_FILES = {
         ".json": "b6beac9b2e0ff929ce460f3c6ce31225f77770fe9912bc16d4ed7724ab7a7070",
         ".emb": "75a1cc812dfbfc0361fb1897a1d99ad3a9da8007ab6fbc02a428c4493668b26e",
-        ".emb.json": "716f03c53791bc3db2e17382fb3e225ee93f1e4a49052f28406aa35fe18898a4",
     }
 
     def trained(self, tiny_split, tmp_path):
@@ -917,9 +927,9 @@ class TestGoldenBytes:
         model = tmp_path / "m.bin"
         assert main(["train", "--data", str(tmp_path / "data"), "--out", str(model),
                      "--set", "h=4", *SMALL]) == 0
-        return self.digests(model, ("", ".json", ".emb", ".emb.json"))
+        return self.digests(model, ("", ".json", ".emb"))
 
-    def test_cli_train_writes_these_four_files(self, tiny_split, tmp_path):
+    def test_cli_train_writes_these_three_files(self, tiny_split, tmp_path):
         # train runs in float32; the float64 run of the next test keeps the
         # model digest this test pinned while train ran in float64
         assert self.trained(tiny_split, tmp_path) == {
@@ -935,6 +945,17 @@ class TestGoldenBytes:
         assert self.trained(tiny_split, tmp_path) == {
             "": "11e3b142ccc0b67597b9a4b28db2bb1f9063ee5ec759d3fe42eee82c7e76f93d",
             **self.SIDE_FILES}
+
+    def test_cli_embed_writes_these_two_files(self, tiny_split, tmp_path):
+        # embed writes the V that train stores beside its model, and V's meta
+        save_split(tiny_split, tmp_path / "data", threshold=2)
+        emb = tmp_path / "items.emb"
+        assert main(["embed", "--data", str(tmp_path / "data"), "--out", str(emb),
+                     "--set", "h=4"]) == 0
+        assert self.digests(emb, ("", ".json")) == {
+            "": self.SIDE_FILES[".emb"],
+            ".json": "716f03c53791bc3db2e17382fb3e225ee93f1e4a49052f28406aa35fe18898a4",
+        }
 
     def test_a_drawn_model_saved_without_v_as_the_bench_saves_it(self, tmp_path):
         # float64 draws, as the bench's drawn model is

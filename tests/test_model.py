@@ -21,7 +21,6 @@ from amarec.model import (
     argmax_mode,
     attend,
     batch_gradients,
-    confidence_weights,
     corrupt,
     decode_maxout,
     encode,
@@ -415,19 +414,6 @@ def test_attribution_at_some_items_equals_the_full_attribution_there(shape, seed
                           full[:, items])
 
 
-class TestConfidenceWeights:
-    def test_alpha_zero(self):
-        np.testing.assert_array_equal(confidence_weights(np.array([0.0, 1.0]), 0.0), 1.0)
-
-    def test_alpha_one(self):
-        w = confidence_weights(np.array([1.0]), 1.0)
-        assert w[0] == pytest.approx(1.0 + math.log(2.0))
-
-    def test_alpha_ten(self):
-        w = confidence_weights(np.array([1.0]), 10.0)
-        assert w[0] == pytest.approx(7.9315, abs=1e-4)
-
-
 class TestCorrupt:
     def test_rho_zero_identity(self):
         obs = np.array([1, 4, 7])
@@ -496,7 +482,7 @@ class TestLoss:
         V = np.random.default_rng(0).standard_normal((n, 3))
         r = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
         val, _, _ = user_objective(r, np.array([0, 2]), params, V, cfg)
-        expected = np.dot(confidence_weights(r, 2.0), r * r)
+        expected = 2 * (1.0 + 2.0 * math.log(2.0))   # two observed 1s, each weighing 1 + alpha ln 2
         assert val == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -280,5 +281,21 @@ def test_params_that_disagree_with_the_config_stop_train_before_epoch_0(
     seen = []
     with pytest.raises(ValueError, match=f"^{message.format(n=n, n_plus=n + 1)}$"):
         train(tiny_split, embeddings_for(tiny_split, cfg), cfg, params=params,
+              callback=lambda epoch, p: seen.append(epoch))
+    assert seen == []
+
+
+@pytest.mark.parametrize("value", [5.0, 0.0])
+def test_a_train_matrix_that_is_not_binary_stops_train_before_epoch_0(tiny_split, value):
+    # the kernel reads only the pattern of the train matrix, while embed_items,
+    # POP and mode_top_items read its values: a 5 or a stored 0 would train
+    # as a 1 against a V built from the value
+    train_mat = tiny_split.train.copy()
+    train_mat.data[::3] = value
+    data = dataclasses.replace(tiny_split, train=train_mat)
+    cfg, seen = tiny_train_config(epochs=2), []
+    with pytest.raises(ValueError, match=f"^the train matrix must be binary, but it stores "
+                                         f"{value:g}$"):
+        train(data, embeddings_for(tiny_split, cfg), cfg,
               callback=lambda epoch, p: seen.append(epoch))
     assert seen == []
