@@ -25,7 +25,7 @@ def pop_scorer(train):
     counts = np.asarray(train.sum(axis=0)).ravel().astype(np.float64)
 
     def score(rows, users):
-        return np.tile(counts, (len(users), 1))
+        return np.broadcast_to(counts, (len(users), counts.size))   # read-only
 
     return score
 

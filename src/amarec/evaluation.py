@@ -5,9 +5,10 @@ items go by descending score, ties to the smaller item index, and the
 user's excluded items (train, and validation at test time) come last. No
 report reads a whole ranked row, so none is built: ``top_k`` gives the
 first k items of each row, and ``hit_ranks`` the exact rank of each
-relevant item, from which ``metric_rows`` reads every metric. A block's
-rows of each split are cut from the CSR arrays (``dataset._rows``), and a
-scorer is asked only for scores: ranking reads no mode attribution.
+relevant item, from which ``metric_rows`` reads every metric; a block that
+scores every user alike takes them from ``shared_row_ranks`` instead. A
+block's rows of each split are cut from the CSR arrays (``dataset._rows``),
+and a scorer is asked only for scores: ranking reads no mode attribution.
 
 Metrics follow the usual binary-relevance definitions: Precision@K,
 Recall@K, MAP@K normalized by min(K, |relevant|), R-Precision, and
@@ -99,6 +100,28 @@ def hit_ranks(keys, relevant):
     return np.where(key < np.inf, rank, n)
 
 
+def shared_row_ranks(row, relevant, *exclude):
+    """``hit_ranks``' ranks and ``rank_keys``' counts for a block whose score rows
+    all equal the array ``row``: an entry's rank is its place in a stable order
+    of ``row`` (-inf last) less the items of its row's exclusion set before it."""
+    nb, n = relevant.shape
+    place = np.empty(n, dtype=np.intp)
+    place[np.argsort(-np.asarray(row, dtype=np.float64), kind="stable")] = np.arange(n)
+    ranked = n - np.count_nonzero(row == -np.inf)   # ranked items take the places below it
+
+    def codes(block):   # each entry as its row * n + its item's place
+        return np.repeat(np.arange(nb) * n, np.diff(block.indptr)) + place[block.indices]
+
+    # sorted and unique, closed by nb * n so that every search lands inside
+    excluded = np.unique(np.concatenate([codes(block) for block in exclude] + [[nb * n]]))
+    hit = codes(relevant)
+    before, at = np.searchsorted(excluded, hit), hit % n
+    rank = at - before + np.searchsorted(excluded, hit - at)
+    rank[(at >= ranked) | (excluded[before] == hit)] = n   # not ranked: reads n
+    bounds = np.searchsorted(excluded, np.arange(nb) * n + [[0], [ranked]])
+    return rank, ranked - (bounds[1] - bounds[0])
+
+
 def _block_metrics(ranks, length, relevant, ks, discount):
     """The metric rows of a block from the ranks of its relevant items."""
     nb, n = relevant.shape
@@ -160,9 +183,14 @@ def metric_rows(scorer, data, split="test", ks=(5, 10, 20)):
         block = users[start:start + step]
         history = _rows(data.train, block)
         exclude = (history, _rows(data.validation, block)) if split == "test" else (history,)
-        keys, length = rank_keys(scorer(history, block), *exclude)
-        relevant = _rows(target, block)
-        rows.append(_block_metrics(hit_ranks(keys, relevant), length, relevant, ks, discount))
+        scores, relevant = np.asarray(scorer(history, block)), _rows(target, block)
+        # a block scoring every user alike (POP, S = 0) ranks from one order of its row
+        if (scores[:, 0] == scores[0, 0]).all() and (scores == scores[0]).all():
+            ranks, length = shared_row_ranks(scores[0], relevant, *exclude)
+        else:
+            keys, length = rank_keys(scores, *exclude)
+            ranks = hit_ranks(keys, relevant)
+        rows.append(_block_metrics(ranks, length, relevant, ks, discount))
     return names, users, np.concatenate(rows)
 
 

@@ -1,9 +1,12 @@
 """evaluate's and explain's block ranking path against a per-user reference:
 a lexsort ranking of one user at a time, ``enumerate_metrics`` for the metric
 rows and a plain loop for the mode-usage histogram, compared bit for bit. The
-two ranking primitives, ``top_k`` and ``hit_ranks``, are also compared with
-the lexsort directly at catalog widths where ``np.partition`` and the
-counts of tied items do real work."""
+ranking primitives are also checked directly at catalog widths where
+``np.partition`` and the counts of tied items do real work: ``top_k`` and
+``hit_ranks`` against the lexsort, and ``shared_row_ranks``, which ranks a
+block whose users all score alike, against ``hit_ranks``. Any one-user block
+takes that shared path in ``metric_rows``, so ``hit_ranks`` keeps its own
+direct tests here rather than relying on the per-user reference."""
 
 import functools
 
@@ -11,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from amarec.baselines import ama_scorer
-from amarec.evaluation import hit_ranks, metric_rows, rank_keys, top_k
+from amarec import evaluation
+from amarec.baselines import ama_scorer, pop_scorer, puresvd_scorer
+from amarec.evaluation import hit_ranks, metric_rows, rank_keys, shared_row_ranks, top_k
 from amarec.explain import mode_usage
 from amarec.model import (BLOCK, AmaConfig, Forward, Segments, argmax_mode, attend,
                           decode_maxout, encode, keys_values)
@@ -91,6 +95,44 @@ def test_top_k_and_hit_ranks_match_lexsort(seed, m, n, levels, k):
         assert ranks[data.test.indptr[u]:data.test.indptr[u + 1]].tolist() == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 40), n=st.integers(1, 60),
+       levels=st.integers(0, 7), split=st.sampled_from(["test", "validation"]),
+       case=st.sampled_from(["random", "repeat", "excluded", "catalog", "-inf"]))
+@example(seed=0, m=3, n=1, levels=1, split="test", case="random")
+@example(seed=1, m=5, n=12, levels=2, split="test", case="repeat")
+@example(seed=2, m=5, n=12, levels=3, split="validation", case="excluded")
+@example(seed=3, m=5, n=12, levels=0, split="test", case="catalog")
+@example(seed=4, m=5, n=12, levels=1, split="test", case="-inf")
+def test_shared_row_ranks_match_hit_ranks(seed, m, n, levels, split, case):
+    """One row tiled over the block, with the sign of some zeros flipped per
+    row (-0.0 ties with 0.0), ranks as ``hit_ranks`` ranks the whole block.
+    Row 0 is made to hold each pinned case: a pair in both train and
+    validation, a relevant item that is also excluded, exclusions over the
+    whole catalog, and a row scored -inf everywhere."""
+    rng = np.random.default_rng(seed)
+    scores = np.tile(signed_scores(rng, 1, n, levels), (m, 1))
+    flip = (scores == 0) & (rng.random((m, n)) < 0.5)
+    scores[flip] = -scores[flip]
+    train, validation, test = (random_rows(rng, m, n) for _ in range(3))
+    if case == "repeat":
+        train[0] = validation[0] = sorted({0, n - 1})
+    elif case == "excluded":
+        train[0], test[0] = [n - 1], sorted({0, n - 1})
+    elif case == "catalog":
+        train[0] = list(range(n))
+    elif case == "-inf":
+        scores[:] = -np.inf
+    data = make_split(train, validation, test, n)
+    exclude = (data.train, data.validation) if split == "test" else (data.train,)
+
+    keys, length = rank_keys(scores, *exclude)
+    ranks, counts = shared_row_ranks(scores[0], data.test, *exclude)
+    expected = hit_ranks(keys, data.test)
+    assert ranks.dtype == expected.dtype and ranks.tobytes() == expected.tobytes()
+    assert counts.dtype == length.dtype and counts.tobytes() == length.tobytes()
+
+
 def reference_row(ranked, relevant, ks):
     if not ranked:   # every metric is 0; the oracle's NDCG would divide by 0
         return [0.0] * (2 + 3 * len(ks))
@@ -100,21 +142,10 @@ def reference_row(ranked, relevant, ks):
             + [by_k[k]["precision"] for k in ks] + [by_k[k]["recall"] for k in ks])
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10_000), m=st.integers(1, 2 * BLOCK + 5), n=st.integers(1, 9),
-       levels=st.integers(1, 4), split=st.sampled_from(["test", "validation"]),
-       ks=st.lists(st.integers(1, 11), min_size=1, max_size=3, unique=True))
-@example(seed=0, m=1, n=1, levels=1, split="test", ks=[1])
-@example(seed=5, m=2 * BLOCK + 1, n=4, levels=2, split="validation", ks=[3, 1])
-@example(seed=6, m=BLOCK + 3, n=120, levels=3, split="test", ks=[1, 10])
-def test_metric_rows_match_per_user_reference(seed, m, n, levels, split, ks):
-    rng = np.random.default_rng(seed)
-    # train, validation and test rows drawn independently: an item may sit in
-    # a user's train and test rows at once, as an item rated twice can
-    data = make_split(random_rows(rng, m, n), random_rows(rng, m, n), random_rows(rng, m, n), n)
-    scores = rng.integers(0, levels, size=(m, n)).astype(float)   # ties when levels < n
+def assert_rows_match_reference(scores, data, split, ks):
+    """``metric_rows`` of the scorer that reads ``scores`` equal the per-user reference."""
+    m, n = scores.shape
     names, users, rows = metric_rows(lambda rows, users: scores[users], data, split, ks)
-
     target = data.test if split == "test" else data.validation
     expected_users = [u for u in range(m) if target[u].nnz]
     assert users.tolist() == expected_users
@@ -126,6 +157,71 @@ def test_metric_rows_match_per_user_reference(seed, m, n, levels, split, ks):
         ranked = reference_ranked(scores[u], exclude)
         expected = reference_row(ranked, set(target[u].indices.tolist()), sorted(ks))
         assert row.tolist() == expected, (u, names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 2 * BLOCK + 5), n=st.integers(1, 9),
+       levels=st.integers(1, 4), split=st.sampled_from(["test", "validation"]),
+       ks=st.lists(st.integers(1, 11), min_size=1, max_size=3, unique=True),
+       alike=st.booleans())
+@example(seed=0, m=1, n=1, levels=1, split="test", ks=[1], alike=False)
+@example(seed=5, m=2 * BLOCK + 1, n=4, levels=2, split="validation", ks=[3, 1], alike=False)
+@example(seed=6, m=BLOCK + 3, n=120, levels=3, split="test", ks=[1, 10], alike=False)
+# every user scored alike, as POP scores them: the shared-row path
+@example(seed=7, m=2 * BLOCK + 3, n=120, levels=3, split="test", ks=[1, 10], alike=True)
+def test_metric_rows_match_per_user_reference(seed, m, n, levels, split, ks, alike):
+    rng = np.random.default_rng(seed)
+    # train, validation and test rows drawn independently: an item may sit in
+    # a user's train and test rows at once, as an item rated twice can
+    data = make_split(random_rows(rng, m, n), random_rows(rng, m, n), random_rows(rng, m, n), n)
+    scores = rng.integers(0, levels, size=(m, n)).astype(float)   # ties when levels < n
+    if alike:
+        scores = np.tile(scores[:1], (m, 1))
+    assert_rows_match_reference(scores, data, split, ks)
+
+
+def spy_on_hit_ranks(monkeypatch):
+    """Route ``metric_rows``' calls of ``hit_ranks`` through a spy; returns
+    the list of the row counts of the blocks it was called with."""
+    calls, real = [], evaluation.hit_ranks
+
+    def spy(keys, relevant):
+        calls.append(keys.shape[0])
+        return real(keys, relevant)
+
+    monkeypatch.setattr(evaluation, "hit_ranks", spy)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["pop", "zero", "ama", "puresvd", "pop-one-cell"])
+def test_only_blocks_of_unequal_rows_call_hit_ranks(which, monkeypatch):
+    rng = np.random.default_rng(11)
+    n, m = 40, 2 * BLOCK
+    cfg = AmaConfig(h=4, d=3, kappa=2)
+    V = rng.standard_normal((n, cfg.h))
+
+    def full_rows():   # every row nonempty: AMA's rows differ, and every user is ranked
+        return [sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
+                for _ in range(m)]
+
+    data = make_split(full_rows(), random_rows(rng, m, n), full_rows(), n)
+    scorer = {"pop": pop_scorer(data.train), "puresvd": puresvd_scorer(V),
+              "ama": ama_scorer(random_params(n, cfg, seed=2), V),
+              "zero": lambda rows, users: np.zeros((len(users), n))
+              }[which.removesuffix("-one-cell")]
+    scores = np.array(scorer(data.train, np.arange(m)))
+    if which == "pop-one-cell":
+        scores[BLOCK + 1, 0] += 1.0   # one cell of one user of the second block
+        scorer = lambda rows, users: scores[users]
+    calls = spy_on_hit_ranks(monkeypatch)
+    metric_rows(scorer, data)
+    if which in ("pop", "zero"):
+        assert calls == []
+    elif which == "pop-one-cell":   # only the block holding the changed user
+        assert calls == [BLOCK]
+    else:   # every block
+        assert sum(calls) == m
+    assert_rows_match_reference(scores, data, "test", (1, 5))
 
 
 @settings(max_examples=40, deadline=None)
