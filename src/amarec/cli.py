@@ -15,7 +15,6 @@ symbol in parentheses:
   seed          RNG seed
   learning_rate optimizer step size
   batch_size    users per optimizer step
-  algorithm     scorer: ama | pop | puresvd; train and explain need ama
 
 Unset keys take AmaConfig's defaults; AmaConfig checks every value, before
 any SVD. h, gamma and seed build the item embeddings, in embed, train and
@@ -25,8 +24,8 @@ with --model, evaluate and explain read those embeddings (a model saved
 without them has them rebuilt from its recorded h, gamma and seed), and a
 configured h, gamma, seed, d or kappa must equal the model's.
 evaluate and explain check but do not read the training-only keys epochs,
-learning_rate, batch_size, alpha, lambda and rho. Without --model or
---baseline, evaluate scores `algorithm`.
+learning_rate, batch_size, alpha, lambda and rho. evaluate takes exactly
+one of --model and --baseline; any preset works with any command.
 
 The default data directory comes from $AMAREC_DATA_DIR when --data is
 omitted.
@@ -51,8 +50,6 @@ class CliError(Exception):
     pass
 
 
-_CHOICES = {"algorithm": ("ama", "pop", "puresvd")}
-
 # config key -> the AmaConfig field it sets
 _RUN_KEYS = {**{k: k for k in ("h", "d", "kappa", "alpha", "rho", "epochs", "seed",
                                "learning_rate", "batch_size", "gamma")}, "lambda": "lam"}
@@ -76,12 +73,7 @@ def parse_config_text(text, source="<config>"):
 
 
 def _coerce(key, value, where):
-    """A choice key's choice, or else an int, or failing that a float."""
-    if key in _CHOICES:
-        if value not in _CHOICES[key]:
-            raise CliError(f"{where}: bad value {value!r} for {key}; "
-                           f"choose one of {', '.join(_CHOICES[key])}")
-        return value
+    """A known key's value: an int, or failing that a float."""
     if key not in _RUN_KEYS:
         raise CliError(f"{where}: unknown config key {key!r}")
     for parse in (int, float):
@@ -118,11 +110,6 @@ def _gather_config(args):
         key, value = item.split("=", 1)
         cfg[key.strip()] = _coerce(key.strip(), value.strip(), "--set")
     return cfg, _run_config(cfg)
-
-
-def _require_ama(cfg, command):
-    if cfg.get("algorithm") not in (None, "ama"):
-        raise CliError(f"{command} needs algorithm=ama, got algorithm={cfg['algorithm']}")
 
 
 def _run_config(cfg):
@@ -177,9 +164,13 @@ def cmd_train(args):
     if args.checkpoint_every < 0:
         raise CliError("--checkpoint-every takes an integer >= 0, "
                        f"got {args.checkpoint_every}")
+    # refuse an unwritable output now, not after the last epoch
+    for flag, path in (("--out", args.out), ("--log-prefix", args.log_prefix)):
+        parent = os.path.dirname(path or "")
+        if parent and not os.path.isdir(parent):
+            raise CliError(f"{flag} {path}: directory {parent} does not exist")
     data = dataset.load_split(_data_dir(args))
-    cfg, run = _gather_config(args)
-    _require_ama(cfg, "train")
+    _, run = _gather_config(args)
     V = linalg.embed_items(data.train, run)
     provenance = {"item_index_hash": linalg.matrix_hash(data.train), "V": V}
 
@@ -218,18 +209,11 @@ def _load_ama(path, data, cfg):
 
 
 def _scorer_for(args, data, cfg, run):
-    chosen = "ama" if args.model else args.baseline
-    algorithm = cfg.get("algorithm", chosen)
-    if chosen and algorithm != chosen:
-        raise CliError(f"the configuration selects algorithm={algorithm}, "
-                       f"but the command line selects {chosen}")
-    if algorithm == "ama" and args.model:
+    if args.model:
         return baselines.ama_scorer(*_load_ama(args.model, data, cfg))
-    if algorithm == "pop":
+    if args.baseline == "pop":
         return baselines.pop_scorer(data.train)
-    if algorithm == "puresvd":
-        return baselines.puresvd_scorer(linalg.embed_items(data.train, run))
-    raise CliError("pass --model or --baseline {pop,puresvd}")
+    return baselines.puresvd_scorer(linalg.embed_items(data.train, run))
 
 
 def _cutoffs(flag, text):
@@ -270,7 +254,6 @@ def cmd_explain(args):
         raise CliError("--dot draws the per-user report; pass --user with it")
     data = dataset.load_split(_data_dir(args))
     cfg, _ = _gather_config(args)
-    _require_ama(cfg, "explain")
     params, V = _load_ama(args.model, data, cfg)
     item_ids = list(data.item_ids)
     if args.user is not None:
@@ -336,7 +319,7 @@ def build_parser():
 
     sp = sub.add_parser("evaluate", help="rank and score a model or baseline")
     common_cfg(sp)
-    scorer = sp.add_mutually_exclusive_group()
+    scorer = sp.add_mutually_exclusive_group(required=True)
     scorer.add_argument("--model", help="trained model file")
     scorer.add_argument("--baseline", choices=["pop", "puresvd"])
     sp.add_argument("--split", default="test", choices=["validation", "test"])

@@ -142,7 +142,7 @@ def _block_metrics(ranks, length, relevant, ks, discount):
     nth = np.arange(1, hits.shape[1] + 1)
     cols = [found(R) / R, dcg / ideal]
     cols += [np.cumsum(np.where(hits < min(k, n), nth / (hits + 1), 0.0), axis=1)[:, -1]
-             / np.minimum(k, R) for k in ks]
+             / np.minimum(min(k, n), R) for k in ks]
     cols += [found(k) / k for k in ks]
     cols += [found(k) / R for k in ks]
     return np.column_stack(cols)

@@ -398,12 +398,19 @@ class TestStoredEmbedding:
         assert f"model sidecar {copy}.json" in err
 
 
-class TestAlgorithmKey:
-    def test_pop_preset_alone_matches_baseline_flag(self, trained):
+class TestScorerFlags:
+    def test_pop_preset_needs_the_baseline_flag(self, trained, capsys):
+        # a preset sets no scorer: without --model or --baseline argparse exits 2
         tmp, data, _ = trained
         by_preset, by_flag = tmp / "pop_preset.json", tmp / "pop_flag.json"
-        assert main(["evaluate", "--data", str(data), "--preset", "ml1m-pop",
-                     "--out", str(by_preset)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--data", str(data), "--preset", "ml1m-pop",
+                  "--out", str(by_preset)])
+        assert exc.value.code == 2 and not by_preset.exists()
+        assert "one of the arguments --model --baseline is required" in (
+            capsys.readouterr().err)
+        assert main(["evaluate", "--data", str(data), "--preset", "ml1m-pop", "--baseline",
+                     "pop", "--out", str(by_preset)]) == 0
         assert main(["evaluate", "--data", str(data), "--baseline", "pop",
                      "--out", str(by_flag)]) == 0
         assert by_preset.read_bytes() == by_flag.read_bytes()
@@ -412,20 +419,36 @@ class TestAlgorithmKey:
         ("ml1m-pop", "--model"), ("ml1m-puresvd", "--baseline=pop"),
         ("ml1m-ama", "--baseline=pop"),
     ])
-    def test_contradicting_scorer_rejected(self, trained, capsys, preset, which):
-        _, data, model = trained
+    def test_any_preset_keeps_the_flagged_scorer(self, trained, preset, which):
+        # the report equals the one the scorer flag gives without a preset
+        tmp, data, model = trained
         which = ["--model", str(model)] if which == "--model" else [which]
-        assert main(["evaluate", "--data", str(data), "--preset", preset, *which]) == 1
-        assert "algorithm=" in capsys.readouterr().err
+        by_preset, by_flag = tmp / f"{preset}_preset.json", tmp / f"{preset}_flag.json"
+        assert main(["evaluate", "--data", str(data), "--preset", preset, *which,
+                     "--out", str(by_preset)]) == 0
+        assert main(["evaluate", "--data", str(data), *which, "--out", str(by_flag)]) == 0
+        assert by_preset.read_bytes() == by_flag.read_bytes()
 
     @pytest.mark.parametrize("command", ["train", "explain"])
-    def test_train_and_explain_need_ama(self, trained, capsys, command):
-        tmp, data, model = trained
-        extra = ["--out", str(tmp / "x.bin")] if command == "train" else [
-            "--model", str(model), "--histogram"]
-        assert main([command, "--data", str(data), "--preset", "ml1m-puresvd",
-                     *extra]) == 1
-        assert "algorithm=ama" in capsys.readouterr().err
+    def test_puresvd_preset_trains_and_explains_ama(self, trained, tmp_path, capsys,
+                                                   command):
+        # train runs AMA at the preset's h=50; explain still refuses a model
+        # trained at another h
+        _, data, model = trained
+        if command == "train":
+            ratings = tmp_path / "wide.dat"
+            write_movielens_file(ratings, synthetic_events(m=60, n=60, per_user=40, seed=5))
+            data, out = tmp_path / "wide", tmp_path / "x.bin"
+            assert main(["prep", "--input", str(ratings), "--format", "movielens-dat",
+                         "--threshold", "2", "--out", str(data)]) == 0
+            assert main(["train", "--data", str(data), "--preset", "ml1m-puresvd", *SMALL,
+                         "--out", str(out)]) == 0
+            assert run_config(out).h == 50
+        else:
+            assert main(["explain", "--data", str(data), "--preset", "ml1m-puresvd",
+                         "--model", str(model), "--histogram"]) == 1
+            assert (f"{model} was trained with h=4, but the configuration gives h=50"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["embed", "explain", "train", "evaluate"])
     def test_no_threads_flag(self, trained, command):
@@ -440,15 +463,13 @@ class TestDrift:
         block = cli.__doc__.split("Recognized keys", 1)[1].split("\n\n", 1)[1]
         block = block.split("\n\n", 1)[0]
         documented = {re.match(r"\s+(\w+)\s", line).group(1) for line in block.splitlines()}
-        assert documented == cli._RUN_KEYS.keys() | cli._CHOICES.keys()
+        assert documented == cli._RUN_KEYS.keys()
 
     def test_every_parsed_key_reaches_a_consumer(self):
-        # a key parses only if AmaConfig or the scorer choice reads it
-        for key in cli._RUN_KEYS.keys() | cli._CHOICES.keys():
-            value = cli._CHOICES.get(key, ("2",))[0]
-            assert cli.parse_config_text(f"{key}={value}") == {key: int(value) if value == "2"
-                                                                else value}
-        for key in ("rank", "lam", "iters", "oversample", "scale"):
+        # a key parses only if AmaConfig reads it
+        for key in cli._RUN_KEYS:
+            assert cli.parse_config_text(f"{key}=2") == {key: 2}
+        for key in ("rank", "lam", "iters", "oversample", "scale", "algorithm"):
             with pytest.raises(cli.CliError, match=f"unknown config key {key!r}"):
                 cli.parse_config_text(f"{key}=2")
 
@@ -474,12 +495,12 @@ class TestDrift:
         data = types.SimpleNamespace(train=train)
         for name in names:
             cfg = cli.load_preset(name)
+            assert cfg.keys() <= cli._RUN_KEYS.keys()
             run = cli._run_config(cfg)
             assert (run.h, run.gamma) == (cfg.get("h", 40), cfg.get("gamma", 10))
-            if cfg["algorithm"] == "ama":
-                assert run.lam == cfg["lambda"] and run.d == cfg["d"]
-            else:
-                args = types.SimpleNamespace(model=None, baseline=None)
+            assert {key: getattr(run, cli._RUN_KEYS[key]) for key in cfg} == cfg
+            for baseline in ("pop", "puresvd"):
+                args = types.SimpleNamespace(model=None, baseline=baseline)
                 scores = cli._scorer_for(args, data, cfg, run)(train[:1], np.array([0]))
                 assert scores.shape == (1, 220)
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amarec import baselines, cli, linalg
+from amarec import baselines, cli, dataset, linalg
 from amarec.cli import CliError, _gather_config, load_preset, main, parse_config_text
 from conftest import synthetic_events, write_movielens_file
 
@@ -390,18 +391,19 @@ class TestTrainEvaluateExplain:
         assert rc == 1
         assert "d" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, key, value, choices", [
-        (["evaluate"], "algorithm", "pop2", "ama, pop, puresvd"),
-    ])
-    def test_bad_choice_rejected_before_any_svd(self, tmp_path, prepped, capsys, monkeypatch,
-                                                argv, key, value, choices):
-        argv = [str(tmp_path / a) if a == "m.bin" else a for a in argv]
+    @pytest.mark.parametrize("source", ["--set", "--config"])
+    def test_algorithm_key_rejected_before_any_svd(self, tmp_path, prepped, capsys,
+                                                   monkeypatch, source):
+        # the command line alone picks the scorer; a config may not
+        conf = tmp_path / "run.conf"
+        conf.write_text("h=4\nalgorithm=ama\n")
+        given = ["--set", "algorithm=pop"] if source == "--set" else ["--config", str(conf)]
         svds = []
         monkeypatch.setattr(linalg, "randomized_svd", lambda *a, **kw: svds.append(a))
-        rc = main([*argv, "--data", str(prepped), "--set", f"{key}={value}"])
+        rc = main(["evaluate", "--data", str(prepped), "--baseline", "puresvd", *given])
         assert rc == 1 and svds == []
-        err = capsys.readouterr().err
-        assert f"{value!r} for {key}" in err and choices in err
+        where = "--set" if source == "--set" else f"{conf}:2"
+        assert capsys.readouterr().err == f"error: {where}: unknown config key 'algorithm'\n"
 
     @pytest.mark.parametrize("key", ["alpha", "lambda", "rho", "learning_rate"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -510,11 +512,32 @@ class TestTrainEvaluateExplain:
         assert capsys.readouterr().err == (
             "error: no data directory: pass --data or set AMAREC_DATA_DIR\n")
 
-    def test_evaluate_without_a_scorer_rejected(self, tmp_path, prepped, capsys):
+    def test_evaluate_without_a_scorer_rejected(self, tmp_path, prepped, capsys, monkeypatch):
         out = tmp_path / "report.json"
-        assert main(["evaluate", "--data", str(prepped), "--out", str(out)]) == 1
-        assert not out.exists()
-        assert capsys.readouterr().err == "error: pass --model or --baseline {pop,puresvd}\n"
+        monkeypatch.setattr(dataset, "load_split", lambda *a: pytest.fail("split read"))
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--data", str(prepped), "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert "one of the arguments --model --baseline is required" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag", ["--out", "--log-prefix"])
+    def test_train_refuses_a_missing_output_directory_before_the_split_is_read(
+            self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.setattr(dataset, "load_split", lambda *a: pytest.fail("split read"))
+        missing = tmp_path / "missing"
+        paths = {"--out": str(tmp_path / "m.bin"), flag: str(missing / "x")}
+        rc = main(["train", "--data", str(tmp_path), *[a for kv in paths.items() for a in kv]])
+        assert rc == 1 and not missing.exists() and not (tmp_path / "m.bin").exists()
+        assert capsys.readouterr().err == (
+            f"error: {flag} {missing / 'x'}: directory {missing} does not exist\n")
+
+    def test_unwritable_report_named_as_given(self, tmp_path, prepped, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["evaluate", "--data", str(prepped), "--baseline", "pop",
+                   "--out", "missing/r.json"])
+        err = capsys.readouterr().err
+        assert rc == 1 and "'missing/r.json'" in err and ".tmp" not in err
 
     def test_model_and_baseline_together_rejected(self, tmp_path, prepped, capsys):
         out = tmp_path / "report.json"
@@ -561,6 +584,22 @@ class TestTrainEvaluateExplain:
                    "--user", "ghost", *fast_overrides()])
         assert rc == 1
         assert "unknown user id 'ghost'" in capsys.readouterr().err
+
+
+def test_readme_cli_block_parses_and_its_presets_load():
+    # every command of the fenced block under "## CLI" parses as written, and
+    # every preset the README names ships
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?```\n(.*?)```", readme, re.S | re.M).group(1)
+    commands = [line.split() for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("amarec ")]
+    assert len(commands) >= 7
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])
+    presets = set(re.findall(r"(?:--preset |`)((?:ml1m|amazon-\w+)-[\w-]+)", readme))
+    assert {"ml1m-ama", "ml1m-pop", "ml1m-puresvd"} <= presets
+    for name in presets:
+        load_preset(name)
 
 
 def test_unknown_split_raises_systemexit_guard():

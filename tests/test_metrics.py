@@ -128,6 +128,14 @@ class TestOracleEquivalence:
             for k in (5, 50, 3300):
                 assert metrics_of(ranked, relevant, k) == enumerate_metrics(ranked, relevant, k)
 
+    @pytest.mark.parametrize("k", [2**31, 2**63 - 1, 2**63, 2**64, 10**20])
+    def test_cutoff_beyond_every_integer_dtype_bit_exact(self, k):
+        # MAP's normalizer min(k, R) must not cast k to the int32 of R
+        rng = np.random.default_rng(2)
+        ranked = rng.permutation(9)
+        relevant = set(rng.choice(9, size=4, replace=False).tolist())
+        assert metrics_of(ranked, relevant, k) == enumerate_metrics(ranked, relevant, k)
+
     def test_r_precision_order_insensitive(self):
         relevant = {0, 2, 5}
         base = [2, 5, 7, 1, 0]
